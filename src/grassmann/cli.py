@@ -201,7 +201,8 @@ def cmd_third_point(scene: Scene, args) -> tuple[Report, int]:
 
 
 def _binary_root(form, y: Point, p: Point, q: Point) -> bool:
-    # solve y = s*p + t*q and check g(s, t) = 0
+    # det*y = s*p + t*q; g is homogeneous, so g(s, t) = 0 exactly when
+    # g(s/det, t/det) = 0, and no division is needed
     from .poly import binary_eval
 
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -209,7 +210,7 @@ def _binary_root(form, y: Point, p: Point, q: Point) -> bool:
         if det != 0:
             s = y.coords[i] * q.coords[j] - y.coords[j] * q.coords[i]
             t = p.coords[i] * y.coords[j] - p.coords[j] * y.coords[i]
-            return binary_eval(form, s / det, t / det) == 0
+            return binary_eval(form, s, t) == 0
     return False
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import oracle
 from .core import (
     Line,
     Point,
+    Scalar,
     bracket,
     canonicalize,
     incidence,
@@ -324,7 +324,7 @@ def fit_nine_points(pts: NinePointLabels) -> CubicParams:
     return fit_nine_points_trace(pts).params
 
 
-def evaluate_cubic(params: CubicParams, x: Point) -> Fraction:
+def evaluate_cubic(params: CubicParams, x: Point) -> Scalar:
     """Exact value of the defining bracket at x; zero means x is on the curve."""
     return eval_numeric(_CUBIC_AST, params.environment().with_x(x))
 
@@ -758,7 +758,7 @@ def conic_cubic_sixth_detailed(pts: NinePointLabels) -> SixthPointResult:
     env = params.environment()
     a, c, d, e, f = pts.a, pts.c, pts.d, pts.e, pts.f
 
-    def aux_value(x: Point) -> Fraction:
+    def aux_value(x: Point) -> Scalar:
         return eval_numeric(_SIXTH_AUX_CUBIC_AST, env.with_x(x))
 
     for name, pt in (("e", e), ("f", f)):
@@ -779,7 +779,7 @@ def conic_cubic_sixth_detailed(pts: NinePointLabels) -> SixthPointResult:
 
     z = _step("z=yc.ya1Aa", meet(join(y, c), _fold(join(y, params.a1), params.A, a)))
 
-    def conic_value(x: Point) -> Fraction:
+    def conic_value(x: Point) -> Scalar:
         return eval_numeric(_SIXTH_CONIC_AST, env.with_x(x))
 
     for name, pt in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):

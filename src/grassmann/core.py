@@ -1,6 +1,10 @@
 """Exact homogeneous-coordinate arithmetic in the projective plane.
 
-Points and lines are triples of rationals.  The all-zero triple is kept as
+Points and lines are triples of exact numbers, kept exactly as given:
+integral inputs stay plain ``int`` through every join, meet, incidence
+and bracket, and a ``Fraction`` appears only where a coordinate really is
+non-integral.  Coordinates only matter up to a common nonzero factor, so
+integer inputs never need denominators.  The all-zero triple is kept as
 an explicit degenerate marker (the zero-point and the zero-line), which
 makes every operation below total: a degenerate construction flows through
 subsequent arithmetic as a zero object instead of raising.
@@ -13,12 +17,11 @@ coordinates are only fixed up to a common nonzero factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 
 __all__ = [
     "Scalar",
@@ -40,48 +43,75 @@ __all__ = [
     "scalar_equiv",
 ]
 
+_SCALAR_TYPES = (int, Fraction)
+
 
 class KindError(TypeError):
     """Operands have kinds for which the operation is undefined."""
 
 
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
-@dataclass(frozen=True)
 class _Triple:
-    x0: Fraction
-    x1: Fraction
-    x2: Fraction
+    """An immutable coordinate triple; equal only to a triple of its own class."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", _frac(self.x0))
-        object.__setattr__(self, "x1", _frac(self.x1))
-        object.__setattr__(self, "x2", _frac(self.x2))
+    __slots__ = ("coords",)
+
+    def __init__(self, x0: Scalar, x1: Scalar, x2: Scalar):
+        _set_coords(self, (x0, x1, x2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self.coords)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
 
     @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x0, self.x1, self.x2)
+    def x0(self) -> Scalar:
+        return self.coords[0]
+
+    @property
+    def x1(self) -> Scalar:
+        return self.coords[1]
+
+    @property
+    def x2(self) -> Scalar:
+        return self.coords[2]
 
     @property
     def is_zero(self) -> bool:
-        return self.x0 == 0 and self.x1 == 0 and self.x2 == 0
+        return not any(self.coords)
 
     def __repr__(self):
-        name = type(self).__name__
-        return f"{name}({self.x0!s}, {self.x1!s}, {self.x2!s})"
+        x0, x1, x2 = self.coords
+        return f"{type(self).__name__}({x0!s}, {x1!s}, {x2!s})"
+
+
+_set_coords = _Triple.coords.__set__
 
 
 class Point(_Triple):
     """A point [x0:x1:x2]; (0,0,0) is the degenerate zero-point."""
 
+    __slots__ = ()
+
 
 class Line(_Triple):
     """A line with equation x0*L0 + x1*L1 + x2*L2 = 0; (0,0,0) is the zero-line."""
 
+    __slots__ = ()
 
-GeomObject = Union[Point, Line, Fraction]
+
+GeomObject = Union[Point, Line, Scalar]
 
 ZERO_POINT = Point(0, 0, 0)
 ZERO_LINE = Line(0, 0, 0)
@@ -104,7 +134,7 @@ def kind_of(g: GeomObject) -> str:
         return "point"
     if isinstance(g, Line):
         return "line"
-    if isinstance(g, Fraction):
+    if isinstance(g, _SCALAR_TYPES):
         return "scalar"
     raise KindError(f"not a geometric object: {g!r}")
 
@@ -125,7 +155,7 @@ def join(p: Point, q: Point) -> Line:
     return Line(*_cross(p.coords, q.coords))
 
 
-def incidence(g, h) -> Fraction:
+def incidence(g, h) -> Scalar:
     """Dot product of a line with a point; zero exactly when incident."""
     if isinstance(g, Line) and isinstance(h, Point):
         return _dot(g.coords, h.coords)
@@ -134,7 +164,7 @@ def incidence(g, h) -> Fraction:
     raise KindError(f"incidence needs a line and a point, got {kind_of(g)}/{kind_of(h)}")
 
 
-def bracket(a: GeomObject, b: GeomObject, c: GeomObject) -> Fraction:
+def bracket(a: GeomObject, b: GeomObject, c: GeomObject) -> Scalar:
     """Triple product of three points or three lines.
 
     Vanishes when operands repeat, three points are collinear, or three
@@ -149,13 +179,10 @@ def bracket(a: GeomObject, b: GeomObject, c: GeomObject) -> Fraction:
     return _dot(a.coords, _cross(b.coords, c.coords))
 
 
-def scale(s: Fraction, g) -> GeomObject:
+def scale(s: Scalar, g) -> GeomObject:
     """Scalar multiple of a point or line; scaling by zero gives the zero object."""
-    s = _frac(s)
-    if isinstance(g, Point):
-        return Point(s * g.x0, s * g.x1, s * g.x2)
-    if isinstance(g, Line):
-        return Line(s * g.x0, s * g.x1, s * g.x2)
+    if isinstance(g, (Point, Line)):
+        return type(g)(*(s * c for c in g.coords))
     raise KindError(f"cannot scale a {kind_of(g)}")
 
 
@@ -178,14 +205,14 @@ def product(g: GeomObject, h: GeomObject) -> GeomObject:
         if isinstance(h, Point):
             return incidence(g, h)
         return scale(h, g)
-    if isinstance(g, Fraction):
+    if isinstance(g, _SCALAR_TYPES):
         if isinstance(h, (Point, Line)):
             return scale(g, h)
         raise KindError("scalar*scalar has no geometric meaning")
     raise KindError(f"not a geometric object: {g!r}")
 
 
-def scalar_equiv(a: Fraction, b: Fraction) -> bool:
+def scalar_equiv(a: Scalar, b: Scalar) -> bool:
     """Scalars are equivalent when both are zero or both are nonzero."""
     return (a == 0) == (b == 0)
 
@@ -208,21 +235,22 @@ def projectively_equal(g: GeomObject, h: GeomObject) -> bool:
 def canonicalize(g):
     """Reduce a point or line to its primitive integer representative.
 
-    Divides out the gcd of the entries (after clearing denominators) and
-    makes the first nonzero entry positive; the result is projectively
-    equal to the input.  Scalars and zero objects pass through unchanged.
+    Clears denominators (only when a Fraction is present), divides out the
+    gcd of the entries and makes the first nonzero entry positive; the
+    result is projectively equal to the input.  A triple that is already
+    primitive and sign-fixed is returned as is, and so are scalars and
+    zero objects.
     """
-    if isinstance(g, Fraction):
+    if isinstance(g, _SCALAR_TYPES) or g.is_zero:
         return g
-    if g.is_zero:
+    coords = g.coords
+    if any(type(c) is not int for c in coords):
+        denom_lcm = lcm(*(c.denominator for c in coords))
+        coords = tuple(int(c * denom_lcm) for c in coords)
+    x0, x1, x2 = coords
+    common = gcd(x0, x1, x2)
+    if (x0 or x1 or x2) < 0:
+        common = -common
+    if common == 1 and coords is g.coords:
         return g
-    denom_lcm = 1
-    for c in g.coords:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in g.coords]
-    common = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    ints = [v // common for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return type(g)(*ints)
+    return type(g)(x0 // common, x1 // common, x2 // common)

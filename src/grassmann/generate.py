@@ -25,7 +25,14 @@ GRID_BOUND = 10
 
 
 def random_nine_points(rng: random.Random, bound: int = GRID_BOUND) -> NinePointLabels:
-    """Nine distinct general-position grid points, deterministic in rng state."""
+    """Nine distinct general-position grid points, deterministic in rng state.
+
+    The grid has (2*bound + 1)^2 points; for bound < 2 it has no nine in
+    general position (a 3x3 grid always holds a collinear triple), so the
+    search could never end and a ValueError is raised instead.
+    """
+    if bound < 2:
+        raise ValueError(f"bound must be at least 2, got {bound}")
     while True:
         pts: list[Point] = []
         seen = set()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .core import Line, Point, canonicalize
+from .core import Line, Point, _cross, canonicalize
 
 __all__ = [
     "HomPoly",
@@ -343,7 +343,7 @@ def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Fraction]:
     s^(d-m) * t^m; roots (s:t) of g correspond to intersections of the
     line pq with the curve f = 0.
     """
-    if p.is_zero or q.is_zero or all(c == 0 for c in _cross3(p.coords, q.coords)):
+    if p.is_zero or q.is_zero or all(c == 0 for c in _cross(p.coords, q.coords)):
         raise DegenerateLineError("p and q do not span a line")
     d = f.degree
     out = [Fraction(0)] * (d + 1)
@@ -356,14 +356,6 @@ def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Fraction]:
         for m, v in enumerate(term):
             out[m] += c * v
     return out
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _binary_mul_linear(form, lin):

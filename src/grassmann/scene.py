@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Line, Point, canonicalize
+from .core import Line, Point, Scalar, canonicalize
 
 __all__ = [
     "SceneError",
@@ -42,11 +42,13 @@ class SceneError(ValueError):
     pass
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Scalar:
+    """An exact rational: an int when the value is integral, else a Fraction."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SceneError(f"bad rational {text!r}: {exc}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _parse_triple(text: str):
@@ -67,7 +69,7 @@ class Scene:
     points: dict[str, Point] = field(default_factory=dict)
     lines: dict[str, Line] = field(default_factory=dict)
     exprs: dict[str, str] = field(default_factory=dict)
-    viewport: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
+    viewport: tuple[Scalar, Scalar, Scalar, Scalar] | None = None
 
     @classmethod
     def parse(cls, text: str) -> "Scene":

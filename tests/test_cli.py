@@ -318,3 +318,25 @@ class TestCommands:
         code, out, _ = run_cli(["eval", "--in", str(path), "--expr", "pq"], capsys)
         assert code == 0
         assert "output line result" in out
+
+
+def test_binary_root_is_exact_beyond_float_precision():
+    # the chord of y^2 = x^3 + 17 through [1:2:5] and 16 times [1:-2:3]
+    # meets the curve again at a point whose coordinates all exceed 2^53;
+    # a float division in the deflation-oracle check misses this root
+    from curves import chord_third, tangent_third, weierstrass
+
+    from grassmann.cli import _binary_root
+    from grassmann.poly import restrict_to_line
+
+    f = weierstrass(0, 17)
+    p = Point(1, 2, 5)
+    q = Point(1, -2, 3)
+    for _ in range(4):
+        q = tangent_third(f, q)
+    y = chord_third(f, p, q)
+    assert min(abs(c) for c in y.coords) > 2**53
+    form = restrict_to_line(f, p, q)
+    assert _binary_root(form, y, p, q)
+    off_curve = Point(*(a + b for a, b in zip(p.coords, q.coords)))
+    assert not _binary_root(form, off_curve, p, q)

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,51 @@ class TestCanonicalize:
 
     def test_kinds(self):
         assert kind_of(canonicalize(Line(2, 4, 8))) == "line"
+
+
+class TestIntegerCoordinates:
+    def test_int_inputs_give_int_scalars(self):
+        p, q, r = Point(1, 2, 3), Point(0, 1, 1), Point(2, 0, 5)
+        assert type(bracket(p, q, r)) is int
+        assert type(incidence(join(p, q), r)) is int
+        assert type(incidence(Line(1, 1, 1), p)) is int
+
+    def test_int_inputs_stay_int_through_join_and_meet(self):
+        x = meet(join(Point(1, 2, 3), Point(4, 5, 6)), join(Point(1, 0, 7), Point(2, 3, 1)))
+        assert all(type(c) is int for c in x.coords)
+
+    def test_fraction_and_int_coordinates_compare_equal(self):
+        p, q = Point(2, 4, 6), Point(Fraction(2), 4, 6)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+    def test_point_and_line_with_same_coordinates_differ(self):
+        assert Point(1, 2, 3) != Line(1, 2, 3)
+        assert not Point(1, 2, 3) == Line(1, 2, 3)
+        assert len({Point(1, 2, 3), Line(1, 2, 3)}) == 2
+
+    def test_coordinates_are_immutable(self):
+        p = Point(1, 2, 3)
+        with pytest.raises(AttributeError):
+            p.x0 = 5
+        with pytest.raises(AttributeError):
+            p.coords = (5, 2, 3)
+        assert p == Point(1, 2, 3)
+        assert pickle.loads(pickle.dumps(p)) == p
+
+    def test_canonicalize_mixed_input_gives_primitive_ints(self):
+        c = canonicalize(Line(Fraction(-3, 2), 6, Fraction(9, 4)))
+        assert c == Line(2, -8, -3)
+        assert all(type(v) is int for v in c.coords)
+
+    def test_canonicalize_returns_primitive_input_unchanged(self):
+        p = Point(2, -3, 5)
+        assert canonicalize(p) is p
+        assert canonicalize(Point(-2, 3, -5)) == p
+        assert canonicalize(Point(4, -6, 10)) == p
+
+    def test_int_scalar_is_a_scalar(self):
+        assert kind_of(3) == "scalar"
+        assert product(2, Point(1, 1, 1)) == Point(2, 2, 2)
+        assert canonicalize(5) == 5
