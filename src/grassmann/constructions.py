@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import oracle
@@ -229,6 +230,8 @@ class NinePointLabels:
     i: Point
 
     _NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
+    # set only by _from_proven_selection
+    _proven = False
 
     @classmethod
     def from_points(cls, points) -> "NinePointLabels":
@@ -237,6 +240,17 @@ class NinePointLabels:
             raise ValueError("exactly nine points required")
         return cls(*pts)
 
+    @classmethod
+    def _from_proven_selection(cls, points) -> "NinePointLabels":
+        """Labels for a selection that _general_position_selections yielded.
+
+        That search has already shown every triple non-collinear, so
+        validate() does not run the 84-bracket check again.
+        """
+        labels = cls.from_points(points)
+        object.__setattr__(labels, "_proven", True)
+        return labels
+
     def as_tuple(self) -> tuple[Point, ...]:
         return tuple(getattr(self, n) for n in self._NAMES)
 
@@ -244,6 +258,8 @@ class NinePointLabels:
         return {n: getattr(self, n) for n in self._NAMES}
 
     def validate(self) -> None:
+        if self._proven:
+            return
         viol = general_position_violation(self.as_tuple(), self._NAMES)
         if viol is not None:
             raise GeneralPositionViolation(*viol)
@@ -363,18 +379,39 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     return y
 
 
-def _dedupe(points):
-    seen = set()
-    out = []
-    for p in points:
-        if p.is_zero:
-            continue
-        key = canonicalize(p).coords
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(p)
-    return out
+class _KnownPool(Mapping):
+    """The known points, deduplicated once: an immutable ordered mapping
+    from each canonical coordinate key to the first input point with that
+    key.  Zero points are dropped."""
+
+    __slots__ = ("_by_key",)
+
+    def __init__(self, points):
+        by_key: dict = {}
+        for p in points:
+            if not p.is_zero:
+                by_key.setdefault(canonicalize(p).coords, p)
+        self._by_key = by_key
+
+    def __getitem__(self, key):
+        return self._by_key[key]
+
+    def __iter__(self):
+        return iter(self._by_key)
+
+    def __len__(self):
+        return len(self._by_key)
+
+    def values(self):
+        return self._by_key.values()
+
+    def items(self):
+        return self._by_key.items()
+
+
+def _known_pool(known) -> _KnownPool:
+    """`known` as a pool; a pool is returned unchanged."""
+    return known if isinstance(known, _KnownPool) else _KnownPool(known)
 
 
 def _general_position_selections(fixed, candidates, count):
@@ -382,21 +419,23 @@ def _general_position_selections(fixed, candidates, count):
 
     Greedy first-fit in input order; further selections come from rotating
     the starting offset (and scanning in reverse), so callers can retry
-    after a degenerate fit.
+    after a degenerate fit.  No three points of `fixed` plus a yielded
+    selection are collinear: a candidate is taken only when it lies on no
+    line joining two points already taken, and incidence(join(u, v), x)
+    is exactly bracket(u, v, x).
     """
+    fixed_lines = [join(u, v) for u, v in itertools.combinations(fixed, 2)]
     seen = set()
     orders = [list(candidates), list(reversed(candidates))]
     for order in orders:
         for start in range(len(order)):
             chosen: list[Point] = []
+            lines = list(fixed_lines)
             for idx in range(len(order)):
                 cand = order[(start + idx) % len(order)]
-                current = fixed + chosen
-                if any(
-                    bracket(u, v, cand) == 0
-                    for u, v in itertools.combinations(current, 2)
-                ):
+                if any(incidence(line, cand) == 0 for line in lines):
                     continue
+                lines += [join(u, cand) for u in (*fixed, *chosen)]
                 chosen.append(cand)
                 if len(chosen) == count:
                     break
@@ -410,27 +449,27 @@ def _general_position_selections(fixed, candidates, count):
 def third_point_general(known, p: Point, q: Point) -> Point:
     """Third intersection of line pq with the cubic through the known points.
 
-    Selects seven auxiliary points from `known` so that (p, q, aux) is in
-    general position, refits the cubic with p and q in the anchor slots,
-    and applies the chord formula.  The auxiliary selection is the first
-    admissible one in input order, so results are reproducible; the
-    returned point does not depend on the selection.
+    `known` is a list of points or a pool built once from one (as
+    group_add does); points that are projectively equal count once, by
+    canonical key.  Selects seven auxiliary points from it so that
+    (p, q, aux) is in general position, refits the cubic with p and q in
+    the anchor slots, and applies the chord formula.  The auxiliary
+    selection is the first admissible one in input order, so results are
+    reproducible; the returned point does not depend on the selection.
     """
+    if p.is_zero or q.is_zero:
+        raise HypothesisViolation("a chord endpoint is the zero point")
     if projectively_equal(p, q):
         raise ValueError("chord endpoints must be distinct")
-    candidates = [
-        pt
-        for pt in _dedupe(known)
-        if not projectively_equal(pt, p) and not projectively_equal(pt, q)
-    ]
-    # points collinear with p and q can never complete a general-position set
-    candidates = [pt for pt in candidates if bracket(p, q, pt) != 0]
+    # points on pq, p and q among them, never complete a general-position set
+    pq = join(p, q)
+    candidates = [pt for pt in _known_pool(known).values() if incidence(pq, pt) != 0]
     if len(candidates) < 7:
         raise InsufficientPointsError("fewer than seven usable auxiliary points")
     for aux in _general_position_selections([p, q], candidates, 7):
         try:
-            params = fit_nine_points(NinePointLabels.from_points((p, q, *aux)))
-            return third_point_on_chord_ab(params)
+            labels = NinePointLabels._from_proven_selection((p, q, *aux))
+            return third_point_on_chord_ab(fit_nine_points(labels))
         except ConstructionError:
             continue
     raise InsufficientPointsError("no admissible auxiliary selection found")
@@ -508,7 +547,8 @@ def conic_line_second_intersection(five, L: Line, known: Point) -> SecondInterse
     if poly_evaluate(conic, known) != 0:
         raise HypothesisViolation("known point is not on the conic")
 
-    helpers = [pt for pt in _dedupe(five) if not projectively_equal(pt, known)]
+    known_key = canonicalize(known).coords
+    helpers = [pt for key, pt in _known_pool(five).items() if key != known_key]
     if len(helpers) < 4:
         raise HypothesisViolation("five points are not distinct enough")
 
@@ -712,13 +752,14 @@ def tangent_third_via_89(known, a: Point) -> Point:
     chords p1q1 and p2q2 give r1 and r2, and the chord r1r2 gives the
     result.
     """
-    pool = _dedupe(known)
-    others = [pt for pt in pool if not projectively_equal(pt, a)]
+    pool = _known_pool(known)
+    a_key = canonicalize(a).coords
+    others = [pt for key, pt in pool.items() if key != a_key]
     if len(others) < 2:
         raise InsufficientPointsError("need two auxiliary points")
     for p1, q1 in itertools.combinations(others, 2):
         try:
-            working = list(pool)
+            working = list(pool.values())
             p2 = third_point_general(working, p1, a)
             working.append(p2)
             q2 = third_point_general(working, q1, a)
@@ -832,19 +873,23 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     """Chord-and-tangent sum p + q with identity o: the third point of the
     chord through o and the third chord point of pq.
 
-    Coincident summands fall back on the tangent construction.  With
-    `verify_flex` the identity is first checked to be a flex (one refit
-    plus a tangent-third construction); pass False to skip when the
-    caller has already verified it.
+    `known` is a list of points or a pool built once from one; it is
+    deduplicated by canonical key once per call, and that pool serves
+    the flex test and both chords.  Coincident summands fall back on the
+    tangent construction.  With `verify_flex` the identity is first
+    checked to be a flex (one refit plus a tangent-third construction);
+    pass False to skip when the caller has already verified it.  A zero
+    point among o, p and q raises HypothesisViolation.
     """
+    pool = _known_pool(known)
     if verify_flex:
-        if not flex_at(known, o):
+        if not flex_at(pool, o):
             raise FlexVerificationError("identity point is not a flex")
 
     def chord(u, v):
         if projectively_equal(u, v):
-            return tangent_third_at(known, u)
-        return third_point_general(known, u, v)
+            return tangent_third_at(pool, u)
+        return third_point_general(pool, u, v)
 
     return canonicalize(chord(o, chord(p, q)))
 
@@ -852,13 +897,21 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
 def tangent_third_at(known, p: Point) -> Point:
     """Tangent third point at an arbitrary curve point, by refitting with p
     in the anchor slot.  Particular parameter choices can degenerate the
-    tangent formula, so selections are retried."""
-    candidates = [pt for pt in _dedupe(known) if not projectively_equal(pt, p)]
+    tangent formula, so selections are retried.
+
+    `known` is a list of points or a pool built once from one (as
+    group_add does); points that are projectively equal count once, by
+    canonical key.
+    """
+    if p.is_zero:
+        raise HypothesisViolation("the tangent point is the zero point")
+    p_key = canonicalize(p).coords
+    candidates = [pt for key, pt in _known_pool(known).items() if key != p_key]
     if len(candidates) < 8:
         raise InsufficientPointsError("fewer than eight usable auxiliary points")
     for aux in _general_position_selections([p], candidates, 8):
         try:
-            params = fit_nine_points(NinePointLabels.from_points((p, *aux)))
+            params = fit_nine_points(NinePointLabels._from_proven_selection((p, *aux)))
             return tangent_third_point(params)
         except ConstructionError:
             continue

@@ -27,6 +27,7 @@ from grassmann.constructions import (
     tangent_at_a,
     tangent_third_point,
     tangent_third_point_detailed,
+    tangent_third_at,
     tangent_third_via_89,
     third_point_general,
     third_point_on_chord_ab,
@@ -40,13 +41,22 @@ from grassmann.core import (
     join,
     meet,
     projectively_equal,
+    scale,
 )
 from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse
 from grassmann.oracle import gradient_tangent, hessian_flex_oracle, root_multiplicity
 from grassmann.poly import binary_deflate, evaluate, nullspace_fit, restrict_to_line
 
 from conftest import seeded_labels
-from curves import CURVES, FLEX, grow_pool, nine_with_anchor, tangent_third, weierstrass
+from curves import (
+    CURVES,
+    FLEX,
+    chord_third,
+    grow_pool,
+    nine_with_anchor,
+    tangent_third,
+    weierstrass,
+)
 
 
 def proportional(u, v):
@@ -560,6 +570,84 @@ class TestGroupLaw:
         f, pool = curve_pool
         total = group_add(pool + [FLEX], FLEX, pool[0], pool[1], verify_flex=True)
         assert evaluate(f, total) == 0
+
+
+@pytest.fixture(scope="module")
+def group_pool():
+    """The 40-point pool of the criterion-09 group-law test."""
+    f = weierstrass(0, 17)
+    return f, grow_pool(f, CURVES[0][2], 40)
+
+
+class TestKnownPool:
+    @pytest.mark.parametrize("as_known", [list, cons._known_pool])
+    def test_zero_points_refused(self, group_pool, as_known):
+        f, pool = group_pool
+        known = as_known(pool)
+        zero = Point(0, 0, 0)
+        with pytest.raises(HypothesisViolation):
+            third_point_general(known, zero, pool[0])
+        with pytest.raises(HypothesisViolation):
+            third_point_general(known, zero, zero)
+        with pytest.raises(HypothesisViolation):
+            tangent_third_at(known, zero)
+        with pytest.raises(HypothesisViolation):
+            group_add(known, FLEX, zero, pool[0], verify_flex=False)
+        with pytest.raises(HypothesisViolation):
+            group_add(known, FLEX, zero, zero, verify_flex=False)
+
+    def test_duplicates_do_not_change_results(self, group_pool):
+        f, pool = group_pool
+        p, q = pool[0], pool[7]
+        # projective duplicates of every point, the copy first for odd
+        # indices, and scaled copies of the endpoints at the end
+        noisy = []
+        for idx, pt in enumerate(pool):
+            pair = [pt, scale(2, pt)]
+            noisy += pair[::-1] if idx % 2 else pair
+        noisy += [scale(-3, p), scale(5, q), Point(0, 0, 0)]
+        expected = (
+            third_point_general(pool, p, q),
+            tangent_third_at(pool, p),
+            group_add(pool, FLEX, p, q, verify_flex=False),
+        )
+        built = cons._known_pool(noisy)
+        assert len(built) == len(pool)
+        assert cons._known_pool(built) is built
+        for known in (noisy, built):
+            got = (
+                third_point_general(known, p, q),
+                tangent_third_at(known, p),
+                group_add(known, FLEX, p, q, verify_flex=False),
+            )
+            assert got == expected
+            with pytest.raises(ValueError):
+                third_point_general(known, p, scale(5, p))
+
+    def test_selections_are_in_general_position(self, group_pool):
+        """The chord fit skips its own general-position check because every
+        selection the search yields is already in general position."""
+        f, pool = group_pool
+        rng = random.Random(3303)
+        pairs = [tuple(rng.sample(pool, 2)) for _ in range(49)]
+        # a chord whose third point is in the pool: a collinear triple
+        inside = None
+        for p, q in itertools.combinations(pool, 2):
+            try:
+                r = chord_third(f, p, q)
+            except ValueError:
+                continue
+            if r in pool and r not in (p, q):
+                inside = (p, q)
+                break
+        assert inside is not None
+        pairs.append(inside)
+        for p, q in pairs:
+            candidates = [pt for pt in pool if pt not in (p, q)]
+            selections = list(cons._general_position_selections([p, q], candidates, 7))
+            assert selections
+            for aux in selections:
+                assert cons.general_position_violation((p, q, *aux)) is None
 
 
 class TestConicFivePoints:
