@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import lru_cache
 
 from . import constructions as cons
 from . import oracle
@@ -93,31 +94,17 @@ def cmd_fit9(scene: Scene, args) -> tuple[Report, int]:
         for name in ("g1", "g2", "h1", "h2", "i1", "i2", "y", "z"):
             report.add_triple("point", name, getattr(trace, name))
         report.add_triple("line", "K", trace.K)
-    expanded = cons.expand_cubic(params)
+    expanded = cons.expand_cubic(params).primitive()
     report.add_output("cubic coefficients", _poly_str(expanded))
     report.add_check(
         "cubic-through-nine",
         all(cons.evaluate_cubic(params, p) == 0 for p in labels.as_tuple()),
     )
+    # both forms are primitive, so they are proportional exactly when equal
     fitted = nullspace_fit(labels.as_tuple(), 3)
-    same = not expanded.is_zero and _proportional(
-        expanded.coefficient_vector(), fitted.coefficient_vector()
-    )
-    report.add_check("matches-nullspace-oracle", same)
+    report.add_check("matches-nullspace-oracle", not expanded.is_zero and expanded == fitted)
     report.add_check("lines-concurrent", cons.bracket(params.A, params.B, params.C) == 0)
     return report, 0 if report.ok else 2
-
-
-def _proportional(u, v) -> bool:
-    if len(u) != len(v):
-        return False
-    pivot = next(((a, b) for a, b in zip(u, v) if a != 0 or b != 0), None)
-    if pivot is None:
-        return True
-    pa, pb = pivot
-    if pa == 0 or pb == 0:
-        return False
-    return all(a * pb == b * pa for a, b in zip(u, v))
 
 
 def cmd_check10(scene: Scene, args) -> tuple[Report, int]:
@@ -444,8 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.
+
+    Parsing keeps no state between calls: every call gets a fresh
+    namespace, and ``append`` copies the shared ``--point`` default before
+    adding to it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "random":
             text, code = cmd_random(args)

@@ -6,6 +6,17 @@ point x can be expanded to curve equations), plus the exact linear algebra
 used as an independent oracle: fitting a conic or cubic through points by
 computing the nullspace of the monomial-evaluation matrix, and restricting
 a form to a line to expose its roots there.
+
+Coefficients are kept exactly as given, like coordinates in
+:mod:`grassmann.core`: integral inputs stay plain ``int`` through
+``+``, ``-``, ``*``, :meth:`HomPoly.partial`, :meth:`HomPoly.primitive`,
+:func:`evaluate`, :func:`restrict_to_line`, :func:`poly_cross` and
+:func:`poly_dot`.  ``nullspace_fit`` back-substitutes in integers, so a
+``Fraction`` appears only in :func:`binary_deflate`, which divides, and
+where an input already holds one.  The public coefficient accessors
+(:attr:`HomPoly.coeffs`, :meth:`HomPoly.coefficient`,
+:meth:`HomPoly.coefficient_vector`) return ``Fraction`` values, so ``/`` on
+them stays exact.
 """
 
 from __future__ import annotations
@@ -13,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .core import Line, Point, _cross, canonicalize
+from .core import Line, Point, Scalar, _cross, canonicalize
 
 __all__ = [
     "HomPoly",
@@ -46,10 +57,6 @@ class DegenerateLineError(ValueError):
     """Two projectively equal points do not span a line."""
 
 
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 @lru_cache(maxsize=None)
 def monomials(degree: int) -> tuple[tuple[int, int, int], ...]:
     """Exponent triples of the given total degree, lexicographically descending.
@@ -65,34 +72,45 @@ def monomials(degree: int) -> tuple[tuple[int, int, int], ...]:
 
 
 class HomPoly:
-    """A homogeneous polynomial stored as a sparse exponent-triple map."""
+    """A homogeneous polynomial stored as a sparse exponent-triple map.
 
-    __slots__ = ("degree", "coeffs")
+    ``_terms`` maps each monomial to its nonzero coefficient, exactly as
+    given (an ``int`` or a ``Fraction``).
+    """
+
+    __slots__ = ("degree", "_terms")
 
     def __init__(self, degree: int, coeffs=None):
         terms = {}
         for mono, c in (coeffs or {}).items():
-            c = _frac(c)
             if c == 0:
                 continue
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} is not of degree {degree}")
             terms[mono] = c
         self.degree = degree
-        self.coeffs = terms
+        self._terms = terms
+
+    @classmethod
+    def _of(cls, degree: int, terms: dict) -> "HomPoly":
+        """Wrap terms already known to be nonzero and of the given degree."""
+        f = object.__new__(cls)
+        f.degree = degree
+        f._terms = terms
+        return f
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
-        return cls(degree, {})
+        return cls._of(degree, {})
 
     @classmethod
     def constant(cls, value) -> "HomPoly":
-        return cls(0, {(0, 0, 0): _frac(value)})
+        return cls._of(0, {(0, 0, 0): value} if value else {})
 
     @classmethod
     def variable(cls, i: int) -> "HomPoly":
         mono = tuple(1 if j == i else 0 for j in range(3))
-        return cls(1, {mono: Fraction(1)})
+        return cls._of(1, {mono: 1})
 
     @classmethod
     def from_coefficient_vector(cls, degree: int, vec) -> "HomPoly":
@@ -100,76 +118,105 @@ class HomPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int, int], Fraction]:
+        """The nonzero coefficients by monomial, as ``Fraction`` values."""
+        return {m: Fraction(c) for m, c in self._terms.items()}
 
     def coefficient(self, mono) -> Fraction:
-        return self.coeffs.get(tuple(mono), Fraction(0))
+        return Fraction(self._terms.get(tuple(mono), 0))
 
     def coefficient_vector(self) -> list[Fraction]:
-        return [self.coefficient(m) for m in monomials(self.degree)]
+        return [Fraction(c) for c in self._vector()]
+
+    def _vector(self) -> list[Scalar]:
+        """Coefficients in :func:`monomials` order, exactly as stored."""
+        terms = self._terms
+        return [terms.get(m, 0) for m in monomials(self.degree)]
 
     def __eq__(self, other):
         if not isinstance(other, HomPoly):
             return NotImplemented
         if self.is_zero and other.is_zero:
             return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return self.degree == other.degree and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
+        return hash((self.degree, frozenset(self._terms.items())))
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
-        if self.is_zero:
-            return other
         if other.is_zero:
             return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return HomPoly(self.degree, out)
-
-    def __neg__(self) -> "HomPoly":
-        return HomPoly(self.degree, {m: -c for m, c in self.coeffs.items()})
+        if self.is_zero:
+            return other
+        return self._combine(other, False)
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
-        return self + (-other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return -other
+        return self._combine(other, True)
+
+    def _combine(self, other: "HomPoly", subtract: bool) -> "HomPoly":
+        if self.degree != other.degree:
+            raise ValueError("cannot add forms of different degrees")
+        out = dict(self._terms)
+        for mono, c in other._terms.items():
+            s = out.get(mono, 0)
+            s = s - c if subtract else s + c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        return HomPoly._of(self.degree, out)
+
+    def __neg__(self) -> "HomPoly":
+        return HomPoly._of(self.degree, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
+            degree = self.degree + other.degree
+            # a single term (often a constant) maps monomials one to one
+            terms, single = self._terms, other._terms
+            if len(terms) == 1:
+                terms, single = single, terms
+            if len(single) == 1:
+                ((i2, j2, k2), c2), = single.items()
+                return HomPoly._of(
+                    degree, {(i + i2, j + j2, k + k2): c * c2 for (i, j, k), c in terms.items()}
+                )
             out: dict = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                    s = out.get(m, Fraction(0)) + c1 * c2
-                    if s == 0:
-                        out.pop(m, None)
-                    else:
+            get = out.get
+            others = other._terms.items()
+            for (i1, j1, k1), c1 in self._terms.items():
+                for (i2, j2, k2), c2 in others:
+                    m = (i1 + i2, j1 + j2, k1 + k2)
+                    s = get(m, 0) + c1 * c2
+                    if s:
                         out[m] = s
-            return HomPoly(self.degree + other.degree, out)
-        c = _frac(other)
-        if c == 0:
+                    else:
+                        del out[m]
+            return HomPoly._of(degree, out)
+        if other == 0:
             return HomPoly.zero(self.degree)
-        return HomPoly(self.degree, {m: c * v for m, v in self.coeffs.items()})
+        return HomPoly._of(self.degree, {m: other * v for m, v in self._terms.items()})
 
     __rmul__ = __mul__
 
     def partial(self, i: int) -> "HomPoly":
         """Partial derivative with respect to x_i."""
         out = {}
-        for mono, c in self.coeffs.items():
-            if mono[i] == 0:
+        for mono, c in self._terms.items():
+            e = mono[i]
+            if e == 0:
                 continue
             m = list(mono)
-            e = m[i]
-            m[i] -= 1
+            m[i] = e - 1
             out[tuple(m)] = c * e
-        return HomPoly(max(self.degree - 1, 0), out)
+        return HomPoly._of(max(self.degree - 1, 0), out)
 
     def primitive(self) -> "HomPoly":
         """Integer coefficients with gcd 1, first nonzero coefficient positive.
@@ -178,21 +225,18 @@ class HomPoly:
         """
         if self.is_zero:
             return self
-        vec = self.coefficient_vector()
-        denom_lcm = 1
-        for c in vec:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in vec]
-        common = 0
-        for v in ints:
-            common = gcd(common, abs(v))
-        ints = [v // common for v in ints]
-        first = next(v for v in ints if v != 0)
-        if first < 0:
-            ints = [-v for v in ints]
-        return HomPoly.from_coefficient_vector(self.degree, [Fraction(v) for v in ints])
+        vec = self._vector()
+        if any(type(c) is not int for c in vec):
+            denom_lcm = lcm(*(c.denominator for c in vec))
+            vec = [int(c * denom_lcm) for c in vec]
+        common = gcd(*vec)
+        if next(v for v in vec if v) < 0:
+            common = -common
+        return HomPoly._of(
+            self.degree, {m: v // common for m, v in zip(monomials(self.degree), vec) if v}
+        )
 
-    def __call__(self, p) -> Fraction:
+    def __call__(self, p) -> Scalar:
         return evaluate(self, p)
 
     def __repr__(self):
@@ -200,7 +244,7 @@ class HomPoly:
             return f"HomPoly(degree={self.degree}, 0)"
         parts = []
         for mono in monomials(self.degree):
-            c = self.coeffs.get(mono)
+            c = self._terms.get(mono)
             if c is None:
                 continue
             vars_ = "*".join(f"x{i}^{e}" for i, e in enumerate(mono) if e)
@@ -245,7 +289,7 @@ class PolyVector:
     def variable(cls) -> "PolyVector":
         return cls(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
 
-    def substitute(self, p) -> tuple[Fraction, Fraction, Fraction]:
+    def substitute(self, p) -> tuple[Scalar, Scalar, Scalar]:
         return tuple(evaluate(f, p) for f in self.entries)
 
 
@@ -267,12 +311,21 @@ def poly_scale(s: HomPoly, v: PolyVector) -> PolyVector:
     return PolyVector(s * v.e0, s * v.e1, s * v.e2)
 
 
-def evaluate(f: HomPoly, p) -> Fraction:
+def _powers(x, degree: int) -> list:
+    """[1, x, x^2, ..., x^degree]."""
+    out = [1]
+    for _ in range(degree):
+        out.append(out[-1] * x)
+    return out
+
+
+def evaluate(f: HomPoly, p) -> Scalar:
     """Exact value of f at a point (or raw coordinate triple)."""
     coords = p.coords if isinstance(p, (Point, Line)) else tuple(p)
-    total = Fraction(0)
-    for (i, j, k), c in f.coeffs.items():
-        total += c * coords[0] ** i * coords[1] ** j * coords[2] ** k
+    p0, p1, p2 = (_powers(x, f.degree) for x in coords)
+    total = 0
+    for (i, j, k), c in f._terms.items():
+        total += c * p0[i] * p1[j] * p2[k]
     return total
 
 
@@ -307,7 +360,8 @@ def nullspace_fit(points, degree: int) -> HomPoly:
     Five points determine a conic, nine a cubic.  The monomial-evaluation
     matrix is reduced by fraction-free elimination; a rank short of the
     point count signals a degenerate configuration and raises
-    :class:`RankDeficientError`.
+    :class:`RankDeficientError`.  The result is primitive (see
+    :meth:`HomPoly.primitive`).
     """
     needed = {2: 5, 3: 9}.get(degree)
     if needed is None:
@@ -326,17 +380,24 @@ def nullspace_fit(points, degree: int) -> HomPoly:
     rank, pivots, ech = _bareiss(rows)
     if rank < needed:
         raise RankDeficientError(rank, needed)
+    # back-substitute in integers: x stays an integer multiple of the
+    # solution, scaled up by just enough at each pivot to keep it integral
     free = next(c for c in range(len(monos)) if c not in pivots)
-    x = [Fraction(0)] * len(monos)
-    x[free] = Fraction(1)
+    x = [0] * len(monos)
+    x[free] = 1
     for i in reversed(range(rank)):
         col = pivots[i]
-        s = sum((ech[i][j] * x[j] for j in range(col + 1, len(monos)) if x[j] != 0), Fraction(0))
-        x[col] = -s / Fraction(ech[i][col])
-    return HomPoly.from_coefficient_vector(degree, x).primitive()
+        row = ech[i]
+        s = sum(row[j] * x[j] for j in range(col + 1, len(monos)) if x[j])
+        pivot = row[col]
+        g = gcd(s, pivot)
+        if pivot // g != 1:
+            x = [v * (pivot // g) for v in x]
+        x[col] = -s // g
+    return HomPoly._of(degree, {m: v for m, v in zip(monos, x) if v}).primitive()
 
 
-def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Fraction]:
+def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Scalar]:
     """The binary form g(s, t) = f(s*p + t*q).
 
     Returned as coefficients [c0, ..., cd] with c_m multiplying
@@ -346,10 +407,10 @@ def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Fraction]:
     if p.is_zero or q.is_zero or all(c == 0 for c in _cross(p.coords, q.coords)):
         raise DegenerateLineError("p and q do not span a line")
     d = f.degree
-    out = [Fraction(0)] * (d + 1)
+    out = [0] * (d + 1)
     lins = [(p.coords[i], q.coords[i]) for i in range(3)]
-    for (i, j, k), c in f.coeffs.items():
-        term = [Fraction(1)]
+    for (i, j, k), c in f._terms.items():
+        term = [1]
         for e, lin in zip((i, j, k), lins):
             for _ in range(e):
                 term = _binary_mul_linear(term, lin)
@@ -361,7 +422,7 @@ def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Fraction]:
 def _binary_mul_linear(form, lin):
     """Multiply a binary form (list over powers of t) by a*s + b*t."""
     a, b = lin
-    out = [Fraction(0)] * (len(form) + 1)
+    out = [0] * (len(form) + 1)
     for m, c in enumerate(form):
         if c == 0:
             continue
@@ -370,7 +431,7 @@ def _binary_mul_linear(form, lin):
     return out
 
 
-def binary_eval(form, s, t) -> Fraction:
+def binary_eval(form, s, t) -> Scalar:
     d = len(form) - 1
     return sum(c * s ** (d - m) * t ** m for m, c in enumerate(form))
 
@@ -380,7 +441,7 @@ def binary_deflate(form, s0, t0) -> list[Fraction]:
 
     Raises ValueError when (s0:t0) is not actually a root.
     """
-    s0, t0 = _frac(s0), _frac(t0)
+    s0, t0 = Fraction(s0), Fraction(t0)
     d = len(form) - 1
     if binary_eval(form, s0, t0) != 0:
         raise ValueError("(s0:t0) is not a root")

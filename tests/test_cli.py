@@ -340,3 +340,37 @@ def test_binary_root_is_exact_beyond_float_precision():
     assert _binary_root(form, y, p, q)
     off_curve = Point(*(a + b for a, b in zip(p.coords, q.coords)))
     assert not _binary_root(form, off_curve, p, q)
+
+
+class TestParserReuse:
+    """`main` builds its parser once; no call may leak into the next."""
+
+    def test_no_option_carries_over(self, scene_path, capsys):
+        from grassmann import cli
+
+        def point_defaults():
+            return [cli._parser().parse_args([name]).points for name in ("third_point", "fit9")]
+
+        scene = ["--in", scene_path]
+        _, plain_third, _ = run_cli(["third_point", *scene], capsys)
+        _, plain_fit, _ = run_cli(["fit9", *scene], capsys)
+        defaults = point_defaults()
+
+        _, chord, _ = run_cli(["third_point", *scene, "--point", "c", "--point", "g"], capsys)
+        assert run_cli(["third_point", *scene], capsys)[1] == plain_third != chord
+        _, verbose, _ = run_cli(["fit9", *scene, "--verbose"], capsys)
+        assert "output point g1 = " in verbose
+        assert run_cli(["fit9", *scene], capsys)[1] == plain_fit != verbose
+
+        assert all(again is default for again, default in zip(point_defaults(), defaults))
+        assert defaults == [[], []]
+
+    def test_argparse_error_between_calls(self, scene_path, capsys):
+        _, before, _ = run_cli(["fit9", "--in", scene_path], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit9", "--in", scene_path, "--point", "a", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        code, after, _ = run_cli(["fit9", "--in", scene_path], capsys)
+        assert code == 0
+        assert after == before

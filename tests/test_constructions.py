@@ -498,7 +498,7 @@ class TestConicCubicSixth:
                 if det != 0:
                     s = v.coords[i] * u2.coords[j] - v.coords[j] * u2.coords[i]
                     t = u1.coords[i] * v.coords[j] - u1.coords[j] * v.coords[i]
-                    return (s / det, t / det)
+                    return (Fraction(s, det), Fraction(t, det))
             raise AssertionError("direction not in pencil coordinates")
 
         known_params = [param_of(meet(join(a, p), axis)) for p in shared]

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from grassmann.core import Line, Point, incidence
+from grassmann.core import Line, Point, _cross, incidence
 from grassmann.poly import (
     DegenerateLineError,
     HomPoly,
@@ -18,7 +20,7 @@ from grassmann.poly import (
     restrict_to_line,
 )
 
-from curves import CURVES, grow_pool, weierstrass
+from curves import CURVES, chord_third, grow_pool, tangent_third, weierstrass
 
 X = PolyVector.variable()
 
@@ -172,3 +174,81 @@ class TestBinaryDeflate:
         form = [Fraction(0), Fraction(1), Fraction(1)]
         out = binary_deflate(form, 1, 0)
         assert binary_eval(out, 1, -1) == 0
+
+
+class TestExactScalars:
+    """Coefficients stay as given; the accessors still return Fractions."""
+
+    def test_accessors_return_fractions(self):
+        f = HomPoly(2, {(2, 0, 0): 3, (1, 1, 0): Fraction(-1, 2)}) * HomPoly.constant(2)
+        assert all(type(c) is Fraction for c in f.coeffs.values())
+        assert all(type(c) is Fraction for c in f.coefficient_vector())
+        assert type(f.coefficient((2, 0, 0))) is Fraction
+        assert type(f.coefficient((0, 0, 2))) is Fraction
+        assert f.coefficient((2, 0, 0)) / 4 == Fraction(3, 2)
+
+    def test_fraction_and_int_coefficients_equal_and_hash_equal(self):
+        f = HomPoly(1, {(1, 0, 0): Fraction(4, 2)})
+        g = HomPoly(1, {(1, 0, 0): 2})
+        assert f == g
+        assert hash(f) == hash(g)
+
+    def test_integer_inputs_stay_integers(self):
+        f = poly_dot(X, poly_cross(PolyVector.constant(Point(2, -1, 3)), X)) + HomPoly(
+            2, {(2, 0, 0): 5}
+        )
+        p = Point(3, 1, -4)
+        assert type(evaluate(f, p)) is int
+        assert all(type(c) is int for c in restrict_to_line(f, p, Point(1, 0, 1)))
+        assert type(evaluate(f.partial(0), p)) is int
+
+    def test_evaluate_exact_beyond_float_precision(self):
+        big = 2**53
+        f = HomPoly(1, {(1, 0, 0): 1, (0, 1, 0): -1})
+        assert float(big + 1) - float(big) == 0
+        assert evaluate(f, (big + 1, big, 7)) == 1
+        # a chord point of y^2 = x^3 + 17 with every coordinate above 2^53
+        cubic = weierstrass(0, 17)
+        q = Point(1, -2, 3)
+        for _ in range(4):
+            q = tangent_third(cubic, q)
+        p = chord_third(cubic, Point(1, 2, 5), q)
+        assert min(abs(c) for c in p.coords) > big
+        assert evaluate(cubic, p) == 0
+        assert evaluate(cubic, Point(p.x0, p.x1 + 1, p.x2)) != 0
+
+    def test_nullspace_fit_is_primitive_and_integral(self):
+        pts = [Point(1, 0, 0), Point(0, 1, 0), Point(0, 0, 1), Point(1, 1, 1), Point(3, -2, 5)]
+        conic = nullspace_fit(pts, 2)
+        assert conic == conic.primitive()
+        vec = [int(c) for c in conic.coefficient_vector()]
+        assert conic.coefficient_vector() == vec
+        assert next(v for v in vec if v) > 0
+
+    @given(data=st.data())
+    def test_mixed_scalars_match_all_fraction_arithmetic(self, data):
+        scalar = st.one_of(
+            st.integers(-30, 30),
+            st.fractions(min_value=-30, max_value=30, max_denominator=9),
+        )
+
+        def form(degree):
+            monos = monomials(degree)
+            coeffs = data.draw(st.dictionaries(st.sampled_from(monos), scalar, max_size=len(monos)))
+            return HomPoly(degree, coeffs)
+
+        def frac(f):
+            return HomPoly(f.degree, f.coeffs)
+
+        f, g = form(1), form(2)
+        h = form(2)
+        assert (f * g).coeffs == (frac(f) * frac(g)).coeffs
+        assert (g + h).coeffs == (frac(g) + frac(h)).coeffs
+        assert (g - h).coeffs == (frac(g) - frac(h)).coeffs
+        fg = f * g
+        triple = st.tuples(scalar, scalar, scalar)
+        p, q = Point(*data.draw(triple)), Point(*data.draw(triple))
+        assume(any(_cross(p.coords, q.coords)))
+        assert restrict_to_line(fg, p, q) == restrict_to_line(frac(fg), p, q)
+        assert evaluate(fg, p) == evaluate(frac(f), p) * evaluate(frac(g), p)
+        assert evaluate(g - h, q) == evaluate(frac(g), q) - evaluate(frac(h), q)
