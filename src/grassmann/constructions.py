@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import oracle
 from .core import (
+    KindError,
     Line,
     Point,
     Scalar,
+    _canonical,
+    _cross,
+    _dot,
     bracket,
     canonicalize,
     incidence,
@@ -165,10 +168,17 @@ def _fold(*objs):
     return value
 
 
-def _step(name: str, value):
-    if value.is_zero:
+def _tuple_step(name: str, coords: tuple) -> tuple:
+    """A named construction step on a coordinate triple: a zero triple
+    raises, anything else is reduced to its canonical integer form."""
+    if not any(coords):
         raise DegenerateIntermediateError(name)
-    return canonicalize(value)
+    return _canonical(coords)
+
+
+def _step(name: str, value):
+    coords = _tuple_step(name, value.coords)
+    return value if coords is value.coords else type(value)(*coords)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +276,28 @@ class NinePointLabels:
 
 
 def general_position_violation(points, names=None):
-    """First collinear (or coincident) triple, as (names, points), else None."""
+    """First collinear (or coincident) triple, as (names, points), else None.
+
+    Triples are visited in combinations order.  The bracket [p, q, r] is
+    the incidence of the line pq with r, so each pair line is built once
+    and serves every later third point.  Three lines are checked for
+    concurrency the same way.
+    """
     pts = list(points)
     if names is None:
         names = [str(i) for i in range(len(pts))]
-    for (i, p), (j, q), (k, r) in itertools.combinations(enumerate(pts), 3):
-        if bracket(p, q, r) == 0:
-            return ((names[i], names[j], names[k]), (p, q, r))
+    if not (
+        all(isinstance(p, Point) for p in pts) or all(isinstance(p, Line) for p in pts)
+    ):
+        raise KindError("bracket needs three points or three lines")
+    coords = [p.coords for p in pts]
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n - 1):
+            line = _cross(coords[i], coords[j])
+            for k in range(j + 1, n):
+                if _dot(line, coords[k]) == 0:
+                    return ((names[i], names[j], names[k]), (pts[i], pts[j], pts[k]))
     return None
 
 
@@ -305,34 +330,47 @@ def fit_nine_points_trace(pts: NinePointLabels) -> NinePointFit:
     z = g1h1Ch2.fg1; K = yz; k = K.i1i2; b1 = kg2Cg1.kf.
     """
     pts.validate()
-    a, b, c, d, e, f, g, h, i = pts.as_tuple()
+    a, b, c, d, e, f, g, h, i = (p.coords for p in pts.as_tuple())
+    # on coordinate triples, every join and meet is one cross product
+    cross, step = _cross, _tuple_step
 
-    A = _step("A=de", join(d, e))
-    B = _step("B=ef", join(e, f))
-    a1 = _step("a1=af.cd", meet(join(a, f), join(c, d)))
+    A = step("A=de", cross(d, e))
+    B = step("B=ef", cross(e, f))
+    a1 = step("a1=af.cd", cross(cross(a, f), cross(c, d)))
 
     def derived_pair(p, label):
-        p1 = _step(
+        p1 = step(
             f"{label}1={label}aAa1.{label}c",
-            meet(join(meet(join(p, a), A), a1), join(p, c)),
+            cross(cross(cross(cross(p, a), A), a1), cross(p, c)),
         )
-        p2 = _step(f"{label}2={label}bB", meet(join(p, b), B))
+        p2 = step(f"{label}2={label}bB", cross(cross(p, b), B))
         return p1, p2
 
     g1, g2 = derived_pair(g, "g")
     h1, h2 = derived_pair(h, "h")
     i1, i2 = derived_pair(i, "i")
 
-    C = _step("C=ei1", join(e, i1))
-    y = _step("y=h1g1Cg2.fh1", meet(join(meet(join(h1, g1), C), g2), join(f, h1)))
-    z = _step("z=g1h1Ch2.fg1", meet(join(meet(join(g1, h1), C), h2), join(f, g1)))
-    K = _step("K=yz", join(y, z))
-    k = _step("k=K.i1i2", meet(K, join(i1, i2)))
-    b1 = _step("b1=kg2Cg1.kf", meet(join(meet(join(k, g2), C), g1), join(k, f)))
+    C = step("C=ei1", cross(e, i1))
+    y = step("y=h1g1Cg2.fh1", cross(cross(cross(cross(h1, g1), C), g2), cross(f, h1)))
+    z = step("z=g1h1Ch2.fg1", cross(cross(cross(cross(g1, h1), C), h2), cross(f, g1)))
+    K = step("K=yz", cross(y, z))
+    k = step("k=K.i1i2", cross(K, cross(i1, i2)))
+    b1 = step("b1=kg2Cg1.kf", cross(cross(cross(cross(k, g2), C), g1), cross(k, f)))
 
-    params = CubicParams(a=a, a1=a1, b=b, b1=b1, c=c, k=k, A=A, B=B, C=C)
+    params = CubicParams(
+        a=pts.a,
+        a1=Point(*a1),
+        b=pts.b,
+        b1=Point(*b1),
+        c=pts.c,
+        k=Point(*k),
+        A=Line(*A),
+        B=Line(*B),
+        C=Line(*C),
+    )
     params.validate()
-    return NinePointFit(params, g1, g2, h1, h2, i1, i2, y, z, K)
+    g1, g2, h1, h2, i1, i2, y, z = (Point(*t) for t in (g1, g2, h1, h2, i1, i2, y, z))
+    return NinePointFit(params, g1, g2, h1, h2, i1, i2, y, z, Line(*K))
 
 
 def fit_nine_points(pts: NinePointLabels) -> CubicParams:
@@ -342,7 +380,23 @@ def fit_nine_points(pts: NinePointLabels) -> CubicParams:
 
 def evaluate_cubic(params: CubicParams, x: Point) -> Scalar:
     """Exact value of the defining bracket at x; zero means x is on the curve."""
-    return eval_numeric(_CUBIC_AST, params.environment().with_x(x))
+    if not isinstance(x, Point):
+        raise KindError("x must be bound to a point")
+    for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
+        kind = Point if name.islower() else Line
+        if not isinstance(getattr(params, name), kind):
+            raise KindError(f"parameter {name} must be a {kind.__name__.lower()}")
+    return _cubic_value(params, x.coords)
+
+
+def _cubic_value(params: CubicParams, x: tuple) -> Scalar:
+    """CUBIC_EXPRESSION at the coordinate triple x, folded left to right as
+    eval_numeric folds it: L = xaAa1, M = xbBkCb1, then (L.M) against xc."""
+    L = _cross(_cross(_cross(x, params.a.coords), params.A.coords), params.a1.coords)
+    M = x
+    for obj in (params.b, params.B, params.k, params.C, params.b1):
+        M = _cross(M, obj.coords)
+    return _dot(_cross(L, M), _cross(x, params.c.coords))
 
 
 def expand_cubic(params: CubicParams) -> HomPoly:
@@ -366,20 +420,21 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     Formula: with p = abAa1.abBkCb1, the point is pc.ab.  The result can
     coincide with a or b exactly when the chord is tangent there.
     """
-    a, b, c = params.a, params.b, params.c
-    ab = join(a, b)
-    if ab.is_zero:
+    ab = _cross(params.a.coords, params.b.coords)
+    if not any(ab):
         raise DegenerateIntermediateError("ab")
-    l1 = _fold(ab, params.A, params.a1)
-    l2 = _fold(ab, params.B, params.k, params.C, params.b1)
-    p = _step("p=abAa1.abBkCb1", meet(l1, l2))
-    y = _step("y=pc.ab", meet(join(p, c), ab))
-    if evaluate_cubic(params, y) != 0:
+    l1 = _cross(_cross(ab, params.A.coords), params.a1.coords)
+    l2 = ab
+    for obj in (params.B, params.k, params.C, params.b1):
+        l2 = _cross(l2, obj.coords)
+    p = _tuple_step("p=abAa1.abBkCb1", _cross(l1, l2))
+    y = _tuple_step("y=pc.ab", _cross(_cross(p, params.c.coords), ab))
+    if _cubic_value(params, y) != 0:
         raise ConstructionError("chord point failed the exact membership check")
-    return y
+    return Point(*y)
 
 
-class _KnownPool(Mapping):
+class _KnownPool:
     """The known points, deduplicated once: an immutable ordered mapping
     from each canonical coordinate key to the first input point with that
     key.  Zero points are dropped."""
@@ -390,7 +445,7 @@ class _KnownPool(Mapping):
         by_key: dict = {}
         for p in points:
             if not p.is_zero:
-                by_key.setdefault(canonicalize(p).coords, p)
+                by_key.setdefault(_canonical(p.coords), p)
         self._by_key = by_key
 
     def __getitem__(self, key):
@@ -411,7 +466,7 @@ class _KnownPool(Mapping):
 
 def _known_pool(known) -> _KnownPool:
     """`known` as a pool; a pool is returned unchanged."""
-    return known if isinstance(known, _KnownPool) else _KnownPool(known)
+    return known if type(known) is _KnownPool else _KnownPool(known)
 
 
 def _general_position_selections(fixed, candidates, count):
@@ -421,24 +476,34 @@ def _general_position_selections(fixed, candidates, count):
     the starting offset (and scanning in reverse), so callers can retry
     after a degenerate fit.  No three points of `fixed` plus a yielded
     selection are collinear: a candidate is taken only when it lies on no
-    line joining two points already taken, and incidence(join(u, v), x)
-    is exactly bracket(u, v, x).
+    line joining two points already taken, and the incidence of the line
+    uv with x is exactly the bracket [u, v, x].  The search runs on
+    coordinate triples and yields the candidate points themselves.
     """
-    fixed_lines = [join(u, v) for u, v in itertools.combinations(fixed, 2)]
+    fixed_coords = [u.coords for u in fixed]
+    fixed_lines = [_cross(u, v) for u, v in itertools.combinations(fixed_coords, 2)]
     seen = set()
     orders = [list(candidates), list(reversed(candidates))]
     for order in orders:
-        for start in range(len(order)):
+        n = len(order)
+        order_coords = [pt.coords for pt in order]
+        for start in range(n):
             chosen: list[Point] = []
+            taken = list(fixed_coords)
             lines = list(fixed_lines)
-            for idx in range(len(order)):
-                cand = order[(start + idx) % len(order)]
-                if any(incidence(line, cand) == 0 for line in lines):
-                    continue
-                lines += [join(u, cand) for u in (*fixed, *chosen)]
-                chosen.append(cand)
-                if len(chosen) == count:
-                    break
+            for idx in range(n):
+                j = (start + idx) % n
+                cand = order_coords[j]
+                x0, x1, x2 = cand
+                for l0, l1, l2 in lines:
+                    if l0 * x0 + l1 * x1 + l2 * x2 == 0:
+                        break
+                else:
+                    lines += [_cross(u, cand) for u in taken]
+                    taken.append(cand)
+                    chosen.append(order[j])
+                    if len(chosen) == count:
+                        break
             if len(chosen) == count:
                 key = tuple(id(pt) for pt in chosen)
                 if key not in seen:
@@ -459,11 +524,11 @@ def third_point_general(known, p: Point, q: Point) -> Point:
     """
     if p.is_zero or q.is_zero:
         raise HypothesisViolation("a chord endpoint is the zero point")
-    if projectively_equal(p, q):
+    pq = _cross(p.coords, q.coords)
+    if not any(pq):
         raise ValueError("chord endpoints must be distinct")
     # points on pq, p and q among them, never complete a general-position set
-    pq = join(p, q)
-    candidates = [pt for pt in _known_pool(known).values() if incidence(pq, pt) != 0]
+    candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
     if len(candidates) < 7:
         raise InsufficientPointsError("fewer than seven usable auxiliary points")
     for aux in _general_position_selections([p, q], candidates, 7):
@@ -905,7 +970,7 @@ def tangent_third_at(known, p: Point) -> Point:
     """
     if p.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
-    p_key = canonicalize(p).coords
+    p_key = _canonical(p.coords)
     candidates = [pt for key, pt in _known_pool(known).items() if key != p_key]
     if len(candidates) < 8:
         raise InsufficientPointsError("fewer than eight usable auxiliary points")

@@ -232,25 +232,38 @@ def projectively_equal(g: GeomObject, h: GeomObject) -> bool:
     return all(c == 0 for c in _cross(g.coords, h.coords))
 
 
-def canonicalize(g):
-    """Reduce a point or line to its primitive integer representative.
+def _canonical(coords):
+    """The primitive, sign-fixed integer form of a nonzero coordinate triple.
 
     Clears denominators (only when a Fraction is present), divides out the
-    gcd of the entries and makes the first nonzero entry positive; the
-    result is projectively equal to the input.  A triple that is already
-    primitive and sign-fixed is returned as is, and so are scalars and
-    zero objects.
+    gcd of the entries and makes the first nonzero entry positive.  A
+    triple that is already in that form is returned as is (the same tuple).
     """
-    if isinstance(g, _SCALAR_TYPES) or g.is_zero:
-        return g
-    coords = g.coords
-    if any(type(c) is not int for c in coords):
-        denom_lcm = lcm(*(c.denominator for c in coords))
-        coords = tuple(int(c * denom_lcm) for c in coords)
     x0, x1, x2 = coords
+    if not (type(x0) is int and type(x1) is int and type(x2) is int):
+        denom_lcm = lcm(x0.denominator, x1.denominator, x2.denominator)
+        x0, x1, x2 = int(x0 * denom_lcm), int(x1 * denom_lcm), int(x2 * denom_lcm)
+        coords = None
     common = gcd(x0, x1, x2)
     if (x0 or x1 or x2) < 0:
         common = -common
-    if common == 1 and coords is g.coords:
+    if common == 1 and coords is not None:
+        return coords
+    return (x0 // common, x1 // common, x2 // common)
+
+
+def canonicalize(g):
+    """Reduce a point or line to its primitive integer representative.
+
+    The reduction is :func:`_canonical` on the coordinates; the result is
+    projectively equal to the input.  A triple that is already primitive
+    and sign-fixed is returned as is, and so are scalars and zero objects.
+    """
+    if isinstance(g, _Triple):
+        if g.is_zero:
+            return g
+        coords = _canonical(g.coords)
+        return g if coords is g.coords else type(g)(*coords)
+    if isinstance(g, _SCALAR_TYPES):
         return g
-    return type(g)(x0 // common, x1 // common, x2 // common)
+    raise KindError(f"cannot canonicalize {g!r}")

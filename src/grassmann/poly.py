@@ -265,6 +265,15 @@ class PolyVector:
         if len(degs) > 1:
             raise ValueError("entries must share one degree")
 
+    @classmethod
+    def _of(cls, e0: HomPoly, e1: HomPoly, e2: HomPoly) -> "PolyVector":
+        """Wrap entries already known to share one degree (no check)."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "e0", e0)
+        object.__setattr__(v, "e1", e1)
+        object.__setattr__(v, "e2", e2)
+        return v
+
     @property
     def entries(self) -> tuple[HomPoly, HomPoly, HomPoly]:
         return (self.e0, self.e1, self.e2)
@@ -283,11 +292,11 @@ class PolyVector:
     @classmethod
     def constant(cls, triple) -> "PolyVector":
         coords = triple.coords if isinstance(triple, (Point, Line)) else tuple(triple)
-        return cls(*(HomPoly.constant(c) for c in coords))
+        return cls._of(*(HomPoly.constant(c) for c in coords))
 
     @classmethod
     def variable(cls) -> "PolyVector":
-        return cls(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
+        return cls._of(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
 
     def substitute(self, p) -> tuple[Scalar, Scalar, Scalar]:
         return tuple(evaluate(f, p) for f in self.entries)
@@ -297,7 +306,7 @@ def poly_cross(u: PolyVector, v: PolyVector) -> PolyVector:
     """Entrywise cross-product formula; degree adds."""
     a, b, c = u.entries
     d, e, f = v.entries
-    return PolyVector(b * f - c * e, c * d - a * f, a * e - b * d)
+    return PolyVector._of(b * f - c * e, c * d - a * f, a * e - b * d)
 
 
 def poly_dot(u: PolyVector, v: PolyVector) -> HomPoly:
@@ -308,7 +317,7 @@ def poly_dot(u: PolyVector, v: PolyVector) -> HomPoly:
 
 
 def poly_scale(s: HomPoly, v: PolyVector) -> PolyVector:
-    return PolyVector(s * v.e0, s * v.e1, s * v.e2)
+    return PolyVector._of(s * v.e0, s * v.e1, s * v.e2)
 
 
 def _powers(x, degree: int) -> list:
@@ -407,27 +416,37 @@ def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Scalar]:
     if p.is_zero or q.is_zero or all(c == 0 for c in _cross(p.coords, q.coords)):
         raise DegenerateLineError("p and q do not span a line")
     d = f.degree
-    out = [0] * (d + 1)
-    lins = [(p.coords[i], q.coords[i]) for i in range(3)]
+    # per coordinate, the binary forms (p_i*s + q_i*t)^e for e = 0..d
+    pw0, pw1, pw2 = (_linear_powers(pc, qc, d) for pc, qc in zip(p.coords, q.coords))
+    # f = sum over k of x2^k * h_k(x0, x1): restrict each h_k, then
+    # multiply by the power of x2 (the power 0 is the form [1])
+    h = [[0] * (d - k + 1) for k in range(d + 1)]
     for (i, j, k), c in f._terms.items():
-        term = [1]
-        for e, lin in zip((i, j, k), lins):
-            for _ in range(e):
-                term = _binary_mul_linear(term, lin)
-        for m, v in enumerate(term):
-            out[m] += c * v
+        hk = h[k]
+        for m0, v0 in enumerate(pw0[i]):
+            cv0 = c * v0
+            for m1, v1 in enumerate(pw1[j], m0):
+                hk[m1] += cv0 * v1
+    out = h[0]
+    for hk, powers in zip(h[1:], pw2[1:]):
+        for m1, w in enumerate(hk):
+            if w == 0:
+                continue
+            for m2, v2 in enumerate(powers, m1):
+                out[m2] += w * v2
     return out
 
 
-def _binary_mul_linear(form, lin):
-    """Multiply a binary form (list over powers of t) by a*s + b*t."""
-    a, b = lin
-    out = [0] * (len(form) + 1)
-    for m, c in enumerate(form):
-        if c == 0:
-            continue
-        out[m] += c * a
-        out[m + 1] += c * b
+def _linear_powers(a, b, degree: int) -> list[list[Scalar]]:
+    """[(a*s + b*t)^e for e = 0..degree], each a list over powers of t."""
+    out = [[1]]
+    for e in range(1, degree + 1):
+        prev = out[-1]
+        row = [prev[0] * a]
+        for m in range(1, e):
+            row.append(prev[m - 1] * b + prev[m] * a)
+        row.append(prev[-1] * b)
+        out.append(row)
     return out
 
 

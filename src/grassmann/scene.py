@@ -42,10 +42,20 @@ class SceneError(ValueError):
     pass
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_rational(text: str) -> Scalar:
-    """An exact rational: an int when the value is integral, else a Fraction."""
+    """An exact rational: an int when the value is integral, else a Fraction.
+
+    A plain decimal integer is read by ``int``; everything else goes
+    through ``Fraction``, which accepts the same integers.
+    """
+    stripped = text.strip()
     try:
-        value = Fraction(text.strip())
+        if _INTEGER.fullmatch(stripped):
+            return int(stripped)
+        value = Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise SceneError(f"bad rational {text!r}: {exc}") from None
     return value.numerator if value.denominator == 1 else value

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grassmann import constructions as cons
 from grassmann.constructions import (
@@ -33,6 +36,7 @@ from grassmann.constructions import (
     third_point_on_chord_ab,
 )
 from grassmann.core import (
+    KindError,
     Line,
     Point,
     bracket,
@@ -799,3 +803,194 @@ class TestPascal:
         # and join(a1, b) with a == a1, so some output degenerates or the
         # bracket vanishes
         assert m1.is_zero or m2.is_zero or m3.is_zero or bracket(m1, m2, m3) == 0
+
+
+# ---------------------------------------------------------------------------
+# the chord path's coordinate-tuple kernels against the public object API
+
+_SCALARS = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=7),
+)
+_TRIPLES = st.tuples(_SCALARS, _SCALARS, _SCALARS)
+
+# nine general-position points on which the labelled fit's step K = yz
+# vanishes (a special position the fit refuses)
+K_VANISHES = [
+    (1, 3, 6), (1, 4, -9), (1, -9, 2), (1, 0, -7), (1, -5, -10),
+    (1, 7, 5), (1, -9, 3), (1, 3, 8), (1, -5, 6),
+]
+
+
+def reference_fit(labels):
+    """The documented nine-point recipe on public join/meet/canonicalize,
+    as a dict of every NinePointFit field; a zero step raises with its name."""
+
+    def step(name, value):
+        if value.is_zero:
+            raise DegenerateIntermediateError(name)
+        return canonicalize(value)
+
+    a, b, c, d, e, f, g, h, i = labels.as_tuple()
+    A = step("A=de", join(d, e))
+    B = step("B=ef", join(e, f))
+    a1 = step("a1=af.cd", meet(join(a, f), join(c, d)))
+
+    def pair(p, n):
+        p1 = step(f"{n}1={n}aAa1.{n}c", meet(join(meet(join(p, a), A), a1), join(p, c)))
+        return p1, step(f"{n}2={n}bB", meet(join(p, b), B))
+
+    g1, g2 = pair(g, "g")
+    h1, h2 = pair(h, "h")
+    i1, i2 = pair(i, "i")
+    C = step("C=ei1", join(e, i1))
+    y = step("y=h1g1Cg2.fh1", meet(join(meet(join(h1, g1), C), g2), join(f, h1)))
+    z = step("z=g1h1Ch2.fg1", meet(join(meet(join(g1, h1), C), h2), join(f, g1)))
+    K = step("K=yz", join(y, z))
+    k = step("k=K.i1i2", meet(K, join(i1, i2)))
+    b1 = step("b1=kg2Cg1.kf", meet(join(meet(join(k, g2), C), g1), join(k, f)))
+    return dict(
+        a=a, a1=a1, b=b, b1=b1, c=c, k=k, A=A, B=B, C=C,
+        g1=g1, g2=g2, h1=h1, h2=h2, i1=i1, i2=i2, y=y, z=z, K=K,
+    )
+
+
+def fit_fields(fit):
+    fields = {n: getattr(fit.params, n) for n in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C")}
+    fields.update({n: getattr(fit, n) for n in ("g1", "g2", "h1", "h2", "i1", "i2", "y", "z", "K")})
+    return fields
+
+
+def bracket_violation(points, names=None):
+    """The first collinear triple by one bracket per triple."""
+    pts = list(points)
+    names = names or [str(i) for i in range(len(pts))]
+    for (i, p), (j, q), (k, r) in itertools.combinations(enumerate(pts), 3):
+        if bracket(p, q, r) == 0:
+            return ((names[i], names[j], names[k]), (p, q, r))
+    return None
+
+
+class TestTupleKernels:
+    def test_cubic_expression_text(self):
+        assert cons.CUBIC_EXPRESSION == "(xaAa_1.xbBkCb_1.xc)"
+
+    @staticmethod
+    def assert_fold_agrees(params, x):
+        cubic = cons.CubicParams(
+            *(Point(*t) for t in params[:6]), *(Line(*t) for t in params[6:])
+        )
+        x = Point(*x)
+        got = evaluate_cubic(cubic, x)
+        expected = eval_numeric(cons._CUBIC_AST, cubic.environment().with_x(x))
+        assert got == expected
+        assert type(got) is type(expected)
+        return got
+
+    @given(params=st.lists(_TRIPLES, min_size=9, max_size=9), x=_TRIPLES)
+    def test_evaluate_cubic_is_the_expression_fold(self, params, x):
+        self.assert_fold_agrees(params, x)
+
+    @given(
+        params=st.lists(_TRIPLES, min_size=9, max_size=9),
+        x=_TRIPLES,
+        zero=st.integers(0, 9),
+    )
+    def test_evaluate_cubic_with_a_zero_point(self, params, x, zero):
+        # the zero triple as one parameter (slot 9 is x)
+        if zero == 9:
+            x = (0, 0, 0)
+        else:
+            params[zero] = (0, 0, 0)
+        assert self.assert_fold_agrees(params, x) == 0
+
+    def test_evaluate_cubic_off_the_curve(self, labels9):
+        params = fit_nine_points(labels9)
+        triples = [getattr(params, n).coords for n in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C")]
+        for x in ((1, 2, 3), (Fraction(1, 3), -4, 7), (5, 0, -1)):
+            assert self.assert_fold_agrees(triples, x) != 0
+
+    def test_evaluate_cubic_needs_a_point(self, labels9):
+        params = fit_nine_points(labels9)
+        for x in (Line(1, 2, 3), 5, Fraction(1, 2)):
+            with pytest.raises(KindError):
+                evaluate_cubic(params, x)
+
+    def test_evaluate_cubic_needs_points_and_lines(self, labels9):
+        params = fit_nine_points(labels9)
+        x = Point(1, 2, 3)
+        for name, wrong in (("a1", Line(*params.a1.coords)), ("B", Point(*params.B.coords))):
+            bad = dataclasses.replace(params, **{name: wrong})
+            with pytest.raises(KindError):
+                eval_numeric(cons._CUBIC_AST, bad.environment().with_x(x))
+            with pytest.raises(KindError):
+                evaluate_cubic(bad, x)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fit_fields_match_reference_recipe(self, seed):
+        labels = seeded_labels(seed)
+        pts = labels.as_tuple()
+        scaled = NinePointLabels.from_points(
+            scale(Fraction(2 * n + 1, n + 3), p) for n, p in enumerate(pts)
+        )
+        for case in (labels, scaled):
+            try:
+                expected = reference_fit(case)
+            except DegenerateIntermediateError as exc:
+                with pytest.raises(DegenerateIntermediateError) as got:
+                    fit_nine_points_trace(case)
+                assert got.value.step == exc.step
+                continue
+            got = fit_fields(fit_nine_points_trace(case))
+            assert got == expected
+            for name, value in got.items():
+                assert type(value) is type(expected[name])
+                if name not in ("a", "b", "c"):  # the inputs, kept as given
+                    assert all(type(c) is int for c in value.coords)
+
+    def test_k_vanishes_names_its_step(self):
+        labels = NinePointLabels.from_points(Point(*t) for t in K_VANISHES)
+        assert cons.general_position_violation(labels.as_tuple()) is None
+        with pytest.raises(DegenerateIntermediateError) as exc:
+            fit_nine_points(labels)
+        assert exc.value.step == "K=yz"
+        with pytest.raises(DegenerateIntermediateError) as ref:
+            reference_fit(labels)
+        assert ref.value.step == "K=yz"
+
+    def test_chord_with_coincident_ends_names_ab(self, labels9):
+        params = fit_nine_points(labels9)
+        twin = dataclasses.replace(params, b=scale(3, params.a))
+        with pytest.raises(DegenerateIntermediateError) as exc:
+            third_point_on_chord_ab(twin)
+        assert exc.value.step == "ab"
+
+    def test_chord_point_matches_object_formula(self, labels9):
+        params = fit_nine_points(labels9)
+        a, b, c = params.a, params.b, params.c
+        ab = join(a, b)
+        l1 = join(meet(ab, params.A), params.a1)
+        l2 = join(meet(join(meet(ab, params.B), params.k), params.C), params.b1)
+        p = canonicalize(meet(l1, l2))
+        assert third_point_on_chord_ab(params) == canonicalize(meet(join(p, c), ab))
+
+    def test_general_position_violation_matches_brackets(self):
+        rng = random.Random(404)
+        names = NinePointLabels._NAMES
+        found = 0
+        for n in range(300):
+            # small grids make collinear triples common, larger ones rare
+            r = 2 + n % 3 * 14
+            pts = [
+                Point(rng.choice([1, Fraction(1, 2), 2]), rng.randint(-r, r), rng.randint(-r, r))
+                for _ in range(9)
+            ]
+            expected = bracket_violation(pts, names)
+            assert cons.general_position_violation(pts, names) == expected
+            assert cons.general_position_violation(pts) == bracket_violation(pts)
+            found += expected is not None
+        assert 0 < found < 300
+        lines = [Line(1, 0, -1), Line(0, 1, -1), Line(1, 1, -2), Line(1, 2, 5)]
+        assert cons.general_position_violation(lines) == bracket_violation(lines)
+        with pytest.raises(KindError):
+            cons.general_position_violation([Point(1, 0, 0), Line(0, 1, 0), Point(0, 0, 1)])

@@ -17,6 +17,7 @@ from grassmann.poly import (
     nullspace_fit,
     poly_cross,
     poly_dot,
+    poly_scale,
     restrict_to_line,
 )
 
@@ -252,3 +253,55 @@ class TestExactScalars:
         assert restrict_to_line(fg, p, q) == restrict_to_line(frac(fg), p, q)
         assert evaluate(fg, p) == evaluate(frac(f), p) * evaluate(frac(g), p)
         assert evaluate(g - h, q) == evaluate(frac(g), q) - evaluate(frac(h), q)
+
+
+def _term_by_term_restriction(f, p, q):
+    """f(s*p + t*q) with each monomial multiplied out one linear factor
+    at a time."""
+    out = [0] * (f.degree + 1)
+    for mono, c in f.coeffs.items():
+        term = [c]
+        for e, pc, qc in zip(mono, p.coords, q.coords):
+            for _ in range(e):
+                term = [a * pc + b * qc for a, b in zip(term + [0], [0] + term)]
+        for m, v in enumerate(term):
+            out[m] += v
+    return out
+
+
+class TestSharedPowerTables:
+    @given(data=st.data())
+    def test_restriction_equals_term_by_term_expansion(self, data):
+        scalar = st.one_of(
+            st.integers(-10**12, 10**12),
+            st.fractions(min_value=-30, max_value=30, max_denominator=9),
+        )
+        degree = data.draw(st.integers(0, 4))
+        monos = monomials(degree)
+        f = HomPoly(degree, data.draw(st.dictionaries(st.sampled_from(monos), scalar)))
+        triple = st.tuples(scalar, scalar, scalar)
+        p, q = Point(*data.draw(triple)), Point(*data.draw(triple))
+        assume(any(_cross(p.coords, q.coords)))
+        assert restrict_to_line(f, p, q) == _term_by_term_restriction(f, p, q)
+
+    def test_integral_sparse_cubic(self):
+        f = HomPoly(3, {(0, 3, 0): 1, (3, 0, 0): 17, (1, 0, 2): -1})
+        p, q = Point(1, -2, 3), Point(2, 5, -1)
+        form = restrict_to_line(f, p, q)
+        assert form == _term_by_term_restriction(f, p, q)
+        assert all(type(c) is int for c in form)
+
+
+class TestTrustedPolyVectors:
+    def test_internal_results_equal_public_construction(self):
+        u = PolyVector.constant(Line(1, -2, 3))
+        for v in (X, poly_cross(X, u), PolyVector.constant(Point(0, 0, 0))):
+            w = poly_cross(u, v)
+            assert w == PolyVector(*w.entries)
+            assert w.degree == v.degree
+            s = poly_dot(u, v)
+            assert poly_scale(s, v) == PolyVector(*(s * e for e in v.entries))
+
+    def test_public_construction_still_checks_degrees(self):
+        with pytest.raises(ValueError):
+            PolyVector(HomPoly.variable(0), HomPoly.variable(1), HomPoly.constant(2))
