@@ -34,6 +34,9 @@ from .poly import (
     DegenerateLineError,
     HomPoly,
     RankDeficientError,
+    _bareiss,
+    binary_deflate,
+    binary_eval,
     evaluate,
     monomials,
     nullspace_fit,
@@ -190,8 +193,6 @@ def cmd_third_point(scene: Scene, args) -> tuple[Report, int]:
 def _binary_root(form, y: Point, p: Point, q: Point) -> bool:
     # det*y = s*p + t*q; g is homogeneous, so g(s, t) = 0 exactly when
     # g(s/det, t/det) = 0, and no division is needed
-    from .poly import binary_eval
-
     for i, j in ((0, 1), (0, 2), (1, 2)):
         det = p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]
         if det != 0:
@@ -238,37 +239,34 @@ def cmd_tangent_third(scene: Scene, args) -> tuple[Report, int]:
     report = Report("tangent_third", scene.digest())
     labels = _nine(scene)
     params = cons.fit_nine_points(labels)
-    detail = cons.tangent_third_point_detailed(params)
-    report.add_triple("point", "w", detail.w)
-    report.add_triple("line", "tangent", detail.tangent)
-    report.add_check("on-tangent", incidence(detail.tangent, detail.w) == 0)
+    result = cons.tangent_third_point(params)
+    report.add_triple("point", "w", result.w)
+    report.add_triple("line", "tangent", result.tangent)
+    report.add_check("on-tangent", incidence(result.tangent, result.w) == 0)
     f = cons.expand_cubic(params)
-    report.add_check("on-cubic-polynomial-oracle", evaluate(f, detail.w) == 0)
-    q2 = _second_point(detail.tangent, params.a)
+    report.add_check("on-cubic-polynomial-oracle", evaluate(f, result.w) == 0)
+    q2 = _second_point(result.tangent, params.a)
     form = restrict_to_line(f, params.a, q2)
     mult = oracle.root_multiplicity(f, params.a, q2, params.a)
     report.add_check("contact-order-at-least-2", mult >= 2)
-    if detail.is_flex_case:
+    if result.is_flex_case:
         report.add_diagnostic("a is a flex: the tangent third point coincides with a")
         report.add_check("flex-contact-order-3", mult == 3)
     else:
-        deflated = form
-        from .poly import binary_deflate
-
-        deflated = binary_deflate(deflated, 1, 0)
-        deflated = binary_deflate(deflated, 1, 0)
+        deflated = binary_deflate(binary_deflate(form, 1, 0), 1, 0)
         w_oracle = Point(
             *(
                 -deflated[1] * ac + deflated[0] * qc
                 for ac, qc in zip(params.a.coords, q2.coords)
             )
         )
-        report.add_check("matches-deflation-oracle", projectively_equal(detail.w, w_oracle))
-    if detail.literal_labels_coincide:
-        report.add_diagnostic(
-            "literal y and z recipes name one point; a deflated auxiliary conic "
-            "point completed the five needed for the second-intersection step"
-        )
+        report.add_check("matches-deflation-oracle", projectively_equal(result.w, w_oracle))
+    # y is built as one meet that both literal recipes name (see
+    # tangent_third_point), so this diagnostic holds on every scene
+    report.add_diagnostic(
+        "literal y and z recipes name one point; a deflated auxiliary conic "
+        "point completed the five needed for the second-intersection step"
+    )
     return report, 0 if report.ok else 2
 
 
@@ -289,17 +287,17 @@ def cmd_conic_sixth(scene: Scene, args) -> tuple[Report, int]:
     labels = _nine(scene)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        detail = cons.conic_cubic_sixth_detailed(labels)
+        result = cons.conic_cubic_sixth(labels)
         z89 = cons.conic_cubic_sixth_via_89(labels)
-    report.add_triple("point", "z", detail.z)
-    report.add_triple("point", "y", detail.y)
+    report.add_triple("point", "z", result.z)
+    report.add_triple("point", "y", result.y)
     conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)
-    report.add_check("on-conic-nullspace-oracle", evaluate(conic, detail.z) == 0)
+    report.add_check("on-conic-nullspace-oracle", evaluate(conic, result.z) == 0)
     cubic = nullspace_fit(labels.as_tuple(), 3)
-    report.add_check("on-cubic-nullspace-oracle", evaluate(cubic, detail.z) == 0)
-    report.add_check("chord-chain-agreement", projectively_equal(detail.z, z89))
-    if detail.coincides_with:
-        report.add_diagnostic(f"z coincides with defining point {detail.coincides_with}")
+    report.add_check("on-cubic-nullspace-oracle", evaluate(cubic, result.z) == 0)
+    report.add_check("chord-chain-agreement", projectively_equal(result.z, z89))
+    if result.coincides_with:
+        report.add_diagnostic(f"z coincides with defining point {result.coincides_with}")
     for warning in caught:
         report.add_diagnostic(str(warning.message))
     return report, 0 if report.ok else 2
@@ -361,8 +359,6 @@ def _six_on_conic(pts) -> bool:
                 for (i, j, k) in monomials(2)
             ]
         )
-    from .poly import _bareiss
-
     rank, _, _ = _bareiss(rows)
     return rank <= 5
 

@@ -27,6 +27,7 @@ from .core import (
     Line,
     Point,
     Scalar,
+    ZERO_LINE,
     _canonical,
     _cross,
     _dot,
@@ -73,14 +74,11 @@ __all__ = [
     "third_point_general",
     "tangent_at_a",
     "tangent_third_point",
-    "tangent_third_point_detailed",
     "is_flex",
     "tangent_third_via_89",
     "conic_cubic_sixth",
-    "conic_cubic_sixth_detailed",
     "conic_cubic_sixth_via_89",
     "group_add",
-    "flex_at",
     "tangent_third_at",
     "conic_five_points",
     "pascal_points",
@@ -132,13 +130,11 @@ class SingularPointWarning(UserWarning):
 # canonical expression texts (accepted verbatim by the parser and the CLI)
 CUBIC_EXPRESSION = "(xaAa_1.xbBkCb_1.xc)"
 CONIC_EXPRESSION = "xaAbBcx"
-_TANGENT_CONIC_EXPRESSION = "xbBkCb_1x"
 _AUX_CONIC_EXPRESSION = "(qa_1.xc.xbBkCb_1)"
 _SIXTH_CONIC_EXPRESSION = "xaAa_1Bcx"
 _SIXTH_AUX_CUBIC_EXPRESSION = "(xa_1Aa.xb_1CkBb.xc)"
 
 _CUBIC_AST = parse(CUBIC_EXPRESSION)
-_TANGENT_CONIC_AST = parse(_TANGENT_CONIC_EXPRESSION)
 _AUX_CONIC_AST = parse(_AUX_CONIC_EXPRESSION)
 _SIXTH_CONIC_AST = parse(_SIXTH_CONIC_EXPRESSION)
 _SIXTH_AUX_CUBIC_AST = parse(_SIXTH_AUX_CUBIC_EXPRESSION)
@@ -548,25 +544,22 @@ def tangent_at_a(params: CubicParams) -> Line:
     """Tangent line to the cubic at the parameter point a.
 
     Formula: (abBkCb1.ac)a1Aa.  At a singular point every branch of the
-    formula degenerates; the zero-line bookkeeping object is returned
-    together with a :class:`SingularPointWarning` instead of raising.
+    formula degenerates; ZERO_LINE is returned together with a
+    :class:`SingularPointWarning` instead of raising.  A zero step at a
+    smooth point raises DegenerateIntermediateError naming that step.
     """
-    a, c = params.a, params.c
-    l2 = _fold(join(a, params.b), params.B, params.k, params.C, params.b1)
-    p = meet(l2, join(a, c))
-    q = meet(join(p, params.a1), params.A)
-    tangent = join(q, a)
-    if tangent.is_zero:
+    try:
+        return _tangent_with_contact(params)[0]
+    except DegenerateIntermediateError:
         f = expand_cubic(params)
-        if f.is_zero or oracle.gradient_tangent(f, a).is_zero:
+        if f.is_zero or oracle.gradient_tangent(f, params.a).is_zero:
             warnings.warn(
                 "cubic is singular at a; the tangent construction degenerates",
                 SingularPointWarning,
                 stacklevel=2,
             )
-            return tangent
-        raise DegenerateIntermediateError("tangent construction")
-    return canonicalize(tangent)
+            return ZERO_LINE
+        raise
 
 
 def _tangent_with_contact(params: CubicParams) -> tuple[Line, Point]:
@@ -601,6 +594,8 @@ def conic_line_second_intersection(five, L: Line, known: Point) -> SecondInterse
     five = list(five)
     if len(five) != 5:
         raise ValueError("exactly five conic points required")
+    if L.is_zero or known.is_zero:
+        raise HypothesisViolation("the line or the known point is a zero object")
     try:
         conic = nullspace_fit(five, 2)
     except RankDeficientError as exc:
@@ -699,69 +694,47 @@ class TangentThirdResult:
     tangent: Line
     q: Point
     y: Point
-    z: Point
     conic_points: tuple[Point, ...]
-    literal_labels_coincide: bool
-    extra_conic_point: Point | None
     is_flex_case: bool
 
 
-def tangent_third_point_detailed(params: CubicParams) -> TangentThirdResult:
+def tangent_third_point(params: CubicParams) -> TangentThirdResult:
     """Third intersection of the tangent at a with the cubic.
 
     The tangent aq (with q = (abBkCb1.ac)a1A) meets the auxiliary conic
     (qa1.xc.xbBkCb1) = 0 at a and at the wanted point w, which lies on
-    the cubic.  Auxiliary points on that conic are constructed first: the
-    second intersection y of the line cb1CkBb with the conic xbBkCb1x = 0,
-    and the meet z of the lines b1cCkBb and b1c.  Those two recipes name
-    the same point (the two six-letter chains are projectively equal
-    lines), so a further conic point is produced by exact deflation along
-    a probe line before the five-point second-intersection step; the
-    collapse is recorded on the result rather than silently patched.
+    the cubic.  That conic passes through a, b, c and y = b1cCkBb.b1c.
+
+    Why y is one meet: the line lambda = cb1CkBb is m2 b, with
+    m1 = cb1.C and m2 = m1k.B.  For x on lambda other than b, xb is
+    lambda, and the chain xbBkCb1 undoes lambda's construction step by
+    step: lambda.B = m2, m2k = m1k, m1k.C = m1, m1b1 = b1c.  So lambda
+    meets the conic xbBkCb1x = 0 only at b and at lambda.b1c, and
+    b1cCkBb is lambda itself (the chain cb1 read as b1c); that second
+    point is y.  At x = y the lines xc and xbBkCb1 are both b1c, so the
+    auxiliary conic vanishes at y.  A fifth conic point comes from exact
+    deflation along a probe line through y, and the five-point
+    second-intersection step along the tangent gives w.  That step flags
+    a tangent line only when the point it finds is a, so is_flex_case
+    holds exactly when w is a.
     """
-    a, b, c, b1, k = params.a, params.b, params.c, params.b1, params.k
-    B, C = params.B, params.C
+    a, b, c, b1 = params.a, params.b, params.c, params.b1
     tangent, q = _tangent_with_contact(params)
+    y = _step(
+        "y=b1cCkBb.b1c", meet(_fold(b1, c, params.C, params.k, params.B, b), join(b1, c))
+    )
 
-    # five points of the conic xbBkCb1x = 0, each membership checked exactly
-    five1 = [
-        b,
-        b1,
-        _step("BC", meet(B, C)),
-        _step("b1kB", _fold(b1, k, B)),
-        _step("bkC", _fold(b, k, C)),
-    ]
-    env0 = params.environment()
-    for pt in five1:
-        if eval_numeric(_TANGENT_CONIC_AST, env0.with_x(pt)) != 0:
-            raise ConstructionError("conic xbBkCb1x misses one of its five points")
-
-    lam = _step("cb1CkBb", _fold(c, b1, C, k, B, b))
-    if incidence(lam, b) != 0:
-        raise ConstructionError("line cb1CkBb does not pass through b")
-    y = conic_line_second_intersection(five1, lam, b).point
-
-    z_line = _step("b1cCkBb", _fold(b1, c, C, k, B, b))
-    z = _step("z=b1cCkBb.b1c", meet(z_line, join(b1, c)))
-
-    aux_env = Environment({**{n: env0.lookup(n) for n in env0.names()}, "q": q})
+    env = params.environment()
+    aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": q})
     aux_conic = eval_symbolic(_AUX_CONIC_AST, aux_env)
     if aux_conic.is_zero:
         raise DegenerateIntermediateError("auxiliary conic")
-
-    for name, pt in (("a", a), ("b", b), ("c", c), ("y", y), ("z", z)):
+    for name, pt in (("a", a), ("b", b), ("c", c), ("y", y)):
         if poly_evaluate(aux_conic, pt) != 0:
             raise ConstructionError(f"auxiliary conic misses {name}")
 
-    collapse = projectively_equal(y, z)
     base = [a, b, c, y]
-    extra = None
-    if not collapse:
-        base.append(z)
-    else:
-        extra = _extra_conic_point(aux_conic, y, avoid=base)
-        base.append(extra)
-
+    base.append(_extra_conic_point(aux_conic, y, avoid=base))
     second = conic_line_second_intersection(base, tangent, a)
     w = second.point
     if evaluate_cubic(params, w) != 0:
@@ -771,10 +744,7 @@ def tangent_third_point_detailed(params: CubicParams) -> TangentThirdResult:
         tangent=tangent,
         q=q,
         y=y,
-        z=z,
         conic_points=tuple(base),
-        literal_labels_coincide=collapse,
-        extra_conic_point=extra,
         is_flex_case=second.is_tangent,
     )
 
@@ -800,14 +770,10 @@ def _extra_conic_point(conic: HomPoly, base: Point, avoid) -> Point:
     raise DegenerateIntermediateError("extra conic point")
 
 
-def tangent_third_point(params: CubicParams) -> Point:
-    return tangent_third_point_detailed(params).w
-
-
 def is_flex(params: CubicParams) -> bool:
     """Whether the parameter point a is a flex: the tangent's third
     intersection point falls back on a itself."""
-    return projectively_equal(tangent_third_point(params), params.a)
+    return tangent_third_point(params).is_flex_case
 
 
 def tangent_third_via_89(known, a: Point) -> Point:
@@ -817,6 +783,8 @@ def tangent_third_via_89(known, a: Point) -> Point:
     chords p1q1 and p2q2 give r1 and r2, and the chord r1r2 gives the
     result.
     """
+    if a.is_zero:
+        raise HypothesisViolation("the tangent point is the zero point")
     pool = _known_pool(known)
     a_key = canonicalize(a).coords
     others = [pt for key, pt in pool.items() if key != a_key]
@@ -851,7 +819,7 @@ class SixthPointResult:
     coincides_with: str | None
 
 
-def conic_cubic_sixth_detailed(pts: NinePointLabels) -> SixthPointResult:
+def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     """Sixth intersection of the cubic with the conic through a, c, d, e, f.
 
     The conic is xaAa1Bcx = 0 with the fitted parameters (A = de, B = ef,
@@ -907,10 +875,6 @@ def conic_cubic_sixth_detailed(pts: NinePointLabels) -> SixthPointResult:
     return SixthPointResult(z=z, y=y, params=params, coincides_with=coincides)
 
 
-def conic_cubic_sixth(pts: NinePointLabels) -> Point:
-    return conic_cubic_sixth_detailed(pts).z
-
-
 def conic_cubic_sixth_via_89(pts: NinePointLabels) -> Point:
     """Sixth conic intersection by chord chaining.
 
@@ -947,9 +911,8 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     point among o, p and q raises HypothesisViolation.
     """
     pool = _known_pool(known)
-    if verify_flex:
-        if not flex_at(pool, o):
-            raise FlexVerificationError("identity point is not a flex")
+    if verify_flex and not projectively_equal(tangent_third_at(pool, o), o):
+        raise FlexVerificationError("identity point is not a flex")
 
     def chord(u, v):
         if projectively_equal(u, v):
@@ -977,13 +940,7 @@ def tangent_third_at(known, p: Point) -> Point:
     for aux in _general_position_selections([p], candidates, 8):
         try:
             params = fit_nine_points(NinePointLabels._from_proven_selection((p, *aux)))
-            return tangent_third_point(params)
+            return tangent_third_point(params).w
         except ConstructionError:
             continue
     raise InsufficientPointsError("no admissible anchored selection found")
-
-
-def flex_at(known, p: Point) -> bool:
-    """Flex test at an arbitrary curve point: whether the tangent there
-    meets the curve again at p itself."""
-    return projectively_equal(tangent_third_at(known, p), p)

@@ -370,7 +370,4 @@ def eval_symbolic(e: Expr, env: Environment):
     Returns a :class:`HomPoly` when the expression is scalar-valued (the
     usual case for curve equations) and a :class:`PolyVector` otherwise.
     """
-    result = _eval_sym(e, env)
-    if result.kind == "scalar":
-        return result.value
-    return result.value
+    return _eval_sym(e, env).value

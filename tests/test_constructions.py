@@ -29,7 +29,6 @@ from grassmann.constructions import (
     pascal_points,
     tangent_at_a,
     tangent_third_point,
-    tangent_third_point_detailed,
     tangent_third_at,
     tangent_third_via_89,
     third_point_general,
@@ -338,27 +337,62 @@ class TestConicLineSecondIntersection:
 
 
 class TestTangentThird:
-    def test_detailed_checks(self, labels9):
+    def test_result_checks(self, labels9):
         params = fit_nine_points(labels9)
-        detail = tangent_third_point_detailed(params)
-        assert incidence(detail.tangent, detail.w) == 0
-        assert evaluate_cubic(params, detail.w) == 0
-        assert detail.literal_labels_coincide
-        assert projectively_equal(detail.y, detail.z)
+        result = tangent_third_point(params)
+        assert incidence(result.tangent, result.w) == 0
+        assert evaluate_cubic(params, result.w) == 0
         # the auxiliary conic passes through all recorded points
         env = params.environment()
         aux_env = Environment(
-            {**{n: env.lookup(n) for n in env.names()}, "q": detail.q}
+            {**{n: env.lookup(n) for n in env.names()}, "q": result.q}
         )
         conic = eval_symbolic(parse("(qa_1.xc.xbBkCb_1)"), aux_env)
-        for pt in detail.conic_points:
+        for pt in result.conic_points:
             assert evaluate(conic, pt) == 0
+
+    def test_y_is_second_point_of_lambda_on_conic(self):
+        # y = b1cCkBb.b1c is the second intersection of lambda = cb1CkBb
+        # with the conic xbBkCb1x = 0 (the proof in tangent_third_point),
+        # checked against an independent fit of that conic
+        conic_ast = parse("xbBkCb_1x")
+        lam_ast = parse("cb_1CkBb")
+        five_asts = [parse(t) for t in ("b", "b_1", "BC", "b_1kB", "bkC")]
+        checked, seed = 0, 13000
+        while checked < 200:
+            seed += 1
+            try:
+                params = fit_nine_points(seeded_labels(seed))
+            except DegenerateIntermediateError:
+                # a labelled fit that refuses general-position input is a
+                # separate, known gap of the fit; it builds no y to check
+                continue
+            result = tangent_third_point(params)
+            env = params.environment()
+            y, b = result.y, params.b
+            lam = eval_numeric(lam_ast, env)
+            assert eval_numeric(conic_ast, env.with_x(y)) == 0
+            assert incidence(lam, y) == 0
+            conic = nullspace_fit([eval_numeric(t, env) for t in five_asts], 2)
+            u = second_point_on(lam, b)
+            form = restrict_to_line(conic, b, u)
+            assert form[0] == 0
+            if form[1] == 0:
+                # lambda is tangent to the conic at b
+                assert projectively_equal(y, b)
+            else:
+                second = Point(
+                    *(-form[2] * bc + form[1] * uc for bc, uc in zip(b.coords, u.coords))
+                )
+                assert projectively_equal(y, second)
+            assert tangent_at_a(params) == result.tangent
+            checked += 1
 
     def test_matches_cubic_deflation_oracle(self, labels9):
         params = fit_nine_points(labels9)
-        detail = tangent_third_point_detailed(params)
+        result = tangent_third_point(params)
         f = expand_cubic(params)
-        q2 = second_point_on(detail.tangent, params.a)
+        q2 = second_point_on(result.tangent, params.a)
         form = restrict_to_line(f, params.a, q2)
         form = binary_deflate(form, 1, 0)
         form = binary_deflate(form, 1, 0)
@@ -368,16 +402,16 @@ class TestTangentThird:
                 for ac, qc in zip(params.a.coords, q2.coords)
             )
         )
-        assert projectively_equal(detail.w, expected)
+        assert projectively_equal(result.w, expected)
 
     def test_flex_fixture(self):
         f = weierstrass(0, 17)
         pool = grow_pool(f, CURVES[0][2], 14)
         labels = nine_with_anchor(pool, FLEX)
         params = fit_nine_points(labels)
-        detail = tangent_third_point_detailed(params)
-        assert detail.is_flex_case
-        assert projectively_equal(detail.w, FLEX)
+        result = tangent_third_point(params)
+        assert result.is_flex_case
+        assert projectively_equal(result.w, FLEX)
         assert is_flex(params)
         assert hessian_flex_oracle(expand_cubic(params), FLEX)
 
@@ -391,7 +425,7 @@ class TestTangentThird:
         a = labels9.a
         r3 = tangent_third_via_89(nine, a)
         params = fit_nine_points(labels9)
-        assert projectively_equal(r3, tangent_third_point(params))
+        assert projectively_equal(r3, tangent_third_point(params).w)
         assert evaluate_cubic(params, r3) == 0
 
     def test_via_89_agreement_many(self):
@@ -399,7 +433,7 @@ class TestTangentThird:
             labels = seeded_labels(12000 + i)
             r3 = tangent_third_via_89(list(labels.as_tuple()), labels.a)
             params = fit_nine_points(labels)
-            assert projectively_equal(r3, tangent_third_point(params))
+            assert projectively_equal(r3, tangent_third_point(params).w)
 
     def test_via_89_flex_case(self):
         f = weierstrass(0, 17)
@@ -411,7 +445,7 @@ class TestTangentThird:
 
 class TestConicCubicSixth:
     def test_on_both_curves(self, labels9):
-        z = conic_cubic_sixth(labels9)
+        z = conic_cubic_sixth(labels9).z
         conic = nullspace_fit(
             [labels9.a, labels9.c, labels9.d, labels9.e, labels9.f], 2
         )
@@ -421,13 +455,13 @@ class TestConicCubicSixth:
 
     def test_chord_chain_agreement(self, labels9):
         assert projectively_equal(
-            conic_cubic_sixth(labels9), conic_cubic_sixth_via_89(labels9)
+            conic_cubic_sixth(labels9).z, conic_cubic_sixth_via_89(labels9)
         )
 
     def test_more_instances(self):
         for seed in (201, 202, 203):
             labels = seeded_labels(seed)
-            z = conic_cubic_sixth(labels)
+            z = conic_cubic_sixth(labels).z
             z89 = conic_cubic_sixth_via_89(labels)
             assert projectively_equal(z, z89)
 
@@ -518,7 +552,7 @@ class TestConicCubicSixth:
     def test_matches_parameterization_oracle(self):
         for seed in (211, 212, 213, 214, 215, 216, 217, 218, 219, 220):
             labels = seeded_labels(seed)
-            z = conic_cubic_sixth(labels)
+            z = conic_cubic_sixth(labels).z
             z_enum = self._sixth_by_parameterization(labels)
             assert not z_enum.is_zero
             assert projectively_equal(z, z_enum)
@@ -599,6 +633,23 @@ class TestKnownPool:
             group_add(known, FLEX, zero, pool[0], verify_flex=False)
         with pytest.raises(HypothesisViolation):
             group_add(known, FLEX, zero, zero, verify_flex=False)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pool: tangent_third_via_89(pool, Point(0, 0, 0)),
+            lambda pool: conic_line_second_intersection(
+                TestConicLineSecondIntersection.CIRCLE, Line(1, -1, 0), Point(0, 0, 0)
+            ),
+            lambda pool: conic_line_second_intersection(
+                TestConicLineSecondIntersection.CIRCLE, Line(0, 0, 0), Point(1, 1, 0)
+            ),
+        ],
+        ids=["tangent_third_via_89-a", "second_intersection-known", "second_intersection-L"],
+    )
+    def test_zero_inputs_refused_up_front(self, group_pool, call):
+        with pytest.raises(HypothesisViolation):
+            call(group_pool[1])
 
     def test_duplicates_do_not_change_results(self, group_pool):
         f, pool = group_pool
