@@ -261,12 +261,6 @@ def cmd_tangent_third(scene: Scene, args) -> tuple[Report, int]:
             )
         )
         report.add_check("matches-deflation-oracle", projectively_equal(result.w, w_oracle))
-    # y is built as one meet that both literal recipes name (see
-    # tangent_third_point), so this diagnostic holds on every scene
-    report.add_diagnostic(
-        "literal y and z recipes name one point; a deflated auxiliary conic "
-        "point completed the five needed for the second-intersection step"
-    )
     return report, 0 if report.ok else 2
 
 

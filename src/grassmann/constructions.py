@@ -11,8 +11,11 @@ the chains degenerates.  This module builds those parameters through nine
 given points, decides whether a tenth point is on the curve, intersects
 chords, tangents and conics with the curve, tests for flexes, and computes
 the chord-and-tangent group law.  Every construction is a finite sequence
-of joins and meets over exact rationals; each public operation verifies
-its own output against exact incidence checks.
+of joins and meets over exact rationals, with one exception:
+conic_cubic_sixth finds its point y by deflating a symbolically expanded
+auxiliary cubic along the line ef, which is why the chord-only
+conic_cubic_sixth_via_89 is kept beside it.  Each public operation
+verifies its own output against exact incidence checks.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .core import (
     incidence,
     join,
     meet,
-    product,
     projectively_equal,
 )
 from .expr import Environment, eval_numeric, eval_symbolic, parse
@@ -130,38 +132,19 @@ class SingularPointWarning(UserWarning):
 # canonical expression texts (accepted verbatim by the parser and the CLI)
 CUBIC_EXPRESSION = "(xaAa_1.xbBkCb_1.xc)"
 CONIC_EXPRESSION = "xaAbBcx"
-_AUX_CONIC_EXPRESSION = "(qa_1.xc.xbBkCb_1)"
 _SIXTH_CONIC_EXPRESSION = "xaAa_1Bcx"
 _SIXTH_AUX_CUBIC_EXPRESSION = "(xa_1Aa.xb_1CkBb.xc)"
 
 _CUBIC_AST = parse(CUBIC_EXPRESSION)
-_AUX_CONIC_AST = parse(_AUX_CONIC_EXPRESSION)
 _SIXTH_CONIC_AST = parse(_SIXTH_CONIC_EXPRESSION)
 _SIXTH_AUX_CUBIC_AST = parse(_SIXTH_AUX_CUBIC_EXPRESSION)
 
-_PROBE_POINTS = tuple(
-    Point(*t)
-    for t in [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 1, 0),
-        (1, 0, 1),
-        (0, 1, 1),
-        (1, 1, 1),
-        (1, 2, 3),
-        (2, -1, 5),
-        (3, 5, -7),
-        (5, -2, 11),
-    ]
-)
-
-
-def _fold(*objs):
-    value = objs[0]
-    for other in objs[1:]:
-        value = product(value, other)
-    return value
+def _chain(start, *objs):
+    """A chain of joins and meets on coordinate triples, folded left to
+    right: _chain(x, b, B) is the triple of xbB."""
+    for obj in objs:
+        start = _cross(start, obj)
+    return start
 
 
 def _tuple_step(name: str, coords: tuple) -> tuple:
@@ -170,11 +153,6 @@ def _tuple_step(name: str, coords: tuple) -> tuple:
     if not any(coords):
         raise DegenerateIntermediateError(name)
     return _canonical(coords)
-
-
-def _step(name: str, value):
-    coords = _tuple_step(name, value.coords)
-    return value if coords is value.coords else type(value)(*coords)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +177,12 @@ class CubicParams:
         for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
             if getattr(self, name).is_zero:
                 raise HypothesisViolation(f"parameter {name} is a zero object")
-        for m, n in itertools.combinations(("A", "B", "C"), 2):
-            if projectively_equal(getattr(self, m), getattr(self, n)):
+        lines = {"A": self.A.coords, "B": self.B.coords, "C": self.C.coords}
+        for m, n in itertools.combinations(lines, 2):
+            # two nonzero lines coincide exactly when their meet is zero
+            if not any(_cross(lines[m], lines[n])):
                 raise HypothesisViolation(f"lines {m} and {n} coincide")
-        if bracket(self.A, self.B, self.C) != 0:
+        if _dot(lines["A"], _cross(lines["B"], lines["C"])) != 0:
             raise HypothesisViolation("lines A, B, C are not concurrent")
 
     def environment(self) -> Environment:
@@ -388,10 +368,10 @@ def evaluate_cubic(params: CubicParams, x: Point) -> Scalar:
 def _cubic_value(params: CubicParams, x: tuple) -> Scalar:
     """CUBIC_EXPRESSION at the coordinate triple x, folded left to right as
     eval_numeric folds it: L = xaAa1, M = xbBkCb1, then (L.M) against xc."""
-    L = _cross(_cross(_cross(x, params.a.coords), params.A.coords), params.a1.coords)
-    M = x
-    for obj in (params.b, params.B, params.k, params.C, params.b1):
-        M = _cross(M, obj.coords)
+    L = _chain(x, params.a.coords, params.A.coords, params.a1.coords)
+    M = _chain(
+        x, params.b.coords, params.B.coords, params.k.coords, params.C.coords, params.b1.coords
+    )
     return _dot(_cross(L, M), _cross(x, params.c.coords))
 
 
@@ -419,10 +399,8 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     ab = _cross(params.a.coords, params.b.coords)
     if not any(ab):
         raise DegenerateIntermediateError("ab")
-    l1 = _cross(_cross(ab, params.A.coords), params.a1.coords)
-    l2 = ab
-    for obj in (params.B, params.k, params.C, params.b1):
-        l2 = _cross(l2, obj.coords)
+    l1 = _chain(ab, params.A.coords, params.a1.coords)
+    l2 = _chain(ab, params.B.coords, params.k.coords, params.C.coords, params.b1.coords)
     p = _tuple_step("p=abAa1.abBkCb1", _cross(l1, l2))
     y = _tuple_step("y=pc.ab", _cross(_cross(p, params.c.coords), ab))
     if _cubic_value(params, y) != 0:
@@ -549,7 +527,7 @@ def tangent_at_a(params: CubicParams) -> Line:
     smooth point raises DegenerateIntermediateError naming that step.
     """
     try:
-        return _tangent_with_contact(params)[0]
+        return Line(*_tangent_with_contact(params)[0])
     except DegenerateIntermediateError:
         f = expand_cubic(params)
         if f.is_zero or oracle.gradient_tangent(f, params.a).is_zero:
@@ -562,13 +540,14 @@ def tangent_at_a(params: CubicParams) -> Line:
         raise
 
 
-def _tangent_with_contact(params: CubicParams) -> tuple[Line, Point]:
-    """The tangent at a and the point q where it crosses the line A."""
-    a, c = params.a, params.c
-    l2 = _fold(join(a, params.b), params.B, params.k, params.C, params.b1)
-    p = _step("p=abBkCb1.ac", meet(l2, join(a, c)))
-    q = _step("q=pa1A", meet(join(p, params.a1), params.A))
-    tangent = _step("tangent=aq", join(a, q))
+def _tangent_with_contact(params: CubicParams) -> tuple[tuple, tuple]:
+    """The tangent at a and the point q where it crosses the line A, as
+    coordinate triples."""
+    a, b, c = params.a.coords, params.b.coords, params.c.coords
+    l2 = _chain(a, b, params.B.coords, params.k.coords, params.C.coords, params.b1.coords)
+    p = _tuple_step("p=abBkCb1.ac", _cross(l2, _cross(a, c)))
+    q = _tuple_step("q=pa1A", _chain(p, params.a1.coords, params.A.coords))
+    tangent = _tuple_step("tangent=aq", _cross(a, q))
     return tangent, q
 
 
@@ -703,71 +682,57 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
 
     The tangent aq (with q = (abBkCb1.ac)a1A) meets the auxiliary conic
     (qa1.xc.xbBkCb1) = 0 at a and at the wanted point w, which lies on
-    the cubic.  That conic passes through a, b, c and y = b1cCkBb.b1c.
+    the cubic.  Five points of that conic are built by joins and meets,
+    and the five-point second-intersection step along the tangent gives
+    w.  That step flags a tangent line only when the point it finds is
+    a, so is_flex_case holds exactly when w is a.
 
-    Why y is one meet: the line lambda = cb1CkBb is m2 b, with
-    m1 = cb1.C and m2 = m1k.B.  For x on lambda other than b, xb is
-    lambda, and the chain xbBkCb1 undoes lambda's construction step by
-    step: lambda.B = m2, m2k = m1k, m1k.C = m1, m1b1 = b1c.  So lambda
-    meets the conic xbBkCb1x = 0 only at b and at lambda.b1c, and
-    b1cCkBb is lambda itself (the chain cb1 read as b1c); that second
-    point is y.  At x = y the lines xc and xbBkCb1 are both b1c, so the
-    auxiliary conic vanishes at y.  A fifth conic point comes from exact
-    deflation along a probe line through y, and the five-point
-    second-intersection step along the tangent gives w.  That step flags
-    a tangent line only when the point it finds is a, so is_flex_case
-    holds exactly when w is a.
+    The conic points besides a, b and c come from one lemma.  For a
+    point m, let lambda = mb1CkBb, that is m2 b with m1 = mb1.C and
+    m2 = m1k.B.  For x on lambda other than b, xb is lambda, and the
+    chain xbBkCb1 undoes lambda's construction step by step:
+    lambda.B = m2, m2k = m1k, m1k.C = m1, m1b1 = mb1.  So for
+    x = mc.mb1CkBb the lines xc and xbBkCb1 both pass through m, and
+    when m lies on qa1 the three lines of the auxiliary bracket meet at
+    m: x is on the conic.  With m = b1c.qa1 the point x is
+    y = b1cCkBb.b1c (xc is then b1c itself).  The fifth point x5 takes
+    m = q, or m = a1 when that choice gives the zero triple or one of
+    a, b, c, y.  All five are checked against the conic exactly.
     """
-    a, b, c, b1 = params.a, params.b, params.c, params.b1
+    a, b, c = params.a.coords, params.b.coords, params.c.coords
+    b1, a1 = params.b1.coords, params.a1.coords
+    C, k, B = params.C.coords, params.k.coords, params.B.coords
     tangent, q = _tangent_with_contact(params)
-    y = _step(
-        "y=b1cCkBb.b1c", meet(_fold(b1, c, params.C, params.k, params.B, b), join(b1, c))
-    )
-
-    env = params.environment()
-    aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": q})
-    aux_conic = eval_symbolic(_AUX_CONIC_AST, aux_env)
-    if aux_conic.is_zero:
-        raise DegenerateIntermediateError("auxiliary conic")
-    for name, pt in (("a", a), ("b", b), ("c", c), ("y", y)):
-        if poly_evaluate(aux_conic, pt) != 0:
-            raise ConstructionError(f"auxiliary conic misses {name}")
+    y = _tuple_step("y=b1cCkBb.b1c", _cross(_chain(b1, c, C, k, B, b), _cross(b1, c)))
 
     base = [a, b, c, y]
-    base.append(_extra_conic_point(aux_conic, y, avoid=base))
-    second = conic_line_second_intersection(base, tangent, a)
+    for name, m in (("x5=qc.qb1CkBb", q), ("x5=a1c.a1b1CkBb", a1)):
+        x5 = _cross(_cross(m, c), _chain(m, b1, C, k, B, b))
+        if any(x5) and all(any(_cross(x5, pt)) for pt in base):
+            break
+    else:
+        raise DegenerateIntermediateError(name)
+    base.append(_canonical(x5))
+
+    qa1 = _tuple_step("auxiliary conic", _cross(q, a1))
+    for name, x in zip(("a", "b", "c", "y", "x5"), base):
+        if _dot(_cross(qa1, _cross(x, c)), _chain(x, b, B, k, C, b1)) != 0:
+            raise ConstructionError(f"auxiliary conic misses {name}")
+
+    conic_points = tuple(Point(*x) for x in base)
+    tangent = Line(*tangent)
+    second = conic_line_second_intersection(conic_points, tangent, params.a)
     w = second.point
     if evaluate_cubic(params, w) != 0:
         raise ConstructionError("tangent third point failed the membership check")
     return TangentThirdResult(
         w=w,
         tangent=tangent,
-        q=q,
-        y=y,
-        conic_points=tuple(base),
+        q=Point(*q),
+        y=Point(*y),
+        conic_points=conic_points,
         is_flex_case=second.is_tangent,
     )
-
-
-def _extra_conic_point(conic: HomPoly, base: Point, avoid) -> Point:
-    """Another rational conic point: deflate along probe lines through base."""
-    for u in _PROBE_POINTS:
-        if projectively_equal(u, base):
-            continue
-        try:
-            form = restrict_to_line(conic, base, u)
-        except ValueError:
-            continue
-        if form[0] != 0:
-            raise ConstructionError("base point is not on the conic")
-        e1, e2 = form[1], form[2]
-        if e1 == 0:
-            continue
-        cand = Point(*(-e2 * bc + e1 * uc for bc, uc in zip(base.coords, u.coords)))
-        if cand.is_zero or any(projectively_equal(cand, s) for s in avoid):
-            continue
-        return canonicalize(cand)
-    raise DegenerateIntermediateError("extra conic point")
 
 
 def is_flex(params: CubicParams) -> bool:
@@ -848,10 +813,15 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     c1, c2 = form[1], form[2]
     if c1 == 0 and c2 == 0:
         raise DegenerateIntermediateError("line ef lies on the auxiliary cubic")
-    y = Point(*(-c2 * ec + c1 * fc for ec, fc in zip(e.coords, f.coords)))
-    y = _step("y=third of ef on auxiliary cubic", y)
-
-    z = _step("z=yc.ya1Aa", meet(join(y, c), _fold(join(y, params.a1), params.A, a)))
+    y = _tuple_step(
+        "y=third of ef on auxiliary cubic",
+        tuple(-c2 * ec + c1 * fc for ec, fc in zip(e.coords, f.coords)),
+    )
+    z = _tuple_step(
+        "z=yc.ya1Aa",
+        _cross(_cross(y, c.coords), _chain(y, params.a1.coords, params.A.coords, a.coords)),
+    )
+    y, z = Point(*y), Point(*z)
 
     def conic_value(x: Point) -> Scalar:
         return eval_numeric(_SIXTH_CONIC_AST, env.with_x(x))

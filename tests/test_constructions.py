@@ -135,6 +135,41 @@ class TestFitNinePoints:
             assert incidence(getattr(params, name), labels9.e) == 0
 
 
+class TestCubicParamsValidate:
+    @pytest.fixture
+    def params(self, labels9):
+        return fit_nine_points(labels9)
+
+    @pytest.mark.parametrize("name", ["a", "a1", "b", "b1", "c", "k", "A", "B", "C"])
+    def test_zero_parameter_refused(self, params, name):
+        zero = Point(0, 0, 0) if name.islower() else Line(0, 0, 0)
+        with pytest.raises(HypothesisViolation, match=f"parameter {name} is a zero object"):
+            dataclasses.replace(params, **{name: zero}).validate()
+
+    @pytest.mark.parametrize("m, n", [("A", "B"), ("A", "C"), ("B", "C")])
+    def test_coinciding_lines_refused(self, params, m, n):
+        # a nonzero multiple of m in the slot of n
+        same = Line(*(-3 * t for t in getattr(params, m).coords))
+        with pytest.raises(HypothesisViolation, match=f"lines {m} and {n} coincide"):
+            dataclasses.replace(params, **{n: same}).validate()
+
+    def test_zero_check_comes_first(self, params):
+        # C is zero and A, B coincide: the zero parameter is reported
+        bad = dataclasses.replace(params, B=params.A, C=Line(0, 0, 0))
+        with pytest.raises(HypothesisViolation, match="parameter C is a zero object"):
+            bad.validate()
+
+    def test_non_concurrent_lines_refused(self, params):
+        center = meet(params.A, params.B)
+        C = next(
+            L
+            for L in (Line(1, 0, 0), Line(0, 1, 0), Line(0, 0, 1))
+            if incidence(L, center) != 0
+        )
+        with pytest.raises(HypothesisViolation, match="lines A, B, C are not concurrent"):
+            dataclasses.replace(params, C=C).validate()
+
+
 class TestCheckTenPoints:
     def test_chord_point_is_on_cubic(self, labels9):
         nine = list(labels9.as_tuple())
@@ -387,6 +422,46 @@ class TestTangentThird:
                 assert projectively_equal(y, second)
             assert tangent_at_a(params) == result.tangent
             checked += 1
+
+    def test_conic_points_on_auxiliary_conic_many(self):
+        # the five conic points are built by joins and meets only; an
+        # independent symbolic expansion of the auxiliary conic checks them
+        conic_ast = parse("(qa_1.xc.xbBkCb_1)")
+        checked, seed = 0, 15000
+        while checked < 200:
+            seed += 1
+            try:
+                params = fit_nine_points(seeded_labels(seed))
+            except DegenerateIntermediateError:
+                continue
+            result = tangent_third_point(params)
+            env = params.environment()
+            aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
+            conic = eval_symbolic(conic_ast, aux_env)
+            assert not conic.is_zero
+            assert len(result.conic_points) == 5
+            for pt in result.conic_points:
+                assert evaluate(conic, pt) == 0
+            for u, v in itertools.combinations(result.conic_points, 2):
+                assert not projectively_equal(u, v)
+            checked += 1
+
+    def test_fifth_point_falls_back_to_a1(self):
+        # on this selection the first candidate qc.qb1CkBb is the zero
+        # triple, so the fifth conic point comes from m = a1
+        f = weierstrass(0, 17)
+        pool = grow_pool(f, CURVES[0][2], 20)
+        anchor = Point(1, -2, 3)
+        labels = nine_with_anchor(pool, anchor)
+        params = fit_nine_points(labels)
+        result = tangent_third_point(params)
+        env = params.environment()
+        aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
+        assert eval_numeric(parse("qc.qb_1CkBb"), aux_env).is_zero
+        assert projectively_equal(result.w, tangent_third(f, anchor))
+        r3 = tangent_third_via_89(list(labels.as_tuple()), anchor)
+        assert projectively_equal(result.w, r3)
+        assert not result.is_flex_case
 
     def test_matches_cubic_deflation_oracle(self, labels9):
         params = fit_nine_points(labels9)
