@@ -247,7 +247,10 @@ def cmd_tangent_third(scene: Scene, args) -> tuple[Report, int]:
     report.add_check("on-cubic-polynomial-oracle", evaluate(f, result.w) == 0)
     q2 = _second_point(result.tangent, params.a)
     form = restrict_to_line(f, params.a, q2)
-    mult = oracle.root_multiplicity(f, params.a, q2, params.a)
+    if not any(form):
+        raise oracle.LineContainedError("line pq lies on the curve")
+    # a is the first endpoint: its contact order is the number of leading zeros
+    mult = next(m for m, coeff in enumerate(form) if coeff != 0)
     report.add_check("contact-order-at-least-2", mult >= 2)
     if result.is_flex_case:
         report.add_diagnostic("a is a flex: the tangent third point coincides with a")

@@ -11,10 +11,7 @@ the chains degenerates.  This module builds those parameters through nine
 given points, decides whether a tenth point is on the curve, intersects
 chords, tangents and conics with the curve, tests for flexes, and computes
 the chord-and-tangent group law.  Every construction is a finite sequence
-of joins and meets over exact rationals, with one exception:
-conic_cubic_sixth finds its point y by deflating a symbolically expanded
-auxiliary cubic along the line ef, which is why the chord-only
-conic_cubic_sixth_via_89 is kept beside it.  Each public operation
+of joins and meets over exact rationals, and each public operation
 verifies its own output against exact incidence checks.
 """
 
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import oracle
 from .core import (
@@ -41,14 +38,8 @@ from .core import (
     meet,
     projectively_equal,
 )
-from .expr import Environment, eval_numeric, eval_symbolic, parse
-from .poly import (
-    HomPoly,
-    RankDeficientError,
-    evaluate as poly_evaluate,
-    nullspace_fit,
-    restrict_to_line,
-)
+from .expr import Environment, eval_symbolic, parse
+from .poly import HomPoly, RankDeficientError, evaluate as poly_evaluate, nullspace_fit
 
 __all__ = [
     "ConstructionError",
@@ -132,12 +123,8 @@ class SingularPointWarning(UserWarning):
 # canonical expression texts (accepted verbatim by the parser and the CLI)
 CUBIC_EXPRESSION = "(xaAa_1.xbBkCb_1.xc)"
 CONIC_EXPRESSION = "xaAbBcx"
-_SIXTH_CONIC_EXPRESSION = "xaAa_1Bcx"
-_SIXTH_AUX_CUBIC_EXPRESSION = "(xa_1Aa.xb_1CkBb.xc)"
 
 _CUBIC_AST = parse(CUBIC_EXPRESSION)
-_SIXTH_CONIC_AST = parse(_SIXTH_CONIC_EXPRESSION)
-_SIXTH_AUX_CUBIC_AST = parse(_SIXTH_AUX_CUBIC_EXPRESSION)
 
 def _chain(start, *objs):
     """A chain of joins and meets on coordinate triples, folded left to
@@ -298,8 +285,9 @@ class NinePointFit:
 # the nine-point fit
 
 
-def fit_nine_points_trace(pts: NinePointLabels) -> NinePointFit:
-    """Parameter construction through nine general-position points.
+def _fit(pts: NinePointLabels) -> tuple[CubicParams, tuple]:
+    """The nine-point fit on coordinate triples: the checked parameters
+    and the intermediate triples (g1, g2, h1, h2, i1, i2, y, z, K).
 
     Recipe: A = de, B = ef, a1 = af.cd; for each of g, h, i the pair
     p1 = paAa1.pc and p2 = pbB; C = e i1; y = h1g1Cg2.fh1 and
@@ -345,13 +333,19 @@ def fit_nine_points_trace(pts: NinePointLabels) -> NinePointFit:
         C=Line(*C),
     )
     params.validate()
-    g1, g2, h1, h2, i1, i2, y, z = (Point(*t) for t in (g1, g2, h1, h2, i1, i2, y, z))
-    return NinePointFit(params, g1, g2, h1, h2, i1, i2, y, z, Line(*K))
+    return params, (g1, g2, h1, h2, i1, i2, y, z, K)
+
+
+def fit_nine_points_trace(pts: NinePointLabels) -> NinePointFit:
+    """Parameter construction through nine general-position points, with
+    the intermediate objects kept for verification (recipe: see _fit)."""
+    params, (*points, K) = _fit(pts)
+    return NinePointFit(params, *(Point(*t) for t in points), Line(*K))
 
 
 def fit_nine_points(pts: NinePointLabels) -> CubicParams:
     """Cubic parameters whose curve passes through the nine given points."""
-    return fit_nine_points_trace(pts).params
+    return _fit(pts)[0]
 
 
 def evaluate_cubic(params: CubicParams, x: Point) -> Scalar:
@@ -784,57 +778,58 @@ class SixthPointResult:
     coincides_with: str | None
 
 
+def _sixth_conic_value(params: CubicParams, x: tuple) -> Scalar:
+    """The conic xaAa1Bcx at the coordinate triple x, folded left to right
+    as eval_numeric folds it."""
+    a, A, a1, B, c = (getattr(params, n).coords for n in ("a", "A", "a1", "B", "c"))
+    return _dot(_chain(x, a, A, a1, B, c), x)
+
+
 def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     """Sixth intersection of the cubic with the conic through a, c, d, e, f.
 
     The conic is xaAa1Bcx = 0 with the fitted parameters (A = de, B = ef,
     a1 = af.cd).  Both e and f lie on the auxiliary cubic
-    (xa1Aa.xb1CkBb.xc) = 0; y is the third intersection of the line ef
-    with that auxiliary cubic (exact deflation of its restriction, whose
-    two other roots e and f are known), and z = yc.ya1Aa.
+    (xa1Aa.xb1CkBb.xc) = 0, this module's cubic with a and a1, b and b1,
+    B and C swapped; y is its third point on the line ef, found by
+    third_point_general, and z = yc.ya1Aa.
+
+    The chord uses eight more points of the auxiliary cubic, built by
+    joins and meets; at each, the three bracket lines are concurrent.
+    At c, a1 and b1 one of them is the zero line.  At x = ac.A, which is
+    on A, xa1Aa and xc are both the line ac.  At x = pc.paAa1 for p in
+    b, g, h, i, xc is pc and xa1Aa is pa.  As p is on the cubic, the
+    lines paAa1, pbBkCb1 and pc meet at x, so xb1 is the line pbBkCb1,
+    and xb1CkBb undoes that chain step by step back to pb.  So all three
+    lines pass through p.  The points e, f and y are checked on the
+    auxiliary cubic exactly.
     """
     params = fit_nine_points(pts)
-    env = params.environment()
-    a, c, d, e, f = pts.a, pts.c, pts.d, pts.e, pts.f
-
-    def aux_value(x: Point) -> Scalar:
-        return eval_numeric(_SIXTH_AUX_CUBIC_AST, env.with_x(x))
-
-    for name, pt in (("e", e), ("f", f)):
-        if aux_value(pt) != 0:
+    a, c, d, e, f = (pt.coords for pt in (pts.a, pts.c, pts.d, pts.e, pts.f))
+    a1, b1, A = params.a1.coords, params.b1.coords, params.A.coords
+    aux = replace(
+        params, a=params.a1, a1=params.a, b=params.b1, b1=params.b, B=params.C, C=params.B
+    )
+    for name, x in (("e", e), ("f", f)):
+        if _cubic_value(aux, x) != 0:
             raise ConstructionError(f"auxiliary cubic misses {name}")
+    built = [c, a1, b1, _cross(_cross(a, c), A)]
+    for p in (pts.b.coords, pts.g.coords, pts.h.coords, pts.i.coords):
+        built.append(_cross(_cross(p, c), _chain(p, a, A, a1)))
+    y = third_point_general([Point(*_canonical(x)) for x in built if any(x)], pts.e, pts.f)
+    if _cubic_value(aux, y.coords) != 0:
+        raise ConstructionError("auxiliary cubic misses y")
+    z = _tuple_step("z=yc.ya1Aa", _cross(_cross(y.coords, c), _chain(y.coords, a1, A, a)))
 
-    aux = eval_symbolic(_SIXTH_AUX_CUBIC_AST, env)
-    if aux.is_zero:
-        raise DegenerateIntermediateError("auxiliary cubic")
-    form = restrict_to_line(aux, e, f)
-    if form[0] != 0 or form[3] != 0:
-        raise ConstructionError("restriction must vanish at e and f")
-    c1, c2 = form[1], form[2]
-    if c1 == 0 and c2 == 0:
-        raise DegenerateIntermediateError("line ef lies on the auxiliary cubic")
-    y = _tuple_step(
-        "y=third of ef on auxiliary cubic",
-        tuple(-c2 * ec + c1 * fc for ec, fc in zip(e.coords, f.coords)),
-    )
-    z = _tuple_step(
-        "z=yc.ya1Aa",
-        _cross(_cross(y, c.coords), _chain(y, params.a1.coords, params.A.coords, a.coords)),
-    )
-    y, z = Point(*y), Point(*z)
-
-    def conic_value(x: Point) -> Scalar:
-        return eval_numeric(_SIXTH_CONIC_AST, env.with_x(x))
-
-    for name, pt in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):
-        if conic_value(pt) != 0:
+    for name, x in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):
+        if _sixth_conic_value(params, x) != 0:
             raise ConstructionError(f"conic misses {name}")
-    if conic_value(z) != 0 or evaluate_cubic(params, z) != 0:
+    if _sixth_conic_value(params, z) != 0 or _cubic_value(params, z) != 0:
         raise ConstructionError("sixth point failed the exact membership checks")
 
     coincides = None
-    for name, pt in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):
-        if projectively_equal(z, pt):
+    for name, x in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):
+        if not any(_cross(z, x)):
             coincides = name
             warnings.warn(
                 f"sixth intersection point coincides with {name}",
@@ -842,7 +837,7 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
                 stacklevel=2,
             )
             break
-    return SixthPointResult(z=z, y=y, params=params, coincides_with=coincides)
+    return SixthPointResult(z=Point(*z), y=y, params=params, coincides_with=coincides)
 
 
 def conic_cubic_sixth_via_89(pts: NinePointLabels) -> Point:
@@ -858,8 +853,7 @@ def conic_cubic_sixth_via_89(pts: NinePointLabels) -> Point:
     t = third_point_general(nine + [r, s], r, s)
     z = third_point_general(nine + [r, s, t], a, t)
     params = fit_nine_points(pts)
-    env = params.environment()
-    if eval_numeric(_SIXTH_CONIC_AST, env.with_x(z)) != 0 or evaluate_cubic(params, z) != 0:
+    if _sixth_conic_value(params, z.coords) != 0 or _cubic_value(params, z.coords) != 0:
         raise ConstructionError("sixth point failed the exact membership checks")
     return z
 

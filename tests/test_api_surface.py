@@ -41,3 +41,41 @@ def test_traced_constructions_resolve():
     names = _tracer_constant("NAMED_CONSTRUCTIONS")
     assert names
     assert [n for n in names if not callable(getattr(constructions, n, None))] == []
+
+
+# The oracle layer and what it stands on never import the construction
+# layer, so agreement between the two is meaningful.
+ROOT = Path(__file__).resolve().parents[1]
+LOWER_LAYERS = [
+    *(
+        ROOT / "src" / "grassmann" / f"{name}.py"
+        for name in ("core", "poly", "oracle", "expr", "scene", "svgplot")
+    ),
+    ROOT / "perfbench" / "inputs.py",
+]
+CONSTRUCTION_LAYER = ("grassmann.constructions", "grassmann.generate", "grassmann.cli")
+
+
+def _imported_modules(path, package):
+    """Every module name an import statement in the file can bind,
+    relative imports resolved against `package`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            parts = parts[: len(parts) - node.level + 1] if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", LOWER_LAYERS, ids=lambda p: p.name)
+def test_lower_layers_do_not_import_constructions(path):
+    package = "grassmann" if path.parent.name == "grassmann" else path.parent.name
+    imported = _imported_modules(path, package)
+    assert imported, "no imports found; the walk is broken"
+    bad = sorted(m for m in imported if m.startswith(CONSTRUCTION_LAYER))
+    assert bad == []

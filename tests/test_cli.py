@@ -184,6 +184,31 @@ class TestCommands:
         assert code == 0
         assert "check matches-deflation-oracle: pass" in out
 
+    def test_tangent_third_restricts_the_cubic_once(self, scene_path, capsys, monkeypatch):
+        from grassmann import cli, oracle, poly
+
+        calls, original = [], poly.restrict_to_line
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (cli, oracle, poly):
+            monkeypatch.setattr(module, "restrict_to_line", counted)
+        for runs in (1, 2, 3):
+            code, out, _ = run_cli(["tangent_third", "--in", scene_path], capsys)
+            assert code == 0
+            assert "check contact-order-at-least-2: pass" in out
+            assert len(calls) == runs
+
+    def test_tangent_third_line_on_curve_exits_2(self, scene_path, capsys, monkeypatch):
+        from grassmann import cli
+
+        monkeypatch.setattr(cli, "restrict_to_line", lambda f, p, q: [0, 0, 0, 0])
+        code, _, err = run_cli(["tangent_third", "--in", scene_path], capsys)
+        assert code == 2
+        assert err == "degenerate: line pq lies on the curve\n"
+
     def test_is_flex_generic(self, scene_path, capsys):
         code, out, _ = run_cli(["is_flex", "--in", scene_path], capsys)
         assert code == 1

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from grassmann import constructions as cons
 from grassmann.constructions import (
+    CoincidenceWarning,
     DegenerateIntermediateError,
     FlexVerificationError,
     GeneralPositionViolation,
@@ -518,7 +521,87 @@ class TestTangentThird:
         assert projectively_equal(r3, FLEX)
 
 
+# the auxiliary cubic of conic_cubic_sixth, and the eight points of it
+# that the construction builds by joins and meets
+AUX_CUBIC = parse("(xa_1Aa.xb_1CkBb.xc)")
+AUX_POOL = [
+    parse(t) for t in ("c", "a_1", "b_1", "acA", "bc.baAa_1", "gc.gaAa_1", "hc.haAa_1", "ic.iaAa_1")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def sixth_cases():
+    """200 seeded scenes, each followed by a Fraction-scaled copy."""
+    cases = []
+    for seed in range(17001, 17201):
+        labels = seeded_labels(seed)
+        scaled = NinePointLabels.from_points(
+            scale(Fraction(2 * n + 1, n + 3), p) for n, p in enumerate(labels.as_tuple())
+        )
+        cases += [labels, scaled]
+    return cases
+
+
+def fitted_sixth_cases():
+    """(labels, params) for the cases whose labelled fit succeeds."""
+    for labels in sixth_cases():
+        try:
+            yield labels, fit_nine_points(labels)
+        except DegenerateIntermediateError:
+            continue
+
+
+def deflation_y(labels, params):
+    """The third point of ef on the auxiliary cubic by the polynomial
+    route: expand the cubic, restrict it to ef and deflate the known
+    roots e and f."""
+    e, f = labels.e, labels.f
+    form = restrict_to_line(eval_symbolic(AUX_CUBIC, params.environment()), e, f)
+    assert form[0] == 0 and form[3] == 0
+    c1, c2 = form[1], form[2]
+    return canonicalize(Point(*(-c2 * ec + c1 * fc for ec, fc in zip(e.coords, f.coords))))
+
+
 class TestConicCubicSixth:
+    def test_chord_pool_on_auxiliary_cubic(self):
+        checked = 0
+        for labels, params in fitted_sixth_cases():
+            env = params.environment()
+            env = Environment({**{n: env.lookup(n) for n in env.names()}, **labels.labelled()})
+            for ast in (*AUX_POOL, parse("e"), parse("f")):
+                x = eval_numeric(ast, env)
+                assert eval_numeric(AUX_CUBIC, env.with_x(x)) == 0
+            checked += 1
+        assert checked >= 390
+
+    def test_y_matches_deflation_of_auxiliary_cubic(self):
+        checked = 0
+        for labels, params in fitted_sixth_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CoincidenceWarning)
+                result = conic_cubic_sixth(labels)
+            y = deflation_y(labels, params)
+            assert result.y == y
+            assert result.params == params
+            env = params.environment().with_x(y)
+            assert result.z == canonicalize(eval_numeric(parse("xc.xa_1Aa"), env))
+            checked += 1
+        assert checked >= 390
+
+    def test_refusals_are_fit_refusals(self):
+        refused = 0
+        k_vanishes = NinePointLabels.from_points(Point(*t) for t in K_VANISHES)
+        for labels in (*sixth_cases(), k_vanishes):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CoincidenceWarning)
+                    conic_cubic_sixth(labels)
+            except cons.ConstructionError:
+                refused += 1
+                with pytest.raises(cons.ConstructionError):
+                    fit_nine_points(labels)
+        assert 1 <= refused < 10
+
     def test_on_both_curves(self, labels9):
         z = conic_cubic_sixth(labels9).z
         conic = nullspace_fit(
@@ -1029,6 +1112,16 @@ class TestTupleKernels:
         else:
             params[zero] = (0, 0, 0)
         assert self.assert_fold_agrees(params, x) == 0
+
+    @given(params=st.lists(_TRIPLES, min_size=9, max_size=9), x=_TRIPLES)
+    def test_sixth_conic_value_is_the_expression_fold(self, params, x):
+        cubic = cons.CubicParams(
+            *(Point(*t) for t in params[:6]), *(Line(*t) for t in params[6:])
+        )
+        got = cons._sixth_conic_value(cubic, x)
+        expected = eval_numeric(parse("xaAa_1Bcx"), cubic.environment().with_x(Point(*x)))
+        assert got == expected
+        assert type(got) is type(expected)
 
     def test_evaluate_cubic_off_the_curve(self, labels9):
         params = fit_nine_points(labels9)
