@@ -689,31 +689,40 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
     x = mc.mb1CkBb the lines xc and xbBkCb1 both pass through m, and
     when m lies on qa1 the three lines of the auxiliary bracket meet at
     m: x is on the conic.  With m = b1c.qa1 the point x is
-    y = b1cCkBb.b1c (xc is then b1c itself).  The fifth point x5 takes
-    m = q, or m = a1 when that choice gives the zero triple or one of
-    a, b, c, y.  All five are checked against the conic exactly.
+    y = b1cCkBb.b1c (xc is then b1c itself); m = q and m = a1 give the
+    points x5 = qc.qb1CkBb and a1c.a1b1CkBb.  The fourth and fifth conic
+    points are the first two of y, x5(m=q), x5(m=a1) that are nonzero and
+    differ from a, b, c and each other (y can collapse onto b or c).  All
+    five are checked against the conic exactly.
     """
     a, b, c = params.a.coords, params.b.coords, params.c.coords
     b1, a1 = params.b1.coords, params.a1.coords
     C, k, B = params.C.coords, params.k.coords, params.B.coords
     tangent, q = _tangent_with_contact(params)
-    y = _tuple_step("y=b1cCkBb.b1c", _cross(_chain(b1, c, C, k, B, b), _cross(b1, c)))
+    y = _cross(_chain(b1, c, C, k, B, b), _cross(b1, c))
+    if any(y):
+        y = _canonical(y)
 
-    base = [a, b, c, y]
-    for name, m in (("x5=qc.qb1CkBb", q), ("x5=a1c.a1b1CkBb", a1)):
-        x5 = _cross(_cross(m, c), _chain(m, b1, C, k, B, b))
-        if any(x5) and all(any(_cross(x5, pt)) for pt in base):
-            break
+    def lemma_points():
+        yield "y=b1cCkBb.b1c", y
+        for name, m in (("x5=qc.qb1CkBb", q), ("x5=a1c.a1b1CkBb", a1)):
+            yield name, _cross(_cross(m, c), _chain(m, b1, C, k, B, b))
+
+    base = {"a": a, "b": b, "c": c}
+    for name, x in lemma_points():
+        if any(x) and all(any(_cross(x, pt)) for pt in base.values()):
+            base[name] = _canonical(x)
+            if len(base) == 5:
+                break
     else:
         raise DegenerateIntermediateError(name)
-    base.append(_canonical(x5))
 
     qa1 = _tuple_step("auxiliary conic", _cross(q, a1))
-    for name, x in zip(("a", "b", "c", "y", "x5"), base):
+    for name, x in base.items():
         if _dot(_cross(qa1, _cross(x, c)), _chain(x, b, B, k, C, b1)) != 0:
             raise ConstructionError(f"auxiliary conic misses {name}")
 
-    conic_points = tuple(Point(*x) for x in base)
+    conic_points = tuple(Point(*x) for x in base.values())
     tangent = Line(*tangent)
     second = conic_line_second_intersection(conic_points, tangent, params.a)
     w = second.point

@@ -8,7 +8,7 @@ pixel grid.  No verdict anywhere in the package depends on these floats.
 from __future__ import annotations
 
 from .core import Line, Point
-from .poly import HomPoly
+from .poly import HomPoly, monomials
 
 __all__ = ["render_svg"]
 
@@ -53,8 +53,13 @@ def _clip_line(L: Line, box):
 
 
 def _curve_segments(f: HomPoly, box):
-    """Marching-squares zero-level segments of f(1, x, y) on the grid."""
-    coeffs = [(mono, float(c)) for mono, c in f.coeffs.items()]
+    """Marching-squares zero-level segments of f(1, x, y) on the grid.
+
+    Terms are summed in :func:`monomials` order, so the floats (and the
+    drawing) do not depend on the order in which f's terms were built.
+    """
+    terms = zip(monomials(f.degree), f.coefficient_vector())
+    coeffs = [(mono, float(c)) for mono, c in terms if c]
 
     def val(x, y):
         total = 0.0

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from grassmann.cli import main
+from grassmann.constructions import NinePointLabels, expand_cubic, fit_nine_points
 from grassmann.core import Point
 from grassmann.generate import random_scene
+from grassmann.poly import HomPoly
 from grassmann.scene import Report, Scene, SceneError
+from grassmann.svgplot import render_svg
 
 
 def run_cli(argv, capsys):
@@ -319,6 +324,16 @@ class TestCommands:
         code1, out1, _ = run_cli(["plot", "--in", scene_path], capsys)
         code2, out2, _ = run_cli(["plot", "--in", scene_path], capsys)
         assert out1 == out2
+
+    def test_plot_ignores_term_order(self):
+        scene = random_scene(7, count=1)
+        cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
+        expected = render_svg(scene, cubic)
+        rng = random.Random(9)
+        for _ in range(5):
+            terms = list(cubic.coeffs.items())
+            rng.shuffle(terms)
+            assert render_svg(scene, HomPoly(3, dict(terms))) == expected
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["fit9", "--in", "/nonexistent/scene.txt"], capsys)

@@ -50,6 +50,7 @@ from grassmann.core import (
     scale,
 )
 from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse
+from grassmann.generate import random_scene
 from grassmann.oracle import gradient_tangent, hessian_flex_oracle, root_multiplicity
 from grassmann.poly import binary_deflate, evaluate, nullspace_fit, restrict_to_line
 
@@ -92,6 +93,12 @@ class TestFitNinePoints:
         assert expanded.degree == 3 and not expanded.is_zero
         fitted = nullspace_fit(labels9.as_tuple(), 3)
         assert proportional(expanded.coefficient_vector(), fitted.coefficient_vector())
+
+    def test_primitive_expansion_is_nullspace_fit_on_random_scenes(self):
+        for seed in range(50):
+            nine = random_scene(seed).nine_points()
+            params = fit_nine_points(NinePointLabels.from_points(nine))
+            assert expand_cubic(params).primitive() == nullspace_fit(nine, 3)
 
     def test_collinear_points_rejected(self, labels9):
         pts = list(labels9.as_tuple())
@@ -465,6 +472,44 @@ class TestTangentThird:
         r3 = tangent_third_via_89(list(labels.as_tuple()), anchor)
         assert projectively_equal(result.w, r3)
         assert not result.is_flex_case
+
+    def test_collapsed_y_is_replaced_by_a_lemma_point(self):
+        # on 8 of the first three anchored selections at each point of this
+        # pool, y = b1cCkBb.b1c collapses onto b or c; the two x5 points
+        # then complete the five conic points
+        f = weierstrass(0, 17)
+        pool = grow_pool(f, CURVES[0][2], 40)
+        collapsed = 0
+        for p in pool:
+            others = [pt for pt in pool if pt != p]
+            for aux in itertools.islice(cons._general_position_selections([p], others, 8), 3):
+                try:
+                    params = fit_nine_points(NinePointLabels.from_points((p, *aux)))
+                    result = tangent_third_point(params)
+                except DegenerateIntermediateError as exc:
+                    # the tangent formula's own degenerate step, or the fit's
+                    assert "five points" not in str(exc)
+                    continue
+                env = params.environment()
+                aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
+                x5s = [eval_numeric(parse(t), aux_env) for t in ("qc.qb_1CkBb", "a_1c.a_1b_1CkBb")]
+                abc = (params.a, params.b, params.c)
+                if any(projectively_equal(result.y, u) for u in abc):
+                    collapsed += 1
+                    assert result.conic_points[:3] == abc
+                    assert result.conic_points[3:] == tuple(canonicalize(x) for x in x5s)
+                    assert evaluate_cubic(params, result.w) == 0
+                    assert projectively_equal(result.w, tangent_third(f, p))
+                    assert projectively_equal(result.w, tangent_third_at(pool, p))
+                else:
+                    assert result.conic_points[:4] == (*abc, result.y)
+                    first = x5s[0]
+                    usable = not first.is_zero and not any(
+                        projectively_equal(first, u) for u in result.conic_points[:4]
+                    )
+                    expected = first if usable else x5s[1]
+                    assert result.conic_points[4] == canonicalize(expected)
+        assert collapsed == 8
 
     def test_matches_cubic_deflation_oracle(self, labels9):
         params = fit_nine_points(labels9)

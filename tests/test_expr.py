@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from grassmann.core import (
     KindError,
+    kind_of,
     Line,
     Point,
     ZERO_LINE,
@@ -21,6 +23,7 @@ from grassmann.expr import (
     ParseError,
     UnboundNameError,
     VAR,
+    Var,
     eval_numeric,
     eval_symbolic,
     infer_kind,
@@ -28,7 +31,15 @@ from grassmann.expr import (
     parse_statement,
     pretty_print,
 )
-from grassmann.poly import HomPoly, PolyVector, evaluate
+from grassmann.poly import (
+    HomPoly,
+    PolyVector,
+    evaluate,
+    monomials,
+    poly_cross,
+    poly_dot,
+    poly_scale,
+)
 
 from exprgen import random_ast, random_environment, typed_random_expr
 
@@ -206,7 +217,113 @@ class TestNumericEvaluation:
             Environment({}, x=Line(1, 0, 0))
 
 
+def reference_symbolic(e, env):
+    """(kind, value) by folding PolyVector operands through poly_cross,
+    poly_dot and poly_scale."""
+    if isinstance(e, Name):
+        value = env.lookup(e.name)
+        return kind_of(value), PolyVector.constant(value)
+    if isinstance(e, Var):
+        return "point", PolyVector.variable()
+    kind, acc = reference_symbolic(e.parts[0], env)
+    for part in e.parts[1:]:
+        kind2, value = reference_symbolic(part, env)
+        if kind == kind2 == "scalar":
+            raise KindError("scalar*scalar")
+        if kind == kind2:
+            kind, acc = ("line" if kind == "point" else "point"), poly_cross(acc, value)
+        elif kind == "scalar":
+            kind, acc = kind2, poly_scale(acc, value)
+        elif kind2 == "scalar":
+            acc = poly_scale(value, acc)
+        else:
+            kind, acc = "scalar", poly_dot(acc, value)
+    return kind, acc
+
+
+def assert_same_expansion(got, want):
+    """Exact equality with equal degrees, entrywise for a PolyVector (zero
+    forms compare equal whatever their degree)."""
+    if isinstance(want, HomPoly):
+        assert isinstance(got, HomPoly)
+        pairs = [(got, want)]
+    else:
+        assert isinstance(got, PolyVector)
+        pairs = list(zip(got.entries, want.entries))
+    for g, w in pairs:
+        assert g == w and g.degree == w.degree
+
+
 class TestSymbolicEvaluation:
+    def test_matches_reference_fold_on_typed_fuzz(self):
+        rng = random.Random(909)
+        for _ in range(500):
+            ast, kind = typed_random_expr(rng)
+            env = random_environment(rng)
+            ref_kind, want = reference_symbolic(ast, env)
+            assert ref_kind == kind
+            assert_same_expansion(eval_symbolic(ast, env), want)
+
+    @pytest.mark.parametrize(
+        "text", ["xa", "xaAa_1", "(xaAa_1.xbBkCb_1.xc)", "xaAbBcx", "ab.cd", "(a.b.c)x", "Ax"]
+    )
+    def test_zero_point_binding(self, text):
+        env = Environment(
+            {"a": Point(0, 0, 0), "b": Point(1, 2, 3), "c": Point(2, -1, 5), "d": Point(1, 0, 4),
+             "a_1": Point(3, 1, 1), "b_1": Point(1, 1, 2), "k": Point(2, 3, 1),
+             "A": Line(1, -1, 2), "B": Line(0, 1, 1), "C": Line(2, 0, -1)}
+        )
+        ast = parse(text)
+        got = eval_symbolic(ast, env)
+        assert_same_expansion(got, reference_symbolic(ast, env)[1])
+        if "a" in text.replace("a_1", ""):
+            assert got.is_zero and got.degree == text.count("x")
+
+    def test_fraction_coordinates(self):
+        # coordinates as a rational scene holds them
+        env = Environment(
+            {"a": Point(1, Fraction(-25, 6), Fraction(-43, 15)),
+             "b": Point(1, Fraction(-11, 3), Fraction(2, 15)),
+             "c": Point(1, Fraction(-13, 6), Fraction(-8, 15)),
+             "A": Line(Fraction(2, 3), 1, Fraction(-1, 4)),
+             "B": Line(3, Fraction(-5, 2), 2)}
+        )
+        for text in ("xaAbBcx", "xab.cx", "(x.a.b)", "xaAbBc"):
+            ast = parse(text)
+            got = eval_symbolic(ast, env)
+            assert_same_expansion(got, reference_symbolic(ast, env)[1])
+            assert not got.is_zero
+
+    def test_join_of_x_with_itself_is_zero_of_degree_two(self):
+        vec = eval_symbolic(parse("xx"), Environment())
+        assert isinstance(vec, PolyVector) and vec.is_zero
+        assert [e.degree for e in vec.entries] == [2, 2, 2]
+        f = eval_symbolic(parse("(xx.x)"), Environment())
+        assert isinstance(f, HomPoly) and f.is_zero and f.degree == 3
+
+    def test_scalar_factor_containing_x(self):
+        p, q = Point(1, 2, 3), Point(0, 1, 1)
+        env = Environment({"p": p, "q": q})
+        ast = parse("(x.p.q)x")
+        vec = eval_symbolic(ast, env)
+        assert vec.degree == 2
+        assert_same_expansion(vec, reference_symbolic(ast, env)[1])
+        x = Point(2, -1, 5)
+        s = bracket(x, p, q)
+        assert vec.substitute(x) == tuple(s * c for c in x.coords)
+
+    def test_terms_in_monomial_order(self):
+        env = Environment({"a": Point(1, 2, 3), "b": Point(2, -1, 1), "A": Line(1, 1, -2)})
+        f = eval_symbolic(parse("xaAbx"), env)
+        assert list(f._terms) == [m for m in monomials(2) if m in f._terms]
+        for entry in eval_symbolic(parse("xaAx"), env).entries:
+            assert list(entry._terms) == [m for m in monomials(2) if m in entry._terms]
+
+    def test_scalar_scalar_error(self):
+        env = Environment({"p": Point(1, 0, 0), "q": Point(0, 1, 0)})
+        with pytest.raises(KindError):
+            eval_symbolic(parse("(x.p.q)(x.q.p)"), env)
+
     def test_line_equation_from_two_points(self):
         p, q = Point(1, 2, 3), Point(0, 1, 1)
         f = eval_symbolic(parse("(x.p.q)"), Environment({"p": p, "q": q}))
