@@ -1,9 +1,10 @@
 """Command-line interface.
 
-One subcommand per construction, each emitting a plain-text report with
+One command per construction, each filling in a plain-text report with
 the construction's outputs and at least one independent verification
 entry.  Exit codes: 0 success (or a true predicate), 1 a false predicate,
 2 degenerate input or a failed verification, 3 parse or I/O errors.
+:func:`main` builds the report and turns a failed check into exit 2.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from .poly import (
     DegenerateLineError,
     HomPoly,
     RankDeficientError,
-    _bareiss,
     binary_deflate,
     binary_eval,
     evaluate,
-    monomials,
     nullspace_fit,
     restrict_to_line,
 )
@@ -76,6 +75,13 @@ def _nine(scene: Scene) -> cons.NinePointLabels:
     return cons.NinePointLabels.from_points(scene.nine_points())
 
 
+def _fitted(scene: Scene) -> tuple[cons.CubicParams, HomPoly]:
+    """The cubic through the scene's labelled nine points: its parameters
+    and its expanded form."""
+    params = cons.fit_nine_points(_nine(scene))
+    return params, cons.expand_cubic(params)
+
+
 def _known_curve_points(scene: Scene, params) -> list[Point]:
     return [p for p in scene.points.values() if cons.evaluate_cubic(params, p) == 0]
 
@@ -84,8 +90,7 @@ def _known_curve_points(scene: Scene, params) -> list[Point]:
 # commands
 
 
-def cmd_fit9(scene: Scene, args) -> tuple[Report, int]:
-    report = Report("fit9", scene.digest())
+def cmd_fit9(scene: Scene, args, report: Report) -> int:
     labels = _nine(scene)
     trace = cons.fit_nine_points_trace(labels)
     params = trace.params
@@ -107,31 +112,25 @@ def cmd_fit9(scene: Scene, args) -> tuple[Report, int]:
     fitted = nullspace_fit(labels.as_tuple(), 3)
     report.add_check("matches-nullspace-oracle", not expanded.is_zero and expanded == fitted)
     report.add_check("lines-concurrent", cons.bracket(params.A, params.B, params.C) == 0)
-    return report, 0 if report.ok else 2
+    return 0
 
 
-def cmd_check10(scene: Scene, args) -> tuple[Report, int]:
+def cmd_check10(scene: Scene, args, report: Report) -> int:
     if not args.points:
         raise SceneError("check10 needs --point NAME for the tenth point")
     name = args.points[0]
     p10 = scene.point(name)
-    report = Report("check10", scene.digest())
-    labels = _nine(scene)
-    params = cons.fit_nine_points(labels)
-    value = cons.evaluate_cubic(params, p10)
-    on_curve = value == 0
+    params, f = _fitted(scene)
+    on_curve = cons.evaluate_cubic(params, p10) == 0
     report.add_output(f"point {name} on cubic", "true" if on_curve else "false")
-    f = cons.expand_cubic(params)
     report.add_check("matches-polynomial-oracle", (evaluate(f, p10) == 0) == on_curve)
-    exit_code = 0 if on_curve else 1
-    return report, exit_code if report.ok else 2
+    return 0 if on_curve else 1
 
 
-def cmd_eval(scene: Scene, args) -> tuple[Report, int]:
+def cmd_eval(scene: Scene, args, report: Report) -> int:
     if not args.expr:
         raise SceneError("eval needs --expr STRING")
     expr, is_equation = parse_statement(args.expr)
-    report = Report("eval", scene.digest())
     names = {**scene.points, **scene.lines}
     x_binding = scene.point(args.points[0]) if args.points else None
     env = Environment(names, x=x_binding)
@@ -155,7 +154,7 @@ def cmd_eval(scene: Scene, args) -> tuple[Report, int]:
             report.add_triple("line", "result", value)
         else:
             report.add_output("scalar result", str(value))
-    return report, 0 if report.ok else 2
+    return 0
 
 
 def _contains_var(e) -> bool:
@@ -166,10 +165,8 @@ def _contains_var(e) -> bool:
     return False
 
 
-def cmd_third_point(scene: Scene, args) -> tuple[Report, int]:
-    report = Report("third_point", scene.digest())
-    labels = _nine(scene)
-    params = cons.fit_nine_points(labels)
+def cmd_third_point(scene: Scene, args, report: Report) -> int:
+    params, f = _fitted(scene)
     if args.points:
         if len(args.points) != 2:
             raise SceneError("third_point takes zero or two --point arguments")
@@ -183,11 +180,10 @@ def cmd_third_point(scene: Scene, args) -> tuple[Report, int]:
     report.add_triple("point", "third", y)
     chord = cons.join(p, q)
     report.add_check("on-chord", incidence(chord, y) == 0)
-    f = cons.expand_cubic(params)
     report.add_check("on-cubic-polynomial-oracle", evaluate(f, y) == 0)
     form = restrict_to_line(f, p, q)
     report.add_check("deflation-oracle-root", _binary_root(form, y, p, q))
-    return report, 0 if report.ok else 2
+    return 0
 
 
 def _binary_root(form, y: Point, p: Point, q: Point) -> bool:
@@ -202,16 +198,13 @@ def _binary_root(form, y: Point, p: Point, q: Point) -> bool:
     return False
 
 
-def cmd_tangent(scene: Scene, args) -> tuple[Report, int]:
-    report = Report("tangent", scene.digest())
-    labels = _nine(scene)
-    params = cons.fit_nine_points(labels)
+def cmd_tangent(scene: Scene, args, report: Report) -> int:
+    params, f = _fitted(scene)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tangent = cons.tangent_at_a(params)
     report.add_triple("line", "tangent", tangent)
     report.add_check("through-a", incidence(tangent, params.a) == 0)
-    f = cons.expand_cubic(params)
     grad = oracle.gradient_tangent(f, params.a)
     if grad.is_zero:
         report.add_diagnostic("a is a singular point; tangent is parameter-dependent")
@@ -224,7 +217,7 @@ def cmd_tangent(scene: Scene, args) -> tuple[Report, int]:
         )
     for warning in caught:
         report.add_diagnostic(str(warning.message))
-    return report, 0 if report.ok else 2
+    return 0
 
 
 def _second_point(L, avoid: Point) -> Point:
@@ -235,15 +228,12 @@ def _second_point(L, avoid: Point) -> Point:
     raise cons.DegenerateIntermediateError("second point on line")
 
 
-def cmd_tangent_third(scene: Scene, args) -> tuple[Report, int]:
-    report = Report("tangent_third", scene.digest())
-    labels = _nine(scene)
-    params = cons.fit_nine_points(labels)
+def cmd_tangent_third(scene: Scene, args, report: Report) -> int:
+    params, f = _fitted(scene)
     result = cons.tangent_third_point(params)
     report.add_triple("point", "w", result.w)
     report.add_triple("line", "tangent", result.tangent)
     report.add_check("on-tangent", incidence(result.tangent, result.w) == 0)
-    f = cons.expand_cubic(params)
     report.add_check("on-cubic-polynomial-oracle", evaluate(f, result.w) == 0)
     q2 = _second_point(result.tangent, params.a)
     form = restrict_to_line(f, params.a, q2)
@@ -264,23 +254,18 @@ def cmd_tangent_third(scene: Scene, args) -> tuple[Report, int]:
             )
         )
         report.add_check("matches-deflation-oracle", projectively_equal(result.w, w_oracle))
-    return report, 0 if report.ok else 2
+    return 0
 
 
-def cmd_is_flex(scene: Scene, args) -> tuple[Report, int]:
-    report = Report("is_flex", scene.digest())
-    labels = _nine(scene)
-    params = cons.fit_nine_points(labels)
+def cmd_is_flex(scene: Scene, args, report: Report) -> int:
+    params, f = _fitted(scene)
     flex = cons.is_flex(params)
     report.add_output("a is a flex", "true" if flex else "false")
-    f = cons.expand_cubic(params)
     report.add_check("matches-hessian-oracle", oracle.hessian_flex_oracle(f, params.a) == flex)
-    exit_code = 0 if flex else 1
-    return report, exit_code if report.ok else 2
+    return 0 if flex else 1
 
 
-def cmd_conic_sixth(scene: Scene, args) -> tuple[Report, int]:
-    report = Report("conic_sixth", scene.digest())
+def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
     labels = _nine(scene)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -297,15 +282,13 @@ def cmd_conic_sixth(scene: Scene, args) -> tuple[Report, int]:
         report.add_diagnostic(f"z coincides with defining point {result.coincides_with}")
     for warning in caught:
         report.add_diagnostic(str(warning.message))
-    return report, 0 if report.ok else 2
+    return 0
 
 
-def cmd_group_add(scene: Scene, args) -> tuple[Report, int]:
+def cmd_group_add(scene: Scene, args, report: Report) -> int:
     if len(args.points) != 3:
         raise SceneError("group_add needs --point o --point p --point q")
-    report = Report("group_add", scene.digest())
-    labels = _nine(scene)
-    params = cons.fit_nine_points(labels)
+    params, f = _fitted(scene)
     known = _known_curve_points(scene, params)
     o = scene.point(args.points[0])
     p = scene.point(args.points[1])
@@ -317,19 +300,17 @@ def cmd_group_add(scene: Scene, args) -> tuple[Report, int]:
     if args.no_verify_flex:
         report.add_diagnostic("identity accepted unverified (--no-verify-flex)")
     report.add_triple("point", "sum", total)
-    f = cons.expand_cubic(params)
     report.add_check("sum-on-cubic-oracle", evaluate(f, total) == 0)
     other = cons.group_add(known, o, q, p, verify_flex=False)
     report.add_check("commutes", projectively_equal(total, other))
-    return report, 0 if report.ok else 2
+    return 0
 
 
-def cmd_pascal(scene: Scene, args) -> tuple[Report, int]:
+def cmd_pascal(scene: Scene, args, report: Report) -> int:
     names = args.points or ["a", "b", "c", "a_1", "b_1", "c_1"]
     if len(names) != 6:
         raise SceneError("pascal needs six points")
     pts = [scene.point(n) for n in names]
-    report = Report("pascal", scene.digest())
     m1, m2, m3 = cons.pascal_points(*pts)
     for label, pt in (("m1", m1), ("m2", m2), ("m3", m3)):
         if pt.is_zero:
@@ -342,31 +323,25 @@ def cmd_pascal(scene: Scene, args) -> tuple[Report, int]:
     on_conic = _six_on_conic(pts)
     report.add_output("six points on a conic", "true" if on_conic else "false")
     report.add_check("hexagon-collinearity-consistent", (not on_conic) or collinear)
-    exit_code = 0 if collinear else 1
-    return report, exit_code if report.ok else 2
+    return 0 if collinear else 1
 
 
 def _six_on_conic(pts) -> bool:
-    rows = []
-    for p in pts:
-        cp = canonicalize(p)
-        rows.append(
-            [
-                int(cp.coords[0] ** i * cp.coords[1] ** j * cp.coords[2] ** k)
-                for (i, j, k) in monomials(2)
-            ]
-        )
-    rank, _, _ = _bareiss(rows)
-    return rank <= 5
+    # five points that fix no unique conic leave the six of rank <= 5
+    try:
+        conic = nullspace_fit(pts[:5], 2)
+    except RankDeficientError:
+        return True
+    return evaluate(conic, pts[5]) == 0
 
 
-def cmd_random(args) -> tuple[str, int]:
+def cmd_random(args) -> str:
     scene = random_scene(args.seed, args.count)
     header = f"# seed {args.seed}, extra chord-constructed points: {args.count}\n"
-    return header + scene.serialize(), 0
+    return header + scene.serialize()
 
 
-def cmd_plot(scene: Scene, args) -> tuple[str, int]:
+def cmd_plot(scene: Scene) -> str:
     cubic = None
     try:
         labels = _nine(scene)
@@ -374,7 +349,7 @@ def cmd_plot(scene: Scene, args) -> tuple[str, int]:
         labels = None
     if labels is not None:
         cubic = cons.expand_cubic(cons.fit_nine_points(labels))
-    return render_svg(scene, cubic), 0
+    return render_svg(scene, cubic)
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grassmann",
         description="Exact straightedge constructions on plane cubic curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_SCENE_COMMANDS, "random", "plot"]:
-        p = sub.add_parser(name)
-        p.add_argument("--in", dest="infile", help="scene file")
-        p.add_argument("--out", dest="outfile", help="write output here instead of stdout")
-        p.add_argument("--expr", help="expression string (eval)")
-        p.add_argument("--seed", type=int, default=0, help="generator seed (random)")
-        p.add_argument("--count", type=int, default=0, help="extra curve points (random)")
-        p.add_argument(
-            "--point",
-            dest="points",
-            action="append",
-            default=[],
-            metavar="NAME",
-            help="named scene point (repeatable)",
-        )
-        p.add_argument("--verbose", action="store_true")
-        p.add_argument(
-            "--no-verify-flex",
-            action="store_true",
-            help="group_add: accept the identity point without the flex test",
-        )
+    parser.add_argument("command", choices=[*_SCENE_COMMANDS, "random", "plot"])
+    parser.add_argument("--in", dest="infile", help="scene file")
+    parser.add_argument("--out", dest="outfile", help="write output here instead of stdout")
+    parser.add_argument("--expr", help="expression string (eval)")
+    parser.add_argument("--seed", type=int, default=0, help="generator seed (random)")
+    parser.add_argument("--count", type=int, default=0, help="extra curve points (random)")
+    parser.add_argument(
+        "--point",
+        dest="points",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="named scene point (repeatable)",
+    )
+    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument(
+        "--no-verify-flex",
+        action="store_true",
+        help="group_add: accept the identity point without the flex test",
+    )
     return parser
 
 
@@ -439,21 +412,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "random":
-            text, code = cmd_random(args)
-            _write(text, args.outfile)
-            return code
+            _write(cmd_random(args), args.outfile)
+            return 0
         scene = _load_scene(args)
         if args.command == "plot":
-            text, code = cmd_plot(scene, args)
-            _write(text, args.outfile)
-            return code
-        report, code = _SCENE_COMMANDS[args.command](scene, args)
+            _write(cmd_plot(scene), args.outfile)
+            return 0
+        report = Report(args.command, scene.digest())
+        code = _SCENE_COMMANDS[args.command](scene, args, report)
         _write(report.render(), args.outfile)
-        return code
-    except (SceneError, ParseError, UnboundNameError, KindError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        return code if report.ok else 2
+    except (SceneError, ParseError, UnboundNameError, KindError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except _DEGENERATE_ERRORS as exc:

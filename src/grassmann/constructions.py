@@ -402,34 +402,16 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     return Point(*y)
 
 
-class _KnownPool:
-    """The known points, deduplicated once: an immutable ordered mapping
-    from each canonical coordinate key to the first input point with that
-    key.  Zero points are dropped."""
-
-    __slots__ = ("_by_key",)
+class _KnownPool(dict):
+    """The known points, deduplicated once: an ordered mapping from each
+    canonical coordinate key to the first input point with that key.  Zero
+    points are dropped."""
 
     def __init__(self, points):
-        by_key: dict = {}
+        super().__init__()
         for p in points:
             if not p.is_zero:
-                by_key.setdefault(_canonical(p.coords), p)
-        self._by_key = by_key
-
-    def __getitem__(self, key):
-        return self._by_key[key]
-
-    def __iter__(self):
-        return iter(self._by_key)
-
-    def __len__(self):
-        return len(self._by_key)
-
-    def values(self):
-        return self._by_key.values()
-
-    def items(self):
-        return self._by_key.items()
+                self.setdefault(_canonical(p.coords), p)
 
 
 def _known_pool(known) -> _KnownPool:
@@ -479,16 +461,38 @@ def _general_position_selections(fixed, candidates, count):
                     yield chosen
 
 
+def _refit(anchors, candidates, construct):
+    """`construct` applied to a cubic refitted through the anchors.
+
+    Completes `anchors` to nine points in general position from
+    `candidates` (see _general_position_selections), fits the cubic with
+    the anchors in the first label slots and returns construct(params).
+    A selection whose fit or construction raises ConstructionError is
+    skipped for the next one.
+    """
+    count = 9 - len(anchors)
+    if len(candidates) < count:
+        raise InsufficientPointsError(f"fewer than {count} usable auxiliary points")
+    for aux in _general_position_selections(anchors, candidates, count):
+        try:
+            labels = NinePointLabels._from_proven_selection((*anchors, *aux))
+            return construct(fit_nine_points(labels))
+        except ConstructionError:
+            continue
+    raise InsufficientPointsError("no admissible auxiliary selection found")
+
+
 def third_point_general(known, p: Point, q: Point) -> Point:
     """Third intersection of line pq with the cubic through the known points.
 
-    `known` is a list of points or a pool built once from one (as
-    group_add does); points that are projectively equal count once, by
-    canonical key.  Selects seven auxiliary points from it so that
-    (p, q, aux) is in general position, refits the cubic with p and q in
-    the anchor slots, and applies the chord formula.  The auxiliary
-    selection is the first admissible one in input order, so results are
-    reproducible; the returned point does not depend on the selection.
+    `known` is a list of points or a pool, the dict from canonical key to
+    point that group_add builds once from one; points that are
+    projectively equal count once, by canonical key.  Selects seven
+    auxiliary points off the line pq so that (p, q, aux) is in general
+    position, refits the cubic with p and q in the anchor slots, and
+    applies the chord formula.  The auxiliary selection is the first
+    admissible one in input order, so results are reproducible; the
+    returned point does not depend on the selection.
     """
     if p.is_zero or q.is_zero:
         raise HypothesisViolation("a chord endpoint is the zero point")
@@ -497,15 +501,7 @@ def third_point_general(known, p: Point, q: Point) -> Point:
         raise ValueError("chord endpoints must be distinct")
     # points on pq, p and q among them, never complete a general-position set
     candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
-    if len(candidates) < 7:
-        raise InsufficientPointsError("fewer than seven usable auxiliary points")
-    for aux in _general_position_selections([p, q], candidates, 7):
-        try:
-            labels = NinePointLabels._from_proven_selection((p, q, *aux))
-            return third_point_on_chord_ab(fit_nine_points(labels))
-        except ConstructionError:
-            continue
-    raise InsufficientPointsError("no admissible auxiliary selection found")
+    return _refit((p, q), candidates, third_point_on_chord_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +871,10 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     """Chord-and-tangent sum p + q with identity o: the third point of the
     chord through o and the third chord point of pq.
 
-    `known` is a list of points or a pool built once from one; it is
-    deduplicated by canonical key once per call, and that pool serves
-    the flex test and both chords.  Coincident summands fall back on the
+    `known` is a list of points or a pool built once from one; a list is
+    deduplicated once per call into a pool, a dict from each canonical
+    key to the first point with that key, and that pool serves the flex
+    test and both chords.  Coincident summands fall back on the
     tangent construction.  With `verify_flex` the identity is first
     checked to be a flex (one refit plus a tangent-third construction);
     pass False to skip when the caller has already verified it.  A zero
@@ -900,20 +897,12 @@ def tangent_third_at(known, p: Point) -> Point:
     in the anchor slot.  Particular parameter choices can degenerate the
     tangent formula, so selections are retried.
 
-    `known` is a list of points or a pool built once from one (as
-    group_add does); points that are projectively equal count once, by
-    canonical key.
+    `known` is a list of points or a pool, the dict from canonical key to
+    point that group_add builds once from one; points that are
+    projectively equal count once, by canonical key.
     """
     if p.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
     p_key = _canonical(p.coords)
     candidates = [pt for key, pt in _known_pool(known).items() if key != p_key]
-    if len(candidates) < 8:
-        raise InsufficientPointsError("fewer than eight usable auxiliary points")
-    for aux in _general_position_selections([p], candidates, 8):
-        try:
-            params = fit_nine_points(NinePointLabels._from_proven_selection((p, *aux)))
-            return tangent_third_point(params).w
-        except ConstructionError:
-            continue
-    raise InsufficientPointsError("no admissible anchored selection found")
+    return _refit((p,), candidates, lambda params: tangent_third_point(params).w)

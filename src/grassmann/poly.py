@@ -112,10 +112,6 @@ class HomPoly:
         mono = tuple(1 if j == i else 0 for j in range(3))
         return cls._of(1, {mono: 1})
 
-    @classmethod
-    def from_coefficient_vector(cls, degree: int, vec) -> "HomPoly":
-        return cls(degree, dict(zip(monomials(degree), vec)))
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

@@ -122,7 +122,10 @@ class Scene:
                 parts = rest.split(",")
                 if len(parts) != 4:
                     raise SceneError(f"line {lineno}: viewport needs four rationals")
-                scene.viewport = tuple(parse_rational(p) for p in parts)
+                xmin, xmax, ymin, ymax = (parse_rational(p) for p in parts)
+                if not (xmin < xmax and ymin < ymax):
+                    raise SceneError(f"line {lineno}: viewport needs xmin < xmax and ymin < ymax")
+                scene.viewport = (xmin, xmax, ymin, ymax)
             else:
                 raise SceneError(f"line {lineno}: unknown entry {key!r}")
         if not saw_format:

@@ -95,6 +95,8 @@ def _curve_segments(f: HomPoly, box):
                     crossings.append((x1, y1))
                 elif (v1 < 0) != (v2 < 0):
                     crossings.append(interp(x1, y1, v1, x2, y2, v2))
+            # a zero corner is also the end of its neighbouring edge's crossing
+            crossings = list(dict.fromkeys(crossings))
             if len(crossings) >= 2:
                 segments.append((crossings[0], crossings[1]))
     return segments

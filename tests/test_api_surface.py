@@ -79,3 +79,30 @@ def test_lower_layers_do_not_import_constructions(path):
     assert imported, "no imports found; the walk is broken"
     bad = sorted(m for m in imported if m.startswith(CONSTRUCTION_LAYER))
     assert bad == []
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    """The CLI drives the package through public names only: it neither
+    imports an underscore-prefixed name nor reads one off an imported
+    module."""
+    tree = ast.parse((ROOT / "src" / "grassmann" / "cli.py").read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                if node.module is None:  # from . import module
+                    modules.add(alias.asname or alias.name)
+    assert modules, "no module imports found; the walk is broken"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

@@ -1,16 +1,20 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grassmann.cli import main
+from grassmann.cli import _six_on_conic, build_parser, main
 from grassmann.constructions import NinePointLabels, expand_cubic, fit_nine_points
-from grassmann.core import Point
+from grassmann.core import Point, canonicalize
 from grassmann.generate import random_scene
-from grassmann.poly import HomPoly
+from grassmann.poly import HomPoly, RankDeficientError, _bareiss, monomials, nullspace_fit
 from grassmann.scene import Report, Scene, SceneError
-from grassmann.svgplot import render_svg
+from grassmann.svgplot import _curve_segments, render_svg
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -74,6 +78,18 @@ class TestSceneFormat:
     def test_duplicate_rejected(self):
         with pytest.raises(SceneError):
             Scene.parse("format: 1\npoint a = 1, 2, 3\npoint a = 1, 2, 4\n")
+
+    @pytest.mark.parametrize(
+        "box", ["0, 0, -5, 5", "5, -5, 0, 5", "-5, 5, 1/2, 1/2", "-5, 5, 5, -5"]
+    )
+    def test_empty_viewport_rejected(self, box):
+        with pytest.raises(SceneError, match="viewport needs xmin < xmax and ymin < ymax"):
+            Scene.parse(f"format: 1\nviewport = {box}\n")
+
+    def test_viewport_round_trip(self):
+        scene = Scene.parse("format: 1\nviewport = -1/2, 3, -4, 4\n")
+        assert scene.viewport == (Fraction(-1, 2), 3, -4, 4)
+        assert Scene.parse(scene.serialize()).viewport == scene.viewport
 
     def test_report_failing_check_marks_failed(self):
         report = Report("demo", "sha256:0")
@@ -335,6 +351,24 @@ class TestCommands:
             rng.shuffle(terms)
             assert render_svg(scene, HomPoly(3, dict(terms))) == expected
 
+    @pytest.mark.parametrize("box", ["0, 0, -5, 5", "5, -5, 0, 5", "-5, 5, 0, 0", "-5, 5, 5, -5"])
+    def test_plot_empty_viewport_exits_3(self, tmp_path, capsys, box):
+        path = tmp_path / "box.txt"
+        path.write_text(random_scene(7, count=1).serialize() + f"viewport = {box}\n")
+        code, out, err = run_cli(["plot", "--in", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: line ") and "viewport" in err
+
+    def test_plot_draws_no_zero_length_or_repeated_segment(self):
+        # the curve passes exactly through grid vertices of this scene
+        scene = Scene.load(GOLDEN / "grid.scene")
+        cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
+        segments = _curve_segments(cubic, (-12.0, 12.0, -12.0, 12.0))
+        assert len(segments) > 800
+        ends = [frozenset(segment) for segment in segments]
+        assert [e for e in ends if len(e) != 2] == []
+        assert len(set(ends)) == len(ends)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["fit9", "--in", "/nonexistent/scene.txt"], capsys)
         assert code == 3
@@ -414,3 +448,139 @@ class TestParserReuse:
         code, after, _ = run_cli(["fit9", "--in", scene_path], capsys)
         assert code == 0
         assert after == before
+
+
+COMMANDS = [
+    "fit9",
+    "check10",
+    "eval",
+    "third_point",
+    "tangent",
+    "tangent_third",
+    "is_flex",
+    "conic_sixth",
+    "group_add",
+    "pascal",
+    "random",
+    "plot",
+]
+
+
+class TestParser:
+    """One parser: a command and the same seven options for every command."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_option(self, command):
+        argv = [
+            command,
+            *("--in", "s.txt", "--out", "o.txt", "--expr", "ab.cd"),
+            *("--seed", "7", "--count", "2", "--point", "a", "--point", "b_1"),
+            *("--verbose", "--no-verify-flex"),
+        ]
+        assert vars(build_parser().parse_args(argv)) == {
+            "command": command,
+            "infile": "s.txt",
+            "outfile": "o.txt",
+            "expr": "ab.cd",
+            "seed": 7,
+            "count": 2,
+            "points": ["a", "b_1"],
+            "verbose": True,
+            "no_verify_flex": True,
+        }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults(self, command):
+        assert vars(build_parser().parse_args([command])) == {
+            "command": command,
+            "infile": None,
+            "outfile": None,
+            "expr": None,
+            "seed": 0,
+            "count": 0,
+            "points": [],
+            "verbose": False,
+            "no_verify_flex": False,
+        }
+
+    @pytest.mark.parametrize("argv", [["fit10"], ["Fit9"], [], ["fit9", "extra"]])
+    def test_bad_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: grassmann")
+
+
+def _six_on_conic_by_rank(pts) -> bool:
+    """The rank test the CLI used before: six points lie on a conic exactly
+    when their 6x6 monomial matrix has rank at most 5."""
+    rows = [
+        [int(cp.coords[0] ** i * cp.coords[1] ** j * cp.coords[2] ** k) for (i, j, k) in monomials(2)]
+        for cp in (canonicalize(p) for p in pts)
+    ]
+    rank, _, _ = _bareiss(rows)
+    return rank <= 5
+
+
+def _sextuples():
+    rng = random.Random(1006)
+
+    def rand_point(r=4):
+        return Point(*(rng.randint(-r, r) for _ in range(3)))
+
+    def on_conic():
+        # the image of (s^2 : st : t^2) under an integer 3x3 matrix
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+        v = (s * s, s * t, t * t)
+        return Point(*(sum(a * b for a, b in zip(row, v)) for row in m))
+
+    def conic_six():
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        pts = []
+        for _ in range(6):
+            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+            v = (s * s, s * t, t * t)
+            pts.append(Point(*(sum(a * b for a, b in zip(row, v)) for row in m)))
+        return pts
+
+    def four_collinear():
+        p, q = rand_point(), rand_point()
+        line = [Point(*(a + k * b for a, b in zip(p.coords, q.coords))) for k in range(-1, 3)]
+        rng.shuffle(line)
+        five = line + [rand_point()]
+        rng.shuffle(five)
+        return five + [rand_point()]
+
+    def with_fractions(pts):
+        return [
+            Point(*(Fraction(c, rng.randint(1, 7)) for c in pt.coords)) if rng.random() < 0.5 else pt
+            for pt in pts
+        ]
+
+    def with_zero(pts):
+        pts = list(pts)
+        pts[rng.randrange(6)] = Point(0, 0, 0)
+        return pts
+
+    for _ in range(60):
+        yield [rand_point() for _ in range(6)]
+        yield conic_six()
+        yield four_collinear()
+        yield with_fractions(rng.choice([conic_six, four_collinear])())
+        yield with_zero(rng.choice([conic_six, lambda: [on_conic() for _ in range(6)]])())
+
+
+def test_six_on_conic_matches_the_rank_test():
+    verdicts, deficient = [], 0
+    for six in _sextuples():
+        verdicts.append(_six_on_conic(six))
+        assert verdicts[-1] == _six_on_conic_by_rank(six), six
+        try:
+            nullspace_fit(six[:5], 2)
+        except RankDeficientError:
+            deficient += 1
+    assert len(verdicts) == 300
+    # both verdicts, and both branches of the five-point fit, are exercised
+    assert 50 < sum(verdicts) < 250
+    assert 50 < deficient < 250

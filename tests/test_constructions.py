@@ -907,6 +907,41 @@ class TestKnownPool:
             for aux in selections:
                 assert cons.general_position_violation((p, q, *aux)) is None
 
+    def test_refit_walks_the_selections(self, group_pool, monkeypatch):
+        """_refit fits each selection in search order, skips one whose fit
+        or construction is refused, and says why when none is left."""
+        f, pool = group_pool
+        p, candidates = pool[0], pool[1:16]
+        selections = list(cons._general_position_selections([p], candidates, 8))
+        assert len(selections) > 3
+        fitted, original = [], cons.fit_nine_points
+
+        def counted(labels):
+            fitted.append(labels.as_tuple())
+            return original(labels)
+
+        monkeypatch.setattr(cons, "fit_nine_points", counted)
+
+        def refuse_twice(params):
+            if len(fitted) < 3:
+                raise DegenerateIntermediateError("probe")
+            return params.a
+
+        assert projectively_equal(cons._refit((p,), candidates, refuse_twice), p)
+        assert fitted == [(p, *aux) for aux in selections[:3]]
+
+        def refuse(params):
+            raise DegenerateIntermediateError("probe")
+
+        fitted.clear()
+        with pytest.raises(cons.InsufficientPointsError, match="no admissible"):
+            cons._refit((p,), candidates, refuse)
+        assert len(fitted) == len(selections)
+        with pytest.raises(cons.InsufficientPointsError, match="fewer than 8"):
+            cons._refit((p,), candidates[:7], refuse)
+        with pytest.raises(cons.InsufficientPointsError, match="fewer than 7"):
+            cons._refit((p, pool[1]), candidates[1:7], refuse)
+
 
 class TestConicFivePoints:
     def run_instance(self, a, b, c, A, B):
