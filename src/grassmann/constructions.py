@@ -18,7 +18,9 @@ verifies its own output against exact incidence checks.
 from __future__ import annotations
 
 import itertools
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from . import oracle
@@ -461,25 +463,210 @@ def _general_position_selections(fixed, candidates, count):
                     yield chosen
 
 
-def _refit(anchors, candidates, construct):
-    """`construct` applied to a cubic refitted through the anchors.
-
-    Completes `anchors` to nine points in general position from
-    `candidates` (see _general_position_selections), fits the cubic with
-    the anchors in the first label slots and returns construct(params).
-    A selection whose fit or construction raises ConstructionError is
-    skipped for the next one.
-    """
+def _fits(anchors, candidates):
+    """(labels, params) for each general-position completion of `anchors`
+    from `candidates` whose nine-point fit succeeds, in search order (see
+    _general_position_selections), with the anchors in the first label
+    slots.  A selection whose fit raises ConstructionError is skipped."""
     count = 9 - len(anchors)
     if len(candidates) < count:
         raise InsufficientPointsError(f"fewer than {count} usable auxiliary points")
     for aux in _general_position_selections(anchors, candidates, count):
+        labels = NinePointLabels._from_proven_selection((*anchors, *aux))
         try:
-            labels = NinePointLabels._from_proven_selection((*anchors, *aux))
-            return construct(fit_nine_points(labels))
+            params = fit_nine_points(labels)
+        except ConstructionError:
+            continue
+        yield labels, params
+
+
+def _refit(anchors, candidates, construct):
+    """`construct` applied to a cubic refitted through the anchors: the
+    first of _fits(anchors, candidates) whose construction does not raise
+    ConstructionError."""
+    for _, params in _fits(anchors, candidates):
+        try:
+            return construct(params)
         except ConstructionError:
             continue
     raise InsufficientPointsError("no admissible auxiliary selection found")
+
+
+# ---------------------------------------------------------------------------
+# the anchor cache
+
+# The canonical key of each anchor maps to its fits with the anchor in
+# slot a, as (label keys a..i, params).  A fit depends only on its nine
+# labelled points, so a fit made on one pool serves any pool that holds
+# its labels.  Bounds: fits kept per anchor, and anchors kept (the least
+# recently used goes first).
+_FITS_PER_ANCHOR = 2
+_ANCHOR_LIMIT = 64
+_ANCHOR_CACHE: OrderedDict = OrderedDict()
+_ANCHOR_LOCK = threading.Lock()
+
+
+def _clear_anchor_cache() -> None:
+    with _ANCHOR_LOCK:
+        _ANCHOR_CACHE.clear()
+
+
+def _cached_fits(pool, p_key) -> list:
+    """The cached fits at anchor p_key whose other eight labels are all
+    keys of the pool, oldest first."""
+    with _ANCHOR_LOCK:
+        fits = _ANCHOR_CACHE.get(p_key, [])
+        if fits:
+            _ANCHOR_CACHE.move_to_end(p_key)
+    return [fit for fit in fits if all(key in pool for key in fit[0][1:])]
+
+
+def _cache_fit(p_key, fit) -> None:
+    """Add a fit at anchor p_key, dropping the oldest beyond the bounds."""
+    with _ANCHOR_LOCK:
+        fits = _ANCHOR_CACHE.pop(p_key, [])
+        _ANCHOR_CACHE[p_key] = [*fits, fit][-_FITS_PER_ANCHOR:]
+        if len(_ANCHOR_CACHE) > _ANCHOR_LIMIT:
+            _ANCHOR_CACHE.popitem(last=False)
+
+
+def _chord_fits(pool, p: Point, p_key, q: Point, q_key, fill: bool):
+    """(fit, x) pairs whose anchored chord from the fit's anchor to x may
+    give the third point of pq: the cached fits at p with x = q, then those
+    at q with x = p, each without x among its labels c..i.  Then, with
+    `fill` and while fewer than _FITS_PER_ANCHOR cached fits at p hold on
+    this pool, a new fit at p, which is cached: it completes p from the
+    pool without q by the first fitting general-position selection, in
+    pool order for the anchor's first fit and in reverse order after that.
+    """
+    at_p = _cached_fits(pool, p_key)
+    for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key), p, p_key)):
+        for fit in fits:
+            if x_key not in fit[0][2:]:
+                yield fit, x
+    if not fill or len(at_p) >= _FITS_PER_ANCHOR:
+        return
+    candidates = [pt for key, pt in pool.items() if key != p_key and key != q_key]
+    if p_key in _ANCHOR_CACHE:
+        candidates.reverse()
+    try:
+        labels, params = next(fit for fit in _fits((p,), candidates) if _chain_moves(fit[1]))
+    except (StopIteration, InsufficientPointsError):
+        return
+    fit = (tuple(_canonical(pt.coords) for pt in labels.as_tuple()), params)
+    _cache_fit(p_key, fit)
+    yield fit, q
+
+
+def _chain_moves(params: CubicParams) -> bool:
+    """False when the chain ybBkCb1 is one line for every y (k on B or C,
+    or b1 on C): then every anchored chord and the tangent construction
+    degenerate on this fit."""
+    k, b1, B, C = params.k.coords, params.b1.coords, params.B.coords, params.C.coords
+    return _dot(k, B) != 0 and _dot(k, C) != 0 and _dot(b1, C) != 0
+
+
+def _anchored_third(params: CubicParams, labels, x: Point) -> Point:
+    """Third point of the line L = px on a fit with p in slot a, where x is
+    any curve point: no refit.
+
+    `labels` are the canonical keys of the fit's nine labelled points a..i
+    (a = p).  If x is label b this is third_point_on_chord_ab; if another
+    label lies on L, that label is the point (no three labels are
+    collinear).  Otherwise the point is the second fixed point of a
+    projectivity of L:
+
+    - For y on L other than a, the line ya is L, so the chain yaAa1 is the
+      one line l1 = (L.A)a1.  So y is on the cubic exactly when l1, the
+      line ybBkCb1 and yc are concurrent, that is when y is a fixed point
+      of phi(y) = ((ybBkCb1).l1)c.L.
+    - phi is a chain of perspectivities (L to the pencil at b, to B, to
+      the pencil at k, to C, to the pencil at b1, to l1, to the pencil at
+      c, back to L), so it is a projectivity of L.  Unless it is the
+      identity it has at most two fixed points: x and the wanted z.
+    - Take O off L, a line M through x other than L, and u, v on L.  Let
+      U = Ou.M, V = Ov.M and O' = phi(u)U.phi(v)V.  The map psi sending y
+      to the meet of L with the line from O' through Oy.M is a
+      projectivity of L that agrees with phi at x (psi(x) = x, as x is on
+      M), at u (O'U is the line phi(u)U) and at v, so psi = phi.  A fixed
+      point y of psi other than x has Oy.M on the line O'y, so O' is on
+      the line Oy: z = OO'.L.
+
+    Two (O, M, u, v) choices are tried until one gives a point that
+    passes the checks; if neither does, DegenerateIntermediateError is
+    raised.  Degenerate cases found on the 40-point pool of y^2 = x^3 + 17:
+    x = c (c lies on L, so phi is constant); x = d (a1 lies on cd, so c
+    lies on l1 and again phi is constant); x = e (e is the meet of A, B
+    and C, so both choices of u are x); lines L for which l1 passes
+    through b1; chords tangent at p or x; and fits with k on B or C, or b1
+    on C, for which the chain ybBkCb1 is one line for every y, so every x
+    degenerates (such fits are refused up front).
+
+    The point is returned only if x is on the fit's cubic, and the point
+    is on L and on the cubic and is neither p nor x; otherwise
+    ConstructionError is raised and the caller refits (a chord tangent at
+    p or x is left to the refit).
+    """
+    p, x = labels[0], _canonical(x.coords)
+    L = _tuple_step("L=px", _cross(p, x))
+    if _cubic_value(params, x) != 0:
+        raise ConstructionError("anchored chord endpoint is off the fitted cubic")
+
+    def verified(z):
+        return z != p and z != x and _dot(L, z) == 0 and _cubic_value(params, z) == 0
+
+    if x == labels[1]:
+        z = third_point_on_chord_ab(params).coords
+        if verified(z):
+            return Point(*z)
+        raise ConstructionError("anchored chord point coincides with an endpoint")
+    for z in labels[1:]:
+        if z != x and _dot(L, z) == 0:
+            if verified(z):
+                return Point(*z)
+            raise ConstructionError("label on the chord is off the fitted cubic")
+
+    if not _chain_moves(params):
+        raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
+    a1, b, b1, c, k = (getattr(params, n).coords for n in ("a1", "b", "b1", "c", "k"))
+    A, B, C = params.A.coords, params.B.coords, params.C.coords
+    step = _tuple_step
+    l1 = step("l1=LAa1", _cross(_cross(L, A), a1))
+    X = step("X=B.C", _cross(B, C))
+    bX = step("bX", _cross(b, X))
+
+    def phi(name, chain):
+        """phi(y) from the line chain = ybBkCb1."""
+        m = step(f"{name}bBkCb1.l1", _cross(chain, l1))
+        return step(f"phi({name})", _cross(_cross(m, c), L))
+
+    def second_fixed_point(O, m, Ou, Op, u_chain):
+        """z = OO'.L for O, M = xm, u on the line Ou and v = p."""
+        M = step("M=xm", _cross(x, m))
+        U = step("U=Ou.M", _cross(Ou, M))
+        V = step("V=Op.M", _cross(Op, M))
+        phi_p = phi("p", step("pbBkCb1", _chain(p, b, B, k, C, b1)))
+        O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi("u", u_chain), U), _cross(phi_p, V)))
+        return step("z=OO'.L", _cross(_cross(O, O2), L))
+
+    def through_b():
+        # O = b, M = xc, u = L.bX: Ou is bX, and bX.B is X and Xk.C is X,
+        # so the chain ubBkCb1 is the line Xb1; u itself is never needed
+        return second_fixed_point(b, c, bX, _cross(b, p), _cross(X, b1))
+
+    def through_c():
+        # O = c, M = xk, u = L.C
+        u = step("u=L.C", _cross(L, C))
+        return second_fixed_point(c, k, _cross(c, u), _cross(c, p), _chain(u, b, B, k, C, b1))
+
+    for attempt in (through_b, through_c):
+        try:
+            z = attempt()
+        except DegenerateIntermediateError:
+            continue
+        if verified(z):
+            return Point(*z)
+    raise DegenerateIntermediateError("anchored chord: no choice of O, M, u, v")
 
 
 def third_point_general(known, p: Point, q: Point) -> Point:
@@ -487,20 +674,34 @@ def third_point_general(known, p: Point, q: Point) -> Point:
 
     `known` is a list of points or a pool, the dict from canonical key to
     point that group_add builds once from one; points that are
-    projectively equal count once, by canonical key.  Selects seven
+    projectively equal count once, by canonical key.  A cached fit with p
+    or q in the anchor slot whose labels are known points serves the
+    chord without a refit (see _anchored_third).  Otherwise selects seven
     auxiliary points off the line pq so that (p, q, aux) is in general
     position, refits the cubic with p and q in the anchor slots, and
     applies the chord formula.  The auxiliary selection is the first
     admissible one in input order, so results are reproducible; the
-    returned point does not depend on the selection.
+    returned point does not depend on the fit.
     """
+    return _chord(_known_pool(known), p, q, fill=False)
+
+
+def _chord(pool, p: Point, q: Point, fill: bool) -> Point:
+    """third_point_general on a pool: the anchored chord on the fits of
+    _chord_fits, then the refit."""
     if p.is_zero or q.is_zero:
         raise HypothesisViolation("a chord endpoint is the zero point")
     pq = _cross(p.coords, q.coords)
     if not any(pq):
         raise ValueError("chord endpoints must be distinct")
+    p_key, q_key = _canonical(p.coords), _canonical(q.coords)
+    for (labels, params), x in _chord_fits(pool, p, p_key, q, q_key, fill):
+        try:
+            return _anchored_third(params, labels, x)
+        except ConstructionError:
+            continue
     # points on pq, p and q among them, never complete a general-position set
-    candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
+    candidates = [pt for pt in pool.values() if _dot(pq, pt.coords) != 0]
     return _refit((p, q), candidates, third_point_on_chord_ab)
 
 
@@ -874,11 +1075,14 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     `known` is a list of points or a pool built once from one; a list is
     deduplicated once per call into a pool, a dict from each canonical
     key to the first point with that key, and that pool serves the flex
-    test and both chords.  Coincident summands fall back on the
-    tangent construction.  With `verify_flex` the identity is first
-    checked to be a flex (one refit plus a tangent-third construction);
-    pass False to skip when the caller has already verified it.  A zero
-    point among o, p and q raises HypothesisViolation.
+    test and both chords.  Each chord first tries the anchor cache, and
+    when no cached fit serves it, fits the cubic with its first endpoint
+    (p, then o) in the anchor slot and caches that fit for later calls.
+    Coincident summands fall back on the tangent construction.  With
+    `verify_flex` the identity is first checked to be a flex (a
+    tangent-third construction on a cached fit or a refit); pass False to
+    skip when the caller has already verified it.  A zero point among o,
+    p and q raises HypothesisViolation.
     """
     pool = _known_pool(known)
     if verify_flex and not projectively_equal(tangent_third_at(pool, o), o):
@@ -887,15 +1091,17 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     def chord(u, v):
         if projectively_equal(u, v):
             return tangent_third_at(pool, u)
-        return third_point_general(pool, u, v)
+        return _chord(pool, u, v, fill=True)
 
     return canonicalize(chord(o, chord(p, q)))
 
 
 def tangent_third_at(known, p: Point) -> Point:
-    """Tangent third point at an arbitrary curve point, by refitting with p
-    in the anchor slot.  Particular parameter choices can degenerate the
-    tangent formula, so selections are retried.
+    """Tangent third point at an arbitrary curve point: tangent_third_point
+    on a cached fit with p in the anchor slot whose labels are known
+    points, else on a refit with p in the anchor slot.  Particular
+    parameter choices can degenerate the tangent formula, so fits and
+    selections are retried.
 
     `known` is a list of points or a pool, the dict from canonical key to
     point that group_add builds once from one; points that are
@@ -904,5 +1110,11 @@ def tangent_third_at(known, p: Point) -> Point:
     if p.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
     p_key = _canonical(p.coords)
-    candidates = [pt for key, pt in _known_pool(known).items() if key != p_key]
+    pool = _known_pool(known)
+    for _, params in _cached_fits(pool, p_key):
+        try:
+            return tangent_third_point(params).w
+        except ConstructionError:
+            continue
+    candidates = [pt for key, pt in pool.items() if key != p_key]
     return _refit((p,), candidates, lambda params: tangent_third_point(params).w)

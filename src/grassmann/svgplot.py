@@ -118,10 +118,13 @@ def render_svg(scene, cubic: HomPoly | None = None) -> str:
 
     if cubic is not None and not cubic.is_zero:
         for (x1, y1), (x2, y2) in _curve_segments(cubic, box):
-            p1 = _to_px(x1, y1, box)
-            p2 = _to_px(x2, y2, box)
+            p1 = [f"{v:.2f}" for v in _to_px(x1, y1, box)]
+            p2 = [f"{v:.2f}" for v in _to_px(x2, y2, box)]
+            # a segment shorter than the printed precision would draw a dot
+            if p1 == p2:
+                continue
             parts.append(
-                f'<line x1="{p1[0]:.2f}" y1="{p1[1]:.2f}" x2="{p2[0]:.2f}" y2="{p2[1]:.2f}" '
+                f'<line x1="{p1[0]}" y1="{p1[1]}" x2="{p2[0]}" y2="{p2[1]}" '
                 f'stroke="#1f77b4" stroke-width="1.2"/>'
             )
 

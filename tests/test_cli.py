@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,6 +369,17 @@ class TestCommands:
         ends = [frozenset(segment) for segment in segments]
         assert [e for e in ends if len(e) != 2] == []
         assert len(set(ends)) == len(ends)
+
+    def test_plot_prints_no_curve_segment_as_a_point(self):
+        # some crossings of this scene fall within 0.005 px of a grid vertex
+        scene = Scene.load(GOLDEN / "grid.scene")
+        cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
+        svg = render_svg(scene, cubic)
+        curve = re.findall(
+            r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)" stroke="#1f77b4"', svg
+        )
+        assert len(curve) > 800
+        assert [ends for ends in curve if ends[:2] == ends[2:]] == []
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["fit9", "--in", "/nonexistent/scene.txt"], capsys)
