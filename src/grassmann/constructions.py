@@ -41,7 +41,7 @@ from .core import (
     projectively_equal,
 )
 from .expr import Environment, eval_symbolic, parse
-from .poly import HomPoly, RankDeficientError, evaluate as poly_evaluate, nullspace_fit
+from .poly import HomPoly
 
 __all__ = [
     "ConstructionError",
@@ -511,14 +511,15 @@ def _clear_anchor_cache() -> None:
         _ANCHOR_CACHE.clear()
 
 
-def _cached_fits(pool, p_key) -> list:
+def _cached_fits(pool, p_key) -> tuple[list, bool]:
     """The cached fits at anchor p_key whose other eight labels are all
-    keys of the pool, oldest first."""
+    keys of the pool, oldest first, and whether any fit at p_key is cached,
+    read under the lock in one go."""
     with _ANCHOR_LOCK:
         fits = _ANCHOR_CACHE.get(p_key, [])
         if fits:
             _ANCHOR_CACHE.move_to_end(p_key)
-    return [fit for fit in fits if all(key in pool for key in fit[0][1:])]
+    return [fit for fit in fits if all(key in pool for key in fit[0][1:])], bool(fits)
 
 
 def _cache_fit(p_key, fit) -> None:
@@ -539,15 +540,15 @@ def _chord_fits(pool, p: Point, p_key, q: Point, q_key, fill: bool):
     pool without q by the first fitting general-position selection, in
     pool order for the anchor's first fit and in reverse order after that.
     """
-    at_p = _cached_fits(pool, p_key)
-    for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key), p, p_key)):
+    at_p, p_cached = _cached_fits(pool, p_key)
+    for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key)[0], p, p_key)):
         for fit in fits:
             if x_key not in fit[0][2:]:
                 yield fit, x
     if not fill or len(at_p) >= _FITS_PER_ANCHOR:
         return
     candidates = [pt for key, pt in pool.items() if key != p_key and key != q_key]
-    if p_key in _ANCHOR_CACHE:
+    if p_cached:
         candidates.reverse()
     try:
         labels, params = next(fit for fit in _fits((p,), candidates) if _chain_moves(fit[1]))
@@ -752,63 +753,101 @@ class SecondIntersection:
     is_tangent: bool
 
 
+def _line_pair(five):
+    """How the conic through five coordinate triples splits: None when no
+    three of them are collinear (the conic is smooth), else the line pair
+    (l1, l2), l1 the line of the first collinear triple and l2 the line
+    through the other two points.
+
+    Raises DegenerateIntermediateError when the five do not fix one conic:
+    a zero point, two equal points or four collinear points.  Each of
+    these makes at least three triples collinear, while a line pair has
+    one collinear triple, or two when its double point is among the five.
+    """
+    triples = [t for t in itertools.combinations(five, 3) if _dot(_cross(t[0], t[1]), t[2]) == 0]
+    if len(triples) > 2:
+        raise DegenerateIntermediateError("five points do not determine a unique conic")
+    if not triples:
+        return None
+    a, b, c = triples[0]
+    d, e = [pt for pt in five if pt not in triples[0]]
+    return _cross(a, b), _cross(d, e)
+
+
+def _second_intersection(five, pair, L, known) -> tuple[tuple, bool]:
+    """Second intersection x of the line L with the conic through the five
+    coordinate triples, and whether L is tangent at `known`, on a conic
+    split as _line_pair(five) gives it.  `known` lies on L and on the conic;
+    it may or may not be one of the five.
+
+    Line pair l1 l2: x is L.l2 when `known` is on l1 only, L.l1 when it is
+    on l2 only, and `known` itself, flagged tangent, when it is the double
+    point.  A line L of the pair lies on the conic, which
+    DegenerateIntermediateError reports.
+
+    Smooth conic: pa, pb, pc, pd are the first four of the five other than
+    `known`.  By Pascal's theorem the hexagon x pa pb pc pd known has its
+    three cross-meets m1 = L.(pb pc), m3 = (pa pb).(pd known) and
+    m2 = (x pa).(pc pd) on one line, so m2 = m1m3.(pc pd) and
+    x = (pa m2).L.  When L is tangent at `known`, the side known x is that
+    tangent and x = known.  No step vanishes, because no three of the six
+    conic points are collinear:
+    - m1 = 0 would make pb pc the line L, through known; m3 = 0 would
+      make pd known the line pa pb;
+    - m1 = m3 is on pb pc and on pa pb, so it would be pb, on pd known;
+    - m2 = 0, that is axis = pc pd, forces m1 = pc, then m3 = pd, which
+      lies on pa pb;
+    - m2 = pa is impossible, because pa is not on pc pd;
+    - pa m2 = L would need pa on L.  Then x = pa, the side x pa is the
+      tangent at pa, so pa m2 is that tangent, not the secant L.
+    """
+    step = _tuple_step
+    if pair is not None:
+        if not all(any(_cross(L, line)) for line in pair):
+            raise DegenerateIntermediateError("the line is a line of the conic's pair")
+        off = [line for line in pair if _dot(line, known) != 0]
+        if not off:
+            return _canonical(known), True
+        return step("x=L.l", _cross(L, off[0])), False
+    pa, pb, pc, pd = [pt for pt in five if any(_cross(pt, known))][:4]
+    m1 = step("m1=L.pbpc", _cross(L, _cross(pb, pc)))
+    m3 = step("m3=papb.pdk", _cross(_cross(pa, pb), _cross(pd, known)))
+    axis = step("axis=m1m3", _cross(m1, m3))
+    m2 = step("m2=axis.pcpd", _cross(axis, _cross(pc, pd)))
+    x = step("x=pam2.L", _cross(_cross(pa, m2), L))
+    return x, not any(_cross(x, known))
+
+
 def conic_line_second_intersection(five, L: Line, known: Point) -> SecondIntersection:
     """Second intersection of a line with the conic through five points.
 
     `known` must lie on both the line and the conic.  The point is built
-    from joins and meets only (the degenerate-hexagon construction on the
-    five points), then checked exactly against the conic fitted through
-    the five points by elimination.  When the line is tangent at `known`
-    the construction reproduces `known`, flagged in the result.
+    from joins and meets only, one fixed Pascal recipe (see
+    _second_intersection); a conic that is a line pair has its own
+    branch.  On a smooth conic, the membership of `known` is one Pascal
+    bracket of the hexagon through it and the five.  When the line is
+    tangent at `known` the result is `known`, flagged.
     """
-    five = list(five)
+    five = [pt.coords for pt in five]
     if len(five) != 5:
         raise ValueError("exactly five conic points required")
     if L.is_zero or known.is_zero:
         raise HypothesisViolation("the line or the known point is a zero object")
-    try:
-        conic = nullspace_fit(five, 2)
-    except RankDeficientError as exc:
-        raise DegenerateIntermediateError(
-            f"five points do not determine a unique conic (rank {exc.rank})"
-        ) from exc
-    if incidence(L, known) != 0:
+    pair = _line_pair(five)
+    L, known = L.coords, known.coords
+    if _dot(L, known) != 0:
         raise HypothesisViolation("known point is not on the line")
-    if poly_evaluate(conic, known) != 0:
+    if pair is None:
+        # a quadratic form in `known` that vanishes at the five, so a
+        # multiple of the conic's form; nonzero as no three are collinear
+        m1, m2, m3 = _pascal(*five, known)
+        on_conic = _dot(m1, _cross(m2, m3)) == 0
+    else:
+        on_conic = any(_dot(line, known) == 0 for line in pair)
+    if not on_conic:
         raise HypothesisViolation("known point is not on the conic")
-
-    known_key = canonicalize(known).coords
-    helpers = [pt for key, pt in _known_pool(five).items() if key != known_key]
-    if len(helpers) < 4:
-        raise HypothesisViolation("five points are not distinct enough")
-
-    def candidates():
-        for quad in itertools.combinations(helpers, 4):
-            yield from itertools.permutations(quad)
-
-    tangent_hit = None
-    for pa, pb, pc, pd in candidates():
-        m1 = meet(L, join(pb, pc))
-        m3 = meet(join(pa, pb), join(pd, known))
-        if m1.is_zero or m3.is_zero or projectively_equal(m1, m3):
-            continue
-        axis = join(m1, m3)
-        m2 = meet(axis, join(pc, pd))
-        if m2.is_zero:
-            continue
-        lx = join(pa, m2)
-        if lx.is_zero or projectively_equal(lx, L):
-            continue
-        x = meet(lx, L)
-        if x.is_zero or poly_evaluate(conic, x) != 0:
-            continue
-        if projectively_equal(x, known):
-            tangent_hit = x
-            continue
-        return SecondIntersection(canonicalize(x), False)
-    if tangent_hit is not None:
-        return SecondIntersection(canonicalize(tangent_hit), True)
-    raise DegenerateIntermediateError("conic-line second intersection")
+    x, is_tangent = _second_intersection(five, pair, L, known)
+    return SecondIntersection(Point(*x), is_tangent)
 
 
 def conic_five_points(a: Point, b: Point, c: Point, A: Line, B: Line) -> list[Point]:
@@ -841,6 +880,15 @@ def conic_five_points(a: Point, b: Point, c: Point, A: Line, B: Line) -> list[Po
     return [canonicalize(pt) for pt in points]
 
 
+def _pascal(a, b, c, a1, b1, c1) -> tuple[tuple, tuple, tuple]:
+    """pascal_points on coordinate triples."""
+    return (
+        _cross(_cross(a, b1), _cross(a1, b)),
+        _cross(_cross(a, c1), _cross(a1, c)),
+        _cross(_cross(b, c1), _cross(b1, c)),
+    )
+
+
 def pascal_points(a, b, c, a1, b1, c1) -> tuple[Point, Point, Point]:
     """The three cross-joint meets of the hexagon a b1 c a1 b c1.
 
@@ -848,10 +896,7 @@ def pascal_points(a, b, c, a1, b1, c1) -> tuple[Point, Point, Point]:
     collinear.  Degenerate hexagons propagate zero objects instead of
     raising.
     """
-    m1 = meet(join(a, b1), join(a1, b))
-    m2 = meet(join(a, c1), join(a1, c))
-    m3 = meet(join(b, c1), join(b1, c))
-    return (m1, m2, m3)
+    return tuple(Point(*m) for m in _pascal(*(pt.coords for pt in (a, b, c, a1, b1, c1))))
 
 
 # ---------------------------------------------------------------------------
@@ -919,19 +964,17 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
         if _dot(_cross(qa1, _cross(x, c)), _chain(x, b, B, k, C, b1)) != 0:
             raise ConstructionError(f"auxiliary conic misses {name}")
 
-    conic_points = tuple(Point(*x) for x in base.values())
-    tangent = Line(*tangent)
-    second = conic_line_second_intersection(conic_points, tangent, params.a)
-    w = second.point
-    if evaluate_cubic(params, w) != 0:
+    five = tuple(base.values())
+    w, is_flex_case = _second_intersection(five, _line_pair(five), tangent, a)
+    if _cubic_value(params, w) != 0:
         raise ConstructionError("tangent third point failed the membership check")
     return TangentThirdResult(
-        w=w,
-        tangent=tangent,
+        w=Point(*w),
+        tangent=Line(*tangent),
         q=Point(*q),
         y=Point(*y),
-        conic_points=conic_points,
-        is_flex_case=second.is_tangent,
+        conic_points=tuple(Point(*x) for x in five),
+        is_flex_case=is_flex_case,
     )
 
 
@@ -1111,7 +1154,7 @@ def tangent_third_at(known, p: Point) -> Point:
         raise HypothesisViolation("the tangent point is the zero point")
     p_key = _canonical(p.coords)
     pool = _known_pool(known)
-    for _, params in _cached_fits(pool, p_key):
+    for _, params in _cached_fits(pool, p_key)[0]:
         try:
             return tangent_third_point(params).w
         except ConstructionError:

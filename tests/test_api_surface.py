@@ -106,3 +106,17 @@ def test_cli_uses_no_private_name_of_another_module():
         ):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+# The construction layer builds its answers from joins and meets; the
+# polynomial fit and its evaluation belong to the checks.  `oracle` stays
+# importable: tangent_at_a falls back on oracle.gradient_tangent to tell
+# a singular point from a degenerate step.
+ORACLE_TOOLS = {f"grassmann.poly.{name}" for name in ("nullspace_fit", "evaluate", "RankDeficientError")}
+
+
+def test_constructions_import_no_polynomial_fit():
+    path = ROOT / "src" / "grassmann" / "constructions.py"
+    imported = _imported_modules(path, "grassmann")
+    assert "grassmann.poly" in imported, "no poly import found; the walk is broken"
+    assert sorted(imported & ORACLE_TOOLS) == []
