@@ -496,14 +496,96 @@ def _refit(anchors, candidates, construct):
 # the anchor cache
 
 # The canonical key of each anchor maps to its fits with the anchor in
-# slot a, as (label keys a..i, params).  A fit depends only on its nine
-# labelled points, so a fit made on one pool serves any pool that holds
-# its labels.  Bounds: fits kept per anchor, and anchors kept (the least
-# recently used goes first).
+# slot a, as _AnchorFit records.  A fit depends only on its nine labelled
+# points, so a fit made on one pool serves any pool that holds its labels.
+# Bounds: fits kept per anchor, and anchors kept (the least recently used
+# goes first).
 _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
 _ANCHOR_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True)
+class _AnchorFit:
+    """One cached fit with what the anchored chord reads from it, built
+    once by _anchor_fit when the fit enters the cache.
+
+    `labels` are the canonical keys of the nine labelled points a..i and
+    `others` the set of b..i; `moves` is _chain_moves(params).  `terms` are
+    the (i, j, k, c) of expand_cubic(params).primitive(), the cubic's form
+    with coprime integer coefficients.  The rest are the fit-only lines of
+    _anchored_third, with p = a and X = B.C: bX, Xb1, the chain pbBkCb1,
+    bp and cp.
+    """
+
+    labels: tuple
+    others: frozenset
+    params: CubicParams
+    moves: bool
+    terms: tuple
+    bX: tuple
+    Xb1: tuple
+    pbBkCb1: tuple
+    bp: tuple
+    cp: tuple
+
+    def on_curve(self, x: tuple) -> bool:
+        """Whether the coordinate triple x is on the fit's cubic: the same
+        predicate as _cubic_value(params, x) == 0, on coefficients of a few
+        bits instead of the fit's parameters.
+
+        Proof: expand_cubic(params) evaluates the AST of CUBIC_EXPRESSION,
+        the expression _cubic_value folds at a numeric x, with x left free.
+        Every product of that fold (cross product, dot product, scaling) is
+        bilinear, so each symbolic intermediate takes the value of the
+        numeric one at every x, and the expanded form F has
+        F(x) = _cubic_value(params, x) for every triple x.  primitive()
+        divides F by a nonzero rational, so it vanishes exactly where F
+        does.  If the bracket is zero at every x, F is the zero form (a
+        polynomial over the rationals that vanishes everywhere is zero):
+        `terms` is empty and this test holds at every x, as the bracket
+        does.
+        """
+        p0, p1, p2 = ((1, v, v * v, v * v * v) for v in x)
+        return sum(c * p0[i] * p1[j] * p2[k] for i, j, k, c in self.terms) == 0
+
+
+def _nonzero_canonical(coords: tuple) -> tuple:
+    """The canonical form of a nonzero triple; a zero triple as it is."""
+    return _canonical(coords) if any(coords) else coords
+
+
+def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
+    """The _AnchorFit record of the fit `params` through `pts`.  It raises
+    nothing: a fit-only line that vanishes is kept as a zero triple, and
+    _anchored_third refuses on it with DegenerateIntermediateError, up
+    front for pbBkCb1 and at a later zero step of the choice O = b for X,
+    bX or Xb1.
+
+    On a fit, X = B.C and bX do not vanish: B and C are distinct lines
+    (CubicParams.validate), and b = X would put b on B = ef, making b, e
+    and f collinear.  pbBkCb1 vanishes on hand-made parameters with p and
+    b on B (then pb is B).
+    """
+    labels = tuple(_canonical(pt.coords) for pt in pts.as_tuple())
+    p, b, b1, c = labels[0], params.b.coords, params.b1.coords, params.c.coords
+    X = _nonzero_canonical(_cross(params.B.coords, params.C.coords))
+    form = expand_cubic(params).primitive()
+    return _AnchorFit(
+        labels=labels,
+        others=frozenset(labels[1:]),
+        params=params,
+        moves=_chain_moves(params),
+        terms=tuple((*mono, int(coeff)) for mono, coeff in form.coeffs.items()),
+        bX=_nonzero_canonical(_cross(b, X)),
+        Xb1=_cross(X, b1),
+        pbBkCb1=_nonzero_canonical(
+            _chain(p, b, params.B.coords, params.k.coords, params.C.coords, b1)
+        ),
+        bp=_cross(b, p),
+        cp=_cross(c, p),
+    )
 
 
 def _clear_anchor_cache() -> None:
@@ -519,10 +601,11 @@ def _cached_fits(pool, p_key) -> tuple[list, bool]:
         fits = _ANCHOR_CACHE.get(p_key, [])
         if fits:
             _ANCHOR_CACHE.move_to_end(p_key)
-    return [fit for fit in fits if all(key in pool for key in fit[0][1:])], bool(fits)
+    keys = pool.keys()
+    return [fit for fit in fits if keys >= fit.others], bool(fits)
 
 
-def _cache_fit(p_key, fit) -> None:
+def _cache_fit(p_key, fit: _AnchorFit) -> None:
     """Add a fit at anchor p_key, dropping the oldest beyond the bounds."""
     with _ANCHOR_LOCK:
         fits = _ANCHOR_CACHE.pop(p_key, [])
@@ -536,14 +619,15 @@ def _chord_fits(pool, p: Point, p_key, q: Point, q_key, fill: bool):
     give the third point of pq: the cached fits at p with x = q, then those
     at q with x = p, each without x among its labels c..i.  Then, with
     `fill` and while fewer than _FITS_PER_ANCHOR cached fits at p hold on
-    this pool, a new fit at p, which is cached: it completes p from the
-    pool without q by the first fitting general-position selection, in
-    pool order for the anchor's first fit and in reverse order after that.
+    this pool, a new fit at p, whose record is built and cached: it
+    completes p from the pool without q by the first fitting
+    general-position selection, in pool order for the anchor's first fit
+    and in reverse order after that.
     """
     at_p, p_cached = _cached_fits(pool, p_key)
     for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key)[0], p, p_key)):
         for fit in fits:
-            if x_key not in fit[0][2:]:
+            if x_key not in fit.labels[2:]:
                 yield fit, x
     if not fill or len(at_p) >= _FITS_PER_ANCHOR:
         return
@@ -554,7 +638,7 @@ def _chord_fits(pool, p: Point, p_key, q: Point, q_key, fill: bool):
         labels, params = next(fit for fit in _fits((p,), candidates) if _chain_moves(fit[1]))
     except (StopIteration, InsufficientPointsError):
         return
-    fit = (tuple(_canonical(pt.coords) for pt in labels.as_tuple()), params)
+    fit = _anchor_fit(labels, params)
     _cache_fit(p_key, fit)
     yield fit, q
 
@@ -567,15 +651,15 @@ def _chain_moves(params: CubicParams) -> bool:
     return _dot(k, B) != 0 and _dot(k, C) != 0 and _dot(b1, C) != 0
 
 
-def _anchored_third(params: CubicParams, labels, x: Point) -> Point:
+def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     """Third point of the line L = px on a fit with p in slot a, where x is
     any curve point: no refit.
 
-    `labels` are the canonical keys of the fit's nine labelled points a..i
-    (a = p).  If x is label b this is third_point_on_chord_ab; if another
-    label lies on L, that label is the point (no three labels are
-    collinear).  Otherwise the point is the second fixed point of a
-    projectivity of L:
+    `fit` is the fit's record (_anchor_fit), whose labels are the canonical
+    keys of its nine labelled points a..i (a = p).  If x is label b this
+    is third_point_on_chord_ab; if another label lies on L, that label is
+    the point (no three labels are collinear).  Otherwise the point is the
+    second fixed point of a projectivity of L:
 
     - For y on L other than a, the line ya is L, so the chain yaAa1 is the
       one line l1 = (L.A)a1.  So y is on the cubic exactly when l1, the
@@ -601,20 +685,24 @@ def _anchored_third(params: CubicParams, labels, x: Point) -> Point:
     and C, so both choices of u are x); lines L for which l1 passes
     through b1; chords tangent at p or x; and fits with k on B or C, or b1
     on C, for which the chain ybBkCb1 is one line for every y, so every x
-    degenerates (such fits are refused up front).
+    degenerates (such fits are refused up front).  The fit-only lines come
+    from the record; a zero pbBkCb1 (which both choices need) refuses.
 
     The point is returned only if x is on the fit's cubic, and the point
     is on L and on the cubic and is neither p nor x; otherwise
     ConstructionError is raised and the caller refits (a chord tangent at
-    p or x is left to the refit).
+    p or x is left to the refit).  Both membership checks read the fit's
+    primitive form (_AnchorFit.on_curve), the same predicate as
+    _cubic_value(params, .) == 0.
     """
+    labels, params = fit.labels, fit.params
     p, x = labels[0], _canonical(x.coords)
     L = _tuple_step("L=px", _cross(p, x))
-    if _cubic_value(params, x) != 0:
+    if not fit.on_curve(x):
         raise ConstructionError("anchored chord endpoint is off the fitted cubic")
 
     def verified(z):
-        return z != p and z != x and _dot(L, z) == 0 and _cubic_value(params, z) == 0
+        return z != p and z != x and _dot(L, z) == 0 and fit.on_curve(z)
 
     if x == labels[1]:
         z = third_point_on_chord_ab(params).coords
@@ -627,14 +715,14 @@ def _anchored_third(params: CubicParams, labels, x: Point) -> Point:
                 return Point(*z)
             raise ConstructionError("label on the chord is off the fitted cubic")
 
-    if not _chain_moves(params):
+    if not fit.moves:
         raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
-    a1, b, b1, c, k = (getattr(params, n).coords for n in ("a1", "b", "b1", "c", "k"))
-    A, B, C = params.A.coords, params.B.coords, params.C.coords
+    if not any(fit.pbBkCb1):
+        raise DegenerateIntermediateError("pbBkCb1")
+    a1, b, c, k = (getattr(params, n).coords for n in ("a1", "b", "c", "k"))
+    b1, A, B, C = params.b1.coords, params.A.coords, params.B.coords, params.C.coords
     step = _tuple_step
     l1 = step("l1=LAa1", _cross(_cross(L, A), a1))
-    X = step("X=B.C", _cross(B, C))
-    bX = step("bX", _cross(b, X))
 
     def phi(name, chain):
         """phi(y) from the line chain = ybBkCb1."""
@@ -646,19 +734,19 @@ def _anchored_third(params: CubicParams, labels, x: Point) -> Point:
         M = step("M=xm", _cross(x, m))
         U = step("U=Ou.M", _cross(Ou, M))
         V = step("V=Op.M", _cross(Op, M))
-        phi_p = phi("p", step("pbBkCb1", _chain(p, b, B, k, C, b1)))
+        phi_p = phi("p", fit.pbBkCb1)
         O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi("u", u_chain), U), _cross(phi_p, V)))
         return step("z=OO'.L", _cross(_cross(O, O2), L))
 
     def through_b():
         # O = b, M = xc, u = L.bX: Ou is bX, and bX.B is X and Xk.C is X,
         # so the chain ubBkCb1 is the line Xb1; u itself is never needed
-        return second_fixed_point(b, c, bX, _cross(b, p), _cross(X, b1))
+        return second_fixed_point(b, c, fit.bX, fit.bp, fit.Xb1)
 
     def through_c():
         # O = c, M = xk, u = L.C
         u = step("u=L.C", _cross(L, C))
-        return second_fixed_point(c, k, _cross(c, u), _cross(c, p), _chain(u, b, B, k, C, b1))
+        return second_fixed_point(c, k, _cross(c, u), fit.cp, _chain(u, b, B, k, C, b1))
 
     for attempt in (through_b, through_c):
         try:
@@ -696,9 +784,9 @@ def _chord(pool, p: Point, q: Point, fill: bool) -> Point:
     if not any(pq):
         raise ValueError("chord endpoints must be distinct")
     p_key, q_key = _canonical(p.coords), _canonical(q.coords)
-    for (labels, params), x in _chord_fits(pool, p, p_key, q, q_key, fill):
+    for fit, x in _chord_fits(pool, p, p_key, q, q_key, fill):
         try:
-            return _anchored_third(params, labels, x)
+            return _anchored_third(fit, x)
         except ConstructionError:
             continue
     # points on pq, p and q among them, never complete a general-position set
@@ -1154,9 +1242,9 @@ def tangent_third_at(known, p: Point) -> Point:
         raise HypothesisViolation("the tangent point is the zero point")
     p_key = _canonical(p.coords)
     pool = _known_pool(known)
-    for _, params in _cached_fits(pool, p_key)[0]:
+    for fit in _cached_fits(pool, p_key)[0]:
         try:
-            return tangent_third_point(params).w
+            return tangent_third_point(fit.params).w
         except ConstructionError:
             continue
     candidates = [pt for key, pt in pool.items() if key != p_key]

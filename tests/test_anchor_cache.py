@@ -2,8 +2,9 @@
 
 A fit with p in slot a gives the third point of the line through p and any
 curve point x without a refit (constructions._anchored_third).  group_add
-keeps such fits per anchor in a bounded module-level cache, which
-third_point_general and tangent_third_at read.  The conftest fixture
+keeps such fits per anchor, one record each (constructions._AnchorFit), in
+a bounded module-level cache, which third_point_general and
+tangent_third_at read.  The conftest fixture
 empties the cache before every test.
 """
 
@@ -19,16 +20,20 @@ from hypothesis import strategies as st
 from grassmann import constructions as cons
 from grassmann.constructions import (
     ConstructionError,
+    CubicParams,
+    DegenerateIntermediateError,
+    NinePointLabels,
     evaluate_cubic,
+    expand_cubic,
     general_position_violation,
     group_add,
     tangent_third_at,
     third_point_general,
 )
-from grassmann.core import Point, _canonical, _dot
+from grassmann.core import Line, Point, _canonical, _cross, _dot, join, meet
 from grassmann.poly import evaluate
 
-from curves import CURVES, FLEX, chord_third, grow_pool, weierstrass
+from curves import CURVES, FLEX, chord_third, grow_pool, tangent_third, weierstrass
 
 # fit_nine_points calls of criterion_09_sums(pool, 9009, 10) before the
 # anchor cache: one refit per chord, and another for each refused one
@@ -70,12 +75,12 @@ def criterion_09_sums(pool, seed, rounds, cold=False):
 
 
 def first_anchor_fit(pool, p, candidates=None):
-    """(label keys, params) of the first fitting general-position selection
-    at p whose chain ybBkCb1 moves, as group_add's first fill makes it."""
+    """The record of the first fitting general-position selection at p
+    whose chain ybBkCb1 moves, as group_add's first fill makes it."""
     if candidates is None:
         candidates = [pt for pt in pool if pt != p]
     labels, params = next(fit for fit in cons._fits((p,), candidates) if cons._chain_moves(fit[1]))
-    return tuple(_canonical(pt.coords) for pt in labels.as_tuple()), params
+    return cons._anchor_fit(labels, params)
 
 
 def test_every_cached_fit_passes_through_its_labels(group_pool):
@@ -84,14 +89,16 @@ def test_every_cached_fit_passes_through_its_labels(group_pool):
     assert len(cons._ANCHOR_CACHE) > 20
     for key, fits in cons._ANCHOR_CACHE.items():
         assert fits
-        for labels, params in fits:
+        for fit in fits:
+            labels, params = fit.labels, fit.params
             assert len(labels) == 9
+            assert fit.others == frozenset(labels[1:])
             assert labels[0] == key == _canonical(params.a.coords)
             assert (labels[1], labels[2]) == (params.b.coords, params.c.coords)
             points = [Point(*label) for label in labels]
             assert general_position_violation(points) is None
             assert all(evaluate_cubic(params, pt) == 0 for pt in points)
-            assert cons._chain_moves(params)
+            assert cons._chain_moves(params) and fit.moves
 
 
 def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
@@ -107,7 +114,7 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
     fits = {p: first_anchor_fit(pool, p) for p in pool}
     served, refused = {}, 0
     for p, x in pairs:
-        labels, params = fits[p]
+        labels = fits[p].labels
         x_key = _canonical(x.coords)
         L = cons._cross(labels[0], x_key)
         if x_key == labels[1]:
@@ -119,7 +126,7 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
         else:
             case = "fixed point"
         try:
-            z = cons._anchored_third(params, labels, x)
+            z = cons._anchored_third(fits[p], x)
         except ConstructionError:
             refused += 1
             continue
@@ -148,16 +155,16 @@ def test_anchored_chord_is_a_verified_point_or_a_typed_error(group_pool, data):
     order = [pt for pt in pool if pt != p]
     random.Random(data.draw(st.integers(0, 2**32), label="order seed")).shuffle(order)
     try:
-        labels, params = first_anchor_fit(pool, p, order)
+        fit = first_anchor_fit(pool, p, order)
     except StopIteration:
         return
     try:
-        z = cons._anchored_third(params, labels, x)
+        z = cons._anchored_third(fit, x)
     except ConstructionError:
         return
     assert on_curve
     assert z.coords == _canonical(chord_third(f, p, x).coords)
-    assert z.coords not in (labels[0], _canonical(x.coords))
+    assert z.coords not in (fit.labels[0], _canonical(x.coords))
 
 
 def test_cold_and_warm_cache_give_the_same_sums(group_pool):
@@ -241,8 +248,9 @@ def test_tangent_third_at_skips_a_cached_fit_that_refuses(group_pool, monkeypatc
     f, pool = group_pool
     p = pool[0]
     expected = tangent_third_at(pool, p)
-    labels, params = first_anchor_fit(pool, p)
-    cons._cache_fit(labels[0], (labels, params))
+    fit = first_anchor_fit(pool, p)
+    params = fit.params
+    cons._cache_fit(fit.labels[0], fit)
     refused = []
 
     def refusing(fit_params):
@@ -285,3 +293,132 @@ def test_threads_share_the_cache(group_pool, monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert results == {n: expected for n in range(4)}
+
+
+def multiples(f, base, ns):
+    """The multiples nP of P = base for n in ns (each n >= 2), by oracle
+    chords through the flex."""
+    out, nP = [], base
+    for n in range(2, max(ns) + 1):
+        third = tangent_third(f, base) if n == 2 else chord_third(f, nP, base)
+        nP = chord_third(f, FLEX, third)
+        if n in ns:
+            out.append(nP)
+    return out
+
+
+def off_curve_grid(f, count):
+    """The first `count` points (1, i, j), |i|, |j| <= 6, off f = 0."""
+    grid = (Point(1, i, j) for i in range(-6, 7) for j in range(-6, 7))
+    return [pt for pt in grid if evaluate(f, pt) != 0][:count]
+
+
+def assert_record_check_is_the_bracket(fit, points):
+    """The record's membership test is _cubic_value(params, .) == 0 at
+    every point, with both verdicts seen, and its terms are the
+    primitive form of expand_cubic(params)."""
+    params = fit.params
+    verdicts = set()
+    for pt in points:
+        x = _canonical(pt.coords)
+        on = cons._cubic_value(params, x) == 0
+        assert fit.on_curve(x) == on, (fit.labels[0], x)
+        verdicts.add(on)
+    assert verdicts == {True, False}
+    assert all(type(c) is int for *_, c in fit.terms)
+    assert {(i, j, k): c for i, j, k, c in fit.terms} == expand_cubic(params).primitive().coeffs
+
+
+def test_the_record_check_is_the_bracket(group_pool):
+    """Every fit cached by seeded criterion-09 sums on the 40-point pool,
+    and fits on a pool of multiples 12P..21P (hundreds of bits): the
+    record's check agrees with the bracket on the pool points, the nine
+    labels and 50 off-curve grid points."""
+    f, pool = group_pool
+    grid = off_curve_grid(f, 50)
+    assert len(grid) == 50
+    criterion_09_sums(pool, 9009, 10)
+    fits = [fit for fits in cons._ANCHOR_CACHE.values() for fit in fits]
+    assert len(fits) > 20
+    tall = [pt for base in pool[:2] for pt in multiples(f, base, range(12, 22))]
+    assert max(abs(c).bit_length() for pt in tall for c in pt.coords) > 200
+    fits += [first_anchor_fit(tall, p) for p in tall[:3]]
+    for fit in fits:
+        labels = [Point(*key) for key in fit.labels]
+        assert_record_check_is_the_bracket(fit, [*pool, *tall, *labels, *grid])
+
+
+def test_each_record_is_built_once(group_pool, monkeypatch):
+    """Each pass of 140 criterion-09 ops expands one cubic per fit it
+    caches and none at read time.  The second pass still caches a couple
+    of fits: a call caches at most one, and only while fewer than two fits
+    at its anchor hold on its pool, so a chord that the cached fits refuse
+    can add a fit the next time it comes.  The third pass is warm and
+    expands nothing."""
+    f, pool = group_pool
+    expanded, cached = [], []
+    expand, cache_fit = cons.expand_cubic, cons._cache_fit
+
+    def counted_expand(params):
+        expanded.append(params)
+        return expand(params)
+
+    def counted_cache_fit(p_key, fit):
+        cached.append(fit)
+        cache_fit(p_key, fit)
+
+    monkeypatch.setattr(cons, "expand_cubic", counted_expand)
+    monkeypatch.setattr(cons, "_cache_fit", counted_cache_fit)
+    sums = criterion_09_sums(pool, 9009, 10)
+    assert len(sums) == 140
+    assert cached and len(expanded) == len(cached)
+    for _ in range(2):
+        expanded.clear()
+        cached.clear()
+        assert criterion_09_sums(pool, 9009, 10) == sums
+        assert len(expanded) == len(cached)
+    assert expanded == [] and cached == []
+
+
+def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
+    """Hand-made parameters with a and b both on B, so that the chain
+    pbBkCb1 of the anchor p = a is zero (pb is B), while k and b1 keep the
+    chain ybBkCb1 moving.  The record is built without raising, the
+    anchored chord refuses with the step's name, and _chord refits."""
+    f, pool = group_pool
+    p, b, x = pool[0], pool[1], pool[2]
+    B = join(p, b)
+    X = meet(B, Line(1, 0, 0))
+    params = CubicParams(
+        a=p,
+        a1=Point(1, 2, 3),
+        b=b,
+        b1=Point(1, 5, 2),
+        c=x,  # so x is on the cubic: the line xc vanishes
+        k=Point(2, 1, 7),
+        A=join(X, Point(1, 1, 1)),
+        B=B,
+        C=join(X, Point(1, -1, 2)),
+    )
+    params.validate()
+    assert cons._chain_moves(params)
+    L = _cross(p.coords, x.coords)
+    labels = (p, b, *[pt for pt in pool[3:] if _dot(L, pt.coords) != 0][:7])
+    fit = cons._anchor_fit(NinePointLabels.from_points(labels), params)
+    assert fit.pbBkCb1 == (0, 0, 0)
+    with pytest.raises(DegenerateIntermediateError) as refusal:
+        cons._anchored_third(fit, x)
+    assert refusal.value.step == "pbBkCb1"
+
+    expected = third_point_general(pool, p, x)
+    assert expected == chord_third(f, p, x)
+    cons._cache_fit(fit.labels[0], fit)
+    refits, original = [], cons._refit
+
+    def counted(anchors, candidates, construct):
+        refits.append(anchors)
+        return original(anchors, candidates, construct)
+
+    monkeypatch.setattr(cons, "_refit", counted)
+    assert cons._chord(cons._known_pool(pool), p, x, fill=False) == expected
+    assert refits == [(p, x)]
