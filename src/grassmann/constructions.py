@@ -23,13 +23,11 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from . import oracle
 from .core import (
     KindError,
     Line,
     Point,
     Scalar,
-    ZERO_LINE,
     _canonical,
     _cross,
     _dot,
@@ -51,7 +49,6 @@ __all__ = [
     "HypothesisViolation",
     "FlexVerificationError",
     "CoincidenceWarning",
-    "SingularPointWarning",
     "CubicParams",
     "NinePointLabels",
     "NinePointFit",
@@ -59,7 +56,6 @@ __all__ = [
     "TangentThirdResult",
     "SixthPointResult",
     "CUBIC_EXPRESSION",
-    "CONIC_EXPRESSION",
     "fit_nine_points",
     "fit_nine_points_trace",
     "expand_cubic",
@@ -118,13 +114,8 @@ class CoincidenceWarning(UserWarning):
     """A constructed point coincides with one of the defining points."""
 
 
-class SingularPointWarning(UserWarning):
-    """The base point is singular; the tangent construction is not unique."""
-
-
-# canonical expression texts (accepted verbatim by the parser and the CLI)
+# canonical expression text (accepted verbatim by the parser and the CLI)
 CUBIC_EXPRESSION = "(xaAa_1.xbBkCb_1.xc)"
-CONIC_EXPRESSION = "xaAbBcx"
 
 _CUBIC_AST = parse(CUBIC_EXPRESSION)
 
@@ -392,16 +383,22 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     Formula: with p = abAa1.abBkCb1, the point is pc.ab.  The result can
     coincide with a or b exactly when the chord is tangent there.
     """
+    y = _chord_ab(params)
+    if _cubic_value(params, y) != 0:
+        raise ConstructionError("chord point failed the exact membership check")
+    return Point(*y)
+
+
+def _chord_ab(params: CubicParams) -> tuple:
+    """The chord formula of third_point_on_chord_ab as a canonical
+    coordinate triple, unchecked."""
     ab = _cross(params.a.coords, params.b.coords)
     if not any(ab):
         raise DegenerateIntermediateError("ab")
     l1 = _chain(ab, params.A.coords, params.a1.coords)
     l2 = _chain(ab, params.B.coords, params.k.coords, params.C.coords, params.b1.coords)
     p = _tuple_step("p=abAa1.abBkCb1", _cross(l1, l2))
-    y = _tuple_step("y=pc.ab", _cross(_cross(p, params.c.coords), ab))
-    if _cubic_value(params, y) != 0:
-        raise ConstructionError("chord point failed the exact membership check")
-    return Point(*y)
+    return _tuple_step("y=pc.ab", _cross(_cross(p, params.c.coords), ab))
 
 
 class _KnownPool(dict):
@@ -498,6 +495,7 @@ def _refit(anchors, candidates, construct):
 # The canonical key of each anchor maps to its fits with the anchor in
 # slot a, as _AnchorFit records.  A fit depends only on its nine labelled
 # points, so a fit made on one pool serves any pool that holds its labels.
+# group_add's chords fill and read it, and tangent_third_at reads it.
 # Bounds: fits kept per anchor, and anchors kept (the least recently used
 # goes first).
 _FITS_PER_ANCHOR = 2
@@ -614,22 +612,21 @@ def _cache_fit(p_key, fit: _AnchorFit) -> None:
             _ANCHOR_CACHE.popitem(last=False)
 
 
-def _chord_fits(pool, p: Point, p_key, q: Point, q_key, fill: bool):
+def _chord_fits(pool, p: Point, p_key, q: Point, q_key):
     """(fit, x) pairs whose anchored chord from the fit's anchor to x may
     give the third point of pq: the cached fits at p with x = q, then those
-    at q with x = p, each without x among its labels c..i.  Then, with
-    `fill` and while fewer than _FITS_PER_ANCHOR cached fits at p hold on
-    this pool, a new fit at p, whose record is built and cached: it
-    completes p from the pool without q by the first fitting
-    general-position selection, in pool order for the anchor's first fit
-    and in reverse order after that.
+    at q with x = p, each without x among its labels c..i.  Then, while
+    fewer than _FITS_PER_ANCHOR cached fits at p hold on this pool, a new
+    fit at p, whose record is built and cached: it completes p from the
+    pool without q by the first fitting general-position selection, in
+    pool order for the anchor's first fit and in reverse order after that.
     """
     at_p, p_cached = _cached_fits(pool, p_key)
     for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key)[0], p, p_key)):
         for fit in fits:
             if x_key not in fit.labels[2:]:
                 yield fit, x
-    if not fill or len(at_p) >= _FITS_PER_ANCHOR:
+    if len(at_p) >= _FITS_PER_ANCHOR:
         return
     candidates = [pt for key, pt in pool.items() if key != p_key and key != q_key]
     if p_cached:
@@ -657,9 +654,9 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
 
     `fit` is the fit's record (_anchor_fit), whose labels are the canonical
     keys of its nine labelled points a..i (a = p).  If x is label b this
-    is third_point_on_chord_ab; if another label lies on L, that label is
-    the point (no three labels are collinear).  Otherwise the point is the
-    second fixed point of a projectivity of L:
+    is the chord formula of third_point_on_chord_ab; if another label lies
+    on L, that label is the point (no three labels are collinear).
+    Otherwise the point is the second fixed point of a projectivity of L:
 
     - For y on L other than a, the line ya is L, so the chain yaAa1 is the
       one line l1 = (L.A)a1.  So y is on the cubic exactly when l1, the
@@ -705,10 +702,10 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
         return z != p and z != x and _dot(L, z) == 0 and fit.on_curve(z)
 
     if x == labels[1]:
-        z = third_point_on_chord_ab(params).coords
+        z = _chord_ab(params)
         if verified(z):
             return Point(*z)
-        raise ConstructionError("anchored chord point coincides with an endpoint")
+        raise ConstructionError("anchored chord point is an endpoint or off the fitted cubic")
     for z in labels[1:]:
         if z != x and _dot(L, z) == 0:
             if verified(z):
@@ -763,35 +760,33 @@ def third_point_general(known, p: Point, q: Point) -> Point:
 
     `known` is a list of points or a pool, the dict from canonical key to
     point that group_add builds once from one; points that are
-    projectively equal count once, by canonical key.  A cached fit with p
-    or q in the anchor slot whose labels are known points serves the
-    chord without a refit (see _anchored_third).  Otherwise selects seven
+    projectively equal count once, by canonical key.  Selects seven
     auxiliary points off the line pq so that (p, q, aux) is in general
     position, refits the cubic with p and q in the anchor slots, and
     applies the chord formula.  The auxiliary selection is the first
     admissible one in input order, so results are reproducible; the
     returned point does not depend on the fit.
     """
-    return _chord(_known_pool(known), p, q, fill=False)
-
-
-def _chord(pool, p: Point, q: Point, fill: bool) -> Point:
-    """third_point_general on a pool: the anchored chord on the fits of
-    _chord_fits, then the refit."""
     if p.is_zero or q.is_zero:
         raise HypothesisViolation("a chord endpoint is the zero point")
     pq = _cross(p.coords, q.coords)
     if not any(pq):
         raise ValueError("chord endpoints must be distinct")
+    # points on pq, p and q among them, never complete a general-position set
+    candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
+    return _refit((p, q), candidates, third_point_on_chord_ab)
+
+
+def _chord(pool, p: Point, q: Point) -> Point:
+    """group_add's chord through distinct nonzero points p and q: the
+    anchored chord on the fits of _chord_fits, then third_point_general."""
     p_key, q_key = _canonical(p.coords), _canonical(q.coords)
-    for fit, x in _chord_fits(pool, p, p_key, q, q_key, fill):
+    for fit, x in _chord_fits(pool, p, p_key, q, q_key):
         try:
             return _anchored_third(fit, x)
         except ConstructionError:
             continue
-    # points on pq, p and q among them, never complete a general-position set
-    candidates = [pt for pt in pool.values() if _dot(pq, pt.coords) != 0]
-    return _refit((p, q), candidates, third_point_on_chord_ab)
+    return third_point_general(pool, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -801,23 +796,12 @@ def _chord(pool, p: Point, q: Point, fill: bool) -> Point:
 def tangent_at_a(params: CubicParams) -> Line:
     """Tangent line to the cubic at the parameter point a.
 
-    Formula: (abBkCb1.ac)a1Aa.  At a singular point every branch of the
-    formula degenerates; ZERO_LINE is returned together with a
-    :class:`SingularPointWarning` instead of raising.  A zero step at a
-    smooth point raises DegenerateIntermediateError naming that step.
+    Formula: (abBkCb1.ac)a1Aa.  The tangent is defined at a smooth point;
+    at a singular point the formula degenerates.  A zero step raises
+    DegenerateIntermediateError naming that step, as in
+    tangent_third_point.
     """
-    try:
-        return Line(*_tangent_with_contact(params)[0])
-    except DegenerateIntermediateError:
-        f = expand_cubic(params)
-        if f.is_zero or oracle.gradient_tangent(f, params.a).is_zero:
-            warnings.warn(
-                "cubic is singular at a; the tangent construction degenerates",
-                SingularPointWarning,
-                stacklevel=2,
-            )
-            return ZERO_LINE
-        raise
+    return Line(*_tangent_with_contact(params)[0])
 
 
 def _tangent_with_contact(params: CubicParams) -> tuple[tuple, tuple]:
@@ -1208,13 +1192,16 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     key to the first point with that key, and that pool serves the flex
     test and both chords.  Each chord first tries the anchor cache, and
     when no cached fit serves it, fits the cubic with its first endpoint
-    (p, then o) in the anchor slot and caches that fit for later calls.
-    Coincident summands fall back on the tangent construction.  With
+    (p, then o) in the anchor slot and caches that fit for later calls;
+    a chord that no such fit serves is third_point_general.  Coincident
+    summands fall back on the tangent construction.  With
     `verify_flex` the identity is first checked to be a flex (a
     tangent-third construction on a cached fit or a refit); pass False to
     skip when the caller has already verified it.  A zero point among o,
     p and q raises HypothesisViolation.
     """
+    if o.is_zero or p.is_zero or q.is_zero:
+        raise HypothesisViolation("a summand or the identity is the zero point")
     pool = _known_pool(known)
     if verify_flex and not projectively_equal(tangent_third_at(pool, o), o):
         raise FlexVerificationError("identity point is not a flex")
@@ -1222,7 +1209,7 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     def chord(u, v):
         if projectively_equal(u, v):
             return tangent_third_at(pool, u)
-        return _chord(pool, u, v, fill=True)
+        return _chord(pool, u, v)
 
     return canonicalize(chord(o, chord(p, q)))
 

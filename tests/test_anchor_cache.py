@@ -3,9 +3,9 @@
 A fit with p in slot a gives the third point of the line through p and any
 curve point x without a refit (constructions._anchored_third).  group_add
 keeps such fits per anchor, one record each (constructions._AnchorFit), in
-a bounded module-level cache, which third_point_general and
-tangent_third_at read.  The conftest fixture
-empties the cache before every test.
+a bounded module-level cache that group_add's chords fill and read and
+tangent_third_at reads; third_point_general is the plain refit.  The
+conftest fixture empties the cache before every test.
 """
 
 import itertools
@@ -137,7 +137,7 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
     assert refused < 200, served
     pool_dict = cons._known_pool(pool)
     for p, x in pairs:
-        assert cons._chord(pool_dict, p, x, fill=True) == refit[p, x]
+        assert cons._chord(pool_dict, p, x) == refit[p, x]
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,22 +209,34 @@ def test_fit_budget_of_the_criterion_09_mix(group_pool, monkeypatch):
     assert len(fitted) <= FITS_WITHOUT_CACHE // 2
 
 
-def test_third_point_general_only_reads_the_cache(group_pool, monkeypatch):
+def test_third_point_general_neither_reads_nor_fills_the_cache(group_pool, monkeypatch):
+    """After group_add caches a fit at p, third_point_general still
+    refits the chord pq and leaves the cache as it was, in content and in
+    least-recently-used order."""
     f, pool = group_pool
     p, q = pool[0], pool[7]
     expected = third_point_general(pool, p, q)
     assert not cons._ANCHOR_CACHE
     group_add(pool, FLEX, p, q, verify_flex=False)
-    assert _canonical(p.coords) in cons._ANCHOR_CACHE
-    fitted, original = [], cons.fit_nine_points
+    before = [(key, list(fits)) for key, fits in cons._ANCHOR_CACHE.items()]
+    assert _canonical(p.coords) in dict(before)
+    assert before[-1][0] != _canonical(p.coords)  # a read at p would move p last
+    fitted, read = [], []
+    original, original_cached_fits = cons.fit_nine_points, cons._cached_fits
 
     def counted(labels):
         fitted.append(labels)
         return original(labels)
 
+    def cached_fits(pool, p_key):
+        read.append(p_key)
+        return original_cached_fits(pool, p_key)
+
     monkeypatch.setattr(cons, "fit_nine_points", counted)
+    monkeypatch.setattr(cons, "_cached_fits", cached_fits)
     assert third_point_general(pool, p, q) == expected
-    assert fitted == []
+    assert fitted and read == []
+    assert [(key, list(fits)) for key, fits in cons._ANCHOR_CACHE.items()] == before
 
 
 def test_tangent_third_at_reads_the_cache(group_pool, monkeypatch):
@@ -384,7 +396,8 @@ def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
     """Hand-made parameters with a and b both on B, so that the chain
     pbBkCb1 of the anchor p = a is zero (pb is B), while k and b1 keep the
     chain ybBkCb1 moving.  The record is built without raising, the
-    anchored chord refuses with the step's name, and _chord refits."""
+    anchored chord refuses with the step's name, and _chord fills a fresh
+    fit at p beside it, which serves the chord."""
     f, pool = group_pool
     p, b, x = pool[0], pool[1], pool[2]
     B = join(p, b)
@@ -410,15 +423,18 @@ def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
         cons._anchored_third(fit, x)
     assert refusal.value.step == "pbBkCb1"
 
-    expected = third_point_general(pool, p, x)
-    assert expected == chord_third(f, p, x)
     cons._cache_fit(fit.labels[0], fit)
-    refits, original = [], cons._refit
+    refused, original = [], cons._anchored_third
 
-    def counted(anchors, candidates, construct):
-        refits.append(anchors)
-        return original(anchors, candidates, construct)
+    def watched(record, end):
+        try:
+            return original(record, end)
+        except ConstructionError:
+            refused.append(record)
+            raise
 
-    monkeypatch.setattr(cons, "_refit", counted)
-    assert cons._chord(cons._known_pool(pool), p, x, fill=False) == expected
-    assert refits == [(p, x)]
+    monkeypatch.setattr(cons, "_anchored_third", watched)
+    assert cons._chord(cons._known_pool(pool), p, x) == chord_third(f, p, x)
+    assert refused == [fit]
+    cached = cons._ANCHOR_CACHE[fit.labels[0]]
+    assert len(cached) == 2 and cached[0] is fit and cached[1] is not fit

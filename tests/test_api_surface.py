@@ -109,10 +109,13 @@ def test_cli_uses_no_private_name_of_another_module():
 
 
 # The construction layer builds its answers from joins and meets; the
-# polynomial fit and its evaluation belong to the checks.  `oracle` stays
-# importable: tangent_at_a falls back on oracle.gradient_tangent to tell
-# a singular point from a degenerate step.
-ORACLE_TOOLS = {f"grassmann.poly.{name}" for name in ("nullspace_fit", "evaluate", "RankDeficientError")}
+# polynomial fit, its evaluation and the oracle module belong to the
+# checks.  Whether a point is singular is decided by the CLI's gradient
+# check, not by a construction.
+ORACLE_TOOLS = {
+    "grassmann.oracle",
+    *(f"grassmann.poly.{name}" for name in ("nullspace_fit", "evaluate", "RankDeficientError")),
+}
 
 
 def test_constructions_import_no_polynomial_fit():

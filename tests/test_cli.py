@@ -201,6 +201,21 @@ class TestCommands:
         assert code == 0
         assert "check matches-gradient-oracle: pass" in out
 
+    def test_singular_point_exits_2(self, capsys):
+        """On the nodal scene (a is the node) the tangent, the tangent
+        third point and the flex test all refuse; the fit succeeds."""
+        nodal = str(GOLDEN / "nodal.scene")
+        code, out, err = run_cli(["tangent", "--in", nodal], capsys)
+        assert (code, out) == (2, "")
+        assert err == "degenerate: a = [0:0:1] is a singular point of the cubic\n"
+        for command in ("tangent_third", "is_flex"):
+            code, out, err = run_cli([command, "--in", nodal], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("degenerate: ")
+        code, out, _ = run_cli(["fit9", "--in", nodal], capsys)
+        assert code == 0
+        assert "status: ok" in out
+
     def test_tangent_third(self, scene_path, capsys):
         code, out, _ = run_cli(["tangent_third", "--in", scene_path], capsys)
         assert code == 0

@@ -17,7 +17,6 @@ from grassmann.constructions import (
     GeneralPositionViolation,
     HypothesisViolation,
     NinePointLabels,
-    SingularPointWarning,
     check_ten_points,
     conic_cubic_sixth,
     conic_cubic_sixth_via_89,
@@ -288,7 +287,7 @@ class TestTangent:
         q2 = second_point_on(T, params.a)
         assert root_multiplicity(f, params.a, q2, params.a) >= 2
 
-    def test_singular_point_warns(self):
+    def test_singular_point_raises(self):
         # nodal cubic x0^2 x2 = x1^2 (x0 + x2) with its node in the anchor slot
         from test_oracle import NODAL, NODE, nodal_point
 
@@ -305,11 +304,13 @@ class TestTangent:
         params = fit_nine_points(labels)
         expanded = expand_cubic(params)
         assert proportional(expanded.coefficient_vector(), NODAL.coefficient_vector())
-        with pytest.warns(SingularPointWarning):
-            T = tangent_at_a(params)
-        # every branch of the formula degenerates at a singular point; the
-        # zero-line bookkeeping object is the computed answer
-        assert T.is_zero
+        # the tangent is defined at smooth points only; the formula
+        # degenerates at the node, as the tangent-third construction does
+        with pytest.raises(DegenerateIntermediateError) as refusal:
+            tangent_at_a(params)
+        assert refusal.value.step == "p=abBkCb1.ac"
+        with pytest.raises(DegenerateIntermediateError):
+            tangent_third_point(params)
 
 
 class TestConicLineSecondIntersection:
