@@ -267,7 +267,7 @@ def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = cons.conic_cubic_sixth(labels)
-        z89 = cons.conic_cubic_sixth_via_89(labels)
+        z89 = cons.conic_cubic_sixth_via_89(labels, result.params)
     report.add_triple("point", "z", result.z)
     report.add_triple("point", "y", result.y)
     conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)

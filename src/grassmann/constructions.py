@@ -31,6 +31,9 @@ from .core import (
     _canonical,
     _cross,
     _dot,
+    _key,
+    _keyed,
+    _nonzero_canonical,
     bracket,
     canonicalize,
     incidence,
@@ -386,7 +389,7 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     y = _chord_ab(params)
     if _cubic_value(params, y) != 0:
         raise ConstructionError("chord point failed the exact membership check")
-    return Point(*y)
+    return _keyed(Point, y)
 
 
 def _chord_ab(params: CubicParams) -> tuple:
@@ -404,13 +407,15 @@ def _chord_ab(params: CubicParams) -> tuple:
 class _KnownPool(dict):
     """The known points, deduplicated once: an ordered mapping from each
     canonical coordinate key to the first input point with that key.  Zero
-    points are dropped."""
+    points are dropped.  The keys are the ones kept on the points, so a
+    point passed again is not reduced again."""
 
     def __init__(self, points):
         super().__init__()
         for p in points:
-            if not p.is_zero:
-                self.setdefault(_canonical(p.coords), p)
+            key = _key(p)
+            if any(key):
+                self.setdefault(key, p)
 
 
 def _known_pool(known) -> _KnownPool:
@@ -545,13 +550,10 @@ class _AnchorFit:
         `terms` is empty and this test holds at every x, as the bracket
         does.
         """
-        p0, p1, p2 = ((1, v, v * v, v * v * v) for v in x)
+        x0, x1, x2 = x
+        s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
+        p0, p1, p2 = (1, x0, s0, s0 * x0), (1, x1, s1, s1 * x1), (1, x2, s2, s2 * x2)
         return sum(c * p0[i] * p1[j] * p2[k] for i, j, k, c in self.terms) == 0
-
-
-def _nonzero_canonical(coords: tuple) -> tuple:
-    """The canonical form of a nonzero triple; a zero triple as it is."""
-    return _canonical(coords) if any(coords) else coords
 
 
 def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
@@ -566,7 +568,7 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
     and f collinear.  pbBkCb1 vanishes on hand-made parameters with p and
     b on B (then pb is B).
     """
-    labels = tuple(_canonical(pt.coords) for pt in pts.as_tuple())
+    labels = tuple(_key(pt) for pt in pts.as_tuple())
     p, b, b1, c = labels[0], params.b.coords, params.b1.coords, params.c.coords
     X = _nonzero_canonical(_cross(params.B.coords, params.C.coords))
     form = expand_cubic(params).primitive()
@@ -693,7 +695,7 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     _cubic_value(params, .) == 0.
     """
     labels, params = fit.labels, fit.params
-    p, x = labels[0], _canonical(x.coords)
+    p, x = labels[0], _key(x)
     L = _tuple_step("L=px", _cross(p, x))
     if not fit.on_curve(x):
         raise ConstructionError("anchored chord endpoint is off the fitted cubic")
@@ -704,12 +706,12 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     if x == labels[1]:
         z = _chord_ab(params)
         if verified(z):
-            return Point(*z)
+            return _keyed(Point, z)
         raise ConstructionError("anchored chord point is an endpoint or off the fitted cubic")
     for z in labels[1:]:
         if z != x and _dot(L, z) == 0:
             if verified(z):
-                return Point(*z)
+                return _keyed(Point, z)
             raise ConstructionError("label on the chord is off the fitted cubic")
 
     if not fit.moves:
@@ -751,7 +753,7 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
         except DegenerateIntermediateError:
             continue
         if verified(z):
-            return Point(*z)
+            return _keyed(Point, z)
     raise DegenerateIntermediateError("anchored chord: no choice of O, M, u, v")
 
 
@@ -780,7 +782,7 @@ def third_point_general(known, p: Point, q: Point) -> Point:
 def _chord(pool, p: Point, q: Point) -> Point:
     """group_add's chord through distinct nonzero points p and q: the
     anchored chord on the fits of _chord_fits, then third_point_general."""
-    p_key, q_key = _canonical(p.coords), _canonical(q.coords)
+    p_key, q_key = _key(p), _key(q)
     for fit, x in _chord_fits(pool, p, p_key, q, q_key):
         try:
             return _anchored_third(fit, x)
@@ -1041,7 +1043,7 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
     if _cubic_value(params, w) != 0:
         raise ConstructionError("tangent third point failed the membership check")
     return TangentThirdResult(
-        w=Point(*w),
+        w=_keyed(Point, w),
         tangent=Line(*tangent),
         q=Point(*q),
         y=Point(*y),
@@ -1066,7 +1068,7 @@ def tangent_third_via_89(known, a: Point) -> Point:
     if a.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
     pool = _known_pool(known)
-    a_key = canonicalize(a).coords
+    a_key = _key(a)
     others = [pt for key, pt in pool.items() if key != a_key]
     if len(others) < 2:
         raise InsufficientPointsError("need two auxiliary points")
@@ -1137,7 +1139,7 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     built = [c, a1, b1, _cross(_cross(a, c), A)]
     for p in (pts.b.coords, pts.g.coords, pts.h.coords, pts.i.coords):
         built.append(_cross(_cross(p, c), _chain(p, a, A, a1)))
-    y = third_point_general([Point(*_canonical(x)) for x in built if any(x)], pts.e, pts.f)
+    y = third_point_general([_keyed(Point, _canonical(x)) for x in built if any(x)], pts.e, pts.f)
     if _cubic_value(aux, y.coords) != 0:
         raise ConstructionError("auxiliary cubic misses y")
     z = _tuple_step("z=yc.ya1Aa", _cross(_cross(y.coords, c), _chain(y.coords, a1, A, a)))
@@ -1161,11 +1163,14 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     return SixthPointResult(z=Point(*z), y=y, params=params, coincides_with=coincides)
 
 
-def conic_cubic_sixth_via_89(pts: NinePointLabels) -> Point:
+def conic_cubic_sixth_via_89(pts: NinePointLabels, params: CubicParams) -> Point:
     """Sixth conic intersection by chord chaining.
 
     The chord cd meets the cubic again at r, ef at s, rs at t; the wanted
     point is the third intersection of the chord at with the cubic.
+    `params` is the fit through `pts` (fit_nine_points(pts), or the
+    `params` of conic_cubic_sixth(pts)); the point is checked on its conic
+    and its cubic.
     """
     nine = list(pts.as_tuple())
     a, c, d, e, f = pts.a, pts.c, pts.d, pts.e, pts.f
@@ -1173,7 +1178,6 @@ def conic_cubic_sixth_via_89(pts: NinePointLabels) -> Point:
     s = third_point_general(nine + [r], e, f)
     t = third_point_general(nine + [r, s], r, s)
     z = third_point_general(nine + [r, s, t], a, t)
-    params = fit_nine_points(pts)
     if _sixth_conic_value(params, z.coords) != 0 or _cubic_value(params, z.coords) != 0:
         raise ConstructionError("sixth point failed the exact membership checks")
     return z
@@ -1227,7 +1231,7 @@ def tangent_third_at(known, p: Point) -> Point:
     """
     if p.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
-    p_key = _canonical(p.coords)
+    p_key = _key(p)
     pool = _known_pool(known)
     for fit in _cached_fits(pool, p_key)[0]:
         try:

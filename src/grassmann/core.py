@@ -13,6 +13,12 @@ Scalars use an equivalence coarser than equality: all nonzero values form
 one class and zero forms the other.  Incidence tests only ever ask which
 class a scalar is in, so results stay well defined even though individual
 coordinates are only fixed up to a common nonzero factor.
+
+Each point and line keeps its canonical key, the primitive sign-fixed
+integer triple that :func:`canonicalize` reduces it to, on the object:
+the key is computed on first use and read from then on, so a point that
+is deduplicated, cached or compared by key many times is reduced once.
+Objects are immutable, so the key never goes stale.
 """
 
 from __future__ import annotations
@@ -51,9 +57,12 @@ class KindError(TypeError):
 
 
 class _Triple:
-    """An immutable coordinate triple; equal only to a triple of its own class."""
+    """An immutable coordinate triple; equal only to a triple of its own class.
 
-    __slots__ = ("coords",)
+    The `_key` slot holds the canonical key once _key() has computed it.
+    """
+
+    __slots__ = ("coords", "_key")
 
     def __init__(self, x0: Scalar, x1: Scalar, x2: Scalar):
         _set_coords(self, (x0, x1, x2))
@@ -97,6 +106,7 @@ class _Triple:
 
 
 _set_coords = _Triple.coords.__set__
+_set_key = _Triple._key.__set__
 
 
 class Point(_Triple):
@@ -252,18 +262,43 @@ def _canonical(coords):
     return (x0 // common, x1 // common, x2 // common)
 
 
+def _nonzero_canonical(coords: tuple) -> tuple:
+    """The canonical form of a nonzero triple; a zero triple as it is."""
+    return _canonical(coords) if any(coords) else coords
+
+
+def _key(g) -> tuple:
+    """The canonical key of a point or line: :func:`_canonical` of its
+    coordinates, or the zero triple itself for a zero object.  Computed on
+    first use and kept on the object."""
+    try:
+        return g._key
+    except AttributeError:
+        pass
+    key = _nonzero_canonical(g.coords)
+    _set_key(g, key)
+    return key
+
+
+def _keyed(cls, t: tuple):
+    """A point or line of class `cls` on the triple t, which is already
+    canonical (or zero), with its coordinates kept as its key."""
+    g = cls(*t)
+    _set_key(g, g.coords)
+    return g
+
+
 def canonicalize(g):
     """Reduce a point or line to its primitive integer representative.
 
-    The reduction is :func:`_canonical` on the coordinates; the result is
-    projectively equal to the input.  A triple that is already primitive
-    and sign-fixed is returned as is, and so are scalars and zero objects.
+    The reduction is the object's key (:func:`_key`); the result is
+    projectively equal to the input and keeps the same key.  A triple that
+    is already primitive and sign-fixed is returned as is, and so are
+    scalars and zero objects.
     """
     if isinstance(g, _Triple):
-        if g.is_zero:
-            return g
-        coords = _canonical(g.coords)
-        return g if coords is g.coords else type(g)(*coords)
+        key = _key(g)
+        return g if key is g.coords else _keyed(type(g), key)
     if isinstance(g, _SCALAR_TYPES):
         return g
     raise KindError(f"cannot canonicalize {g!r}")

@@ -288,13 +288,14 @@ def test_criterion_07_conic_cubic_sixth():
     ok = True
     for i in range(100):
         labels = random_nine_points(random.Random(7000 + i))
-        z = conic_cubic_sixth(labels).z
+        result = conic_cubic_sixth(labels)
+        z = result.z
         conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)
         cubic = nullspace_fit(labels.as_tuple(), 3)
         if evaluate(conic, z) != 0 or evaluate(cubic, z) != 0:
             ok = False
             break
-        z89 = conic_cubic_sixth_via_89(labels)
+        z89 = conic_cubic_sixth_via_89(labels, result.params)
         if not projectively_equal(z, z89):
             ok = False
             break

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmann import constructions as cons
+from grassmann import core
 from grassmann.constructions import (
     ConstructionError,
     CubicParams,
@@ -207,6 +208,34 @@ def test_fit_budget_of_the_criterion_09_mix(group_pool, monkeypatch):
     monkeypatch.setattr(cons, "fit_nine_points", counted)
     assert len(criterion_09_sums(pool, 9009, 10)) == 140
     assert len(fitted) <= FITS_WITHOUT_CACHE // 2
+
+
+def test_a_second_group_add_reduces_no_pool_point(group_pool, monkeypatch):
+    """Each point keeps its canonical key, so group_add on the same list
+    again builds its pool without reducing a pool point; the sums match
+    those on freshly built points, whose keys are computed anew."""
+    f, pool = group_pool
+    pairs = [(pool[0], pool[7]), (pool[3], pool[3]), (pool[12], pool[30])]
+    sums = [group_add(pool, FLEX, p, q, verify_flex=False) for p, q in pairs]
+    pool_coords = {id(pt.coords) for pt in pool}
+    reduced, original = [], core._canonical
+
+    def counted(coords):
+        if id(coords) in pool_coords:
+            reduced.append(coords)
+        return original(coords)
+
+    for module in (core, cons):
+        monkeypatch.setattr(module, "_canonical", counted)
+    assert [group_add(pool, FLEX, p, q, verify_flex=False) for p, q in pairs] == sums
+    assert reduced == []
+    fresh = [Point(*pt.coords) for pt in pool]
+    index = {pt: i for i, pt in enumerate(pool)}
+    again = [
+        group_add(fresh, FLEX, fresh[index[p]], fresh[index[q]], verify_flex=False)
+        for p, q in pairs
+    ]
+    assert again == sums
 
 
 def test_third_point_general_neither_reads_nor_fills_the_cache(group_pool, monkeypatch):

@@ -276,6 +276,25 @@ class TestCommands:
         assert code == 0
         assert "check chord-chain-agreement: pass" in out
 
+    def test_conic_sixth_fits_the_labels_once(self, scene_path, capsys, monkeypatch):
+        # conic_cubic_sixth fits the nine labels and the via-89 check reads
+        # that fit; the other six fits are the chords' refits
+        from grassmann import constructions as cons
+
+        labelled, original = [], cons._fit
+
+        def counted(pts):
+            labelled.append(pts)
+            return original(pts)
+
+        monkeypatch.setattr(cons, "_fit", counted)
+        nine = tuple(random_scene(7, count=1).nine_points())
+        code, out, _ = run_cli(["conic_sixth", "--in", scene_path], capsys)
+        assert code == 0
+        assert "check chord-chain-agreement: pass" in out
+        assert len(labelled) == 7
+        assert sum(pts.as_tuple() == nine for pts in labelled) == 1
+
     def test_pascal_on_conic(self, tmp_path, capsys):
         from test_constructions import TestPascal
 

@@ -658,16 +658,15 @@ class TestConicCubicSixth:
         assert evaluate(cubic, z) == 0
 
     def test_chord_chain_agreement(self, labels9):
-        assert projectively_equal(
-            conic_cubic_sixth(labels9).z, conic_cubic_sixth_via_89(labels9)
-        )
+        result = conic_cubic_sixth(labels9)
+        assert projectively_equal(result.z, conic_cubic_sixth_via_89(labels9, result.params))
 
     def test_more_instances(self):
         for seed in (201, 202, 203):
             labels = seeded_labels(seed)
-            z = conic_cubic_sixth(labels).z
-            z89 = conic_cubic_sixth_via_89(labels)
-            assert projectively_equal(z, z89)
+            result = conic_cubic_sixth(labels)
+            z89 = conic_cubic_sixth_via_89(labels, result.params)
+            assert projectively_equal(result.z, z89)
 
     @staticmethod
     def _sixth_by_parameterization(labels):

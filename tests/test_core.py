@@ -1,5 +1,6 @@
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from grassmann.core import (
     scalar_equiv,
     scale,
 )
+from grassmann.core import _canonical, _key
 
 coord = st.integers(min_value=-40, max_value=40)
 
@@ -230,3 +232,51 @@ class TestIntegerCoordinates:
         assert kind_of(3) == "scalar"
         assert product(2, Point(1, 1, 1)) == Point(2, 2, 2)
         assert canonicalize(5) == 5
+
+
+big = st.integers(min_value=-(10**30), max_value=10**30)
+fraction = st.fractions(max_denominator=10**8).map(lambda v: v * 10**6)
+
+
+class TestKey:
+    """The canonical key kept on each point and line."""
+
+    @given(st.tuples(big, big, big).filter(any), st.sampled_from([Point, Line]))
+    def test_int_key_is_the_canonical_triple(self, t, cls):
+        key = _key(cls(*t))
+        assert key == _canonical(t)
+        assert gcd(*key) == 1 and next(v for v in key if v) > 0
+        assert projectively_equal(cls(*key), cls(*t))
+
+    @given(st.tuples(fraction, fraction, big).filter(any))
+    def test_fraction_key_is_the_canonical_triple(self, t):
+        assert _key(Point(*t)) == _canonical(t)
+
+    def test_zero_key_is_the_zero_triple(self):
+        z = Point(0, Fraction(0), 0)
+        assert _key(z) is z.coords
+        assert _key(ZERO_LINE) is ZERO_LINE.coords
+
+    def test_key_is_kept(self):
+        p = Point(4, -6, 10)
+        key = _key(p)
+        assert _key(p) is key
+        assert p._key is key
+        with pytest.raises(AttributeError):
+            p._key = (1, 2, 3)
+        assert _key(p) is key
+        assert key == (2, -3, 5)
+
+    def test_pickled_point_gets_the_same_key(self):
+        p = Point(Fraction(-3, 2), 6, 9)
+        _key(p)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p
+        assert _key(q) == _key(p)
+
+    @given(points)
+    def test_canonicalize_is_idempotent(self, p):
+        c = canonicalize(p)
+        assert canonicalize(c) is c
+        assert _key(c) is c.coords
+        assert _key(c) == _key(p)
