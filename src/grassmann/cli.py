@@ -172,6 +172,8 @@ def cmd_third_point(scene: Scene, args, report: Report) -> int:
             raise SceneError("third_point takes zero or two --point arguments")
         p = scene.point(args.points[0])
         q = scene.point(args.points[1])
+        if projectively_equal(p, q):
+            raise cons.HypothesisViolation(f"chord endpoints {' and '.join(args.points)} coincide")
         known = _known_curve_points(scene, params)
         y = cons.third_point_general(known, p, q)
     else:

@@ -518,8 +518,8 @@ class _AnchorFit:
     `others` the set of b..i; `moves` is _chain_moves(params).  `terms` are
     the (i, j, k, c) of expand_cubic(params).primitive(), the cubic's form
     with coprime integer coefficients.  The rest are the fit-only lines of
-    _anchored_third, with p = a and X = B.C: bX, Xb1, the chain pbBkCb1,
-    bp and cp.
+    _anchored_third, with p = a and X = B.C: bX, Xb1, the chain pbBkCb1
+    and bp.
     """
 
     labels: tuple
@@ -531,7 +531,6 @@ class _AnchorFit:
     Xb1: tuple
     pbBkCb1: tuple
     bp: tuple
-    cp: tuple
 
     def on_curve(self, x: tuple) -> bool:
         """Whether the coordinate triple x is on the fit's cubic: the same
@@ -569,7 +568,7 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
     b on B (then pb is B).
     """
     labels = tuple(_key(pt) for pt in pts.as_tuple())
-    p, b, b1, c = labels[0], params.b.coords, params.b1.coords, params.c.coords
+    p, b, b1 = labels[0], params.b.coords, params.b1.coords
     X = _nonzero_canonical(_cross(params.B.coords, params.C.coords))
     form = expand_cubic(params).primitive()
     return _AnchorFit(
@@ -584,7 +583,6 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
             _chain(p, b, params.B.coords, params.k.coords, params.C.coords, b1)
         ),
         bp=_cross(b, p),
-        cp=_cross(c, p),
     )
 
 
@@ -617,16 +615,17 @@ def _cache_fit(p_key, fit: _AnchorFit) -> None:
 def _chord_fits(pool, p: Point, p_key, q: Point, q_key):
     """(fit, x) pairs whose anchored chord from the fit's anchor to x may
     give the third point of pq: the cached fits at p with x = q, then those
-    at q with x = p, each without x among its labels c..i.  Then, while
-    fewer than _FITS_PER_ANCHOR cached fits at p hold on this pool, a new
-    fit at p, whose record is built and cached: it completes p from the
-    pool without q by the first fitting general-position selection, in
-    pool order for the anchor's first fit and in reverse order after that.
+    at q with x = p, each without x among its labels b..i (x = b always
+    stops at a zero step).  Then, while fewer than _FITS_PER_ANCHOR cached
+    fits at p hold on this pool, a new fit at p, whose record is built and
+    cached: it completes p from the pool without q by the first fitting
+    general-position selection, in pool order for the anchor's first fit
+    and in reverse order after that.
     """
     at_p, p_cached = _cached_fits(pool, p_key)
     for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key)[0], p, p_key)):
         for fit in fits:
-            if x_key not in fit.labels[2:]:
+            if x_key not in fit.others:
                 yield fit, x
     if len(at_p) >= _FITS_PER_ANCHOR:
         return
@@ -655,44 +654,44 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     any curve point: no refit.
 
     `fit` is the fit's record (_anchor_fit), whose labels are the canonical
-    keys of its nine labelled points a..i (a = p).  If x is label b this
-    is the chord formula of third_point_on_chord_ab; if another label lies
-    on L, that label is the point (no three labels are collinear).
-    Otherwise the point is the second fixed point of a projectivity of L:
+    keys of its nine labelled points a..i (a = p).  If a label other than x
+    lies on L, that label is the point: no three labels are collinear, so
+    it is the curve point of L besides p and x.  Otherwise one choice of
+    O, M, u, v builds it:
 
-    - For y on L other than a, the line ya is L, so the chain yaAa1 is the
-      one line l1 = (L.A)a1.  So y is on the cubic exactly when l1, the
-      line ybBkCb1 and yc are concurrent, that is when y is a fixed point
-      of phi(y) = ((ybBkCb1).l1)c.L.
-    - phi is a chain of perspectivities (L to the pencil at b, to B, to
-      the pencil at k, to C, to the pencil at b1, to l1, to the pencil at
-      c, back to L), so it is a projectivity of L.  Unless it is the
-      identity it has at most two fixed points: x and the wanted z.
-    - Take O off L, a line M through x other than L, and u, v on L.  Let
-      U = Ou.M, V = Ov.M and O' = phi(u)U.phi(v)V.  The map psi sending y
-      to the meet of L with the line from O' through Oy.M is a
-      projectivity of L that agrees with phi at x (psi(x) = x, as x is on
-      M), at u (O'U is the line phi(u)U) and at v, so psi = phi.  A fixed
-      point y of psi other than x has Oy.M on the line O'y, so O' is on
-      the line Oy: z = OO'.L.
+    - On L the cubic is lambda(y)Q(y).  For y on L, ya is lambda(y)L with
+      lambda linear and zero at p, so the chain yaAa1 is lambda(y)l1 with
+      l1 = (L.A)a1, and Q(y) = [l1, ybBkCb1, yc].  The curve points of L
+      are p, x and the wanted z, so Q's roots are x and z (Q is zero when
+      L lies on the cubic).
+    - phi(y) = m(y)c.L with m(y) = ybBkCb1.l1 is linear in y, say Ty.
+      Q(y) is the incidence of y with m(y)c, which is the determinant of
+      y and Ty on L up to a constant factor: the fixed points of phi (and
+      the zeros of T) are Q's roots.  So z = p or z = x happens only when
+      the chord is tangent there, and then that endpoint is the answer.
+    - The choice is O = b (off L, or b is a label on L), M = xc, u = L.bX,
+      v = p, with U = Ou.M, V = Op.M, O' = phi(u)U.phi(p)V and
+      z = OO'.L.  If phi is one-to-one and x, u, p are distinct, O' is off
+      L and M, and the map psi sending y to L.O'(Oy.M) is a projectivity
+      of L that agrees with phi at x (on M), at u (O'U is phi(u)U) and at
+      p, so psi = phi.  A fixed point y of psi other than x has Oy.M on
+      O'y, so O' is on Oy: z = OO'.L.  When OO'.L is x, x is psi's only
+      fixed point, a double root of Q, so z = x.  If T has rank one with
+      image w other than x, O' = w and OO'.L = w, Q's root besides x.
+    - A degenerate choice always stops at a zero step, raising
+      DegenerateIntermediateError: O on M gives U = V = O and O' = O;
+      u = p makes both lines of O' one; u = x makes phi(u)U the line xx;
+      w = x puts both lines of O' on M; phi the identity (L on the cubic)
+      gives O' = O, and T = 0 a zero phi(u).  With x = b, O is on L,
+      U = V = b and O' = b, so OO' is zero.  A fit whose chain ybBkCb1 is
+      one line for every y, or whose record has a zero pbBkCb1, is
+      refused up front.
 
-    Two (O, M, u, v) choices are tried until one gives a point that
-    passes the checks; if neither does, DegenerateIntermediateError is
-    raised.  Degenerate cases found on the 40-point pool of y^2 = x^3 + 17:
-    x = c (c lies on L, so phi is constant); x = d (a1 lies on cd, so c
-    lies on l1 and again phi is constant); x = e (e is the meet of A, B
-    and C, so both choices of u are x); lines L for which l1 passes
-    through b1; chords tangent at p or x; and fits with k on B or C, or b1
-    on C, for which the chain ybBkCb1 is one line for every y, so every x
-    degenerates (such fits are refused up front).  The fit-only lines come
-    from the record; a zero pbBkCb1 (which both choices need) refuses.
-
-    The point is returned only if x is on the fit's cubic, and the point
-    is on L and on the cubic and is neither p nor x; otherwise
-    ConstructionError is raised and the caller refits (a chord tangent at
-    p or x is left to the refit).  Both membership checks read the fit's
-    primitive form (_AnchorFit.on_curve), the same predicate as
-    _cubic_value(params, .) == 0.
+    So every step that is not zero gives the third point.  It is returned
+    only if x is on the fit's cubic and the point is on L and on the
+    cubic, checked on the fit's primitive form (_AnchorFit.on_curve, the
+    same predicate as _cubic_value(params, .) == 0); otherwise
+    ConstructionError is raised and the caller refits.
     """
     labels, params = fit.labels, fit.params
     p, x = labels[0], _key(x)
@@ -701,13 +700,8 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
         raise ConstructionError("anchored chord endpoint is off the fitted cubic")
 
     def verified(z):
-        return z != p and z != x and _dot(L, z) == 0 and fit.on_curve(z)
+        return _dot(L, z) == 0 and fit.on_curve(z)
 
-    if x == labels[1]:
-        z = _chord_ab(params)
-        if verified(z):
-            return _keyed(Point, z)
-        raise ConstructionError("anchored chord point is an endpoint or off the fitted cubic")
     for z in labels[1:]:
         if z != x and _dot(L, z) == 0:
             if verified(z):
@@ -718,43 +712,25 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
         raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
     if not any(fit.pbBkCb1):
         raise DegenerateIntermediateError("pbBkCb1")
-    a1, b, c, k = (getattr(params, n).coords for n in ("a1", "b", "c", "k"))
-    b1, A, B, C = params.b1.coords, params.A.coords, params.B.coords, params.C.coords
-    step = _tuple_step
-    l1 = step("l1=LAa1", _cross(_cross(L, A), a1))
+    step, c = _tuple_step, params.c.coords
+    l1 = step("l1=LAa1", _cross(_cross(L, params.A.coords), params.a1.coords))
 
     def phi(name, chain):
         """phi(y) from the line chain = ybBkCb1."""
         m = step(f"{name}bBkCb1.l1", _cross(chain, l1))
         return step(f"phi({name})", _cross(_cross(m, c), L))
 
-    def second_fixed_point(O, m, Ou, Op, u_chain):
-        """z = OO'.L for O, M = xm, u on the line Ou and v = p."""
-        M = step("M=xm", _cross(x, m))
-        U = step("U=Ou.M", _cross(Ou, M))
-        V = step("V=Op.M", _cross(Op, M))
-        phi_p = phi("p", fit.pbBkCb1)
-        O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi("u", u_chain), U), _cross(phi_p, V)))
-        return step("z=OO'.L", _cross(_cross(O, O2), L))
-
-    def through_b():
-        # O = b, M = xc, u = L.bX: Ou is bX, and bX.B is X and Xk.C is X,
-        # so the chain ubBkCb1 is the line Xb1; u itself is never needed
-        return second_fixed_point(b, c, fit.bX, fit.bp, fit.Xb1)
-
-    def through_c():
-        # O = c, M = xk, u = L.C
-        u = step("u=L.C", _cross(L, C))
-        return second_fixed_point(c, k, _cross(c, u), fit.cp, _chain(u, b, B, k, C, b1))
-
-    for attempt in (through_b, through_c):
-        try:
-            z = attempt()
-        except DegenerateIntermediateError:
-            continue
-        if verified(z):
-            return _keyed(Point, z)
-    raise DegenerateIntermediateError("anchored chord: no choice of O, M, u, v")
+    # Ou is bX, and bX.B is X and Xk.C is X, so the chain ubBkCb1 is the
+    # line Xb1; u itself is never needed
+    M = step("M=xc", _cross(x, c))
+    U = step("U=Ou.M", _cross(fit.bX, M))
+    V = step("V=Op.M", _cross(fit.bp, M))
+    phi_p = phi("p", fit.pbBkCb1)
+    O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi("u", fit.Xb1), U), _cross(phi_p, V)))
+    z = step("z=OO'.L", _cross(_cross(params.b.coords, O2), L))
+    if verified(z):
+        return _keyed(Point, z)
+    raise ConstructionError("anchored chord point is off the fitted cubic")
 
 
 def third_point_general(known, p: Point, q: Point) -> Point:

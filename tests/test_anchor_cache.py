@@ -105,8 +105,10 @@ def test_every_cached_fit_passes_through_its_labels(group_pool):
 def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
     """All 1560 ordered pairs (p, x): the anchored chord on one fit at p,
     made from the whole pool so that x can be any label, either refuses
-    with a typed error or gives the refit's point; group_add's chord path
-    gives the refit's point on every pair."""
+    with a typed error or gives the refit's point.  The 40 pairs with x in
+    slot b all refuse (O = b = x makes U = V = b, so a step is zero), and
+    fewer than 200 of the others do.  group_add's chord path gives the
+    refit's point on every pair."""
     f, pool = group_pool
     pairs = list(itertools.permutations(pool, 2))
     assert len(pairs) == 1560
@@ -119,8 +121,10 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
         x_key = _canonical(x.coords)
         L = cons._cross(labels[0], x_key)
         if x_key == labels[1]:
-            case = "slot b"
-        elif x_key in labels[2:]:
+            with pytest.raises(ConstructionError):
+                cons._anchored_third(fits[p], x)
+            continue
+        if x_key in labels[2:]:
             case = "x among c..i"
         elif any(_dot(L, key) == 0 for key in labels[1:]):
             case = "label on L"
@@ -133,8 +137,8 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
             continue
         assert z == refit[p, x], (p, x, case)
         served[case] = served.get(case, 0) + 1
-    assert set(served) == {"slot b", "x among c..i", "label on L", "fixed point"}
-    assert sum(served.values()) + refused == 1560
+    assert set(served) == {"x among c..i", "label on L", "fixed point"}
+    assert sum(served.values()) + refused == 1560 - len(pool)
     assert refused < 200, served
     pool_dict = cons._known_pool(pool)
     for p, x in pairs:
@@ -165,7 +169,32 @@ def test_anchored_chord_is_a_verified_point_or_a_typed_error(group_pool, data):
         return
     assert on_curve
     assert z.coords == _canonical(chord_third(f, p, x).coords)
-    assert z.coords not in (fit.labels[0], _canonical(x.coords))
+
+
+def test_tangent_chords_are_answered_without_a_refit(group_pool):
+    """The ordered pool pairs (p, x) whose third point is p or x: the
+    chord is tangent at that endpoint.  The anchored chord on the first
+    fit at p serves some of them, each with the refit's point, and
+    group_add's chord path on a fresh pool gives the refit's point on
+    all of them."""
+    f, pool = group_pool
+    refit = {
+        (p, x): third_point_general(pool, p, x) for p, x in itertools.permutations(pool, 2)
+    }
+    tangent = [(p, x) for (p, x), z in refit.items() if z in (p, x)]
+    assert len(tangent) == 20
+    assert not cons._ANCHOR_CACHE
+    served = 0
+    for p, x in tangent:
+        try:
+            z = cons._anchored_third(first_anchor_fit(pool, p), x)
+        except ConstructionError:
+            continue
+        assert z == refit[p, x], (p, x)
+        served += 1
+    assert served > 0
+    pool_dict = cons._known_pool(pool)
+    assert [cons._chord(pool_dict, p, x) for p, x in tangent] == [refit[t] for t in tangent]
 
 
 def test_cold_and_warm_cache_give_the_same_sums(group_pool):

@@ -196,6 +196,13 @@ class TestCommands:
         assert code == 0
         assert "status: ok" in out
 
+    def test_third_point_coincident_endpoints_exit_2(self, scene_path, capsys):
+        code, out, err = run_cli(
+            ["third_point", "--in", scene_path, "--point", "a", "--point", "a"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "degenerate: chord endpoints a and a coincide\n"
+
     def test_tangent(self, scene_path, capsys):
         code, out, _ = run_cli(["tangent", "--in", scene_path], capsys)
         assert code == 0
