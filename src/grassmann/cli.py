@@ -86,6 +86,16 @@ def _known_curve_points(scene: Scene, params) -> list[Point]:
     return [p for p in scene.points.values() if cons.evaluate_cubic(params, p) == 0]
 
 
+def _points_on_curve(scene: Scene, names, known) -> list[Point]:
+    """The named scene points; one that is not among the known curve
+    points is refused."""
+    pts = [scene.point(name) for name in names]
+    for name, pt in zip(names, pts):
+        if pt not in known:
+            raise cons.HypothesisViolation(f"point {name} is not on the cubic")
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -170,11 +180,8 @@ def cmd_third_point(scene: Scene, args, report: Report) -> int:
     if args.points:
         if len(args.points) != 2:
             raise SceneError("third_point takes zero or two --point arguments")
-        p = scene.point(args.points[0])
-        q = scene.point(args.points[1])
-        if projectively_equal(p, q):
-            raise cons.HypothesisViolation(f"chord endpoints {' and '.join(args.points)} coincide")
         known = _known_curve_points(scene, params)
+        p, q = _points_on_curve(scene, args.points, known)
         y = cons.third_point_general(known, p, q)
     else:
         p, q = params.a, params.b
@@ -289,12 +296,7 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
         raise SceneError("group_add needs --point o --point p --point q")
     params, f = _fitted(scene)
     known = _known_curve_points(scene, params)
-    o = scene.point(args.points[0])
-    p = scene.point(args.points[1])
-    q = scene.point(args.points[2])
-    for name, pt in zip(args.points, (o, p, q)):
-        if cons.evaluate_cubic(params, pt) != 0:
-            raise cons.HypothesisViolation(f"point {name} is not on the cubic")
+    o, p, q = _points_on_curve(scene, args.points, known)
     total = cons.group_add(known, o, p, q, verify_flex=not args.no_verify_flex)
     if args.no_verify_flex:
         report.add_diagnostic("identity accepted unverified (--no-verify-flex)")

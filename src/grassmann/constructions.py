@@ -386,41 +386,29 @@ def third_point_on_chord_ab(params: CubicParams) -> Point:
     Formula: with p = abAa1.abBkCb1, the point is pc.ab.  The result can
     coincide with a or b exactly when the chord is tangent there.
     """
-    y = _chord_ab(params)
-    if _cubic_value(params, y) != 0:
-        raise ConstructionError("chord point failed the exact membership check")
-    return _keyed(Point, y)
-
-
-def _chord_ab(params: CubicParams) -> tuple:
-    """The chord formula of third_point_on_chord_ab as a canonical
-    coordinate triple, unchecked."""
     ab = _cross(params.a.coords, params.b.coords)
     if not any(ab):
         raise DegenerateIntermediateError("ab")
     l1 = _chain(ab, params.A.coords, params.a1.coords)
     l2 = _chain(ab, params.B.coords, params.k.coords, params.C.coords, params.b1.coords)
     p = _tuple_step("p=abAa1.abBkCb1", _cross(l1, l2))
-    return _tuple_step("y=pc.ab", _cross(_cross(p, params.c.coords), ab))
+    y = _tuple_step("y=pc.ab", _cross(_cross(p, params.c.coords), ab))
+    if _cubic_value(params, y) != 0:
+        raise ConstructionError("chord point failed the exact membership check")
+    return _keyed(Point, y)
 
 
-class _KnownPool(dict):
-    """The known points, deduplicated once: an ordered mapping from each
-    canonical coordinate key to the first input point with that key.  Zero
-    points are dropped.  The keys are the ones kept on the points, so a
-    point passed again is not reduced again."""
-
-    def __init__(self, points):
-        super().__init__()
-        for p in points:
-            key = _key(p)
-            if any(key):
-                self.setdefault(key, p)
-
-
-def _known_pool(known) -> _KnownPool:
-    """`known` as a pool; a pool is returned unchanged."""
-    return known if type(known) is _KnownPool else _KnownPool(known)
+def _known_pool(points) -> dict:
+    """The known points deduplicated: an ordered dict from each canonical
+    coordinate key to the first point with that key, zero points dropped.
+    The keys are the ones kept on the points, so a point passed again is
+    not reduced again."""
+    pool: dict = {}
+    for p in points:
+        key = _key(p)
+        if any(key):
+            pool.setdefault(key, p)
+    return pool
 
 
 def _general_position_selections(fixed, candidates, count):
@@ -736,20 +724,25 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
 def third_point_general(known, p: Point, q: Point) -> Point:
     """Third intersection of line pq with the cubic through the known points.
 
-    `known` is a list of points or a pool, the dict from canonical key to
-    point that group_add builds once from one; points that are
-    projectively equal count once, by canonical key.  Selects seven
-    auxiliary points off the line pq so that (p, q, aux) is in general
-    position, refits the cubic with p and q in the anchor slots, and
-    applies the chord formula.  The auxiliary selection is the first
-    admissible one in input order, so results are reproducible; the
-    returned point does not depend on the fit.
+    `known` is an iterable of points; points that are projectively equal
+    count once, by canonical key.  Selects seven auxiliary points off the
+    line pq so that (p, q, aux) is in general position, refits the cubic
+    with p and q in the anchor slots, and applies the chord formula.  The
+    auxiliary selection is the first admissible one in input order, so
+    results are reproducible; the returned point does not depend on the
+    fit.
+
+    Hypothesis: p and q lie on the cubic through the known points.  It is
+    not checked: with an endpoint off that cubic, the refit is another
+    cubic through that endpoint, and the returned point is in general off
+    the cubic through the known points.  A zero endpoint, or p and q
+    projectively equal, raises HypothesisViolation.
     """
     if p.is_zero or q.is_zero:
         raise HypothesisViolation("a chord endpoint is the zero point")
     pq = _cross(p.coords, q.coords)
     if not any(pq):
-        raise ValueError("chord endpoints must be distinct")
+        raise HypothesisViolation("chord endpoints coincide")
     # points on pq, p and q among them, never complete a general-position set
     candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
     return _refit((p, q), candidates, third_point_on_chord_ab)
@@ -764,7 +757,7 @@ def _chord(pool, p: Point, q: Point) -> Point:
             return _anchored_third(fit, x)
         except ConstructionError:
             continue
-    return third_point_general(pool, p, q)
+    return third_point_general(pool.values(), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1032,8 @@ def tangent_third_via_89(known, a: Point) -> Point:
 
     Chords through a and two auxiliary points p1, q1 give p2 and q2; the
     chords p1q1 and p2q2 give r1 and r2, and the chord r1r2 gives the
-    result.
+    result.  `known` is an iterable of points; points that are
+    projectively equal count once, by canonical key.
     """
     if a.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
@@ -1060,7 +1054,7 @@ def tangent_third_via_89(known, a: Point) -> Point:
             r2 = third_point_general(working, p2, q2)
             working.append(r2)
             return third_point_general(working, r1, r2)
-        except (ConstructionError, ValueError):
+        except ConstructionError:
             continue
     raise InsufficientPointsError("no admissible secant pair found")
 
@@ -1167,28 +1161,31 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     """Chord-and-tangent sum p + q with identity o: the third point of the
     chord through o and the third chord point of pq.
 
-    `known` is a list of points or a pool built once from one; a list is
-    deduplicated once per call into a pool, a dict from each canonical
-    key to the first point with that key, and that pool serves the flex
-    test and both chords.  Each chord first tries the anchor cache, and
-    when no cached fit serves it, fits the cubic with its first endpoint
-    (p, then o) in the anchor slot and caches that fit for later calls;
-    a chord that no such fit serves is third_point_general.  Coincident
-    summands fall back on the tangent construction.  With
-    `verify_flex` the identity is first checked to be a flex (a
-    tangent-third construction on a cached fit or a refit); pass False to
-    skip when the caller has already verified it.  A zero point among o,
-    p and q raises HypothesisViolation.
+    `known` is an iterable of points, deduplicated once per call into a
+    pool, a dict from each canonical key to the first point with that
+    key, and that pool serves the flex test and both chords.  Each chord
+    first tries the anchor cache, and when no cached fit serves it, fits
+    the cubic with its first endpoint (p, then o) in the anchor slot and
+    caches that fit for later calls; a chord that no such fit serves is
+    third_point_general.  Coincident summands fall back on the tangent
+    construction.  With `verify_flex` the identity is first checked to be
+    a flex (a tangent-third construction on a cached fit or a refit); pass
+    False to skip when the caller has already verified it.  A zero point
+    among o, p and q raises HypothesisViolation.
+
+    Hypothesis: o, p and q lie on the cubic through the known points.  It
+    is not checked: with a point off that cubic, the sum is in general off
+    it too.
     """
     if o.is_zero or p.is_zero or q.is_zero:
         raise HypothesisViolation("a summand or the identity is the zero point")
     pool = _known_pool(known)
-    if verify_flex and not projectively_equal(tangent_third_at(pool, o), o):
+    if verify_flex and not projectively_equal(tangent_third_at(pool.values(), o), o):
         raise FlexVerificationError("identity point is not a flex")
 
     def chord(u, v):
         if projectively_equal(u, v):
-            return tangent_third_at(pool, u)
+            return tangent_third_at(pool.values(), u)
         return _chord(pool, u, v)
 
     return canonicalize(chord(o, chord(p, q)))
@@ -1201,9 +1198,10 @@ def tangent_third_at(known, p: Point) -> Point:
     parameter choices can degenerate the tangent formula, so fits and
     selections are retried.
 
-    `known` is a list of points or a pool, the dict from canonical key to
-    point that group_add builds once from one; points that are
-    projectively equal count once, by canonical key.
+    `known` is an iterable of points; points that are projectively equal
+    count once, by canonical key.  Hypothesis: p lies on the cubic through
+    the known points.  It is not checked: with p off that cubic, the
+    returned point is in general off it too.
     """
     if p.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")

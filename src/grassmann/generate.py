@@ -69,11 +69,9 @@ def random_scene(seed: int, count: int = 0) -> Scene:
             if attempts > 100 * count:
                 raise ConstructionError("chord bootstrap failed to produce new points")
             p, q = rng.sample(known, 2)
-            if projectively_equal(p, q):
-                continue
             try:
                 new = third_point_general(known, p, q)
-            except (ConstructionError, ValueError):
+            except ConstructionError:
                 continue
             if any(projectively_equal(new, existing) for existing in known):
                 continue

@@ -1,10 +1,14 @@
 """The anchored chord and the anchor cache.
 
 A fit with p in slot a gives the third point of the line through p and any
-curve point x without a refit (constructions._anchored_third).  group_add
-keeps such fits per anchor, one record each (constructions._AnchorFit), in
-a bounded module-level cache that group_add's chords fill and read and
-tangent_third_at reads; third_point_general is the plain refit.  The
+curve point x without a refit (constructions._anchored_third), or refuses
+with a typed error at a zero step.  group_add keeps such fits per anchor,
+one record each (constructions._AnchorFit), in a bounded module-level
+cache that group_add's chords fill and read and tangent_third_at reads;
+third_point_general is the plain refit.  group_add dedupes its known
+points once into a dict from canonical key to point
+(constructions._known_pool), which its chords (constructions._chord) read;
+the public functions take the known points as a plain iterable.  The
 conftest fixture empties the cache before every test.
 """
 
@@ -195,6 +199,38 @@ def test_tangent_chords_are_answered_without_a_refit(group_pool):
     assert served > 0
     pool_dict = cons._known_pool(pool)
     assert [cons._chord(pool_dict, p, x) for p, x in tangent] == [refit[t] for t in tangent]
+
+
+def test_refusals_at_the_O_prime_step_are_degenerate_choices(group_pool):
+    """The anchored chord's refusals at step O'=phi(u)U.phi(p)V, one pool
+    pair per case of _anchored_third's list of degenerate choices seen on
+    the group-law workload: u = x (x on the fit's line bX), and phi of rank
+    one with image w = x (phi sends every point of L to x).  Each is a
+    typed refusal, and group_add's chord path still gives the oracle's
+    third point."""
+    f, pool = group_pool
+
+    def phi(fit, L, y):
+        """phi(y) = (ybBkCb1.l1)c.L with l1 = (L.A)a1, as the chord builds it."""
+        par = fit.params
+        l1 = _cross(_cross(L, par.A.coords), par.a1.coords)
+        chain = cons._chain(y, *(getattr(par, n).coords for n in ("b", "B", "k", "C", "b1")))
+        return _cross(_cross(_cross(chain, l1), par.c.coords), L)
+
+    pool_dict = cons._known_pool(pool)
+    for p, x, case in ((pool[0], pool[1], "u = x"), (pool[0], pool[3], "w = x")):
+        fit = first_anchor_fit(pool, p)
+        x_key = _canonical(x.coords)
+        with pytest.raises(DegenerateIntermediateError) as refusal:
+            cons._anchored_third(fit, x)
+        assert refusal.value.step == "O'=phi(u)U.phi(p)V", case
+        L = _cross(fit.labels[0], x_key)
+        u = _cross(L, fit.bX)
+        assert (not any(_cross(u, x_key))) == (case == "u = x")
+        if case == "w = x":
+            images = [phi(fit, L, y) for y in (fit.labels[0], u, _cross(L, (1, 2, 5)))]
+            assert all(any(w) and not any(_cross(w, x_key)) for w in images)
+        assert cons._chord(pool_dict, p, x) == chord_third(f, p, x)
 
 
 def test_cold_and_warm_cache_give_the_same_sums(group_pool):

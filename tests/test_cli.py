@@ -201,7 +201,20 @@ class TestCommands:
             ["third_point", "--in", scene_path, "--point", "a", "--point", "a"], capsys
         )
         assert (code, out) == (2, "")
-        assert err == "degenerate: chord endpoints a and a coincide\n"
+        assert err == "degenerate: chord endpoints coincide\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["third_point", "--point", "a"], ["group_add", "--point", "a", "--point", "a"]],
+        ids=["third_point", "group_add"],
+    )
+    def test_off_curve_point_exit_2(self, argv, capsys):
+        """j of the grid scene is not on the cubic through a..i: third_point
+        and group_add refuse it by the same test, before any construction."""
+        grid = str(GOLDEN / "grid.scene")
+        code, out, err = run_cli([*argv, "--point", "j", "--in", grid], capsys)
+        assert (code, out) == (2, "")
+        assert err == "degenerate: point j is not on the cubic\n"
 
     def test_tangent(self, scene_path, capsys):
         code, out, _ = run_cli(["tangent", "--in", scene_path], capsys)
