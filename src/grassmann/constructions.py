@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -33,7 +32,6 @@ from .core import (
     _dot,
     _key,
     _keyed,
-    _nonzero_canonical,
     bracket,
     canonicalize,
     incidence,
@@ -51,7 +49,6 @@ __all__ = [
     "InsufficientPointsError",
     "HypothesisViolation",
     "FlexVerificationError",
-    "CoincidenceWarning",
     "CubicParams",
     "NinePointLabels",
     "NinePointFit",
@@ -111,10 +108,6 @@ class HypothesisViolation(ConstructionError):
 
 class FlexVerificationError(ConstructionError):
     """The designated identity point failed the flex test."""
-
-
-class CoincidenceWarning(UserWarning):
-    """A constructed point coincides with one of the defining points."""
 
 
 # canonical expression text (accepted verbatim by the parser and the CLI)
@@ -453,30 +446,19 @@ def _general_position_selections(fixed, candidates, count):
                     yield chosen
 
 
-def _fits(anchors, candidates):
-    """(labels, params) for each general-position completion of `anchors`
-    from `candidates` whose nine-point fit succeeds, in search order (see
+def _refit(anchors, candidates, construct):
+    """construct(labels, params) on the first general-position completion
+    of `anchors` from `candidates` whose nine-point fit and construction
+    do not raise ConstructionError.  Selections come in search order (see
     _general_position_selections), with the anchors in the first label
-    slots.  A selection whose fit raises ConstructionError is skipped."""
+    slots; a refused one moves the loop on to the next."""
     count = 9 - len(anchors)
     if len(candidates) < count:
         raise InsufficientPointsError(f"fewer than {count} usable auxiliary points")
     for aux in _general_position_selections(anchors, candidates, count):
         labels = NinePointLabels._from_proven_selection((*anchors, *aux))
         try:
-            params = fit_nine_points(labels)
-        except ConstructionError:
-            continue
-        yield labels, params
-
-
-def _refit(anchors, candidates, construct):
-    """`construct` applied to a cubic refitted through the anchors: the
-    first of _fits(anchors, candidates) whose construction does not raise
-    ConstructionError."""
-    for _, params in _fits(anchors, candidates):
-        try:
-            return construct(params)
+            return construct(labels, fit_nine_points(labels))
         except ConstructionError:
             continue
     raise InsufficientPointsError("no admissible auxiliary selection found")
@@ -490,7 +472,11 @@ def _refit(anchors, candidates, construct):
 # points, so a fit made on one pool serves any pool that holds its labels.
 # group_add's chords fill and read it, and tangent_third_at reads it.
 # Bounds: fits kept per anchor, and anchors kept (the least recently used
-# goes first).
+# goes first).  Two fits per anchor, because a fit is not offered a chord
+# to its own labels b..i, and on its own fit the anchored chord refuses
+# x = b..e by structure: x = b puts O on L, x = c makes M = xc zero,
+# x = d gives l1 = cd (phi is the constant d), and x = e is X = B.C, so
+# u = x.  The second fit, selected in reverse pool order, serves those.
 _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
@@ -500,20 +486,19 @@ _ANCHOR_LOCK = threading.Lock()
 @dataclass(frozen=True)
 class _AnchorFit:
     """One cached fit with what the anchored chord reads from it, built
-    once by _anchor_fit when the fit enters the cache.
+    once by _anchor_fit, which admits the fit to the cache.
 
     `labels` are the canonical keys of the nine labelled points a..i and
-    `others` the set of b..i; `moves` is _chain_moves(params).  `terms` are
-    the (i, j, k, c) of expand_cubic(params).primitive(), the cubic's form
-    with coprime integer coefficients.  The rest are the fit-only lines of
+    `others` the set of b..i.  `terms` are the (i, j, k, c) of
+    expand_cubic(params).primitive(), the cubic's form with coprime
+    integer coefficients.  The rest are the fit-only lines of
     _anchored_third, with p = a and X = B.C: bX, Xb1, the chain pbBkCb1
-    and bp.
+    and bp, none of them zero.
     """
 
     labels: tuple
     others: frozenset
     params: CubicParams
-    moves: bool
     terms: tuple
     bX: tuple
     Xb1: tuple
@@ -544,32 +529,39 @@ class _AnchorFit:
 
 
 def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
-    """The _AnchorFit record of the fit `params` through `pts`.  It raises
-    nothing: a fit-only line that vanishes is kept as a zero triple, and
-    _anchored_third refuses on it with DegenerateIntermediateError, up
-    front for pbBkCb1 and at a later zero step of the choice O = b for X,
-    bX or Xb1.
+    """The _AnchorFit record of the fit `params` through `pts`, and the one
+    test that admits a fit to the cache.  It raises
+    DegenerateIntermediateError, naming the step, when the chain ybBkCb1
+    is one line for every y (k on B or C, or b1 on C), so that every
+    anchored chord and the tangent construction degenerate on the fit, or
+    when a fit-only line X, bX, Xb1 or pbBkCb1 is zero, so that every
+    anchored chord that is not a label shortcut stops at a zero step.
+    Both tests run before the cubic is expanded.
 
     On a fit, X = B.C and bX do not vanish: B and C are distinct lines
     (CubicParams.validate), and b = X would put b on B = ef, making b, e
-    and f collinear.  pbBkCb1 vanishes on hand-made parameters with p and
-    b on B (then pb is B).
+    and f collinear.  Xb1 vanishes only when b1 is X, on C.  pbBkCb1
+    vanishes on hand-made parameters with p and b on B (then pb is B).
     """
+    b, b1, k = params.b.coords, params.b1.coords, params.k.coords
+    B, C = params.B.coords, params.C.coords
+    if _dot(k, B) == 0 or _dot(k, C) == 0 or _dot(b1, C) == 0:
+        raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
     labels = tuple(_key(pt) for pt in pts.as_tuple())
-    p, b, b1 = labels[0], params.b.coords, params.b1.coords
-    X = _nonzero_canonical(_cross(params.B.coords, params.C.coords))
+    p, step = labels[0], _tuple_step
+    X = step("X=B.C", _cross(B, C))
+    bX = step("bX", _cross(b, X))
+    Xb1 = step("Xb1", _cross(X, b1))
+    pbBkCb1 = step("pbBkCb1", _chain(p, b, B, k, C, b1))
     form = expand_cubic(params).primitive()
     return _AnchorFit(
         labels=labels,
         others=frozenset(labels[1:]),
         params=params,
-        moves=_chain_moves(params),
         terms=tuple((*mono, int(coeff)) for mono, coeff in form.coeffs.items()),
-        bX=_nonzero_canonical(_cross(b, X)),
-        Xb1=_cross(X, b1),
-        pbBkCb1=_nonzero_canonical(
-            _chain(p, b, params.B.coords, params.k.coords, params.C.coords, b1)
-        ),
+        bX=bX,
+        Xb1=Xb1,
+        pbBkCb1=pbBkCb1,
         bp=_cross(b, p),
     )
 
@@ -603,12 +595,11 @@ def _cache_fit(p_key, fit: _AnchorFit) -> None:
 def _chord_fits(pool, p: Point, p_key, q: Point, q_key):
     """(fit, x) pairs whose anchored chord from the fit's anchor to x may
     give the third point of pq: the cached fits at p with x = q, then those
-    at q with x = p, each without x among its labels b..i (x = b always
-    stops at a zero step).  Then, while fewer than _FITS_PER_ANCHOR cached
-    fits at p hold on this pool, a new fit at p, whose record is built and
-    cached: it completes p from the pool without q by the first fitting
-    general-position selection, in pool order for the anchor's first fit
-    and in reverse order after that.
+    at q with x = p, each without x among its labels b..i (see
+    _FITS_PER_ANCHOR).  Then, while fewer than _FITS_PER_ANCHOR cached fits
+    at p hold on this pool, a new fit at p, which is cached: the record of
+    _refit((p,), pool without p and q, _anchor_fit), in pool order for the
+    anchor's first fit and in reverse order after that.
     """
     at_p, p_cached = _cached_fits(pool, p_key)
     for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key)[0], p, p_key)):
@@ -621,31 +612,23 @@ def _chord_fits(pool, p: Point, p_key, q: Point, q_key):
     if p_cached:
         candidates.reverse()
     try:
-        labels, params = next(fit for fit in _fits((p,), candidates) if _chain_moves(fit[1]))
-    except (StopIteration, InsufficientPointsError):
+        fit = _refit((p,), candidates, _anchor_fit)
+    except InsufficientPointsError:
         return
-    fit = _anchor_fit(labels, params)
     _cache_fit(p_key, fit)
     yield fit, q
-
-
-def _chain_moves(params: CubicParams) -> bool:
-    """False when the chain ybBkCb1 is one line for every y (k on B or C,
-    or b1 on C): then every anchored chord and the tangent construction
-    degenerate on this fit."""
-    k, b1, B, C = params.k.coords, params.b1.coords, params.B.coords, params.C.coords
-    return _dot(k, B) != 0 and _dot(k, C) != 0 and _dot(b1, C) != 0
 
 
 def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     """Third point of the line L = px on a fit with p in slot a, where x is
     any curve point: no refit.
 
-    `fit` is the fit's record (_anchor_fit), whose labels are the canonical
-    keys of its nine labelled points a..i (a = p).  If a label other than x
-    lies on L, that label is the point: no three labels are collinear, so
-    it is the curve point of L besides p and x.  Otherwise one choice of
-    O, M, u, v builds it:
+    `fit` is the fit's record, admitted by _anchor_fit: its labels are the
+    canonical keys of its nine labelled points a..i (a = p), its chain
+    ybBkCb1 moves, and its lines X, bX, Xb1 and pbBkCb1 are not zero.  If
+    a label other than x lies on L, that label is the point: no three
+    labels are collinear, so it is the curve point of L besides p and x.
+    Otherwise one choice of O, M, u, v builds it:
 
     - On L the cubic is lambda(y)Q(y).  For y on L, ya is lambda(y)L with
       lambda linear and zero at p, so the chain yaAa1 is lambda(y)l1 with
@@ -671,9 +654,7 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
       u = p makes both lines of O' one; u = x makes phi(u)U the line xx;
       w = x puts both lines of O' on M; phi the identity (L on the cubic)
       gives O' = O, and T = 0 a zero phi(u).  With x = b, O is on L,
-      U = V = b and O' = b, so OO' is zero.  A fit whose chain ybBkCb1 is
-      one line for every y, or whose record has a zero pbBkCb1, is
-      refused up front.
+      U = V = b and O' = b, so OO' is zero.
 
     So every step that is not zero gives the third point.  It is returned
     only if x is on the fit's cubic and the point is on L and on the
@@ -696,10 +677,6 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
                 return _keyed(Point, z)
             raise ConstructionError("label on the chord is off the fitted cubic")
 
-    if not fit.moves:
-        raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
-    if not any(fit.pbBkCb1):
-        raise DegenerateIntermediateError("pbBkCb1")
     step, c = _tuple_step, params.c.coords
     l1 = step("l1=LAa1", _cross(_cross(L, params.A.coords), params.a1.coords))
 
@@ -745,7 +722,7 @@ def third_point_general(known, p: Point, q: Point) -> Point:
         raise HypothesisViolation("chord endpoints coincide")
     # points on pq, p and q among them, never complete a general-position set
     candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
-    return _refit((p, q), candidates, third_point_on_chord_ab)
+    return _refit((p, q), candidates, lambda _, params: third_point_on_chord_ab(params))
 
 
 def _chord(pool, p: Point, q: Point) -> Point:
@@ -1095,7 +1072,8 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     lines paAa1, pbBkCb1 and pc meet at x, so xb1 is the line pbBkCb1,
     and xb1CkBb undoes that chain step by step back to pb.  So all three
     lines pass through p.  The points e, f and y are checked on the
-    auxiliary cubic exactly.
+    auxiliary cubic exactly.  `coincides_with` names the first of a, c,
+    d, e, f that z coincides with, or is None.
     """
     params = fit_nine_points(pts)
     a, c, d, e, f = (pt.coords for pt in (pts.a, pts.c, pts.d, pts.e, pts.f))
@@ -1114,22 +1092,14 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
         raise ConstructionError("auxiliary cubic misses y")
     z = _tuple_step("z=yc.ya1Aa", _cross(_cross(y.coords, c), _chain(y.coords, a1, A, a)))
 
-    for name, x in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):
+    defining = (("a", a), ("c", c), ("d", d), ("e", e), ("f", f))
+    for name, x in defining:
         if _sixth_conic_value(params, x) != 0:
             raise ConstructionError(f"conic misses {name}")
     if _sixth_conic_value(params, z) != 0 or _cubic_value(params, z) != 0:
         raise ConstructionError("sixth point failed the exact membership checks")
 
-    coincides = None
-    for name, x in (("a", a), ("c", c), ("d", d), ("e", e), ("f", f)):
-        if not any(_cross(z, x)):
-            coincides = name
-            warnings.warn(
-                f"sixth intersection point coincides with {name}",
-                CoincidenceWarning,
-                stacklevel=2,
-            )
-            break
+    coincides = next((name for name, x in defining if not any(_cross(z, x))), None)
     return SixthPointResult(z=Point(*z), y=y, params=params, coincides_with=coincides)
 
 
@@ -1213,4 +1183,4 @@ def tangent_third_at(known, p: Point) -> Point:
         except ConstructionError:
             continue
     candidates = [pt for key, pt in pool.items() if key != p_key]
-    return _refit((p,), candidates, lambda params: tangent_third_point(params).w)
+    return _refit((p,), candidates, lambda _, params: tangent_third_point(params).w)

@@ -12,7 +12,8 @@ The format is line oriented and versioned::
     viewport = -12, 12, -12, 12
 
 Point names are lowercase letters with an optional _<digits> subscript
-('x' is reserved for the variable); line names are uppercase.  All
+('x' is reserved for the variable); line names are uppercase.  A zero
+triple is refused, as it is no projective point or line.  All
 serialization is canonical (sorted names, reduced fractions) so that a
 scene has a stable digest and reports are byte-reproducible.
 """
@@ -61,11 +62,19 @@ def parse_rational(text: str) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-def _parse_triple(text: str):
-    parts = [p for p in text.split(",")]
+def _parse_triple(text: str, lineno: int):
+    """The coordinates of a point or line entry: three rationals, not all
+    zero, as the zero triple is no projective point or line."""
+    parts = text.split(",")
     if len(parts) != 3:
-        raise SceneError(f"expected three comma-separated rationals, got {text!r}")
-    return tuple(parse_rational(p) for p in parts)
+        raise SceneError(f"line {lineno}: expected three comma-separated rationals, got {text!r}")
+    try:
+        triple = tuple(parse_rational(p) for p in parts)
+    except SceneError as exc:
+        raise SceneError(f"line {lineno}: {exc}") from None
+    if not any(triple):
+        raise SceneError(f"line {lineno}: the zero triple is not a point or a line")
+    return triple
 
 
 def format_triple(obj) -> str:
@@ -105,14 +114,14 @@ class Scene:
                     raise SceneError(f"line {lineno}: bad point name {name!r}")
                 if name in scene.points:
                     raise SceneError(f"line {lineno}: duplicate point {name!r}")
-                scene.points[name] = Point(*_parse_triple(rest))
+                scene.points[name] = Point(*_parse_triple(rest, lineno))
             elif key.startswith("line "):
                 name = key[5:].strip()
                 if not _LINE_NAME.match(name):
                     raise SceneError(f"line {lineno}: bad line name {name!r}")
                 if name in scene.lines:
                     raise SceneError(f"line {lineno}: duplicate line {name!r}")
-                scene.lines[name] = Line(*_parse_triple(rest))
+                scene.lines[name] = Line(*_parse_triple(rest, lineno))
             elif key.startswith("expr "):
                 name = key[5:].strip()
                 if not name.isidentifier():

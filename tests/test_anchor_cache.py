@@ -80,12 +80,11 @@ def criterion_09_sums(pool, seed, rounds, cold=False):
 
 
 def first_anchor_fit(pool, p, candidates=None):
-    """The record of the first fitting general-position selection at p
-    whose chain ybBkCb1 moves, as group_add's first fill makes it."""
+    """The record of the first general-position selection at p whose fit
+    _anchor_fit admits, as group_add's first fill makes it."""
     if candidates is None:
         candidates = [pt for pt in pool if pt != p]
-    labels, params = next(fit for fit in cons._fits((p,), candidates) if cons._chain_moves(fit[1]))
-    return cons._anchor_fit(labels, params)
+    return cons._refit((p,), candidates, cons._anchor_fit)
 
 
 def test_every_cached_fit_passes_through_its_labels(group_pool):
@@ -103,16 +102,24 @@ def test_every_cached_fit_passes_through_its_labels(group_pool):
             points = [Point(*label) for label in labels]
             assert general_position_violation(points) is None
             assert all(evaluate_cubic(params, pt) == 0 for pt in points)
-            assert cons._chain_moves(params) and fit.moves
+            # the admission rule: the chain ybBkCb1 moves, and no fit-only
+            # line is zero
+            k, b1 = params.k.coords, params.b1.coords
+            B, C = params.B.coords, params.C.coords
+            assert _dot(k, B) != 0 and _dot(k, C) != 0 and _dot(b1, C) != 0
+            X = _cross(B, C)
+            assert all(any(line) for line in (X, fit.bX, fit.Xb1, fit.pbBkCb1))
 
 
 def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
     """All 1560 ordered pairs (p, x): the anchored chord on one fit at p,
     made from the whole pool so that x can be any label, either refuses
-    with a typed error or gives the refit's point.  The 40 pairs with x in
-    slot b all refuse (O = b = x makes U = V = b, so a step is zero), and
-    fewer than 200 of the others do.  group_add's chord path gives the
-    refit's point on every pair."""
+    with a typed error or gives the refit's point.  The 160 pairs with x in
+    slots b..e all refuse with a zero step, by structure (see
+    constructions._FITS_PER_ANCHOR): x = b puts O on L, x = c makes M = xc
+    zero, x = d makes phi the constant d, and x = e gives u = x.  Fewer
+    than 80 of the others refuse (fewer than 200 pairs in all).
+    group_add's chord path gives the refit's point on every pair."""
     f, pool = group_pool
     pairs = list(itertools.permutations(pool, 2))
     assert len(pairs) == 1560
@@ -124,12 +131,12 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
         labels = fits[p].labels
         x_key = _canonical(x.coords)
         L = cons._cross(labels[0], x_key)
-        if x_key == labels[1]:
-            with pytest.raises(ConstructionError):
+        if x_key in labels[1:5]:
+            with pytest.raises(DegenerateIntermediateError):
                 cons._anchored_third(fits[p], x)
             continue
-        if x_key in labels[2:]:
-            case = "x among c..i"
+        if x_key in labels[5:]:
+            case = "x among f..i"
         elif any(_dot(L, key) == 0 for key in labels[1:]):
             case = "label on L"
         else:
@@ -141,9 +148,9 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
             continue
         assert z == refit[p, x], (p, x, case)
         served[case] = served.get(case, 0) + 1
-    assert set(served) == {"x among c..i", "label on L", "fixed point"}
-    assert sum(served.values()) + refused == 1560 - len(pool)
-    assert refused < 200, served
+    assert set(served) == {"x among f..i", "label on L", "fixed point"}
+    assert sum(served.values()) + refused == 1560 - 4 * len(pool)
+    assert refused < 80, served
     pool_dict = cons._known_pool(pool)
     for p, x in pairs:
         assert cons._chord(pool_dict, p, x) == refit[p, x]
@@ -165,7 +172,7 @@ def test_anchored_chord_is_a_verified_point_or_a_typed_error(group_pool, data):
     random.Random(data.draw(st.integers(0, 2**32), label="order seed")).shuffle(order)
     try:
         fit = first_anchor_fit(pool, p, order)
-    except StopIteration:
+    except cons.InsufficientPointsError:
         return
     try:
         z = cons._anchored_third(fit, x)
@@ -489,9 +496,11 @@ def test_each_record_is_built_once(group_pool, monkeypatch):
 def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
     """Hand-made parameters with a and b both on B, so that the chain
     pbBkCb1 of the anchor p = a is zero (pb is B), while k and b1 keep the
-    chain ybBkCb1 moving.  The record is built without raising, the
-    anchored chord refuses with the step's name, and _chord fills a fresh
-    fit at p beside it, which serves the chord."""
+    chain ybBkCb1 moving.  _anchor_fit refuses them with the step's name.
+    When the first selection of _chord's fill at p fits to them, _refit
+    moves on to the next selections, and the first of those that
+    _anchor_fit admits is cached and serves the chord: every fit is a
+    fill selection, without x, so no fallback refit ran."""
     f, pool = group_pool
     p, b, x = pool[0], pool[1], pool[2]
     B = join(p, b)
@@ -508,27 +517,22 @@ def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
         C=join(X, Point(1, -1, 2)),
     )
     params.validate()
-    assert cons._chain_moves(params)
     L = _cross(p.coords, x.coords)
     labels = (p, b, *[pt for pt in pool[3:] if _dot(L, pt.coords) != 0][:7])
-    fit = cons._anchor_fit(NinePointLabels.from_points(labels), params)
-    assert fit.pbBkCb1 == (0, 0, 0)
     with pytest.raises(DegenerateIntermediateError) as refusal:
-        cons._anchored_third(fit, x)
+        cons._anchor_fit(NinePointLabels.from_points(labels), params)
     assert refusal.value.step == "pbBkCb1"
 
-    cons._cache_fit(fit.labels[0], fit)
-    refused, original = [], cons._anchored_third
+    fitted, original = [], cons.fit_nine_points
 
-    def watched(record, end):
-        try:
-            return original(record, end)
-        except ConstructionError:
-            refused.append(record)
-            raise
+    def first_fit_degenerate(nine):
+        fitted.append(nine.as_tuple())
+        return params if len(fitted) == 1 else original(nine)
 
-    monkeypatch.setattr(cons, "_anchored_third", watched)
+    monkeypatch.setattr(cons, "fit_nine_points", first_fit_degenerate)
     assert cons._chord(cons._known_pool(pool), p, x) == chord_third(f, p, x)
-    assert refused == [fit]
-    cached = cons._ANCHOR_CACHE[fit.labels[0]]
-    assert len(cached) == 2 and cached[0] is fit and cached[1] is not fit
+    keys = [tuple(_canonical(pt.coords) for pt in nine) for nine in fitted]
+    assert len(keys) > 1 and all(_canonical(x.coords) not in nine for nine in keys)
+    cached = cons._ANCHOR_CACHE[_canonical(p.coords)]
+    assert len(cached) == 1 and cached[0].params is not params
+    assert cached[0].labels == keys[-1]

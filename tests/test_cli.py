@@ -8,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grassmann.cli import _six_on_conic, build_parser, main
-from grassmann.constructions import NinePointLabels, expand_cubic, fit_nine_points
+from grassmann.constructions import (
+    NinePointLabels,
+    conic_cubic_sixth,
+    expand_cubic,
+    fit_nine_points,
+)
 from grassmann.core import Point, canonicalize
 from grassmann.generate import random_scene
 from grassmann.poly import HomPoly, RankDeficientError, _bareiss, monomials, nullspace_fit
@@ -48,7 +53,10 @@ class TestSceneFormat:
 
     @given(
         coords=st.lists(
-            st.tuples(*(3 * [st.fractions(min_value=-99, max_value=99, max_denominator=60)])),
+            # the zero triple is no point, and the parser refuses it
+            st.tuples(
+                *(3 * [st.fractions(min_value=-99, max_value=99, max_denominator=60)])
+            ).filter(any),
             min_size=1,
             max_size=5,
         )
@@ -295,6 +303,35 @@ class TestCommands:
         code, out, _ = run_cli(["conic_sixth", "--in", scene_path], capsys)
         assert code == 0
         assert "check chord-chain-agreement: pass" in out
+
+    def test_conic_sixth_reports_a_coincidence_once(self, tmp_path, capsys):
+        # Nine points of y^2 = x^3 + 17 ([x0:x1:x2] = [z:x:y]).  With the
+        # flex (0:0:1) as identity, six points of the cubic lie on a conic
+        # exactly when they sum to zero; f is -(2a + c + d + e), so the
+        # conic through a, c, d, e, f touches the cubic at a and z = a.
+        coords = {
+            "a": (1, -1, 4),
+            "b": (1, -2, -3),
+            "c": (1, -2, 3),
+            "d": (1, 2, 5),
+            "e": (1, 8, -23),
+            "f": (68921, 44444, -286401),
+            "g": (1, 4, -9),
+            "h": (1, 8, 23),
+            "i": (8, 2, -33),
+        }
+        labels = NinePointLabels.from_points(Point(*coords[name]) for name in "abcdefghi")
+        result = conic_cubic_sixth(labels)
+        assert result.z == labels.a and result.coincides_with == "a"
+        path = tmp_path / "tangent.scene"
+        path.write_text(
+            "format: 1\n"
+            + "".join(f"point {name} = {x}, {y}, {z}\n" for name, (x, y, z) in coords.items())
+        )
+        code, out, _ = run_cli(["conic_sixth", "--in", str(path)], capsys)
+        assert code == 0
+        assert out.count("diagnostic: z coincides with defining point a\n") == 1
+        assert out.count("diagnostic:") == 1
 
     def test_conic_sixth_fits_the_labels_once(self, scene_path, capsys, monkeypatch):
         # conic_cubic_sixth fits the nine labels and the via-89 check reads

@@ -197,8 +197,15 @@ def test_anchored_selections_match_the_search(monkeypatch):
 
     monkeypatch.setattr(cons, "_second_intersection", recorded)
     for p in pool:
-        others = [pt for pt in pool if pt != p]
-        for _, params in itertools.islice(cons._fits((p,), others), 3):
+        fits = []
+
+        def first_three(labels, params):
+            fits.append(params)
+            if len(fits) < 3:
+                raise ConstructionError("on to the next selection")
+
+        cons._refit((p,), [pt for pt in pool if pt != p], first_three)
+        for params in fits:
             try:
                 tangent_third_point(params)
             except ConstructionError:

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import itertools
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from grassmann import constructions as cons
 from grassmann.constructions import (
-    CoincidenceWarning,
     DegenerateIntermediateError,
     FlexVerificationError,
     GeneralPositionViolation,
@@ -623,9 +621,7 @@ class TestConicCubicSixth:
     def test_y_matches_deflation_of_auxiliary_cubic(self):
         checked = 0
         for labels, params in fitted_sixth_cases():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CoincidenceWarning)
-                result = conic_cubic_sixth(labels)
+            result = conic_cubic_sixth(labels)
             y = deflation_y(labels, params)
             assert result.y == y
             assert result.params == params
@@ -639,9 +635,7 @@ class TestConicCubicSixth:
         k_vanishes = NinePointLabels.from_points(Point(*t) for t in K_VANISHES)
         for labels in (*sixth_cases(), k_vanishes):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", CoincidenceWarning)
-                    conic_cubic_sixth(labels)
+                conic_cubic_sixth(labels)
             except cons.ConstructionError:
                 refused += 1
                 with pytest.raises(cons.ConstructionError):
@@ -919,7 +913,8 @@ class TestKnownPool:
 
         monkeypatch.setattr(cons, "fit_nine_points", counted)
 
-        def refuse_twice(params):
+        def refuse_twice(labels, params):
+            assert labels.as_tuple() == fitted[-1]
             if len(fitted) < 3:
                 raise DegenerateIntermediateError("probe")
             return params.a
@@ -927,7 +922,7 @@ class TestKnownPool:
         assert projectively_equal(cons._refit((p,), candidates, refuse_twice), p)
         assert fitted == [(p, *aux) for aux in selections[:3]]
 
-        def refuse(params):
+        def refuse(labels, params):
             raise DegenerateIntermediateError("probe")
 
         fitted.clear()
