@@ -125,8 +125,6 @@ def cmd_fit9(scene: Scene, args, report: Report) -> int:
 
 
 def cmd_check10(scene: Scene, args, report: Report) -> int:
-    if not args.points:
-        raise SceneError("check10 needs --point NAME for the tenth point")
     name = args.points[0]
     p10 = scene.point(name)
     params, f = _fitted(scene)
@@ -177,8 +175,6 @@ def _contains_var(e) -> bool:
 def cmd_third_point(scene: Scene, args, report: Report) -> int:
     params, f = _fitted(scene)
     if args.points:
-        if len(args.points) != 2:
-            raise SceneError("third_point takes zero or two --point arguments")
         known = _known_curve_points(scene, params)
         p, q = _points_on_curve(scene, args.points, known)
         y = cons.third_point_general(known, p, q)
@@ -287,8 +283,6 @@ def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
 
 
 def cmd_group_add(scene: Scene, args, report: Report) -> int:
-    if len(args.points) != 3:
-        raise SceneError("group_add needs --point o --point p --point q")
     params, f = _fitted(scene)
     known = _known_curve_points(scene, params)
     o, p, q = _points_on_curve(scene, args.points, known)
@@ -304,8 +298,6 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
 
 def cmd_pascal(scene: Scene, args, report: Report) -> int:
     names = args.points or ["a", "b", "c", "a_1", "b_1", "c_1"]
-    if len(names) != 6:
-        raise SceneError("pascal needs six points")
     pts = [scene.point(n) for n in names]
     m1, m2, m3 = cons.pascal_points(*pts)
     for label, pt in (("m1", m1), ("m2", m2), ("m3", m3)):
@@ -351,17 +343,19 @@ def cmd_plot(scene: Scene) -> str:
 # ---------------------------------------------------------------------------
 # dispatch
 
+# each scene command with the numbers of --point arguments it reads;
+# random and plot read none
 _SCENE_COMMANDS = {
-    "fit9": cmd_fit9,
-    "check10": cmd_check10,
-    "eval": cmd_eval,
-    "third_point": cmd_third_point,
-    "tangent": cmd_tangent,
-    "tangent_third": cmd_tangent_third,
-    "is_flex": cmd_is_flex,
-    "conic_sixth": cmd_conic_sixth,
-    "group_add": cmd_group_add,
-    "pascal": cmd_pascal,
+    "fit9": (cmd_fit9, (0,)),
+    "check10": (cmd_check10, (1,)),
+    "eval": (cmd_eval, (0, 1)),
+    "third_point": (cmd_third_point, (0, 2)),
+    "tangent": (cmd_tangent, (0,)),
+    "tangent_third": (cmd_tangent_third, (0,)),
+    "is_flex": (cmd_is_flex, (0,)),
+    "conic_sixth": (cmd_conic_sixth, (0,)),
+    "group_add": (cmd_group_add, (3,)),
+    "pascal": (cmd_pascal, (0, 6)),
 }
 
 
@@ -407,6 +401,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        command, counts = _SCENE_COMMANDS.get(args.command, (None, (0,)))
+        if len(args.points) not in counts:
+            allowed = " or ".join(map(str, counts))
+            noun = "argument" if counts == (1,) else "arguments"
+            raise SceneError(f"{args.command} takes {allowed} --point {noun}, not {len(args.points)}")
         if args.command == "random":
             _write(cmd_random(args), args.outfile)
             return 0
@@ -415,7 +414,7 @@ def main(argv=None) -> int:
             _write(cmd_plot(scene), args.outfile)
             return 0
         report = Report(args.command, scene.digest())
-        code = _SCENE_COMMANDS[args.command](scene, args, report)
+        code = command(scene, args, report)
         _write(report.render(), args.outfile)
         return code if report.ok else 2
     except (SceneError, ParseError, UnboundNameError, KindError, OSError) as exc:

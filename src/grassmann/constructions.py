@@ -364,7 +364,10 @@ def expand_cubic(params: CubicParams) -> HomPoly:
 
 
 def check_ten_points(pts: NinePointLabels, p10: Point) -> bool:
-    """Whether a tenth point lies on the cubic through the nine; exact."""
+    """Whether a tenth point lies on the cubic through the nine; exact.
+    The zero triple is no projective point: it raises HypothesisViolation."""
+    if isinstance(p10, Point) and p10.is_zero:
+        raise HypothesisViolation("the tenth point is the zero point")
     params = fit_nine_points(pts)
     return evaluate_cubic(params, p10) == 0
 
@@ -472,11 +475,11 @@ def _refit(anchors, candidates, construct):
 # points, so a fit made on one pool serves any pool that holds its labels.
 # group_add's chords fill and read it, and tangent_third_at reads it.
 # Bounds: fits kept per anchor, and anchors kept (the least recently used
-# goes first).  Two fits per anchor, because a fit is not offered a chord
-# to its own labels b..i, and on its own fit the anchored chord refuses
-# x = b..e by structure: x = b puts O on L, x = c makes M = xc zero,
-# x = d gives l1 = cd (phi is the constant d), and x = e is X = B.C, so
-# u = x.  The second fit, selected in reverse pool order, serves those.
+# goes first).  Two fits per anchor, because on its own fit the anchored
+# chord refuses x = b..e by structure: x = b puts O on L, x = c makes
+# M = xc zero, x = d gives l1 = cd (phi is the constant d), and x = e is
+# X = B.C, so u = x.  Such a chord fits again at the anchor without that
+# label, and keeping two fits lets both serve.
 _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
@@ -571,16 +574,15 @@ def _clear_anchor_cache() -> None:
         _ANCHOR_CACHE.clear()
 
 
-def _cached_fits(pool, p_key) -> tuple[list, bool]:
+def _cached_fits(pool, p_key) -> list:
     """The cached fits at anchor p_key whose other eight labels are all
-    keys of the pool, oldest first, and whether any fit at p_key is cached,
-    read under the lock in one go."""
+    keys of the pool, oldest first, read under the lock."""
     with _ANCHOR_LOCK:
         fits = _ANCHOR_CACHE.get(p_key, [])
         if fits:
             _ANCHOR_CACHE.move_to_end(p_key)
     keys = pool.keys()
-    return [fit for fit in fits if keys >= fit.others], bool(fits)
+    return [fit for fit in fits if keys >= fit.others]
 
 
 def _cache_fit(p_key, fit: _AnchorFit) -> None:
@@ -590,33 +592,6 @@ def _cache_fit(p_key, fit: _AnchorFit) -> None:
         _ANCHOR_CACHE[p_key] = [*fits, fit][-_FITS_PER_ANCHOR:]
         if len(_ANCHOR_CACHE) > _ANCHOR_LIMIT:
             _ANCHOR_CACHE.popitem(last=False)
-
-
-def _chord_fits(pool, p: Point, p_key, q: Point, q_key):
-    """(fit, x) pairs whose anchored chord from the fit's anchor to x may
-    give the third point of pq: the cached fits at p with x = q, then those
-    at q with x = p, each without x among its labels b..i (see
-    _FITS_PER_ANCHOR).  Then, while fewer than _FITS_PER_ANCHOR cached fits
-    at p hold on this pool, a new fit at p, which is cached: the record of
-    _refit((p,), pool without p and q, _anchor_fit), in pool order for the
-    anchor's first fit and in reverse order after that.
-    """
-    at_p, p_cached = _cached_fits(pool, p_key)
-    for fits, x, x_key in ((at_p, q, q_key), (_cached_fits(pool, q_key)[0], p, p_key)):
-        for fit in fits:
-            if x_key not in fit.others:
-                yield fit, x
-    if len(at_p) >= _FITS_PER_ANCHOR:
-        return
-    candidates = [pt for key, pt in pool.items() if key != p_key and key != q_key]
-    if p_cached:
-        candidates.reverse()
-    try:
-        fit = _refit((p,), candidates, _anchor_fit)
-    except InsufficientPointsError:
-        return
-    _cache_fit(p_key, fit)
-    yield fit, q
 
 
 def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
@@ -660,7 +635,7 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     only if x is on the fit's cubic and the point is on L and on the
     cubic, checked on the fit's primitive form (_AnchorFit.on_curve, the
     same predicate as _cubic_value(params, .) == 0); otherwise
-    ConstructionError is raised and the caller refits.
+    ConstructionError is raised and the caller tries the next fit.
     """
     labels, params = fit.labels, fit.params
     p, x = labels[0], _key(x)
@@ -727,14 +702,30 @@ def third_point_general(known, p: Point, q: Point) -> Point:
 
 def _chord(pool, p: Point, q: Point) -> Point:
     """group_add's chord through distinct nonzero points p and q: the
-    anchored chord on the fits of _chord_fits, then third_point_general."""
+    anchored chord on the cached fits at p with x = q, then at q with
+    x = p, except to their labels b..e (see _FITS_PER_ANCHOR); else the
+    first fit at p that _anchor_fit admits and that serves it, which is
+    cached; else, when the pool leaves no such fit, third_point_general."""
     p_key, q_key = _key(p), _key(q)
-    for fit, x in _chord_fits(pool, p, p_key, q, q_key):
-        try:
-            return _anchored_third(fit, x)
-        except ConstructionError:
-            continue
-    return third_point_general(pool.values(), p, q)
+    for anchor, x, x_key in ((p_key, q, q_key), (q_key, p, p_key)):
+        for fit in _cached_fits(pool, anchor):
+            if x_key not in fit.labels[1:5]:
+                try:
+                    return _anchored_third(fit, x)
+                except ConstructionError:
+                    continue
+
+    def serving(labels, params):
+        fit = _anchor_fit(labels, params)
+        return fit, _anchored_third(fit, q)
+
+    candidates = [pt for key, pt in pool.items() if key != p_key and key != q_key]
+    try:
+        fit, z = _refit((p,), candidates, serving)
+    except InsufficientPointsError:
+        return third_point_general(pool.values(), p, q)
+    _cache_fit(p_key, fit)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -1134,9 +1125,9 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     `known` is an iterable of points, deduplicated once per call into a
     pool, a dict from each canonical key to the first point with that
     key, and that pool serves the flex test and both chords.  Each chord
-    first tries the anchor cache, and when no cached fit serves it, fits
-    the cubic with its first endpoint (p, then o) in the anchor slot and
-    caches that fit for later calls; a chord that no such fit serves is
+    first tries the anchor cache, and when no cached fit serves it, caches
+    the first fit with its first endpoint (p, then o) in the anchor slot
+    that serves it; a pool that leaves no such fit falls back on
     third_point_general.  Coincident summands fall back on the tangent
     construction.  With `verify_flex` the identity is first checked to be
     a flex (a tangent-third construction on a cached fit or a refit); pass
@@ -1177,7 +1168,7 @@ def tangent_third_at(known, p: Point) -> Point:
         raise HypothesisViolation("the tangent point is the zero point")
     p_key = _key(p)
     pool = _known_pool(known)
-    for fit in _cached_fits(pool, p_key)[0]:
+    for fit in _cached_fits(pool, p_key):
         try:
             return tangent_third_point(fit.params).w
         except ConstructionError:

@@ -62,16 +62,22 @@ def parse_rational(text: str) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
+def _parse_rationals(parts, lineno: int) -> tuple:
+    """The rationals of an entry's comma-separated parts; a bad one is
+    refused naming the entry's line."""
+    try:
+        return tuple(parse_rational(p) for p in parts)
+    except SceneError as exc:
+        raise SceneError(f"line {lineno}: {exc}") from None
+
+
 def _parse_triple(text: str, lineno: int):
     """The coordinates of a point or line entry: three rationals, not all
     zero, as the zero triple is no projective point or line."""
     parts = text.split(",")
     if len(parts) != 3:
         raise SceneError(f"line {lineno}: expected three comma-separated rationals, got {text!r}")
-    try:
-        triple = tuple(parse_rational(p) for p in parts)
-    except SceneError as exc:
-        raise SceneError(f"line {lineno}: {exc}") from None
+    triple = _parse_rationals(parts, lineno)
     if not any(triple):
         raise SceneError(f"line {lineno}: the zero triple is not a point or a line")
     return triple
@@ -131,7 +137,7 @@ class Scene:
                 parts = rest.split(",")
                 if len(parts) != 4:
                     raise SceneError(f"line {lineno}: viewport needs four rationals")
-                xmin, xmax, ymin, ymax = (parse_rational(p) for p in parts)
+                xmin, xmax, ymin, ymax = _parse_rationals(parts, lineno)
                 if not (xmin < xmax and ymin < ymax):
                     raise SceneError(f"line {lineno}: viewport needs xmin < xmax and ymin < ymax")
                 scene.viewport = (xmin, xmax, ymin, ymax)

@@ -4,8 +4,10 @@ A fit with p in slot a gives the third point of the line through p and any
 curve point x without a refit (constructions._anchored_third), or refuses
 with a typed error at a zero step.  group_add keeps such fits per anchor,
 one record each (constructions._AnchorFit), in a bounded module-level
-cache that group_add's chords fill and read and tangent_third_at reads;
-third_point_general is the plain refit.  group_add dedupes its known
+cache that group_add's chords fill and read and tangent_third_at reads.
+A chord that no cached fit serves caches the first fit at its first
+endpoint that serves it; only a pool that leaves no such fit falls back
+on third_point_general, the plain refit.  group_add dedupes its known
 points once into a dict from canonical key to point
 (constructions._known_pool), which its chords (constructions._chord) read;
 the public functions take the known points as a plain iterable.  The
@@ -36,7 +38,8 @@ from grassmann.constructions import (
     third_point_general,
 )
 from grassmann.core import Line, Point, _canonical, _cross, _dot, join, meet
-from grassmann.poly import evaluate
+from grassmann.generate import random_scene
+from grassmann.poly import evaluate, nullspace_fit
 
 from curves import CURVES, FLEX, chord_third, grow_pool, tangent_third, weierstrass
 
@@ -81,7 +84,8 @@ def criterion_09_sums(pool, seed, rounds, cold=False):
 
 def first_anchor_fit(pool, p, candidates=None):
     """The record of the first general-position selection at p whose fit
-    _anchor_fit admits, as group_add's first fill makes it."""
+    _anchor_fit admits: the fit group_add's fill at p caches when its
+    anchored chord serves the fill's chord."""
     if candidates is None:
         candidates = [pt for pt in pool if pt != p]
     return cons._refit((p,), candidates, cons._anchor_fit)
@@ -462,35 +466,64 @@ def test_the_record_check_is_the_bracket(group_pool):
 
 
 def test_each_record_is_built_once(group_pool, monkeypatch):
-    """Each pass of 140 criterion-09 ops expands one cubic per fit it
-    caches and none at read time.  The second pass still caches a couple
-    of fits: a call caches at most one, and only while fewer than two fits
-    at its anchor hold on its pool, so a chord that the cached fits refuse
-    can add a fit the next time it comes.  The third pass is warm and
-    expands nothing."""
+    """Each record is built, with one cubic expansion, once.  The first
+    pass of 140 criterion-09 ops expands no fit twice, and every record it
+    builds is either cached or belongs to a fit that refused the chord it
+    was built for: a fill caches only a fit that serves its chord, and
+    moves on to the next selection otherwise.  Every cached fit then
+    serves the chords it was cached for, so the second and third passes
+    are warm: they expand nothing and cache nothing."""
     f, pool = group_pool
-    expanded, cached = [], []
-    expand, cache_fit = cons.expand_cubic, cons._cache_fit
+    built, cached, anchored = [], [], []
+    expanded = []
+    anchor_fit, cache_fit, anchored_third = cons._anchor_fit, cons._cache_fit, cons._anchored_third
+    expand = cons.expand_cubic
 
     def counted_expand(params):
         expanded.append(params)
         return expand(params)
 
+    def counted_anchor_fit(labels, params):
+        built.append(anchor_fit(labels, params))
+        return built[-1]
+
     def counted_cache_fit(p_key, fit):
         cached.append(fit)
         cache_fit(p_key, fit)
 
+    def counted_anchored_third(fit, x):
+        try:
+            z = anchored_third(fit, x)
+        except ConstructionError:
+            anchored.append((fit, False))
+            raise
+        anchored.append((fit, True))
+        return z
+
     monkeypatch.setattr(cons, "expand_cubic", counted_expand)
+    monkeypatch.setattr(cons, "_anchor_fit", counted_anchor_fit)
     monkeypatch.setattr(cons, "_cache_fit", counted_cache_fit)
+    monkeypatch.setattr(cons, "_anchored_third", counted_anchored_third)
     sums = criterion_09_sums(pool, 9009, 10)
     assert len(sums) == 140
-    assert cached and len(expanded) == len(cached)
+    assert cached and len({id(params) for params in expanded}) == len(expanded)
+    assert len(built) == len(expanded)
+    cached_ids = {id(fit) for fit in cached}
+    assert len(cached_ids) == len(cached)
+    refused_fills = [fit for fit in built if id(fit) not in cached_ids]
+    # a fit built in a fill is offered the fill's chord first, and a
+    # refused one is offered nothing else
+    verdicts = {}
+    for fit, served in anchored:
+        verdicts.setdefault(id(fit), []).append(served)
+    assert all(verdicts[id(fit)] == [False] for fit in refused_fills)
+    assert all(verdicts[id(fit)][0] for fit in cached)
+    assert len(expanded) - len(cached) == len(refused_fills)
     for _ in range(2):
         expanded.clear()
         cached.clear()
         assert criterion_09_sums(pool, 9009, 10) == sums
-        assert len(expanded) == len(cached)
-    assert expanded == [] and cached == []
+        assert expanded == [] and cached == []
 
 
 def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
@@ -498,8 +531,8 @@ def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
     pbBkCb1 of the anchor p = a is zero (pb is B), while k and b1 keep the
     chain ybBkCb1 moving.  _anchor_fit refuses them with the step's name.
     When the first selection of _chord's fill at p fits to them, _refit
-    moves on to the next selections, and the first of those that
-    _anchor_fit admits is cached and serves the chord: every fit is a
+    moves on to the next selections, and the first of those whose fit
+    _anchor_fit admits and serves the chord is cached: every fit is a
     fill selection, without x, so no fallback refit ran."""
     f, pool = group_pool
     p, b, x = pool[0], pool[1], pool[2]
@@ -536,3 +569,23 @@ def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
     cached = cons._ANCHOR_CACHE[_canonical(p.coords)]
     assert len(cached) == 1 and cached[0].params is not params
     assert cached[0].labels == keys[-1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_pool_of_nine_falls_back_on_the_refit(seed, monkeypatch):
+    """group_add on only the nine labels of a random scene: the chord
+    through two of them leaves seven candidates, too few for a fit at its
+    first endpoint, so it falls back on third_point_general.  The sum is
+    on the cubic through the nine."""
+    nine = list(random_scene(seed, 0).nine_points())
+    fallbacks, original = [], cons.third_point_general
+
+    def counted(known, p, q):
+        fallbacks.append((p, q))
+        return original(known, p, q)
+
+    monkeypatch.setattr(cons, "third_point_general", counted)
+    o, p, q = nine[:3]
+    total = group_add(nine, o, p, q, verify_flex=False)
+    assert evaluate(nullspace_fit(nine, 3), total) == 0
+    assert fallbacks

@@ -224,6 +224,34 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == "degenerate: point j is not on the cubic\n"
 
+    @pytest.mark.parametrize(
+        "command, names, reads",
+        [
+            ("check10", [], "1 --point argument"),
+            ("check10", ["p_1", "a"], "1 --point argument"),
+            ("fit9", ["a"], "0 --point arguments"),
+            ("tangent", ["p_1"], "0 --point arguments"),
+            ("tangent_third", ["a"], "0 --point arguments"),
+            ("is_flex", ["a"], "0 --point arguments"),
+            ("conic_sixth", ["a"], "0 --point arguments"),
+            ("eval", ["a", "b"], "0 or 1 --point arguments"),
+            ("third_point", ["a"], "0 or 2 --point arguments"),
+            ("third_point", ["a", "b", "c"], "0 or 2 --point arguments"),
+            ("group_add", ["a", "b"], "3 --point arguments"),
+            ("pascal", ["a", "b", "c"], "0 or 6 --point arguments"),
+            ("random", ["a"], "0 --point arguments"),
+            ("plot", ["a"], "0 --point arguments"),
+        ],
+    )
+    def test_a_point_count_the_command_does_not_read_exits_3(
+        self, command, names, reads, scene_path, capsys
+    ):
+        points = [arg for name in names for arg in ("--point", name)]
+        argv = [command, "--in", scene_path, "--expr", "ab.cd", *points]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {command} takes {reads}, not {len(names)}\n"
+
     def test_tangent(self, scene_path, capsys):
         code, out, _ = run_cli(["tangent", "--in", scene_path], capsys)
         assert code == 0

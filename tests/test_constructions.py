@@ -196,6 +196,11 @@ class TestCheckTenPoints:
     def test_one_of_the_nine(self, labels9):
         assert check_ten_points(labels9, labels9.h)
 
+    def test_the_zero_point_is_refused(self, labels9):
+        # every cubic bracket vanishes at the zero triple, which is no point
+        with pytest.raises(HypothesisViolation, match="the tenth point is the zero point"):
+            check_ten_points(labels9, Point(0, 0, 0))
+
 
 class TestThirdPoint:
     def test_matches_deflation_oracle(self, labels9):

@@ -48,3 +48,17 @@ def test_a_malformed_triple_names_its_line(entry, message):
     with pytest.raises(SceneError) as err:
         Scene.parse(f"format: 1\n{entry}\n")
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("viewport = 0, x, -5, 5", "line 2: bad rational ' x'"),
+        ("viewport = 0, 1/0, -5, 5", "line 2: bad rational ' 1/0'"),
+        ("viewport = 0, 1, -5", "line 2: viewport needs four rationals"),
+    ],
+)
+def test_a_malformed_viewport_names_its_line(entry, message):
+    with pytest.raises(SceneError) as err:
+        Scene.parse(f"format: 1\n{entry}\n")
+    assert str(err.value).startswith(message)
