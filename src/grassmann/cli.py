@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import constructions as cons
 from . import oracle
-from .core import KindError, Line, Point, canonicalize, incidence, projectively_equal
+from .core import KindError, Point, incidence, projectively_equal
 from .expr import (
     Chain,
     Environment,
@@ -30,16 +30,7 @@ from .expr import (
     pretty_print,
 )
 from .generate import random_scene
-from .poly import (
-    DegenerateLineError,
-    HomPoly,
-    RankDeficientError,
-    binary_deflate,
-    binary_eval,
-    evaluate,
-    nullspace_fit,
-    restrict_to_line,
-)
+from .poly import DegenerateLineError, HomPoly, RankDeficientError, evaluate, nullspace_fit
 from .scene import Report, Scene, SceneError, format_triple
 from .svgplot import render_svg
 
@@ -130,7 +121,7 @@ def cmd_check10(scene: Scene, args, report: Report) -> int:
     params, f = _fitted(scene)
     on_curve = cons.evaluate_cubic(params, p10) == 0
     report.add_output(f"point {name} on cubic", "true" if on_curve else "false")
-    report.add_check("matches-polynomial-oracle", (evaluate(f, p10) == 0) == on_curve)
+    report.add_check("matches-polynomial-oracle", oracle.cubic_membership(f, p10) == on_curve)
     return 0 if on_curve else 1
 
 
@@ -184,22 +175,9 @@ def cmd_third_point(scene: Scene, args, report: Report) -> int:
     report.add_triple("point", "third", y)
     chord = cons.join(p, q)
     report.add_check("on-chord", incidence(chord, y) == 0)
-    report.add_check("on-cubic-polynomial-oracle", evaluate(f, y) == 0)
-    form = restrict_to_line(f, p, q)
-    report.add_check("deflation-oracle-root", _binary_root(form, y, p, q))
+    report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, y))
+    report.add_check("deflation-oracle-root", projectively_equal(y, oracle.chord_third(f, p, q)))
     return 0
-
-
-def _binary_root(form, y: Point, p: Point, q: Point) -> bool:
-    # det*y = s*p + t*q; g is homogeneous, so g(s, t) = 0 exactly when
-    # g(s/det, t/det) = 0, and no division is needed
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]
-        if det != 0:
-            s = y.coords[i] * q.coords[j] - y.coords[j] * q.coords[i]
-            t = p.coords[i] * y.coords[j] - p.coords[j] * y.coords[i]
-            return binary_eval(form, s, t) == 0
-    return False
 
 
 def cmd_tangent(scene: Scene, args, report: Report) -> int:
@@ -213,20 +191,9 @@ def cmd_tangent(scene: Scene, args, report: Report) -> int:
     report.add_triple("line", "tangent", tangent)
     report.add_check("through-a", incidence(tangent, params.a) == 0)
     report.add_check("matches-gradient-oracle", projectively_equal(tangent, grad))
-    q2 = _second_point(tangent, params.a)
-    report.add_check(
-        "contact-order-at-least-2",
-        oracle.root_multiplicity(f, params.a, q2, params.a) >= 2,
-    )
+    mult, _ = oracle.tangent_third(f, tangent, params.a)
+    report.add_check("contact-order-at-least-2", mult >= 2)
     return 0
-
-
-def _second_point(L, avoid: Point) -> Point:
-    for base in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)):
-        candidate = cons.meet(L, Line(*base))
-        if not candidate.is_zero and not projectively_equal(candidate, avoid):
-            return canonicalize(candidate)
-    raise cons.DegenerateIntermediateError("second point on line")
 
 
 def cmd_tangent_third(scene: Scene, args, report: Report) -> int:
@@ -235,26 +202,17 @@ def cmd_tangent_third(scene: Scene, args, report: Report) -> int:
     report.add_triple("point", "w", result.w)
     report.add_triple("line", "tangent", result.tangent)
     report.add_check("on-tangent", incidence(result.tangent, result.w) == 0)
-    report.add_check("on-cubic-polynomial-oracle", evaluate(f, result.w) == 0)
-    q2 = _second_point(result.tangent, params.a)
-    form = restrict_to_line(f, params.a, q2)
-    if not any(form):
-        raise oracle.LineContainedError("line pq lies on the curve")
-    # a is the first endpoint: its contact order is the number of leading zeros
-    mult = next(m for m, coeff in enumerate(form) if coeff != 0)
+    report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, result.w))
+    mult, w_oracle = oracle.tangent_third(f, result.tangent, params.a)
     report.add_check("contact-order-at-least-2", mult >= 2)
     if result.is_flex_case:
         report.add_diagnostic("a is a flex: the tangent third point coincides with a")
         report.add_check("flex-contact-order-3", mult == 3)
     else:
-        deflated = binary_deflate(binary_deflate(form, 1, 0), 1, 0)
-        w_oracle = Point(
-            *(
-                -deflated[1] * ac + deflated[0] * qc
-                for ac, qc in zip(params.a.coords, q2.coords)
-            )
+        report.add_check(
+            "matches-deflation-oracle",
+            w_oracle is not None and projectively_equal(result.w, w_oracle),
         )
-        report.add_check("matches-deflation-oracle", projectively_equal(result.w, w_oracle))
     return 0
 
 
@@ -290,7 +248,7 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
     if args.no_verify_flex:
         report.add_diagnostic("identity accepted unverified (--no-verify-flex)")
     report.add_triple("point", "sum", total)
-    report.add_check("sum-on-cubic-oracle", evaluate(f, total) == 0)
+    report.add_check("sum-on-cubic-oracle", oracle.cubic_membership(f, total))
     other = cons.group_add(known, o, q, p, verify_flex=False)
     report.add_check("commutes", projectively_equal(total, other))
     return 0

@@ -7,15 +7,18 @@ routes is a genuine cross-check rather than a tautology.
 
 from __future__ import annotations
 
-from .core import Line, Point, projectively_equal
-from .poly import HomPoly, evaluate, restrict_to_line
+from .core import Line, Point, canonicalize, meet, projectively_equal
+from .poly import DegenerateLineError, HomPoly, evaluate, restrict_to_line
 
 __all__ = [
     "ZeroPolynomialError",
     "LineContainedError",
     "cubic_membership",
     "gradient_tangent",
+    "second_point",
     "root_multiplicity",
+    "chord_third",
+    "tangent_third",
     "hessian_flex_oracle",
 ]
 
@@ -46,27 +49,75 @@ def gradient_tangent(f: HomPoly, a: Point) -> Line:
     return Line(*(evaluate(f.partial(i), a) for i in range(3)))
 
 
+def second_point(L: Line, avoid: Point) -> Point:
+    """A point of the line L other than `avoid`, in canonical form.
+
+    The four fixed lines tried here that differ from L meet it in at least
+    two distinct points, so only the zero line has no such point.
+    """
+    for base in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)):
+        candidate = meet(L, Line(*base))
+        if not candidate.is_zero and not projectively_equal(candidate, avoid):
+            return canonicalize(candidate)
+    raise DegenerateLineError("the zero triple is no line")
+
+
+def _contact_order(coeffs) -> int:
+    """Leading zero coefficients of a restricted form: the order of
+    vanishing at the endpoint whose power leads."""
+    for mult, c in enumerate(coeffs):
+        if c != 0:
+            return mult
+    raise LineContainedError("line pq lies on the curve")
+
+
 def root_multiplicity(f: HomPoly, p: Point, q: Point, at: Point) -> int:
     """Order of vanishing of f along line pq at the endpoint `at` (p or q).
 
-    Counts exact deflations of the restricted binary form; raises
+    Counts the vanishing coefficients of the restricted binary form; raises
     :class:`LineContainedError` when the restriction vanishes identically.
     """
     form = restrict_to_line(f, p, q)
-    if all(c == 0 for c in form):
-        raise LineContainedError("line pq lies on the curve")
-    if projectively_equal(at, p):
-        coeffs = form
-    elif projectively_equal(at, q):
-        coeffs = form[::-1]
-    else:
+    if projectively_equal(at, q):
+        form = form[::-1]
+    elif not projectively_equal(at, p):
         raise ValueError("`at` must be p or q")
-    mult = 0
-    for c in coeffs:
-        if c != 0:
-            break
-        mult += 1
-    return mult
+    return _contact_order(form)
+
+
+def chord_third(f: HomPoly, p: Point, q: Point) -> Point:
+    """Third intersection of the line pq with the cubic f = 0.
+
+    With p and q on the curve, f(s*p + t*q) = s*t*(c1*s + c2*t), whose
+    third root (s:t) = (-c2:c1) is read off in integers.  A chord tangent
+    at an endpoint returns that endpoint.  Raises
+    :class:`LineContainedError` when the line lies on the curve and
+    ValueError when an endpoint does not.
+    """
+    c0, c1, c2, c3 = restrict_to_line(f, p, q)
+    if c0 != 0 or c3 != 0:
+        raise ValueError("a chord endpoint does not lie on the curve")
+    if c1 == 0 and c2 == 0:
+        raise LineContainedError("line pq lies on the curve")
+    return canonicalize(Point(*(-c2 * pc + c1 * qc for pc, qc in zip(p.coords, q.coords))))
+
+
+def tangent_third(f: HomPoly, T: Line, a: Point) -> tuple[int, Point | None]:
+    """Contact order m of the line T with the cubic f = 0 at its point a,
+    and for m >= 2 the third intersection of T with the curve.
+
+    f is restricted once, to T through a and ``second_point(T, a)``; with
+    q that point, f(s*a + t*q) = t^m * (...), and for m >= 2 the third
+    root (s:t) = (-c3:c2) gives -c3*a + c2*q, which is a itself when m = 3.
+    Raises :class:`LineContainedError` when T lies on the curve.
+    """
+    q = second_point(T, a)
+    form = restrict_to_line(f, a, q)
+    m = _contact_order(form)
+    if m < 2:
+        return m, None
+    c2, c3 = form[2], form[3]
+    return m, canonicalize(Point(*(-c3 * ac + c2 * qc for ac, qc in zip(a.coords, q.coords))))
 
 
 def hessian_flex_oracle(f: HomPoly, p: Point) -> bool:

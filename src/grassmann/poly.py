@@ -12,9 +12,8 @@ Coefficients are kept exactly as given, like coordinates in
 ``+``, ``-``, ``*``, :meth:`HomPoly.partial`, :meth:`HomPoly.primitive`,
 :func:`evaluate`, :func:`restrict_to_line`, :func:`poly_cross` and
 :func:`poly_dot`.  ``nullspace_fit`` back-substitutes in integers, so a
-``Fraction`` appears only in :func:`binary_deflate`, which divides, and
-where an input already holds one.  The public coefficient accessors
-(:attr:`HomPoly.coeffs`, :meth:`HomPoly.coefficient`,
+``Fraction`` appears only where an input already holds one.  The public
+coefficient accessors (:attr:`HomPoly.coeffs`, :meth:`HomPoly.coefficient`,
 :meth:`HomPoly.coefficient_vector`) return ``Fraction`` values, so ``/`` on
 them stays exact.
 """
@@ -39,8 +38,6 @@ __all__ = [
     "evaluate",
     "nullspace_fit",
     "restrict_to_line",
-    "binary_eval",
-    "binary_deflate",
 ]
 
 
@@ -444,33 +441,3 @@ def _linear_powers(a, b, degree: int) -> list[list[Scalar]]:
         row.append(prev[-1] * b)
         out.append(row)
     return out
-
-
-def binary_eval(form, s, t) -> Scalar:
-    d = len(form) - 1
-    return sum(c * s ** (d - m) * t ** m for m, c in enumerate(form))
-
-
-def binary_deflate(form, s0, t0) -> list[Fraction]:
-    """Exact division of a binary form by the linear factor of root (s0:t0).
-
-    Raises ValueError when (s0:t0) is not actually a root.
-    """
-    s0, t0 = Fraction(s0), Fraction(t0)
-    d = len(form) - 1
-    if binary_eval(form, s0, t0) != 0:
-        raise ValueError("(s0:t0) is not a root")
-    # divide by t0*s - s0*t
-    if t0 != 0:
-        q = [Fraction(0)] * d
-        rem = list(form)
-        for m in range(d):
-            q[m] = rem[m] / t0
-            rem[m + 1] += q[m] * s0
-        if rem[d] != 0:
-            raise ValueError("nonzero remainder")
-        return q
-    # root (1:0): factor is -s0*t, so t divides the form
-    if form[0] != 0:
-        raise ValueError("(1:0) is not a root")
-    return [c / (-s0) for c in form[1:]]

@@ -3,18 +3,20 @@
 Curves of the shape y^2 = x^3 + a4*x + a6 (affine (x, y) embedded as
 [1:x:y]) have the flex [0:0:1] at infinity and, for the seeds below,
 infinitely many rational points.  New points are bootstrapped with the
-polynomial machinery only (chord and tangent deflation), keeping these
-fixtures independent of the construction code they are used to test.
+polynomial machinery only (the line oracle's chord and tangent third
+points), keeping these fixtures independent of the construction code they
+are used to test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from grassmann import oracle
 from grassmann.constructions import NinePointLabels
-from grassmann.core import Point, canonicalize, projectively_equal
-from grassmann.oracle import gradient_tangent
-from grassmann.poly import HomPoly, evaluate, restrict_to_line
+from grassmann.core import Point, projectively_equal
+from grassmann.oracle import chord_third  # the fixtures' chord step
+from grassmann.poly import HomPoly, evaluate
 
 FLEX = Point(0, 0, 1)
 
@@ -43,41 +45,13 @@ def weierstrass(a4, a6) -> HomPoly:
     )
 
 
-def chord_third(f: HomPoly, p: Point, q: Point) -> Point:
-    """Third intersection of chord pq with f = 0, by exact deflation."""
-    form = restrict_to_line(f, p, q)
-    assert form[0] == 0 and form[3] == 0, "chord endpoints must lie on the curve"
-    c1, c2 = form[1], form[2]
-    if c1 == 0 and c2 == 0:
-        raise ValueError("chord lies on the curve")
-    pt = Point(*(-c2 * pc + c1 * qc for pc, qc in zip(p.coords, q.coords)))
-    if pt.is_zero:
-        raise ValueError("degenerate chord")
-    assert evaluate(f, pt) == 0
-    return canonicalize(pt)
-
-
 def tangent_third(f: HomPoly, p: Point) -> Point:
-    """Third intersection of the tangent at p, by double deflation."""
-    tangent = gradient_tangent(f, p)
+    """Third intersection of the gradient tangent at p with f = 0."""
+    tangent = oracle.gradient_tangent(f, p)
     if tangent.is_zero:
         raise ValueError("singular point")
-    q = None
-    from grassmann.core import Line, meet
-
-    for base in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)):
-        cand = meet(tangent, Line(*base))
-        if not cand.is_zero and not projectively_equal(cand, p):
-            q = cand
-            break
-    form = restrict_to_line(f, p, q)
-    from grassmann.poly import binary_deflate
-
-    form = binary_deflate(form, 1, 0)
-    form = binary_deflate(form, 1, 0)
-    pt = Point(*(-form[1] * pc + form[0] * qc for pc, qc in zip(p.coords, q.coords)))
-    assert evaluate(f, pt) == 0
-    return canonicalize(pt)
+    _, pt = oracle.tangent_third(f, tangent, p)
+    return pt
 
 
 def grow_pool(f: HomPoly, seeds, target: int, max_bits: int = 120) -> list[Point]:

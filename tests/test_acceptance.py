@@ -39,9 +39,15 @@ from grassmann.core import (
 )
 from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse, pretty_print
 from grassmann.generate import random_nine_points
-from grassmann.oracle import gradient_tangent, hessian_flex_oracle, root_multiplicity
+from grassmann.oracle import (
+    chord_third,
+    gradient_tangent,
+    hessian_flex_oracle,
+    root_multiplicity,
+    second_point,
+    tangent_third,
+)
 from grassmann.poly import (
-    binary_deflate,
     evaluate,
     monomials,
     nullspace_fit,
@@ -64,14 +70,6 @@ def proportional(u, v):
         return True
     pa, pb = pivot
     return pa != 0 and pb != 0 and all(a * pb == b * pa for a, b in zip(u, v))
-
-
-def second_point_on(L, avoid):
-    for base in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)):
-        cand = meet(L, Line(*base))
-        if not cand.is_zero and not projectively_equal(cand, avoid):
-            return cand
-    raise AssertionError("no second point on line")
 
 
 _FIT_CACHE: list = []
@@ -181,17 +179,7 @@ def test_criterion_04_chord_third_point():
         if evaluate(f, y) != 0:
             ok = False
             break
-        form = restrict_to_line(f, params.a, params.b)
-        if form[0] != 0 or form[3] != 0:
-            ok = False
-            break
-        expected = Point(
-            *(
-                -form[2] * ac + form[1] * bc
-                for ac, bc in zip(params.a.coords, params.b.coords)
-            )
-        )
-        if not projectively_equal(y, expected):
+        if not projectively_equal(y, chord_third(f, params.a, params.b)):
             ok = False
             break
     report(4, "chord third point vs deflation oracle, 200 instances", ok)
@@ -211,7 +199,7 @@ def test_criterion_05_tangent():
         if not projectively_equal(T, grad):
             ok = False
             break
-        q2 = second_point_on(T, params.a)
+        q2 = second_point(T, params.a)
         if root_multiplicity(f, params.a, q2, params.a) < 2:
             ok = False
             break
@@ -229,22 +217,12 @@ def test_criterion_06_tangent_third_and_flex():
         if incidence(result.tangent, result.w) != 0 or evaluate(f, result.w) != 0:
             ok = False
             break
-        q2 = second_point_on(result.tangent, params.a)
-        form = restrict_to_line(f, params.a, q2)
-        mult = next((m for m, cf in enumerate(form) if cf != 0), 4)
+        mult, expected = tangent_third(f, result.tangent, params.a)
         if (mult == 3) != result.is_flex_case or (mult == 3) != projectively_equal(
             result.w, params.a
         ):
             ok = False
             break
-        form = binary_deflate(form, 1, 0)
-        form = binary_deflate(form, 1, 0)
-        expected = Point(
-            *(
-                -form[1] * ac + form[0] * qc
-                for ac, qc in zip(params.a.coords, q2.coords)
-            )
-        )
         if not projectively_equal(result.w, expected):
             ok = False
             break

@@ -123,3 +123,24 @@ def test_constructions_import_no_polynomial_fit():
     imported = _imported_modules(path, "grassmann")
     assert "grassmann.poly" in imported, "no poly import found; the walk is broken"
     assert sorted(imported & ORACLE_TOOLS) == []
+
+
+def _calls(path, name):
+    """Whether the file calls `name`, bare or as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                return True
+    return False
+
+
+def test_only_the_oracle_reads_a_line_restriction():
+    """A line's third point and contact order have one owner: `oracle`
+    restricts a form to a line, and the CLI asks it for the verdicts."""
+    package = ROOT / "src" / "grassmann"
+    callers = [p.stem for p in sorted(package.glob("*.py")) if _calls(p, "restrict_to_line")]
+    assert [c for c in callers if c != "poly"] == ["oracle"]
+    imported = _imported_modules(package / "cli.py", "grassmann")
+    assert "grassmann.oracle" in imported, "no oracle import found; the walk is broken"
+    assert sorted(m for m in imported if m.endswith(".restrict_to_line")) == []

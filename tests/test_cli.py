@@ -211,6 +211,39 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == "degenerate: chord endpoints coincide\n"
 
+    def test_third_point_endpoint_answer_fails_the_deflation_oracle(self, capsys, monkeypatch):
+        """An endpoint is on the chord and on the cubic; only the line
+        oracle's third point tells it from the answer."""
+        from grassmann import constructions as cons
+
+        monkeypatch.setattr(cons, "third_point_on_chord_ab", lambda params: params.a)
+        code, out, _ = run_cli(["third_point", "--in", str(GOLDEN / "grid.scene")], capsys)
+        assert code == 2
+        assert "check on-chord: pass" in out
+        assert "check on-cubic-polynomial-oracle: pass" in out
+        assert "check deflation-oracle-root: FAIL" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check10", "--point", "p_1"],
+            ["third_point"],
+            ["tangent_third"],
+            ["group_add", "--no-verify-flex", "--point", "a", "--point", "p_1", "--point", "p_2"],
+        ],
+        ids=["check10", "third_point", "tangent_third", "group_add"],
+    )
+    def test_zero_cubic_is_no_oracle(self, argv, capsys, monkeypatch):
+        """Every point is on the zero form, so a membership check against it
+        refuses instead of passing."""
+        from grassmann import cli
+
+        fitted = cli._fitted
+        monkeypatch.setattr(cli, "_fitted", lambda scene: (fitted(scene)[0], HomPoly.zero(3)))
+        code, out, err = run_cli([*argv, "--in", str(GOLDEN / "grid.scene")], capsys)
+        assert (code, out) == (2, "")
+        assert err == "degenerate: membership in the zero polynomial is vacuous\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["third_point", "--point", "a"], ["group_add", "--point", "a", "--point", "a"]],
@@ -278,16 +311,15 @@ class TestCommands:
         assert "check matches-deflation-oracle: pass" in out
 
     def test_tangent_third_restricts_the_cubic_once(self, scene_path, capsys, monkeypatch):
-        from grassmann import cli, oracle, poly
+        from grassmann import oracle
 
-        calls, original = [], poly.restrict_to_line
+        calls, original = [], oracle.restrict_to_line
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        for module in (cli, oracle, poly):
-            monkeypatch.setattr(module, "restrict_to_line", counted)
+        monkeypatch.setattr(oracle, "restrict_to_line", counted)
         for runs in (1, 2, 3):
             code, out, _ = run_cli(["tangent_third", "--in", scene_path], capsys)
             assert code == 0
@@ -295,9 +327,9 @@ class TestCommands:
             assert len(calls) == runs
 
     def test_tangent_third_line_on_curve_exits_2(self, scene_path, capsys, monkeypatch):
-        from grassmann import cli
+        from grassmann import oracle
 
-        monkeypatch.setattr(cli, "restrict_to_line", lambda f, p, q: [0, 0, 0, 0])
+        monkeypatch.setattr(oracle, "restrict_to_line", lambda f, p, q: [0, 0, 0, 0])
         code, _, err = run_cli(["tangent_third", "--in", scene_path], capsys)
         assert code == 2
         assert err == "degenerate: line pq lies on the curve\n"
@@ -528,11 +560,12 @@ class TestCommands:
 def test_binary_root_is_exact_beyond_float_precision():
     # the chord of y^2 = x^3 + 17 through [1:2:5] and 16 times [1:-2:3]
     # meets the curve again at a point whose coordinates all exceed 2^53;
-    # a float division in the deflation-oracle check misses this root
-    from curves import chord_third, tangent_third, weierstrass
+    # the deflation oracle reads that root off the binary form exactly
+    from curves import tangent_third, weierstrass
 
-    from grassmann.cli import _binary_root
-    from grassmann.poly import restrict_to_line
+    from grassmann.core import incidence, join, projectively_equal
+    from grassmann.oracle import chord_third
+    from grassmann.poly import evaluate
 
     f = weierstrass(0, 17)
     p = Point(1, 2, 5)
@@ -541,10 +574,11 @@ def test_binary_root_is_exact_beyond_float_precision():
         q = tangent_third(f, q)
     y = chord_third(f, p, q)
     assert min(abs(c) for c in y.coords) > 2**53
-    form = restrict_to_line(f, p, q)
-    assert _binary_root(form, y, p, q)
+    assert evaluate(f, y) == 0 and incidence(join(p, q), y) == 0
+    assert not projectively_equal(y, p) and not projectively_equal(y, q)
     off_curve = Point(*(a + b for a, b in zip(p.coords, q.coords)))
-    assert not _binary_root(form, off_curve, p, q)
+    with pytest.raises(ValueError, match="chord endpoint does not lie on the curve"):
+        chord_third(f, p, off_curve)
 
 
 class TestParserReuse:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grassmann import constructions as cons
+from grassmann import oracle
 from grassmann.constructions import (
     DegenerateIntermediateError,
     FlexVerificationError,
@@ -48,8 +49,13 @@ from grassmann.core import (
 )
 from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse
 from grassmann.generate import random_scene
-from grassmann.oracle import gradient_tangent, hessian_flex_oracle, root_multiplicity
-from grassmann.poly import binary_deflate, evaluate, nullspace_fit, restrict_to_line
+from grassmann.oracle import (
+    gradient_tangent,
+    hessian_flex_oracle,
+    root_multiplicity,
+    second_point,
+)
+from grassmann.poly import evaluate, nullspace_fit, restrict_to_line
 
 from conftest import seeded_labels
 from curves import (
@@ -69,14 +75,6 @@ def proportional(u, v):
         return True
     pa, pb = pivot
     return pa != 0 and pb != 0 and all(a * pb == b * pa for a, b in zip(u, v))
-
-
-def second_point_on(L, avoid):
-    for base in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)):
-        cand = meet(L, Line(*base))
-        if not cand.is_zero and not projectively_equal(cand, avoid):
-            return cand
-    raise AssertionError("no second point found")
 
 
 class TestFitNinePoints:
@@ -207,15 +205,7 @@ class TestThirdPoint:
         params = fit_nine_points(labels9)
         y = third_point_on_chord_ab(params)
         f = expand_cubic(params)
-        form = restrict_to_line(f, params.a, params.b)
-        assert form[0] == 0 and form[3] == 0
-        expected = Point(
-            *(
-                -form[2] * ac + form[1] * bc
-                for ac, bc in zip(params.a.coords, params.b.coords)
-            )
-        )
-        assert projectively_equal(y, expected)
+        assert projectively_equal(y, chord_third(f, params.a, params.b))
 
     def test_on_chord_and_cubic(self, labels9):
         params = fit_nine_points(labels9)
@@ -239,19 +229,14 @@ class TestThirdPoint:
         params = fit_nine_points(labels)
         y = third_point_on_chord_ab(params)
         assert projectively_equal(y, p)
-        q2 = second_point_on(join(p, t3), p)
+        q2 = second_point(join(p, t3), p)
         assert root_multiplicity(expand_cubic(params), p, q2, p) == 2
 
     def test_general_equals_oracle(self, labels9):
         nine = list(labels9.as_tuple())
         p, q = labels9.c, labels9.g
         y = third_point_general(nine, p, q)
-        f = nullspace_fit(nine, 3)
-        form = restrict_to_line(f, p, q)
-        expected = Point(
-            *(-form[2] * pc + form[1] * qc for pc, qc in zip(p.coords, q.coords))
-        )
-        assert projectively_equal(y, expected)
+        assert projectively_equal(y, chord_third(nullspace_fit(nine, 3), p, q))
 
     def test_chord_involution(self, labels9):
         nine = list(labels9.as_tuple())
@@ -287,7 +272,7 @@ class TestTangent:
         params = fit_nine_points(labels9)
         T = tangent_at_a(params)
         f = expand_cubic(params)
-        q2 = second_point_on(T, params.a)
+        q2 = second_point(T, params.a)
         assert root_multiplicity(f, params.a, q2, params.a) >= 2
 
     def test_singular_point_raises(self):
@@ -423,7 +408,7 @@ class TestTangentThird:
             assert eval_numeric(conic_ast, env.with_x(y)) == 0
             assert incidence(lam, y) == 0
             conic = nullspace_fit([eval_numeric(t, env) for t in five_asts], 2)
-            u = second_point_on(lam, b)
+            u = second_point(lam, b)
             form = restrict_to_line(conic, b, u)
             assert form[0] == 0
             if form[1] == 0:
@@ -519,16 +504,8 @@ class TestTangentThird:
         params = fit_nine_points(labels9)
         result = tangent_third_point(params)
         f = expand_cubic(params)
-        q2 = second_point_on(result.tangent, params.a)
-        form = restrict_to_line(f, params.a, q2)
-        form = binary_deflate(form, 1, 0)
-        form = binary_deflate(form, 1, 0)
-        expected = Point(
-            *(
-                -form[1] * ac + form[0] * qc
-                for ac, qc in zip(params.a.coords, q2.coords)
-            )
-        )
+        mult, expected = oracle.tangent_third(f, result.tangent, params.a)
+        assert mult >= 2
         assert projectively_equal(result.w, expected)
 
     def test_flex_fixture(self):
@@ -746,7 +723,7 @@ class TestConicCubicSixth:
         tangent_dir = meet(Line(*mul(a.coords)), axis)
         known_params.append(param_of(tangent_dir))
         for s, t in known_params:
-            sextic = binary_deflate(sextic, s, t)
+            sextic = _deflate(sextic, s, t)
         assert len(sextic) == 2
         s6, t6 = -sextic[1], sextic[0]
         return x_of(lin(s6, t6))
@@ -758,6 +735,19 @@ class TestConicCubicSixth:
             z_enum = self._sixth_by_parameterization(labels)
             assert not z_enum.is_zero
             assert projectively_equal(z, z_enum)
+
+
+def _deflate(form, s0, t0):
+    """Exact division of a binary form by t0*s - s0*t, for a root (s0:t0)."""
+    if t0 == 0:
+        assert form[0] == 0
+        return [c / -s0 for c in form[1:]]
+    quotient, rem = [], form[0]
+    for c in form[1:]:
+        quotient.append(rem / t0)
+        rem = c + quotient[-1] * s0
+    assert rem == 0
+    return quotient
 
 
 @pytest.fixture(scope="module")

@@ -4,16 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from grassmann.core import Line, Point, projectively_equal
+from grassmann.core import Line, Point, incidence, join, projectively_equal
 from grassmann.oracle import (
     LineContainedError,
     ZeroPolynomialError,
+    chord_third,
     cubic_membership,
     gradient_tangent,
     hessian_flex_oracle,
     root_multiplicity,
+    second_point,
+    tangent_third,
 )
-from grassmann.poly import HomPoly, evaluate, monomials
+from grassmann.poly import DegenerateLineError, HomPoly, evaluate, monomials
 
 from curves import CURVES, weierstrass, FLEX
 
@@ -108,6 +111,75 @@ class TestRootMultiplicity:
         f = weierstrass(0, 17)
         with pytest.raises(ValueError):
             root_multiplicity(f, Point(1, -2, 3), Point(1, 2, 5), Point(1, 4, 9))
+
+
+class TestSecondPoint:
+    @pytest.mark.parametrize("coords", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, -3, 5)])
+    def test_another_point_of_the_line(self, coords):
+        L = Line(*coords)
+        first = second_point(L, Point(1, 1, 1))
+        q = second_point(L, first)
+        assert incidence(L, first) == 0 and incidence(L, q) == 0
+        assert not projectively_equal(q, first)
+
+    def test_zero_line_refused(self):
+        with pytest.raises(DegenerateLineError):
+            second_point(Line(0, 0, 0), Point(1, 0, 0))
+
+
+class TestChordThird:
+    def test_known_third_point(self):
+        # y = x/2 + 4 meets y^2 = x^3 + 17 at x = -2, 2 and 1/4
+        f = weierstrass(0, 17)
+        assert projectively_equal(chord_third(f, Point(1, -2, 3), Point(1, 2, 5)), Point(8, 2, 33))
+
+    def test_tangent_chord_gives_the_endpoint(self):
+        f = weierstrass(0, 17)
+        p = Point(1, -1, 4)
+        _, t3 = tangent_third(f, gradient_tangent(f, p), p)
+        assert projectively_equal(chord_third(f, p, t3), p)
+        assert projectively_equal(chord_third(f, t3, p), p)
+
+    def test_line_on_curve(self):
+        f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
+        with pytest.raises(LineContainedError):
+            chord_third(f, Point(1, 0, 0), Point(0, 1, 0))
+
+    def test_endpoint_off_curve(self):
+        f = weierstrass(0, 17)
+        with pytest.raises(ValueError, match="chord endpoint does not lie on the curve"):
+            chord_third(f, Point(1, -2, 3), Point(1, 2, 6))
+
+
+class TestTangentThird:
+    def test_generic_point_double_contact(self):
+        f = weierstrass(0, 17)
+        p = Point(1, -1, 4)
+        T = gradient_tangent(f, p)
+        m, w = tangent_third(f, T, p)
+        assert m == 2
+        assert evaluate(f, w) == 0 and incidence(T, w) == 0
+        assert not projectively_equal(w, p)
+
+    @pytest.mark.parametrize(
+        "f, flex",
+        [(FERMAT, Point(1, -1, 0)), (weierstrass(0, 17), FLEX)],
+        ids=["fermat", "weierstrass"],
+    )
+    def test_flex_triple_contact_gives_the_point(self, f, flex):
+        m, w = tangent_third(f, gradient_tangent(f, flex), flex)
+        assert m == 3
+        assert projectively_equal(w, flex)
+
+    def test_secant_has_no_third_point(self):
+        f = weierstrass(0, 17)
+        p, q = Point(1, -2, 3), Point(1, 2, 5)
+        assert tangent_third(f, join(p, q), p) == (1, None)
+
+    def test_line_on_curve(self):
+        f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
+        with pytest.raises(LineContainedError):
+            tangent_third(f, Line(0, 0, 1), Point(1, 0, 0))
 
 
 class TestHessianFlex:

@@ -10,8 +10,6 @@ from grassmann.poly import (
     HomPoly,
     PolyVector,
     RankDeficientError,
-    binary_deflate,
-    binary_eval,
     evaluate,
     monomials,
     nullspace_fit,
@@ -156,25 +154,7 @@ class TestRestrictToLine:
         form = restrict_to_line(f, p, q)
         for s, t in ((1, 0), (0, 1), (2, 3), (-1, 5)):
             direct = evaluate(f, Point(*(s * a + t * b for a, b in zip(p.coords, q.coords))))
-            assert binary_eval(form, Fraction(s), Fraction(t)) == direct
-
-
-class TestBinaryDeflate:
-    def test_deflate_known_root(self):
-        # (s - t)(s + 2t) = s^2 + s t - 2 t^2
-        form = [Fraction(1), Fraction(1), Fraction(-2)]
-        out = binary_deflate(form, 1, 1)
-        assert binary_eval(out, 1, -2) != 0 and binary_eval(out, -2, 1) == 0
-
-    def test_deflate_requires_root(self):
-        with pytest.raises(ValueError):
-            binary_deflate([Fraction(1), Fraction(0), Fraction(1)], 1, 0)
-
-    def test_deflate_at_one_zero(self):
-        # t * (s + t): c0 = 0
-        form = [Fraction(0), Fraction(1), Fraction(1)]
-        out = binary_deflate(form, 1, 0)
-        assert binary_eval(out, 1, -1) == 0
+            assert sum(c * s ** (3 - m) * t ** m for m, c in enumerate(form)) == direct
 
 
 class TestExactScalars:
