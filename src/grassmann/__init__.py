@@ -24,7 +24,6 @@ from .constructions import (
     NinePointLabels,
     check_ten_points,
     conic_cubic_sixth,
-    conic_cubic_sixth_via_89,
     conic_five_points,
     conic_line_second_intersection,
     fit_nine_points,

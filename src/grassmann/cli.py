@@ -40,6 +40,7 @@ _DEGENERATE_ERRORS = (
     DegenerateLineError,
     oracle.ZeroPolynomialError,
     oracle.LineContainedError,
+    oracle.SingularPointError,
 )
 
 
@@ -225,16 +226,32 @@ def cmd_is_flex(scene: Scene, args, report: Report) -> int:
 
 
 def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
+    """The sixth point z where the conic through a, c, d, e, f meets the
+    cubic, checked against the oracle chord chain a.((cd).(ef)) on the
+    fitted cubic F, where u.v is oracle.third(F, u, v).
+
+    Proof: fix any base point of the cubic, so that the three points of
+    a line sum to a constant kappa and u.v = kappa - u - v.  With
+    r = kappa - c - d, s = kappa - e - f and t = kappa - r - s, the chain
+    gives a.t = kappa - a - t = 2 kappa - a - c - d - e - f.  A conic
+    and a pair of lines cut the cubic in linearly equivalent divisors, so
+    the six points where the conic meets it sum, like the six of two
+    lines, to 2 kappa: z = a.t.
+    """
     labels = _nine(scene)
     result = cons.conic_cubic_sixth(labels)
-    z89 = cons.conic_cubic_sixth_via_89(labels, result.params)
     report.add_triple("point", "z", result.z)
     report.add_triple("point", "y", result.y)
     conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)
     report.add_check("on-conic-nullspace-oracle", evaluate(conic, result.z) == 0)
     cubic = nullspace_fit(labels.as_tuple(), 3)
     report.add_check("on-cubic-nullspace-oracle", evaluate(cubic, result.z) == 0)
-    report.add_check("chord-chain-agreement", projectively_equal(result.z, z89))
+
+    def third(u, v):
+        return oracle.third(cubic, u, v)
+
+    chain = third(labels.a, third(third(labels.c, labels.d), third(labels.e, labels.f)))
+    report.add_check("chord-chain-agreement", projectively_equal(result.z, chain))
     if result.coincides_with:
         report.add_diagnostic(f"z coincides with defining point {result.coincides_with}")
     return 0
@@ -251,6 +268,9 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
     report.add_check("sum-on-cubic-oracle", oracle.cubic_membership(f, total))
     other = cons.group_add(known, o, q, p, verify_flex=False)
     report.add_check("commutes", projectively_equal(total, other))
+    # p + q is the third point of the line through o and p.q
+    chain = oracle.third(f, o, oracle.third(f, p, q))
+    report.add_check("matches-chord-chain-oracle", projectively_equal(total, chain))
     return 0
 
 

@@ -39,8 +39,8 @@ from .core import (
     meet,
     projectively_equal,
 )
-from .expr import Environment, eval_symbolic, parse
-from .poly import HomPoly
+from .expr import Environment
+from .poly import HomPoly, monomials
 
 __all__ = [
     "ConstructionError",
@@ -68,7 +68,6 @@ __all__ = [
     "is_flex",
     "tangent_third_via_89",
     "conic_cubic_sixth",
-    "conic_cubic_sixth_via_89",
     "group_add",
     "tangent_third_at",
     "conic_five_points",
@@ -113,7 +112,6 @@ class FlexVerificationError(ConstructionError):
 # canonical expression text (accepted verbatim by the parser and the CLI)
 CUBIC_EXPRESSION = "(xaAa_1.xbBkCb_1.xc)"
 
-_CUBIC_AST = parse(CUBIC_EXPRESSION)
 
 def _chain(start, *objs):
     """A chain of joins and meets on coordinate triples, folded left to
@@ -358,9 +356,44 @@ def _cubic_value(params: CubicParams, x: tuple) -> Scalar:
     return _dot(_cross(L, M), _cross(x, params.c.coords))
 
 
+# the unit triples e_0, e_1, e_2, and the exponents of the monomial
+# x_j x_k x_l for each index triple (j, k, l)
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_MONOMIAL = {
+    jkl: tuple(jkl.count(i) for i in range(3)) for jkl in itertools.product(range(3), repeat=3)
+}
+
+
 def expand_cubic(params: CubicParams) -> HomPoly:
-    """The degree-3 form of the curve, expanded symbolically in x."""
-    return eval_symbolic(_CUBIC_AST, params.environment())
+    """The degree-3 form f of the curve, in closed form.
+
+    The chains R1x = xaAa1, R2x = xbBkCb1 and R3x = xc are linear in x,
+    since each step is a cross product with a fixed triple: R1x is the
+    sum of x_j R1e_j over the unit triples e_j, and so are R2x and R3x.
+    The bracket [R1x, R2x, R3x] = _dot(_cross(R1x, R2x), R3x), which
+    _cubic_value folds at a numeric x, is linear in each of the three, so
+
+        f(x) = sum over j, k, l of x_j x_k x_l [R1e_j, R2e_k, R3e_l],
+
+    27 brackets of basis images collected into the 10 monomials, and
+    f(x) = _cubic_value(params, x) at every triple x.  As R3e_l = e_l c,
+    the bracket [u, v, e_l c] is entry l of c(uv), so the three brackets
+    of one pair j, k come from two cross products.
+    """
+    R1 = [_chain(e, params.a.coords, params.A.coords, params.a1.coords) for e in _BASIS]
+    R2 = [
+        _chain(
+            e, params.b.coords, params.B.coords, params.k.coords, params.C.coords, params.b1.coords
+        )
+        for e in _BASIS
+    ]
+    c = params.c.coords
+    coeffs = dict.fromkeys(monomials(3), 0)
+    for j, u in enumerate(R1):
+        for k, v in enumerate(R2):
+            for l, bracket_jkl in enumerate(_cross(c, _cross(u, v))):
+                coeffs[_MONOMIAL[j, k, l]] += bracket_jkl
+    return HomPoly(3, coeffs)
 
 
 def check_ten_points(pts: NinePointLabels, p10: Point) -> bool:
@@ -513,17 +546,15 @@ class _AnchorFit:
         predicate as _cubic_value(params, x) == 0, on coefficients of a few
         bits instead of the fit's parameters.
 
-        Proof: expand_cubic(params) evaluates the AST of CUBIC_EXPRESSION,
-        the expression _cubic_value folds at a numeric x, with x left free.
-        Every product of that fold (cross product, dot product, scaling) is
-        bilinear, so each symbolic intermediate takes the value of the
-        numeric one at every x, and the expanded form F has
-        F(x) = _cubic_value(params, x) for every triple x.  primitive()
-        divides F by a nonzero rational, so it vanishes exactly where F
-        does.  If the bracket is zero at every x, F is the zero form (a
-        polynomial over the rationals that vanishes everywhere is zero):
-        `terms` is empty and this test holds at every x, as the bracket
-        does.
+        Proof: expand_cubic(params) is the form F with
+        F(x) = _cubic_value(params, x) for every triple x, as its
+        docstring shows: the bracket that _cubic_value folds is linear in
+        each of its three chains, and each chain is linear in x.
+        primitive() divides F by a nonzero rational, so it vanishes
+        exactly where F does.  If the bracket is zero at every x, F is the
+        zero form (a polynomial over the rationals that vanishes
+        everywhere is zero): `terms` is empty and this test holds at every
+        x, as the bracket does.
         """
         x0, x1, x2 = x
         s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
@@ -1092,26 +1123,6 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
 
     coincides = next((name for name, x in defining if not any(_cross(z, x))), None)
     return SixthPointResult(z=Point(*z), y=y, params=params, coincides_with=coincides)
-
-
-def conic_cubic_sixth_via_89(pts: NinePointLabels, params: CubicParams) -> Point:
-    """Sixth conic intersection by chord chaining.
-
-    The chord cd meets the cubic again at r, ef at s, rs at t; the wanted
-    point is the third intersection of the chord at with the cubic.
-    `params` is the fit through `pts` (fit_nine_points(pts), or the
-    `params` of conic_cubic_sixth(pts)); the point is checked on its conic
-    and its cubic.
-    """
-    nine = list(pts.as_tuple())
-    a, c, d, e, f = pts.a, pts.c, pts.d, pts.e, pts.f
-    r = third_point_general(nine, c, d)
-    s = third_point_general(nine + [r], e, f)
-    t = third_point_general(nine + [r, s], r, s)
-    z = third_point_general(nine + [r, s, t], a, t)
-    if _sixth_conic_value(params, z.coords) != 0 or _cubic_value(params, z.coords) != 0:
-        raise ConstructionError("sixth point failed the exact membership checks")
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from .poly import DegenerateLineError, HomPoly, evaluate, restrict_to_line
 __all__ = [
     "ZeroPolynomialError",
     "LineContainedError",
+    "SingularPointError",
     "cubic_membership",
     "gradient_tangent",
     "second_point",
     "root_multiplicity",
     "chord_third",
     "tangent_third",
+    "third",
     "hessian_flex_oracle",
 ]
 
@@ -29,6 +31,10 @@ class ZeroPolynomialError(ValueError):
 
 class LineContainedError(ValueError):
     """The whole line lies on the curve; restriction is identically zero."""
+
+
+class SingularPointError(ValueError):
+    """The point is a singular point of the curve: it has no tangent."""
 
 
 def cubic_membership(f: HomPoly, p: Point) -> bool:
@@ -120,6 +126,25 @@ def tangent_third(f: HomPoly, T: Line, a: Point) -> tuple[int, Point | None]:
     return m, canonicalize(Point(*(-c3 * ac + c2 * qc for ac, qc in zip(a.coords, q.coords))))
 
 
+def third(f: HomPoly, p: Point, q: Point) -> Point:
+    """The third point of the cubic f = 0 on the line pq, p and q on the
+    curve: chord_third for p != q, and for p = q the third point of the
+    tangent at p, which is p itself at a flex.
+
+    This is the chord-and-tangent operation of the group law: with any
+    base point, p, q and third(f, p, q) sum to a constant.  Raises
+    :class:`SingularPointError` when p = q is a singular point, and
+    :class:`LineContainedError` when the line lies on the curve.
+    """
+    if not projectively_equal(p, q):
+        return chord_third(f, p, q)
+    tangent = gradient_tangent(f, p)
+    if tangent.is_zero:
+        raise SingularPointError("a singular point has no tangent")
+    # the gradient tangent meets the curve at p at least twice
+    return tangent_third(f, tangent, p)[1]
+
+
 def hessian_flex_oracle(f: HomPoly, p: Point) -> bool:
     """Whether a smooth point p of the cubic f = 0 is a flex.
 
@@ -129,7 +154,7 @@ def hessian_flex_oracle(f: HomPoly, p: Point) -> bool:
         raise ValueError("p does not lie on the curve")
     grad = [evaluate(f.partial(i), p) for i in range(3)]
     if all(g == 0 for g in grad):
-        raise ValueError("p is a singular point")
+        raise SingularPointError("p is a singular point")
     h = [[evaluate(f.partial(i).partial(j), p) for j in range(3)] for i in range(3)]
     det = (
         h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])

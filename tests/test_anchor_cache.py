@@ -38,6 +38,7 @@ from grassmann.constructions import (
     third_point_general,
 )
 from grassmann.core import Line, Point, _canonical, _cross, _dot, join, meet
+from grassmann.expr import eval_symbolic, parse
 from grassmann.generate import random_scene
 from grassmann.poly import evaluate, nullspace_fit
 
@@ -463,6 +464,22 @@ def test_the_record_check_is_the_bracket(group_pool):
     for fit in fits:
         labels = [Point(*key) for key in fit.labels]
         assert_record_check_is_the_bracket(fit, [*pool, *tall, *labels, *grid])
+
+
+def test_pool_fits_expand_to_the_symbolic_form(group_pool):
+    """expand_cubic's closed form is the form that the expression evaluator
+    expands from CUBIC_EXPRESSION, on every fit cached by seeded
+    criterion-09 sums on the 40-point pool and on fits of multiples
+    12P..21P (hundreds of bits)."""
+    f, pool = group_pool
+    criterion_09_sums(pool, 9009, 4)
+    fits = [fit for fits in cons._ANCHOR_CACHE.values() for fit in fits]
+    assert len(fits) > 10
+    tall = [pt for base in pool[:2] for pt in multiples(f, base, range(12, 22))]
+    fits += [first_anchor_fit(tall, p) for p in tall[:3]]
+    cubic = parse(cons.CUBIC_EXPRESSION)
+    for fit in fits:
+        assert cons.expand_cubic(fit.params) == eval_symbolic(cubic, fit.params.environment())
 
 
 def test_each_record_is_built_once(group_pool, monkeypatch):

@@ -144,3 +144,16 @@ def test_only_the_oracle_reads_a_line_restriction():
     imported = _imported_modules(package / "cli.py", "grassmann")
     assert "grassmann.oracle" in imported, "no oracle import found; the walk is broken"
     assert sorted(m for m in imported if m.endswith(".restrict_to_line")) == []
+
+
+def test_constructions_expand_the_cubic_without_the_evaluator():
+    """expand_cubic is a closed form: the construction layer neither
+    imports nor calls the expression parser or the symbolic evaluator,
+    which stay the engine of the CLI's eval command and the tests'
+    reference for the form."""
+    path = ROOT / "src" / "grassmann" / "constructions.py"
+    imported = _imported_modules(path, "grassmann")
+    assert "grassmann.core" in imported, "no core import found; the walk is broken"
+    evaluator = {f"grassmann.expr.{name}" for name in ("parse", "eval_symbolic")}
+    assert sorted(imported & evaluator) == []
+    assert not _calls(path, "parse") and not _calls(path, "eval_symbolic")

@@ -223,6 +223,38 @@ class TestCommands:
         assert "check on-cubic-polynomial-oracle: pass" in out
         assert "check deflation-oracle-root: FAIL" in out
 
+    def test_conic_sixth_defining_point_answer_fails_the_chord_chain(self, capsys, monkeypatch):
+        """a is on the conic and on the cubic; only the oracle chord chain
+        tells it from the sixth point."""
+        import dataclasses
+
+        from grassmann import constructions as cons
+
+        sixth = cons.conic_cubic_sixth
+
+        def returns_a(labels):
+            return dataclasses.replace(sixth(labels), z=labels.a)
+
+        monkeypatch.setattr(cons, "conic_cubic_sixth", returns_a)
+        code, out, _ = run_cli(["conic_sixth", "--in", str(GOLDEN / "grid.scene")], capsys)
+        assert code == 2
+        assert "check on-conic-nullspace-oracle: pass" in out
+        assert "check on-cubic-nullspace-oracle: pass" in out
+        assert "check chord-chain-agreement: FAIL" in out
+
+    def test_group_add_identity_answer_fails_the_chord_chain(self, capsys, monkeypatch):
+        """The identity o is on the cubic and commutes with itself; only the
+        oracle chord chain tells it from the sum."""
+        from grassmann import constructions as cons
+
+        monkeypatch.setattr(cons, "group_add", lambda known, o, p, q, verify_flex: o)
+        argv = ["group_add", "--no-verify-flex", "--point", "a", "--point", "p_1", "--point", "p_2"]
+        code, out, _ = run_cli([*argv, "--in", str(GOLDEN / "grid.scene")], capsys)
+        assert code == 2
+        assert "check sum-on-cubic-oracle: pass" in out
+        assert "check commutes: pass" in out
+        assert "check matches-chord-chain-oracle: FAIL" in out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -394,8 +426,10 @@ class TestCommands:
         assert out.count("diagnostic:") == 1
 
     def test_conic_sixth_fits_the_labels_once(self, scene_path, capsys, monkeypatch):
-        # conic_cubic_sixth fits the nine labels and the via-89 check reads
-        # that fit; the other six fits are the chords' refits
+        # conic_cubic_sixth fits the nine labels and refits once for its
+        # chord ef; the chord-chain check runs on the oracle and fits
+        # nothing.  The third fit is the random_scene call below, whose
+        # chord refits once.
         from grassmann import constructions as cons
 
         labelled, original = [], cons._fit
@@ -409,7 +443,7 @@ class TestCommands:
         code, out, _ = run_cli(["conic_sixth", "--in", scene_path], capsys)
         assert code == 0
         assert "check chord-chain-agreement: pass" in out
-        assert len(labelled) == 7
+        assert len(labelled) == 3
         assert sum(pts.as_tuple() == nine for pts in labelled) == 1
 
     def test_pascal_on_conic(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,6 @@ from grassmann.constructions import (
     NinePointLabels,
     check_ten_points,
     conic_cubic_sixth,
-    conic_cubic_sixth_via_89,
     conic_five_points,
     conic_line_second_intersection,
     evaluate_cubic,
@@ -49,6 +49,7 @@ from grassmann.core import (
 )
 from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse
 from grassmann.generate import random_scene
+from grassmann.scene import Scene
 from grassmann.oracle import (
     gradient_tangent,
     hessian_flex_oracle,
@@ -94,6 +95,18 @@ class TestFitNinePoints:
             nine = random_scene(seed).nine_points()
             params = fit_nine_points(NinePointLabels.from_points(nine))
             assert expand_cubic(params).primitive() == nullspace_fit(nine, 3)
+
+    def test_closed_form_is_the_symbolic_expansion(self):
+        """expand_cubic's 27 brackets give the form that the expression
+        evaluator expands from CUBIC_EXPRESSION: on grid scene fits and on
+        the fit of the rational golden scene, whose points have Fraction
+        coordinates."""
+        rational = Scene.load(Path(__file__).parent / "golden" / "rational.scene")
+        assert any(type(c) is Fraction for p in rational.nine_points() for c in p.coords)
+        for scene in [*(random_scene(seed, 2) for seed in range(40)), rational]:
+            params = fit_nine_points(NinePointLabels.from_points(scene.nine_points()))
+            expected = eval_symbolic(parse(cons.CUBIC_EXPRESSION), params.environment())
+            assert expand_cubic(params) == expected
 
     def test_collinear_points_rejected(self, labels9):
         pts = list(labels9.as_tuple())
@@ -577,6 +590,18 @@ def fitted_sixth_cases():
             continue
 
 
+def oracle_sixth(labels):
+    """The sixth conic point by the oracle chord chain a.((cd).(ef)) on the
+    nullspace cubic through the nine, as the CLI's conic_sixth check
+    builds it."""
+    cubic = nullspace_fit(labels.as_tuple(), 3)
+
+    def third(u, v):
+        return oracle.third(cubic, u, v)
+
+    return third(labels.a, third(third(labels.c, labels.d), third(labels.e, labels.f)))
+
+
 def deflation_y(labels, params):
     """The third point of ef on the auxiliary cubic by the polynomial
     route: expand the cubic, restrict it to ef and deflate the known
@@ -635,14 +660,13 @@ class TestConicCubicSixth:
 
     def test_chord_chain_agreement(self, labels9):
         result = conic_cubic_sixth(labels9)
-        assert projectively_equal(result.z, conic_cubic_sixth_via_89(labels9, result.params))
+        assert projectively_equal(result.z, oracle_sixth(labels9))
 
     def test_more_instances(self):
         for seed in (201, 202, 203):
             labels = seeded_labels(seed)
             result = conic_cubic_sixth(labels)
-            z89 = conic_cubic_sixth_via_89(labels, result.params)
-            assert projectively_equal(result.z, z89)
+            assert projectively_equal(result.z, oracle_sixth(labels))
 
     @staticmethod
     def _sixth_by_parameterization(labels):
@@ -1158,7 +1182,7 @@ class TestTupleKernels:
         )
         x = Point(*x)
         got = evaluate_cubic(cubic, x)
-        expected = eval_numeric(cons._CUBIC_AST, cubic.environment().with_x(x))
+        expected = eval_numeric(parse(cons.CUBIC_EXPRESSION), cubic.environment().with_x(x))
         assert got == expected
         assert type(got) is type(expected)
         return got
@@ -1166,6 +1190,17 @@ class TestTupleKernels:
     @given(params=st.lists(_TRIPLES, min_size=9, max_size=9), x=_TRIPLES)
     def test_evaluate_cubic_is_the_expression_fold(self, params, x):
         self.assert_fold_agrees(params, x)
+
+    @given(params=st.lists(_TRIPLES, min_size=9, max_size=9), zero=st.integers(0, 9))
+    def test_expand_cubic_is_the_symbolic_expansion(self, params, zero):
+        # any nine triples, with one of them zero unless zero is 9
+        if zero < 9:
+            params[zero] = (0, 0, 0)
+        cubic = cons.CubicParams(
+            *(Point(*t) for t in params[:6]), *(Line(*t) for t in params[6:])
+        )
+        expected = eval_symbolic(parse(cons.CUBIC_EXPRESSION), cubic.environment())
+        assert expand_cubic(cubic) == expected
 
     @given(
         params=st.lists(_TRIPLES, min_size=9, max_size=9),
@@ -1208,7 +1243,7 @@ class TestTupleKernels:
         for name, wrong in (("a1", Line(*params.a1.coords)), ("B", Point(*params.B.coords))):
             bad = dataclasses.replace(params, **{name: wrong})
             with pytest.raises(KindError):
-                eval_numeric(cons._CUBIC_AST, bad.environment().with_x(x))
+                eval_numeric(parse(cons.CUBIC_EXPRESSION), bad.environment().with_x(x))
             with pytest.raises(KindError):
                 evaluate_cubic(bad, x)
 

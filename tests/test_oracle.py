@@ -7,6 +7,7 @@ import pytest
 from grassmann.core import Line, Point, incidence, join, projectively_equal
 from grassmann.oracle import (
     LineContainedError,
+    SingularPointError,
     ZeroPolynomialError,
     chord_third,
     cubic_membership,
@@ -15,10 +16,11 @@ from grassmann.oracle import (
     root_multiplicity,
     second_point,
     tangent_third,
+    third,
 )
 from grassmann.poly import DegenerateLineError, HomPoly, evaluate, monomials
 
-from curves import CURVES, weierstrass, FLEX
+from curves import CURVES, weierstrass, FLEX, grow_pool
 
 FERMAT = HomPoly(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
 
@@ -180,6 +182,46 @@ class TestTangentThird:
         f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
         with pytest.raises(LineContainedError):
             tangent_third(f, Line(0, 0, 1), Point(1, 0, 0))
+
+
+class TestThird:
+    def test_distinct_points_give_the_chord_third_point(self):
+        f = weierstrass(0, 17)
+        pool = grow_pool(f, CURVES[0][2], 12)
+        for p in pool:
+            for q in pool:
+                if p != q:
+                    assert third(f, p, q) == chord_third(f, p, q)
+        assert projectively_equal(third(f, Point(1, -2, 3), Point(1, 2, 5)), Point(8, 2, 33))
+
+    def test_equal_points_give_the_tangent_third_point(self):
+        f = weierstrass(0, 17)
+        p = Point(1, -1, 4)
+        _, w = tangent_third(f, gradient_tangent(f, p), p)
+        assert not projectively_equal(w, p)
+        # p = q is projective equality, not equality of coordinates
+        for q in (p, Point(-3, 3, -12), Point(Fraction(1, 2), Fraction(-1, 2), 2)):
+            assert third(f, p, q) == w
+
+    @pytest.mark.parametrize(
+        "f, flex",
+        [(FERMAT, Point(1, -1, 0)), (weierstrass(0, 17), FLEX)],
+        ids=["fermat", "weierstrass"],
+    )
+    def test_a_flex_is_its_own_third_point(self, f, flex):
+        assert projectively_equal(third(f, flex, flex), flex)
+
+    def test_a_singular_point_has_no_tangent_third_point(self):
+        with pytest.raises(SingularPointError):
+            third(NODAL, NODE, NODE)
+        # a chord through the node meets the curve there twice
+        p = nodal_point(Fraction(2))
+        assert projectively_equal(third(NODAL, NODE, p), NODE)
+
+    def test_a_line_on_the_curve_has_no_third_point(self):
+        f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
+        with pytest.raises(LineContainedError):
+            third(f, Point(1, 0, 0), Point(0, 1, 0))
 
 
 class TestHessianFlex:
