@@ -32,7 +32,6 @@ from .constructions import (
     pascal_points,
     tangent_at_a,
     tangent_third_point,
-    tangent_third_via_89,
     third_point_general,
     third_point_on_chord_ab,
 )

@@ -66,7 +66,6 @@ __all__ = [
     "tangent_at_a",
     "tangent_third_point",
     "is_flex",
-    "tangent_third_via_89",
     "conic_cubic_sixth",
     "group_add",
     "tangent_third_at",
@@ -434,9 +433,9 @@ def _known_pool(points) -> dict:
     not reduced again."""
     pool: dict = {}
     for p in points:
-        key = _key(p)
-        if any(key):
-            pool.setdefault(key, p)
+        pool.setdefault(_key(p), p)
+    # a zero point's key is its zero triple, equal to (0, 0, 0) as a key
+    pool.pop((0, 0, 0), None)
     return pool
 
 
@@ -559,7 +558,10 @@ class _AnchorFit:
         x0, x1, x2 = x
         s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
         p0, p1, p2 = (1, x0, s0, s0 * x0), (1, x1, s1, s1 * x1), (1, x2, s2, s2 * x2)
-        return sum(c * p0[i] * p1[j] * p2[k] for i, j, k, c in self.terms) == 0
+        total = 0
+        for i, j, k, c in self.terms:
+            total += c * p0[i] * p1[j] * p2[k]
+        return total == 0
 
 
 def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
@@ -609,9 +611,10 @@ def _cached_fits(pool, p_key) -> list:
     """The cached fits at anchor p_key whose other eight labels are all
     keys of the pool, oldest first, read under the lock."""
     with _ANCHOR_LOCK:
-        fits = _ANCHOR_CACHE.get(p_key, [])
-        if fits:
-            _ANCHOR_CACHE.move_to_end(p_key)
+        fits = _ANCHOR_CACHE.get(p_key)
+        if not fits:
+            return []
+        _ANCHOR_CACHE.move_to_end(p_key)
     keys = pool.keys()
     return [fit for fit in fits if keys >= fit.others]
 
@@ -673,33 +676,25 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     L = _tuple_step("L=px", _cross(p, x))
     if not fit.on_curve(x):
         raise ConstructionError("anchored chord endpoint is off the fitted cubic")
-
-    def verified(z):
-        return _dot(L, z) == 0 and fit.on_curve(z)
-
     for z in labels[1:]:
         if z != x and _dot(L, z) == 0:
-            if verified(z):
+            if fit.on_curve(z):
                 return _keyed(Point, z)
             raise ConstructionError("label on the chord is off the fitted cubic")
 
     step, c = _tuple_step, params.c.coords
     l1 = step("l1=LAa1", _cross(_cross(L, params.A.coords), params.a1.coords))
-
-    def phi(name, chain):
-        """phi(y) from the line chain = ybBkCb1."""
-        m = step(f"{name}bBkCb1.l1", _cross(chain, l1))
-        return step(f"phi({name})", _cross(_cross(m, c), L))
-
     # Ou is bX, and bX.B is X and Xk.C is X, so the chain ubBkCb1 is the
     # line Xb1; u itself is never needed
     M = step("M=xc", _cross(x, c))
     U = step("U=Ou.M", _cross(fit.bX, M))
     V = step("V=Op.M", _cross(fit.bp, M))
-    phi_p = phi("p", fit.pbBkCb1)
-    O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi("u", fit.Xb1), U), _cross(phi_p, V)))
+    # phi(y) = ((ybBkCb1).l1)c.L at y = p and y = u
+    phi_p = step("phi(p)", _cross(_cross(step("pbBkCb1.l1", _cross(fit.pbBkCb1, l1)), c), L))
+    phi_u = step("phi(u)", _cross(_cross(step("ubBkCb1.l1", _cross(fit.Xb1, l1)), c), L))
+    O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi_u, U), _cross(phi_p, V)))
     z = step("z=OO'.L", _cross(_cross(params.b.coords, O2), L))
-    if verified(z):
+    if _dot(L, z) == 0 and fit.on_curve(z):
         return _keyed(Point, z)
     raise ConstructionError("anchored chord point is off the fitted cubic")
 
@@ -1026,38 +1021,6 @@ def is_flex(params: CubicParams) -> bool:
     return tangent_third_point(params).is_flex_case
 
 
-def tangent_third_via_89(known, a: Point) -> Point:
-    """Tangent third point at a, by the two-secant construction.
-
-    Chords through a and two auxiliary points p1, q1 give p2 and q2; the
-    chords p1q1 and p2q2 give r1 and r2, and the chord r1r2 gives the
-    result.  `known` is an iterable of points; points that are
-    projectively equal count once, by canonical key.
-    """
-    if a.is_zero:
-        raise HypothesisViolation("the tangent point is the zero point")
-    pool = _known_pool(known)
-    a_key = _key(a)
-    others = [pt for key, pt in pool.items() if key != a_key]
-    if len(others) < 2:
-        raise InsufficientPointsError("need two auxiliary points")
-    for p1, q1 in itertools.combinations(others, 2):
-        try:
-            working = list(pool.values())
-            p2 = third_point_general(working, p1, a)
-            working.append(p2)
-            q2 = third_point_general(working, q1, a)
-            working.append(q2)
-            r1 = third_point_general(working, p1, q1)
-            working.append(r1)
-            r2 = third_point_general(working, p2, q2)
-            working.append(r2)
-            return third_point_general(working, r1, r2)
-        except ConstructionError:
-            continue
-    raise InsufficientPointsError("no admissible secant pair found")
-
-
 # ---------------------------------------------------------------------------
 # conic meets cubic
 
@@ -1139,11 +1102,12 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     first tries the anchor cache, and when no cached fit serves it, caches
     the first fit with its first endpoint (p, then o) in the anchor slot
     that serves it; a pool that leaves no such fit falls back on
-    third_point_general.  Coincident summands fall back on the tangent
-    construction.  With `verify_flex` the identity is first checked to be
-    a flex (a tangent-third construction on a cached fit or a refit); pass
-    False to skip when the caller has already verified it.  A zero point
-    among o, p and q raises HypothesisViolation.
+    third_point_general.  Coincident summands, compared by canonical key,
+    fall back on the tangent construction.  With `verify_flex` the
+    identity is first checked to be a flex (a tangent-third construction
+    on a cached fit or a refit); pass False to skip when the caller has
+    already verified it.  A zero point among o, p and q raises
+    HypothesisViolation.
 
     Hypothesis: o, p and q lie on the cubic through the known points.  It
     is not checked: with a point off that cubic, the sum is in general off
@@ -1156,7 +1120,7 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
         raise FlexVerificationError("identity point is not a flex")
 
     def chord(u, v):
-        if projectively_equal(u, v):
+        if _key(u) == _key(v):
             return tangent_third_at(pool.values(), u)
         return _chord(pool, u, v)
 

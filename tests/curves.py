@@ -45,15 +45,6 @@ def weierstrass(a4, a6) -> HomPoly:
     )
 
 
-def tangent_third(f: HomPoly, p: Point) -> Point:
-    """Third intersection of the gradient tangent at p with f = 0."""
-    tangent = oracle.gradient_tangent(f, p)
-    if tangent.is_zero:
-        raise ValueError("singular point")
-    _, pt = oracle.tangent_third(f, tangent, p)
-    return pt
-
-
 def grow_pool(f: HomPoly, seeds, target: int, max_bits: int = 120) -> list[Point]:
     """Affine rational points on f = 0, bootstrapped from the seeds.
 
@@ -93,7 +84,7 @@ def grow_pool(f: HomPoly, seeds, target: int, max_bits: int = 120) -> list[Point
             if len(pool) >= target:
                 break
             try:
-                add(tangent_third(f, snapshot[i]))
+                add(oracle.third(f, snapshot[i], snapshot[i]))
             except (ValueError, AssertionError):
                 pass
             for j in range(i + 1, len(snapshot)):

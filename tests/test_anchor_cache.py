@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmann import constructions as cons
-from grassmann import core
+from grassmann import core, oracle
 from grassmann.constructions import (
     ConstructionError,
     CubicParams,
@@ -42,7 +42,7 @@ from grassmann.expr import eval_symbolic, parse
 from grassmann.generate import random_scene
 from grassmann.poly import evaluate, nullspace_fit
 
-from curves import CURVES, FLEX, chord_third, grow_pool, tangent_third, weierstrass
+from curves import CURVES, FLEX, chord_third, grow_pool, weierstrass
 
 # fit_nine_points calls of criterion_09_sums(pool, 9009, 10) before the
 # anchor cache: one refit per chord, and another for each refused one
@@ -418,7 +418,7 @@ def multiples(f, base, ns):
     chords through the flex."""
     out, nP = [], base
     for n in range(2, max(ns) + 1):
-        third = tangent_third(f, base) if n == 2 else chord_third(f, nP, base)
+        third = oracle.third(f, nP, base)  # the tangent at base for n = 2
         nP = chord_third(f, FLEX, third)
         if n in ns:
             out.append(nP)

@@ -595,17 +595,17 @@ def test_binary_root_is_exact_beyond_float_precision():
     # the chord of y^2 = x^3 + 17 through [1:2:5] and 16 times [1:-2:3]
     # meets the curve again at a point whose coordinates all exceed 2^53;
     # the deflation oracle reads that root off the binary form exactly
-    from curves import tangent_third, weierstrass
+    from curves import weierstrass
 
     from grassmann.core import incidence, join, projectively_equal
-    from grassmann.oracle import chord_third
+    from grassmann.oracle import chord_third, third
     from grassmann.poly import evaluate
 
     f = weierstrass(0, 17)
     p = Point(1, 2, 5)
     q = Point(1, -2, 3)
     for _ in range(4):
-        q = tangent_third(f, q)
+        q = third(f, q, q)
     y = chord_third(f, p, q)
     assert min(abs(c) for c in y.coords) > 2**53
     assert evaluate(f, y) == 0 and incidence(join(p, q), y) == 0

@@ -31,7 +31,6 @@ from grassmann.constructions import (
     tangent_at_a,
     tangent_third_point,
     tangent_third_at,
-    tangent_third_via_89,
     third_point_general,
     third_point_on_chord_ab,
 )
@@ -65,7 +64,6 @@ from curves import (
     chord_third,
     grow_pool,
     nine_with_anchor,
-    tangent_third,
     weierstrass,
 )
 
@@ -230,7 +228,7 @@ class TestThirdPoint:
         f = weierstrass(0, 17)
         pool = grow_pool(f, CURVES[0][2], 14)
         p = pool[0]
-        t3 = tangent_third(f, p)  # chord p..t3 is the tangent at p
+        t3 = oracle.third(f, p, p)  # chord p..t3 is the tangent at p
         labels = nine_with_anchor([p, t3] + [q for q in pool if q not in (p, t3)], p)
         # force t3 into the second slot
         rest = [q for q in pool if not projectively_equal(q, p) and not projectively_equal(q, t3)]
@@ -470,9 +468,7 @@ class TestTangentThird:
         env = params.environment()
         aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
         assert eval_numeric(parse("qc.qb_1CkBb"), aux_env).is_zero
-        assert projectively_equal(result.w, tangent_third(f, anchor))
-        r3 = tangent_third_via_89(list(labels.as_tuple()), anchor)
-        assert projectively_equal(result.w, r3)
+        assert projectively_equal(result.w, oracle.third(f, anchor, anchor))
         assert not result.is_flex_case
 
     def test_collapsed_y_is_replaced_by_a_lemma_point(self):
@@ -501,7 +497,7 @@ class TestTangentThird:
                     assert result.conic_points[:3] == abc
                     assert result.conic_points[3:] == tuple(canonicalize(x) for x in x5s)
                     assert evaluate_cubic(params, result.w) == 0
-                    assert projectively_equal(result.w, tangent_third(f, p))
+                    assert projectively_equal(result.w, oracle.third(f, p, p))
                     assert projectively_equal(result.w, tangent_third_at(pool, p))
                 else:
                     assert result.conic_points[:4] == (*abc, result.y)
@@ -537,27 +533,31 @@ class TestTangentThird:
         assert not is_flex(params)
         assert not hessian_flex_oracle(expand_cubic(params), params.a)
 
+    # the tangent third point against the line oracle's on the cubic fitted
+    # by nullspace_fit through the nine labelled points
+
     def test_via_89_agreement(self, labels9):
-        nine = list(labels9.as_tuple())
+        nine = labels9.as_tuple()
         a = labels9.a
-        r3 = tangent_third_via_89(nine, a)
         params = fit_nine_points(labels9)
-        assert projectively_equal(r3, tangent_third_point(params).w)
-        assert evaluate_cubic(params, r3) == 0
+        w = tangent_third_point(params).w
+        assert projectively_equal(w, oracle.third(nullspace_fit(nine, 3), a, a))
+        assert evaluate_cubic(params, w) == 0
 
     def test_via_89_agreement_many(self):
         for i in range(100):
             labels = seeded_labels(12000 + i)
-            r3 = tangent_third_via_89(list(labels.as_tuple()), labels.a)
-            params = fit_nine_points(labels)
-            assert projectively_equal(r3, tangent_third_point(params).w)
+            a = labels.a
+            w = tangent_third_point(fit_nine_points(labels)).w
+            assert projectively_equal(w, oracle.third(nullspace_fit(labels.as_tuple(), 3), a, a))
 
     def test_via_89_flex_case(self):
         f = weierstrass(0, 17)
         pool = grow_pool(f, CURVES[0][2], 16)
         labels = nine_with_anchor(pool, FLEX)
-        r3 = tangent_third_via_89(list(labels.as_tuple()), FLEX)
-        assert projectively_equal(r3, FLEX)
+        w = tangent_third_point(fit_nine_points(labels)).w
+        assert projectively_equal(w, oracle.third(nullspace_fit(labels.as_tuple(), 3), FLEX, FLEX))
+        assert projectively_equal(w, FLEX)
 
 
 # the auxiliary cubic of conic_cubic_sixth, and the eight points of it
@@ -853,7 +853,6 @@ class TestKnownPool:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda pool: tangent_third_via_89(pool, Point(0, 0, 0)),
             lambda pool: conic_line_second_intersection(
                 TestConicLineSecondIntersection.CIRCLE, Line(1, -1, 0), Point(0, 0, 0)
             ),
@@ -861,34 +860,49 @@ class TestKnownPool:
                 TestConicLineSecondIntersection.CIRCLE, Line(0, 0, 0), Point(1, 1, 0)
             ),
         ],
-        ids=["tangent_third_via_89-a", "second_intersection-known", "second_intersection-L"],
+        ids=["second_intersection-known", "second_intersection-L"],
     )
     def test_zero_inputs_refused_up_front(self, group_pool, call):
         with pytest.raises(HypothesisViolation):
             call(group_pool[1])
 
-    def test_duplicates_do_not_change_results(self, group_pool):
+    def test_duplicates_do_not_change_results(self, group_pool, monkeypatch):
         f, pool = group_pool
         p, q = pool[0], pool[7]
-        # projective duplicates of every point, the copy first for odd
-        # indices, and scaled copies of the endpoints at the end
-        noisy = []
+        # a zero point first, projective duplicates of every point, the copy
+        # first for odd indices, scaled copies of the endpoints and a zero
+        # triple with a Fraction entry at the end
+        noisy = [Point(0, 0, 0)]
         for idx, pt in enumerate(pool):
             pair = [pt, scale(2, pt)]
             noisy += pair[::-1] if idx % 2 else pair
-        noisy += [scale(-3, p), scale(5, q), Point(0, 0, 0)]
+        noisy += [scale(-3, p), scale(5, q), Point(Fraction(0), 0, 0)]
         expected = (
             third_point_general(pool, p, q),
             tangent_third_at(pool, p),
             group_add(pool, FLEX, p, q, verify_flex=False),
+            group_add(pool, FLEX, p, p, verify_flex=False),
         )
-        assert len(cons._known_pool(noisy)) == len(pool)
+        known = cons._known_pool(noisy)
+        assert list(known) == [canonicalize(pt).coords for pt in pool]
+        assert list(known.values()) == [scale(2, pt) if idx % 2 else pt for idx, pt in enumerate(pool)]
+
+        # summands given as two representatives of one point coincide
+        calls = []
+
+        def counting(known, pt):
+            calls.append(pt)
+            return tangent_third_at(known, pt)
+
+        monkeypatch.setattr(cons, "tangent_third_at", counting)
         got = (
             third_point_general(noisy, p, q),
             tangent_third_at(noisy, p),
             group_add(noisy, FLEX, p, q, verify_flex=False),
+            group_add(noisy, FLEX, p, scale(-3, p), verify_flex=False),
         )
         assert got == expected
+        assert len(calls) == 1
         with pytest.raises(HypothesisViolation):
             third_point_general(noisy, p, scale(5, p))
 
