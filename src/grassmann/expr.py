@@ -17,16 +17,8 @@ would scale s by the bracket (p.q.r).
 Evaluation comes in two flavours: :func:`eval_numeric` with every name
 bound to a concrete point or line, and :func:`eval_symbolic` with ``x``
 left free, which expands the expression into a homogeneous polynomial (or
-a triple of them) in the coordinates of x.
-
-The symbolic expansion keeps a point or line as one polynomial whose
-coefficients are coordinate triples, ``{monomial: (c0, c1, c2)}``, and a
-scalar as ``{monomial: c}``.  A chain linear in x, such as ``xaAa_1``, is
-then three numeric triples (the 3x3 matrix of a linear map), and a product
-with a bound name is one ``core._cross``/``_dot`` or scaling per term.  Two
-factors that both contain x are multiplied term by term only where they
-meet, so the cubic of :mod:`grassmann.constructions` costs a few dozen
-numeric products.
+a triple of them) in the coordinates of x by the same fold through
+:mod:`grassmann.poly`'s ``poly_cross``, ``poly_dot`` and ``poly_scale``.
 """
 
 from __future__ import annotations
@@ -35,8 +27,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from . import core
-from .core import GeomObject, KindError, Point, _cross, _dot
-from .poly import HomPoly, PolyVector, monomials
+from .core import GeomObject, KindError, Point
+from .poly import HomPoly, PolyVector, monomials, poly_cross, poly_dot, poly_scale
 
 __all__ = [
     "Name",
@@ -313,23 +305,20 @@ _PRODUCT_KIND = {
 }
 
 
-def infer_kind(e: Expr, kinds: Mapping[str, str] | None = None) -> str:
+def infer_kind(e: Expr) -> str:
     """Static kind of an expression: 'point', 'line' or 'scalar'.
 
-    Kinds depend only on the case convention of the names involved (an
-    optional mapping can override), never on bound values, so this is the
-    runtime kind as well.
+    Kinds depend only on the case convention of the names involved, never
+    on bound values, so this is the runtime kind as well.
     """
     if isinstance(e, Name):
-        if kinds and e.name in kinds:
-            return kinds[e.name]
         return _expected_kind(e.name)
     if isinstance(e, Var):
         return "point"
     if isinstance(e, (Chain, Group)):
-        kind = infer_kind(e.parts[0], kinds)
+        kind = infer_kind(e.parts[0])
         for part in e.parts[1:]:
-            k2 = infer_kind(part, kinds)
+            k2 = infer_kind(part)
             try:
                 kind = _PRODUCT_KIND[(kind, k2)]
             except KeyError:
@@ -338,67 +327,38 @@ def infer_kind(e: Expr, kinds: Mapping[str, str] | None = None) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# A symbolic value is (kind, degree, terms): terms maps each monomial in x
-# (an exponent triple of total degree `degree`) to its nonzero coefficient,
-# a coordinate triple for a point or line and a number for a scalar.  A name
-# is one constant term and x is three terms, one unit vector each, so a chain
-# linear in x stays three numeric triples: the matrix of a linear map.
-_X_TERMS = {(1, 0, 0): (1, 0, 0), (0, 1, 0): (0, 1, 0), (0, 0, 1): (0, 0, 1)}
-
-
-def _scale(s, v):
-    return (s * v[0], s * v[1], s * v[2])
-
-
-def _sym_times(a: tuple, b: tuple) -> tuple:
-    """The typed product of two symbolic values.
-
-    Every pair of terms meets in one numeric cross product, dot product or
-    scaling, collected by monomial, so a factor free of x costs one such
-    operation per term of the other.
-    """
-    try:
-        kind = _PRODUCT_KIND[(a[0], b[0])]
-    except KeyError:
-        raise KindError("scalar*scalar has no geometric meaning") from None
-    if b[0] == "scalar":
-        a, b = b, a  # scaling commutes; the scalar comes first
-    op = _scale if a[0] == "scalar" else _dot if kind == "scalar" else _cross
-    (_, deg_a, terms_a), (_, deg_b, terms_b) = a, b
-    if not deg_b and len(terms_b) == 1:
-        # a constant factor maps monomials one to one
-        (v,) = terms_b.values()
-        out = {m: op(u, v) for m, u in terms_a.items()}
-    else:
-        out = {}
-        get = out.get
-        for (i1, j1, k1), u in terms_a.items():
-            for (i2, j2, k2), v in terms_b.items():
-                m = (i1 + i2, j1 + j2, k1 + k2)
-                w = op(u, v)
-                s = get(m)
-                if s is None:
-                    out[m] = w
-                elif kind == "scalar":
-                    out[m] = s + w
-                else:
-                    out[m] = (s[0] + w[0], s[1] + w[1], s[2] + w[2])
-    nonzero = bool if kind == "scalar" else any
-    return kind, deg_a + deg_b, {m: c for m, c in out.items() if nonzero(c)}
-
-
 def _eval_sym(e: Expr, env: Environment) -> tuple:
+    """(kind, value): a left fold through poly_cross, poly_dot and poly_scale."""
     if isinstance(e, Name):
         value = env.lookup(e.name)
-        return core.kind_of(value), 0, ({} if value.is_zero else {(0, 0, 0): value.coords})
+        return core.kind_of(value), PolyVector.constant(value)
     if isinstance(e, Var):
-        return "point", 1, _X_TERMS
+        return "point", PolyVector.variable()
     if isinstance(e, (Chain, Group)):
-        acc = _eval_sym(e.parts[0], env)
+        kind, acc = _eval_sym(e.parts[0], env)
         for part in e.parts[1:]:
-            acc = _sym_times(acc, _eval_sym(part, env))
-        return acc
+            kind2, value = _eval_sym(part, env)
+            try:
+                product = _PRODUCT_KIND[(kind, kind2)]
+            except KeyError:
+                raise KindError("scalar*scalar has no geometric meaning") from None
+            if kind == "scalar":
+                acc = poly_scale(acc, value)
+            elif kind2 == "scalar":
+                acc = poly_scale(value, acc)
+            elif product == "scalar":
+                acc = poly_dot(acc, value)
+            else:
+                acc = poly_cross(acc, value)
+            kind = product
+        return kind, acc
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _ordered(f: HomPoly) -> HomPoly:
+    """f with its terms in :func:`~grassmann.poly.monomials` order."""
+    terms = f._terms
+    return HomPoly._of(f.degree, {m: terms[m] for m in monomials(f.degree) if m in terms})
 
 
 def eval_symbolic(e: Expr, env: Environment):
@@ -409,10 +369,7 @@ def eval_symbolic(e: Expr, env: Environment):
     The degree is the number of x factors, also when the result is zero,
     and terms come out in :func:`~grassmann.poly.monomials` order.
     """
-    kind, degree, terms = _eval_sym(e, env)
-    monos = [m for m in monomials(degree) if m in terms]
+    kind, value = _eval_sym(e, env)
     if kind == "scalar":
-        return HomPoly._of(degree, {m: terms[m] for m in monos})
-    return PolyVector._of(
-        *(HomPoly._of(degree, {m: terms[m][i] for m in monos if terms[m][i]}) for i in range(3))
-    )
+        return _ordered(value)
+    return PolyVector._of(*(_ordered(f) for f in value.entries))

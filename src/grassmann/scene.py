@@ -1,14 +1,13 @@
 """Scene files and verification reports.
 
 A scene is a plain-text description of named points and lines with exact
-rational coordinates, plus optional expression strings and render hints.
-The format is line oriented and versioned::
+rational coordinates, plus an optional plotting box.  The format is line
+oriented and versioned::
 
     format: 1
     # comments and blank lines are ignored
     point a = 1, -2, 7/3
     line A = 0, 1, -2
-    expr cubic = (xaAa_1.xbBkCb_1.xc)=0
     viewport = -12, 12, -12, 12
 
 Point names are lowercase letters with an optional _<digits> subscript
@@ -93,7 +92,6 @@ def format_triple(obj) -> str:
 class Scene:
     points: dict[str, Point] = field(default_factory=dict)
     lines: dict[str, Line] = field(default_factory=dict)
-    exprs: dict[str, str] = field(default_factory=dict)
     viewport: tuple[Scalar, Scalar, Scalar, Scalar] | None = None
 
     @classmethod
@@ -128,19 +126,19 @@ class Scene:
                 if name in scene.lines:
                     raise SceneError(f"line {lineno}: duplicate line {name!r}")
                 scene.lines[name] = Line(*_parse_triple(rest, lineno))
-            elif key.startswith("expr "):
-                name = key[5:].strip()
-                if not name.isidentifier():
-                    raise SceneError(f"line {lineno}: bad expression name {name!r}")
-                scene.exprs[name] = rest
             elif key == "viewport":
                 parts = rest.split(",")
                 if len(parts) != 4:
                     raise SceneError(f"line {lineno}: viewport needs four rationals")
-                xmin, xmax, ymin, ymax = _parse_rationals(parts, lineno)
+                bounds = _parse_rationals(parts, lineno)
+                # the plot lays the box out in floats, which must hold it
+                try:
+                    xmin, xmax, ymin, ymax = (float(v) for v in bounds)
+                except OverflowError:
+                    raise SceneError(f"line {lineno}: viewport bounds must fit in a float") from None
                 if not (xmin < xmax and ymin < ymax):
                     raise SceneError(f"line {lineno}: viewport needs xmin < xmax and ymin < ymax")
-                scene.viewport = (xmin, xmax, ymin, ymax)
+                scene.viewport = bounds
             else:
                 raise SceneError(f"line {lineno}: unknown entry {key!r}")
         if not saw_format:
@@ -160,8 +158,6 @@ class Scene:
         for name in sorted(self.lines):
             coords = ", ".join(str(c) for c in self.lines[name].coords)
             out.append(f"line {name} = {coords}")
-        for name in sorted(self.exprs):
-            out.append(f"expr {name} = {self.exprs[name]}")
         if self.viewport is not None:
             out.append("viewport = " + ", ".join(str(c) for c in self.viewport))
         return "\n".join(out) + "\n"

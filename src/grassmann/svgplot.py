@@ -7,6 +7,8 @@ pixel grid.  No verdict anywhere in the package depends on these floats.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .core import Line, Point
 from .poly import HomPoly, monomials
 
@@ -17,10 +19,26 @@ _GRID = 240
 
 
 def _affine(p: Point):
-    """Chart coordinates of [x0:x1:x2] with x0 != 0, as floats."""
+    """Chart coordinates of [x0:x1:x2] as floats, or None at infinity and
+    where a float cannot hold them (outside any float viewport)."""
     if p.x0 == 0:
         return None
-    return (float(p.x1 / p.x0), float(p.x2 / p.x0))
+    try:
+        return (float(p.x1 / p.x0), float(p.x2 / p.x0))
+    except OverflowError:
+        return None
+
+
+def _floats(values) -> list[float]:
+    """Floats proportional to exact rationals, all divided first by the one
+    power of two that brings the largest near 1: no float overflows, and
+    the scale of a projective triple does not change its drawing.  The
+    division is exact in binary floating point, so values that floats hold
+    unscaled are drawn exactly as they would be unscaled."""
+    values = [Fraction(v) for v in values]
+    bits = max((v.numerator.bit_length() - v.denominator.bit_length() for v in values if v), default=0)
+    scale = Fraction(2) ** bits
+    return [float(v / scale) for v in values]
 
 
 def _to_px(x, y, box):
@@ -32,7 +50,7 @@ def _to_px(x, y, box):
 
 def _clip_line(L: Line, box):
     """Endpoints of the affine trace of L0 + L1*x + L2*y = 0 inside the box."""
-    l0, l1, l2 = (float(c) for c in L.coords)
+    l0, l1, l2 = _floats(L.coords)
     xmin, xmax, ymin, ymax = box
     pts = []
     if abs(l2) > 1e-12:
@@ -58,8 +76,8 @@ def _curve_segments(f: HomPoly, box):
     Terms are summed in :func:`monomials` order, so the floats (and the
     drawing) do not depend on the order in which f's terms were built.
     """
-    terms = zip(monomials(f.degree), f.coefficient_vector())
-    coeffs = [(mono, float(c)) for mono, c in terms if c]
+    terms = zip(monomials(f.degree), _floats(f.coefficient_vector()))
+    coeffs = [(mono, c) for mono, c in terms if c]
 
     def val(x, y):
         total = 0.0

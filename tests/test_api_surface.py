@@ -81,11 +81,12 @@ def test_lower_layers_do_not_import_constructions(path):
     assert bad == []
 
 
-def test_cli_uses_no_private_name_of_another_module():
-    """The CLI drives the package through public names only: it neither
-    imports an underscore-prefixed name nor reads one off an imported
-    module."""
-    tree = ast.parse((ROOT / "src" / "grassmann" / "cli.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", ["cli.py", "expr.py"])
+def test_cli_uses_no_private_name_of_another_module(module):
+    """The CLI and the expression evaluator drive the package through
+    public names only: neither imports an underscore-prefixed name nor
+    reads one off an imported module."""
+    tree = ast.parse((ROOT / "src" / "grassmann" / module).read_text(encoding="utf-8"))
     modules, private = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -566,6 +566,59 @@ class TestCommands:
         assert len(curve) > 800
         assert [ends for ends in curve if ends[:2] == ends[2:]] == []
 
+    def test_plot_draws_a_curve_whose_coefficients_overflow_a_float(self, tmp_path, capsys):
+        # the nine labels moved by an integer map with 100-bit entries:
+        # the cubic's coefficients exceed the float range
+        rng = random.Random(1)
+        m = [[rng.getrandbits(100) for _ in range(3)] for _ in range(3)]
+        scene = Scene()
+        for name, p in random_scene(7, count=0).points.items():
+            scene.points[name] = Point(*(sum(r * c for r, c in zip(row, p.coords)) for row in m))
+        cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
+        assert max(abs(c) for c in cubic.coeffs.values()) > 2**1024
+        path = tmp_path / "tall.txt"
+        path.write_text(scene.serialize())
+        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        assert code == 0
+        assert out.count('stroke="#1f77b4"') > 100
+
+    def test_plot_without_the_nine_labels_draws_no_curve(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("format: 1\npoint p = 1, 2, 3\npoint q = 1, -1, 0\nline L = 1, 1, 1\n")
+        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        assert code == 0
+        assert out.count("<circle") == 2
+        assert out.count('stroke="#444444"') == 1
+        assert "#1f77b4" not in out
+
+    @pytest.mark.parametrize(
+        "coords", ["0, 1, 1", "1, 1" + "0" * 400 + ", 0"], ids=["at-infinity", "beyond-floats"]
+    )
+    def test_plot_draws_no_circle_for_a_point_outside_every_chart_box(
+        self, coords, tmp_path, capsys
+    ):
+        path = tmp_path / "far.txt"
+        path.write_text(f"format: 1\npoint p = {coords}\npoint q = 1, 0, 0\n")
+        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        assert code == 0
+        assert out.count("<circle") == 1 and ">q</text>" in out
+
+    def test_plot_lays_out_lines_whatever_the_scale_of_their_coefficients(
+        self, tmp_path, capsys
+    ):
+        # L lies beyond every float box; M is x = -1 and N is x = 1
+        tall, tiny = "1" + "0" * 400, "1/1" + "0" * 20
+        path = tmp_path / "lines.txt"
+        path.write_text(
+            f"format: 1\nline L = {tall}, 1, 1\nline M = {tall}, {tall}, 1\n"
+            f"line N = {tiny}, -{tiny}, 0\n"
+        )
+        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        assert code == 0
+        assert out.count("<line") == 2
+        assert '<line x1="293.33" y1="640.00" x2="293.33" y2="0.00"' in out
+        assert '<line x1="346.67" y1="640.00" x2="346.67" y2="0.00"' in out
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["fit9", "--in", "/nonexistent/scene.txt"], capsys)
         assert code == 3

@@ -56,9 +56,29 @@ def test_a_malformed_triple_names_its_line(entry, message):
         ("viewport = 0, x, -5, 5", "line 2: bad rational ' x'"),
         ("viewport = 0, 1/0, -5, 5", "line 2: bad rational ' 1/0'"),
         ("viewport = 0, 1, -5", "line 2: viewport needs four rationals"),
+        pytest.param(
+            f"viewport = -1{'0' * 400}, 1{'0' * 400}, -1, 1",
+            "line 2: viewport bounds must fit in a float",
+            id="beyond-floats",
+        ),
+        pytest.param(
+            f"viewport = 0, 1/1{'0' * 400}, -1, 1",
+            "line 2: viewport needs xmin < xmax and ymin < ymax",
+            id="equal-as-floats",
+        ),
     ],
 )
 def test_a_malformed_viewport_names_its_line(entry, message):
     with pytest.raises(SceneError) as err:
         Scene.parse(f"format: 1\n{entry}\n")
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [("expr cubic = (xaAa_1.xbBkCb_1.xc)=0", "expr cubic"), ("colour = red", "colour")],
+)
+def test_an_unknown_entry_names_its_line(entry, key):
+    with pytest.raises(SceneError) as err:
+        Scene.parse(f"format: 1\n{entry}\n")
+    assert str(err.value) == f"line 2: unknown entry {key!r}"
