@@ -302,6 +302,8 @@ def _six_on_conic(pts) -> bool:
 
 
 def cmd_random(args) -> str:
+    if args.count < 0:
+        raise SceneError(f"random takes a count of at least 0, not {args.count}")
     scene = random_scene(args.seed, args.count)
     header = f"# seed {args.seed}, extra chord-constructed points: {args.count}\n"
     return header + scene.serialize()

@@ -190,7 +190,10 @@ def bracket(a: GeomObject, b: GeomObject, c: GeomObject) -> Scalar:
 
 
 def scale(s: Scalar, g) -> GeomObject:
-    """Scalar multiple of a point or line; scaling by zero gives the zero object."""
+    """Scalar multiple of a point or line by an exact scalar (an ``int`` or
+    a ``Fraction``); scaling by zero gives the zero object."""
+    if not isinstance(s, _SCALAR_TYPES):
+        raise KindError(f"cannot scale by {s!r}: not an int or a Fraction")
     if isinstance(g, (Point, Line)):
         return type(g)(*(s * c for c in g.coords))
     raise KindError(f"cannot scale a {kind_of(g)}")

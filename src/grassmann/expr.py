@@ -28,7 +28,7 @@ from typing import Mapping, Union
 
 from . import core
 from .core import GeomObject, KindError, Point
-from .poly import HomPoly, PolyVector, monomials, poly_cross, poly_dot, poly_scale
+from .poly import PolyVector, poly_cross, poly_dot, poly_scale
 
 __all__ = [
     "Name",
@@ -355,21 +355,13 @@ def _eval_sym(e: Expr, env: Environment) -> tuple:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _ordered(f: HomPoly) -> HomPoly:
-    """f with its terms in :func:`~grassmann.poly.monomials` order."""
-    terms = f._terms
-    return HomPoly._of(f.degree, {m: terms[m] for m in monomials(f.degree) if m in terms})
-
-
 def eval_symbolic(e: Expr, env: Environment):
     """Expand with x left free.
 
-    Returns a :class:`HomPoly` when the expression is scalar-valued (the
-    usual case for curve equations) and a :class:`PolyVector` otherwise.
-    The degree is the number of x factors, also when the result is zero,
-    and terms come out in :func:`~grassmann.poly.monomials` order.
+    Returns a :class:`~grassmann.poly.HomPoly` when the expression is
+    scalar-valued (the usual case for curve equations) and a
+    :class:`PolyVector` otherwise.  The degree is the number of x factors,
+    also when the result is zero; ``coeffs`` lists the terms in
+    :func:`~grassmann.poly.monomials` order.
     """
-    kind, value = _eval_sym(e, env)
-    if kind == "scalar":
-        return _ordered(value)
-    return PolyVector._of(*(_ordered(f) for f in value.entries))
+    return _eval_sym(e, env)[1]

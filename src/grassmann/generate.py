@@ -52,8 +52,10 @@ def random_scene(seed: int, count: int = 0) -> Scene:
 
     `count` extra points named p_1, p_2, ... are generated on the cubic
     through the nine by chaining chord constructions, so the whole scene
-    lies on one rational cubic.
+    lies on one rational cubic.  A negative count raises a ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     rng = random.Random(seed)
     labels = random_nine_points(rng)
     scene = Scene()

@@ -35,6 +35,7 @@ __all__ = [
     "monomials",
     "poly_cross",
     "poly_dot",
+    "poly_scale",
     "evaluate",
     "nullspace_fit",
     "restrict_to_line",
@@ -115,8 +116,9 @@ class HomPoly:
 
     @property
     def coeffs(self) -> dict[tuple[int, int, int], Fraction]:
-        """The nonzero coefficients by monomial, as ``Fraction`` values."""
-        return {m: Fraction(c) for m, c in self._terms.items()}
+        """The nonzero coefficients in :func:`monomials` order, as ``Fraction`` values."""
+        terms = self._terms
+        return {m: Fraction(terms[m]) for m in monomials(self.degree) if m in terms}
 
     def coefficient(self, mono) -> Fraction:
         return Fraction(self._terms.get(tuple(mono), 0))
@@ -171,16 +173,6 @@ class HomPoly:
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
-            degree = self.degree + other.degree
-            # a single term (often a constant) maps monomials one to one
-            terms, single = self._terms, other._terms
-            if len(terms) == 1:
-                terms, single = single, terms
-            if len(single) == 1:
-                ((i2, j2, k2), c2), = single.items()
-                return HomPoly._of(
-                    degree, {(i + i2, j + j2, k + k2): c * c2 for (i, j, k), c in terms.items()}
-                )
             out: dict = {}
             get = out.get
             others = other._terms.items()
@@ -192,7 +184,7 @@ class HomPoly:
                         out[m] = s
                     else:
                         del out[m]
-            return HomPoly._of(degree, out)
+            return HomPoly._of(self.degree + other.degree, out)
         if other == 0:
             return HomPoly.zero(self.degree)
         return HomPoly._of(self.degree, {m: other * v for m, v in self._terms.items()})
@@ -258,15 +250,6 @@ class PolyVector:
         if len(degs) > 1:
             raise ValueError("entries must share one degree")
 
-    @classmethod
-    def _of(cls, e0: HomPoly, e1: HomPoly, e2: HomPoly) -> "PolyVector":
-        """Wrap entries already known to share one degree (no check)."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "e0", e0)
-        object.__setattr__(v, "e1", e1)
-        object.__setattr__(v, "e2", e2)
-        return v
-
     @property
     def entries(self) -> tuple[HomPoly, HomPoly, HomPoly]:
         return (self.e0, self.e1, self.e2)
@@ -285,11 +268,11 @@ class PolyVector:
     @classmethod
     def constant(cls, triple) -> "PolyVector":
         coords = triple.coords if isinstance(triple, (Point, Line)) else tuple(triple)
-        return cls._of(*(HomPoly.constant(c) for c in coords))
+        return cls(*(HomPoly.constant(c) for c in coords))
 
     @classmethod
     def variable(cls) -> "PolyVector":
-        return cls._of(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
+        return cls(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
 
     def substitute(self, p) -> tuple[Scalar, Scalar, Scalar]:
         return tuple(evaluate(f, p) for f in self.entries)
@@ -299,7 +282,7 @@ def poly_cross(u: PolyVector, v: PolyVector) -> PolyVector:
     """Entrywise cross-product formula; degree adds."""
     a, b, c = u.entries
     d, e, f = v.entries
-    return PolyVector._of(b * f - c * e, c * d - a * f, a * e - b * d)
+    return PolyVector(b * f - c * e, c * d - a * f, a * e - b * d)
 
 
 def poly_dot(u: PolyVector, v: PolyVector) -> HomPoly:
@@ -310,7 +293,7 @@ def poly_dot(u: PolyVector, v: PolyVector) -> HomPoly:
 
 
 def poly_scale(s: HomPoly, v: PolyVector) -> PolyVector:
-    return PolyVector._of(s * v.e0, s * v.e1, s * v.e2)
+    return PolyVector(s * v.e0, s * v.e1, s * v.e2)
 
 
 def _powers(x, degree: int) -> list:

@@ -20,6 +20,7 @@ scene has a stable digest and reports are byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,6 +139,8 @@ class Scene:
                     raise SceneError(f"line {lineno}: viewport bounds must fit in a float") from None
                 if not (xmin < xmax and ymin < ymax):
                     raise SceneError(f"line {lineno}: viewport needs xmin < xmax and ymin < ymax")
+                if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+                    raise SceneError(f"line {lineno}: viewport width and height must fit in a float")
                 scene.viewport = bounds
             else:
                 raise SceneError(f"line {lineno}: unknown entry {key!r}")

@@ -124,7 +124,6 @@ def render_svg(scene, cubic: HomPoly | None = None) -> str:
     """An SVG drawing of the scene's points and lines plus an optional curve."""
     if scene.viewport is not None:
         box = tuple(float(v) for v in scene.viewport)
-        box = (box[0], box[1], box[2], box[3])
     else:
         box = (-12.0, 12.0, -12.0, 12.0)
 

@@ -81,31 +81,29 @@ def test_lower_layers_do_not_import_constructions(path):
     assert bad == []
 
 
-@pytest.mark.parametrize("module", ["cli.py", "expr.py"])
+@pytest.mark.parametrize(
+    "module", ["cli.py", "expr.py", "oracle.py", "scene.py", "svgplot.py", "generate.py"]
+)
 def test_cli_uses_no_private_name_of_another_module(module):
-    """The CLI and the expression evaluator drive the package through
-    public names only: neither imports an underscore-prefixed name nor
-    reads one off an imported module."""
+    """The CLI, the expression evaluator, the oracle, the scene format, the
+    plotter and the generator drive the package through public names
+    only: none imports an underscore-prefixed name or reads one off any
+    name other than self or cls.  Dunders are not private."""
     tree = ast.parse((ROOT / "src" / "grassmann" / module).read_text(encoding="utf-8"))
-    modules, private = set(), []
+    imports, private = 0, []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    private.append(f"{node.module}.{alias.name}")
-                if node.module is None:  # from . import module
-                    modules.add(alias.asname or alias.name)
-    assert modules, "no module imports found; the walk is broken"
-    for node in ast.walk(tree):
-        if (
+        if isinstance(node, ast.ImportFrom):
+            imports += 1
+            private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in modules
+            and node.value.id not in ("self", "cls")
             and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
         ):
             private.append(f"{node.value.id}.{node.attr}")
+    assert imports, "no imports found; the walk is broken"
     assert private == []
 
 

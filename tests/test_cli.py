@@ -512,6 +512,11 @@ class TestCommands:
         scene = Scene.parse(out1)
         assert len(scene.points) == 11
 
+    def test_random_refuses_a_negative_count(self, capsys):
+        code, out, err = run_cli(["random", "--count", "-3"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: random takes a count of at least 0, not -3\n"
+
     def test_plot(self, scene_path, tmp_path, capsys):
         out_path = tmp_path / "plot.svg"
         code, _, _ = run_cli(["plot", "--in", scene_path, "--out", str(out_path)], capsys)
@@ -544,6 +549,14 @@ class TestCommands:
         code, out, err = run_cli(["plot", "--in", str(path)], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: line ") and "viewport" in err
+
+    def test_plot_lays_points_out_in_the_scene_viewport(self, tmp_path, capsys):
+        path = tmp_path / "box.txt"
+        path.write_text("format: 1\nviewport = -4, 4, -2, 2\npoint p = 1, 1, 1\npoint q = 1, 0, 0\n")
+        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        assert code == 0
+        assert '<circle cx="400.00" cy="160.00"' in out
+        assert '<circle cx="320.00" cy="320.00"' in out
 
     def test_plot_draws_no_zero_length_or_repeated_segment(self):
         # the curve passes exactly through grid vertices of this scene

@@ -142,6 +142,13 @@ class TestScaleProduct:
         assert product(p, L) == incidence(L, p)
         assert product(Fraction(2), p) == scale(2, p)
 
+    @pytest.mark.parametrize("s", [2.5, 0.1, "ab", None])
+    def test_inexact_scalars_are_kind_errors(self, s):
+        p, L = Point(1, 2, 3), Line(1, 0, 2)
+        for call in (lambda: scale(s, p), lambda: product(p, s), lambda: product(L, s)):
+            with pytest.raises(KindError):
+                call()
+
     def test_product_join_then_point_is_bracket(self):
         p, q, r = Point(1, 2, 3), Point(0, 1, 1), Point(2, 0, 5)
         assert product(join(p, q), r) == bracket(p, q, r)

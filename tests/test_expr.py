@@ -315,9 +315,9 @@ class TestSymbolicEvaluation:
     def test_terms_in_monomial_order(self):
         env = Environment({"a": Point(1, 2, 3), "b": Point(2, -1, 1), "A": Line(1, 1, -2)})
         f = eval_symbolic(parse("xaAbx"), env)
-        assert list(f._terms) == [m for m in monomials(2) if m in f._terms]
+        assert list(f.coeffs) == [m for m in monomials(2) if m in f.coeffs]
         for entry in eval_symbolic(parse("xaAx"), env).entries:
-            assert list(entry._terms) == [m for m in monomials(2) if m in entry._terms]
+            assert list(entry.coeffs) == [m for m in monomials(2) if m in entry.coeffs]
 
     def test_scalar_scalar_error(self):
         env = Environment({"p": Point(1, 0, 0), "q": Point(0, 1, 0)})

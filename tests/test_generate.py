@@ -3,7 +3,7 @@ import random
 import pytest
 
 from grassmann.constructions import general_position_violation
-from grassmann.generate import random_nine_points
+from grassmann.generate import random_nine_points, random_scene
 
 
 @pytest.mark.parametrize("bound", [0, 1])
@@ -19,3 +19,8 @@ def test_smallest_accepted_grid_gives_general_position():
     pts = labels.as_tuple()
     assert general_position_violation(pts) is None
     assert all(p.x0 == 1 and abs(p.x1) <= 2 and abs(p.x2) <= 2 for p in pts)
+
+
+def test_negative_count_is_rejected():
+    with pytest.raises(ValueError, match="count must be at least 0"):
+        random_scene(1, count=-3)

@@ -2,7 +2,8 @@
 
 ``golden/grid.scene`` is the output of ``grassmann random --seed 1
 --count 4`` plus an off-curve point ``j`` and two lines; ``golden/rational.scene``
-has non-integral rational points and lines.  Each case runs one command in
+has non-integral rational points and lines; ``golden/flex.scene`` has nine
+points of y^2 = x^3 + 17 whose label ``a`` is a flex.  Each case runs one command in
 process and compares its stdout and exit code with ``golden/<case>.txt``.
 
 After an intended report change, regenerate the files with
@@ -41,7 +42,20 @@ _PER_SCENE = {
 CASES = {
     "random-seed1-count4": ["random", "--seed", "1", "--count", "4"],
     "grid-plot": ["plot", "--in", str(GOLDEN / "grid.scene")],
+    # the fifth point repeats the first (b1 = a): the join a b1 is the zero
+    # line, so m1 = (a b1).(a1 b) is the zero point
+    "grid-pascal-zero-meet": [
+        "pascal", *(a for n in "abcdaf" for a in ("--point", n)), "--in", str(GOLDEN / "grid.scene")
+    ],
 }
+# a is a flex of the cubic through the nine points: the flex branches run and pass
+_FLEX = {
+    "tangent_third": ["tangent_third"],
+    "is_flex": ["is_flex"],
+    "group_add": ["group_add", "--point", "a", "--point", "b", "--point", "c"],
+}
+for _name, _argv in _FLEX.items():
+    CASES[f"flex-{_name}"] = [*_argv, "--in", str(GOLDEN / "flex.scene")]
 for _scene in ("grid", "rational"):
     for _name, _argv in _PER_SCENE.items():
         CASES[f"{_scene}-{_name}"] = [*_argv, "--in", str(GOLDEN / f"{_scene}.scene")]

@@ -170,6 +170,24 @@ class TestExactScalars:
         assert type(f.coefficient((0, 0, 2))) is Fraction
         assert f.coefficient((2, 0, 0)) / 4 == Fraction(3, 2)
 
+    def test_coeffs_in_monomial_order(self):
+        f = HomPoly(3, {(0, 0, 3): 1, (1, 1, 1): -4, (3, 0, 0): 2, (0, 2, 1): 5})
+        assert list(f.coeffs) == [(3, 0, 0), (1, 1, 1), (0, 2, 1), (0, 0, 3)]
+        assert list(f.coeffs.values()) == [2, -4, 5, 1]
+        g = HomPoly(1, {(0, 0, 1): 1, (1, 0, 0): 1}) * HomPoly(1, {(0, 1, 0): 1, (1, 0, 0): -1})
+        assert list(g.coeffs) == [m for m in monomials(2) if m in g.coeffs]
+
+    def test_scalar_multiplication(self):
+        f = HomPoly(2, {(2, 0, 0): 3, (0, 1, 1): -2})
+        doubled = HomPoly(2, {(2, 0, 0): 6, (0, 1, 1): -4})
+        assert f * 2 == doubled and 2 * f == doubled
+        assert type(evaluate(2 * f, (1, 1, 1))) is int
+        zero = f * 0
+        assert zero.is_zero and zero.degree == 2
+        half = f * Fraction(1, 2)
+        assert half.coeffs == {(2, 0, 0): Fraction(3, 2), (0, 1, 1): -1}
+        assert half * 2 == f
+
     def test_fraction_and_int_coefficients_equal_and_hash_equal(self):
         f = HomPoly(1, {(1, 0, 0): Fraction(4, 2)})
         g = HomPoly(1, {(1, 0, 0): 2})

@@ -66,6 +66,11 @@ def test_a_malformed_triple_names_its_line(entry, message):
             "line 2: viewport needs xmin < xmax and ymin < ymax",
             id="equal-as-floats",
         ),
+        pytest.param(
+            "viewport = -1e308, 1e308, -1, 1",
+            "line 2: viewport width and height must fit in a float",
+            id="width-beyond-floats",
+        ),
     ],
 )
 def test_a_malformed_viewport_names_its_line(entry, message):
