@@ -189,8 +189,6 @@ class NinePointLabels:
     i: Point
 
     _NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
-    # set only by _from_proven_selection
-    _proven = False
 
     @classmethod
     def from_points(cls, points) -> "NinePointLabels":
@@ -199,17 +197,6 @@ class NinePointLabels:
             raise ValueError("exactly nine points required")
         return cls(*pts)
 
-    @classmethod
-    def _from_proven_selection(cls, points) -> "NinePointLabels":
-        """Labels for a selection that _general_position_selections yielded.
-
-        That search has already shown every triple non-collinear, so
-        validate() does not run the 84-bracket check again.
-        """
-        labels = cls.from_points(points)
-        object.__setattr__(labels, "_proven", True)
-        return labels
-
     def as_tuple(self) -> tuple[Point, ...]:
         return tuple(getattr(self, n) for n in self._NAMES)
 
@@ -217,8 +204,6 @@ class NinePointLabels:
         return {n: getattr(self, n) for n in self._NAMES}
 
     def validate(self) -> None:
-        if self._proven:
-            return
         viol = general_position_violation(self.as_tuple(), self._NAMES)
         if viol is not None:
             raise GeneralPositionViolation(*viol)
@@ -491,7 +476,7 @@ def _refit(anchors, candidates, construct):
     if len(candidates) < count:
         raise InsufficientPointsError(f"fewer than {count} usable auxiliary points")
     for aux in _general_position_selections(anchors, candidates, count):
-        labels = NinePointLabels._from_proven_selection((*anchors, *aux))
+        labels = NinePointLabels.from_points((*anchors, *aux))
         try:
             return construct(labels, fit_nine_points(labels))
         except ConstructionError:

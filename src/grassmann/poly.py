@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .core import Line, Point, Scalar, _cross, canonicalize
+from .core import _SCALAR_TYPES, KindError, Line, Point, Scalar, _cross, canonicalize
 
 __all__ = [
     "HomPoly",
@@ -73,7 +73,10 @@ class HomPoly:
     """A homogeneous polynomial stored as a sparse exponent-triple map.
 
     ``_terms`` maps each monomial to its nonzero coefficient, exactly as
-    given (an ``int`` or a ``Fraction``).
+    given.  Every form is built by ``__init__``, which drops zero
+    coefficients and refuses a monomial of another degree (``ValueError``)
+    or a coefficient that is not an ``int`` or a ``Fraction``
+    (:class:`~grassmann.core.KindError`).
     """
 
     __slots__ = ("degree", "_terms")
@@ -81,6 +84,8 @@ class HomPoly:
     def __init__(self, degree: int, coeffs=None):
         terms = {}
         for mono, c in (coeffs or {}).items():
+            if not isinstance(c, _SCALAR_TYPES):
+                raise KindError(f"coefficient {c!r} is not an int or a Fraction")
             if c == 0:
                 continue
             if sum(mono) != degree:
@@ -90,25 +95,17 @@ class HomPoly:
         self._terms = terms
 
     @classmethod
-    def _of(cls, degree: int, terms: dict) -> "HomPoly":
-        """Wrap terms already known to be nonzero and of the given degree."""
-        f = object.__new__(cls)
-        f.degree = degree
-        f._terms = terms
-        return f
-
-    @classmethod
     def zero(cls, degree: int) -> "HomPoly":
-        return cls._of(degree, {})
+        return cls(degree)
 
     @classmethod
     def constant(cls, value) -> "HomPoly":
-        return cls._of(0, {(0, 0, 0): value} if value else {})
+        return cls(0, {(0, 0, 0): value})
 
     @classmethod
     def variable(cls, i: int) -> "HomPoly":
         mono = tuple(1 if j == i else 0 for j in range(3))
-        return cls._of(1, {mono: 1})
+        return cls(1, {mono: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -132,14 +129,14 @@ class HomPoly:
         return [terms.get(m, 0) for m in monomials(self.degree)]
 
     def __eq__(self, other):
+        # every term has its form's degree, so equal terms mean equal degrees
+        # or two zero forms
         if not isinstance(other, HomPoly):
             return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.degree == other.degree and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if other.is_zero:
@@ -161,15 +158,11 @@ class HomPoly:
         out = dict(self._terms)
         for mono, c in other._terms.items():
             s = out.get(mono, 0)
-            s = s - c if subtract else s + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return HomPoly._of(self.degree, out)
+            out[mono] = s - c if subtract else s + c
+        return HomPoly(self.degree, out)
 
     def __neg__(self) -> "HomPoly":
-        return HomPoly._of(self.degree, {m: -c for m, c in self._terms.items()})
+        return HomPoly(self.degree, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, HomPoly):
@@ -179,15 +172,11 @@ class HomPoly:
             for (i1, j1, k1), c1 in self._terms.items():
                 for (i2, j2, k2), c2 in others:
                     m = (i1 + i2, j1 + j2, k1 + k2)
-                    s = get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-            return HomPoly._of(self.degree + other.degree, out)
-        if other == 0:
-            return HomPoly.zero(self.degree)
-        return HomPoly._of(self.degree, {m: other * v for m, v in self._terms.items()})
+                    out[m] = get(m, 0) + c1 * c2
+            return HomPoly(self.degree + other.degree, out)
+        if not isinstance(other, _SCALAR_TYPES):
+            raise KindError(f"cannot multiply a form by {other!r}: not an int or a Fraction")
+        return HomPoly(self.degree, {m: other * v for m, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -201,7 +190,7 @@ class HomPoly:
             m = list(mono)
             m[i] = e - 1
             out[tuple(m)] = c * e
-        return HomPoly._of(max(self.degree - 1, 0), out)
+        return HomPoly(max(self.degree - 1, 0), out)
 
     def primitive(self) -> "HomPoly":
         """Integer coefficients with gcd 1, first nonzero coefficient positive.
@@ -217,9 +206,7 @@ class HomPoly:
         common = gcd(*vec)
         if next(v for v in vec if v) < 0:
             common = -common
-        return HomPoly._of(
-            self.degree, {m: v // common for m, v in zip(monomials(self.degree), vec) if v}
-        )
+        return HomPoly(self.degree, {m: v // common for m, v in zip(monomials(self.degree), vec)})
 
     def __call__(self, p) -> Scalar:
         return evaluate(self, p)
@@ -379,7 +366,7 @@ def nullspace_fit(points, degree: int) -> HomPoly:
         if pivot // g != 1:
             x = [v * (pivot // g) for v in x]
         x[col] = -s // g
-    return HomPoly._of(degree, {m: v for m, v in zip(monos, x) if v}).primitive()
+    return HomPoly(degree, dict(zip(monos, x))).primitive()
 
 
 def restrict_to_line(f: HomPoly, p: Point, q: Point) -> list[Scalar]:

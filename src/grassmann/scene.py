@@ -128,6 +128,8 @@ class Scene:
                     raise SceneError(f"line {lineno}: duplicate line {name!r}")
                 scene.lines[name] = Line(*_parse_triple(rest, lineno))
             elif key == "viewport":
+                if scene.viewport is not None:
+                    raise SceneError(f"line {lineno}: duplicate viewport")
                 parts = rest.split(",")
                 if len(parts) != 4:
                     raise SceneError(f"line {lineno}: viewport needs four rationals")

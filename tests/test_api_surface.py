@@ -156,3 +156,21 @@ def test_constructions_expand_the_cubic_without_the_evaluator():
     evaluator = {f"grassmann.expr.{name}" for name in ("parse", "eval_symbolic")}
     assert sorted(imported & evaluator) == []
     assert not _calls(path, "parse") and not _calls(path, "eval_symbolic")
+
+
+def test_no_module_bypasses_a_constructor():
+    """Every value is built through its class's checking constructor: no
+    module under src/grassmann allocates with object.__new__ or writes a
+    frozen field with object.__setattr__."""
+    bypasses = []
+    for path in sorted((ROOT / "src" / "grassmann").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"
+                and node.func.attr in ("__new__", "__setattr__")
+            ):
+                bypasses.append(f"{path.name}:{node.lineno}")
+    assert bypasses == []

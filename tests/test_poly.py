@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from grassmann.core import Line, Point, _cross, incidence
+from grassmann.core import KindError, Line, Point, _cross, incidence
 from grassmann.poly import (
     DegenerateLineError,
     HomPoly,
@@ -76,6 +76,13 @@ class TestVectorOps:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PolyVector(HomPoly.variable(0), HomPoly.constant(1), HomPoly.variable(2))
+
+    def test_cross_degree_and_scale_entries(self):
+        u = PolyVector.constant(Line(1, -2, 3))
+        for v in (X, poly_cross(X, u), PolyVector.constant(Point(0, 0, 0))):
+            assert poly_cross(u, v).degree == v.degree
+            s = poly_dot(u, v)
+            assert poly_scale(s, v).entries == tuple(s * e for e in v.entries)
 
 
 class TestEvaluate:
@@ -188,6 +195,21 @@ class TestExactScalars:
         assert half.coeffs == {(2, 0, 0): Fraction(3, 2), (0, 1, 1): -1}
         assert half * 2 == f
 
+    def test_zero_forms_of_any_degree_are_one_value(self):
+        zeros = [HomPoly.zero(2), HomPoly.zero(3), HomPoly(1, {(1, 0, 0): 0})]
+        assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+        assert len(set(zeros)) == 1
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, 2.5, "ab", None])
+    def test_inexact_coefficients_and_scalars_rejected(self, bad):
+        f = HomPoly(1, {(1, 0, 0): 1})
+        with pytest.raises(KindError):
+            HomPoly(1, {(1, 0, 0): bad})
+        with pytest.raises(KindError):
+            f * bad
+        with pytest.raises(KindError):
+            bad * f
+
     def test_fraction_and_int_coefficients_equal_and_hash_equal(self):
         f = HomPoly(1, {(1, 0, 0): Fraction(4, 2)})
         g = HomPoly(1, {(1, 0, 0): 2})
@@ -291,17 +313,3 @@ class TestSharedPowerTables:
         assert form == _term_by_term_restriction(f, p, q)
         assert all(type(c) is int for c in form)
 
-
-class TestTrustedPolyVectors:
-    def test_internal_results_equal_public_construction(self):
-        u = PolyVector.constant(Line(1, -2, 3))
-        for v in (X, poly_cross(X, u), PolyVector.constant(Point(0, 0, 0))):
-            w = poly_cross(u, v)
-            assert w == PolyVector(*w.entries)
-            assert w.degree == v.degree
-            s = poly_dot(u, v)
-            assert poly_scale(s, v) == PolyVector(*(s * e for e in v.entries))
-
-    def test_public_construction_still_checks_degrees(self):
-        with pytest.raises(ValueError):
-            PolyVector(HomPoly.variable(0), HomPoly.variable(1), HomPoly.constant(2))

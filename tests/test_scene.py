@@ -71,6 +71,11 @@ def test_a_malformed_triple_names_its_line(entry, message):
             "line 2: viewport width and height must fit in a float",
             id="width-beyond-floats",
         ),
+        pytest.param(
+            "viewport = -1, 1, -1, 1\nviewport = -2, 2, -2, 2",
+            "line 3: duplicate viewport",
+            id="duplicate",
+        ),
     ],
 )
 def test_a_malformed_viewport_names_its_line(entry, message):
