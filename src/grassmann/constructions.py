@@ -214,23 +214,26 @@ def general_position_violation(points, names=None):
 
     Triples are visited in combinations order.  The bracket [p, q, r] is
     the incidence of the line pq with r, so each pair line is built once
-    and serves every later third point.  Three lines are checked for
+    and serves every later third point, with the cross and dot products
+    written out on the coordinates.  Three lines are checked for
     concurrency the same way.
     """
     pts = list(points)
-    if names is None:
-        names = [str(i) for i in range(len(pts))]
     if not (
         all(isinstance(p, Point) for p in pts) or all(isinstance(p, Line) for p in pts)
     ):
         raise KindError("bracket needs three points or three lines")
     coords = [p.coords for p in pts]
     n = len(pts)
-    for i in range(n):
+    for i, (u0, u1, u2) in enumerate(coords):
         for j in range(i + 1, n - 1):
-            line = _cross(coords[i], coords[j])
+            v0, v1, v2 = coords[j]
+            l0, l1, l2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
             for k in range(j + 1, n):
-                if _dot(line, coords[k]) == 0:
+                x0, x1, x2 = coords[k]
+                if l0 * x0 + l1 * x1 + l2 * x2 == 0:
+                    if names is None:
+                        names = [str(t) for t in range(n)]
                     return ((names[i], names[j], names[k]), (pts[i], pts[j], pts[k]))
     return None
 
@@ -493,10 +496,9 @@ def _refit(anchors, candidates, construct):
 # group_add's chords fill and read it, and tangent_third_at reads it.
 # Bounds: fits kept per anchor, and anchors kept (the least recently used
 # goes first).  Two fits per anchor, because on its own fit the anchored
-# chord refuses x = b..e by structure: x = b puts O on L, x = c makes
-# M = xc zero, x = d gives l1 = cd (phi is the constant d), and x = e is
-# X = B.C, so u = x.  Such a chord fits again at the anchor without that
-# label, and keeping two fits lets both serve.
+# chord refuses x = b and x = c by structure: x = b puts O on L, and
+# x = c makes M = xc zero.  Such a chord fits again at the anchor without
+# that label, and keeping two fits lets both serve.
 _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
@@ -512,18 +514,20 @@ class _AnchorFit:
     `others` the set of b..i.  `terms` are the (i, j, k, c) of
     expand_cubic(params).primitive(), the cubic's form with coprime
     integer coefficients.  The rest are the fit-only lines of
-    _anchored_third, with p = a and X = B.C: bX, Xb1, the chain pbBkCb1
-    and bp, none of them zero.
+    _anchored_third: lw = b(((cb1.C)k).B) and lv = b(((a1b1.C)k).B), the
+    lines through b on which the chain ybBkCb1 is the line cb1 and the
+    line a1b1, and the lines cb1 and cd (built as a1c, which is cd on a
+    fit, as a1 = af.cd).  None is zero, and lw and lv are distinct.
     """
 
     labels: tuple
     others: frozenset
     params: CubicParams
     terms: tuple
-    bX: tuple
-    Xb1: tuple
-    pbBkCb1: tuple
-    bp: tuple
+    lw: tuple
+    lv: tuple
+    cb1: tuple
+    cd: tuple
 
     def on_curve(self, x: tuple) -> bool:
         """Whether the coordinate triple x is on the fit's cubic: the same
@@ -555,35 +559,39 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
     DegenerateIntermediateError, naming the step, when the chain ybBkCb1
     is one line for every y (k on B or C, or b1 on C), so that every
     anchored chord and the tangent construction degenerate on the fit, or
-    when a fit-only line X, bX, Xb1 or pbBkCb1 is zero, so that every
-    anchored chord that is not a label shortcut stops at a zero step.
-    Both tests run before the cubic is expanded.
+    when a fit-only line cb1, cd, lw or lv is zero or lw is lv: the proof
+    of _anchored_third needs four lines, with lw and lv distinct.  These
+    tests run before the cubic is expanded.
 
-    On a fit, X = B.C and bX do not vanish: B and C are distinct lines
-    (CubicParams.validate), and b = X would put b on B = ef, making b, e
-    and f collinear.  Xb1 vanishes only when b1 is X, on C.  pbBkCb1
-    vanishes on hand-made parameters with p and b on B (then pb is B).
+    On a fit, b is off B = ef and a off A = de (no three labels are
+    collinear), a1 = af.cd is not c, and a1 is off A = de, as a1 = d
+    would put d on af.  So the chain also moves when k is off B and C and
+    b1 off C, and it is then a one-to-one map from the lines through b to
+    the lines through b1: lw and lv are the lines it sends to cb1 and
+    a1b1, and they coincide exactly when c is on a1b1.  Besides that, a
+    fit is refused when b1 is c or a1.
     """
-    b, b1, k = params.b.coords, params.b1.coords, params.k.coords
-    B, C = params.B.coords, params.C.coords
+    a1, b, b1, c = (getattr(params, n).coords for n in ("a1", "b", "b1", "c"))
+    k, B, C = params.k.coords, params.B.coords, params.C.coords
     if _dot(k, B) == 0 or _dot(k, C) == 0 or _dot(b1, C) == 0:
         raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
+    step = _tuple_step
+    cb1 = step("cb1", _cross(c, b1))
+    cd = step("cd=a1c", _cross(a1, c))
+    lw = step("lw=b((cb1.C)k.B)", _cross(b, _chain(cb1, C, k, B)))
+    lv = step("lv=b((a1b1.C)k.B)", _cross(b, _chain(_cross(a1, b1), C, k, B)))
+    step("lw.lv", _cross(lw, lv))
     labels = tuple(_key(pt) for pt in pts.as_tuple())
-    p, step = labels[0], _tuple_step
-    X = step("X=B.C", _cross(B, C))
-    bX = step("bX", _cross(b, X))
-    Xb1 = step("Xb1", _cross(X, b1))
-    pbBkCb1 = step("pbBkCb1", _chain(p, b, B, k, C, b1))
     form = expand_cubic(params).primitive()
     return _AnchorFit(
         labels=labels,
         others=frozenset(labels[1:]),
         params=params,
         terms=tuple((*mono, int(coeff)) for mono, coeff in form.coeffs.items()),
-        bX=bX,
-        Xb1=Xb1,
-        pbBkCb1=pbBkCb1,
-        bp=_cross(b, p),
+        lw=lw,
+        lv=lv,
+        cb1=cb1,
+        cd=cd,
     )
 
 
@@ -619,36 +627,61 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
 
     `fit` is the fit's record, admitted by _anchor_fit: its labels are the
     canonical keys of its nine labelled points a..i (a = p), its chain
-    ybBkCb1 moves, and its lines X, bX, Xb1 and pbBkCb1 are not zero.  If
-    a label other than x lies on L, that label is the point: no three
-    labels are collinear, so it is the curve point of L besides p and x.
-    Otherwise one choice of O, M, u, v builds it:
+    ybBkCb1 moves, and lw, lv, cb1 and cd are lines, lw and lv distinct.  If a label other than x lies on L,
+    that label is the point: no three labels are collinear, so it is the
+    curve point of L besides p and x.  Otherwise one choice of O, M, w, v
+    builds it:
 
     - On L the cubic is lambda(y)Q(y).  For y on L, ya is lambda(y)L with
       lambda linear and zero at p, so the chain yaAa1 is lambda(y)l1 with
-      l1 = (L.A)a1, and Q(y) = [l1, ybBkCb1, yc].  The curve points of L
-      are p, x and the wanted z, so Q's roots are x and z (Q is zero when
-      L lies on the cubic).
-    - phi(y) = m(y)c.L with m(y) = ybBkCb1.l1 is linear in y, say Ty.
-      Q(y) is the incidence of y with m(y)c, which is the determinant of
-      y and Ty on L up to a constant factor: the fixed points of phi (and
-      the zeros of T) are Q's roots.  So z = p or z = x happens only when
-      the chord is tangent there, and then that endpoint is the answer.
-    - The choice is O = b (off L, or b is a label on L), M = xc, u = L.bX,
-      v = p, with U = Ou.M, V = Op.M, O' = phi(u)U.phi(p)V and
-      z = OO'.L.  If phi is one-to-one and x, u, p are distinct, O' is off
-      L and M, and the map psi sending y to L.O'(Oy.M) is a projectivity
-      of L that agrees with phi at x (on M), at u (O'U is phi(u)U) and at
-      p, so psi = phi.  A fixed point y of psi other than x has Oy.M on
-      O'y, so O' is on Oy: z = OO'.L.  When OO'.L is x, x is psi's only
-      fixed point, a double root of Q, so z = x.  If T has rank one with
-      image w other than x, O' = w and OO'.L = w, Q's root besides x.
-    - A degenerate choice always stops at a zero step, raising
-      DegenerateIntermediateError: O on M gives U = V = O and O' = O;
-      u = p makes both lines of O' one; u = x makes phi(u)U the line xx;
-      w = x puts both lines of O' on M; phi the identity (L on the cubic)
-      gives O' = O, and T = 0 a zero phi(u).  With x = b, O is on L,
-      U = V = b and O' = b, so OO' is zero.
+      l1 = (L.A)a1, a line through a1.  Q(y) = [l1, ybBkCb1, yc], and the
+      curve points of L are p, x and the wanted z, so Q's roots are x and
+      z (Q is zero when L lies on the cubic).
+    - phi(y) = m(y)c.L with m(y) = ybBkCb1.l1 is linear in y, say Ty, and
+      Q(y) is the determinant of y and Ty on L up to a constant factor:
+      the fixed points of phi (and the zeros of T) are Q's roots.  So
+      z = p or z = x happens only when the chord is tangent there, and
+      then that endpoint is the answer.
+    - The chord samples T at w = L.lw and v = L.lv, distinct as lw and lv
+      are distinct lines through b, without building them.  O = b, off L
+      unless x = b, and c is off L unless x = c.  For y on lw, the chain
+      ybBkCb1 is the line cb1, so m(w) is on cb1, and phi(w) = cb1.L
+      unless m(w) = c.  For y on lv, it is a1b1, which meets l1 at a1
+      unless l1 is a1b1; so phi(v) = a1c.L = cd.L.  With M = xc,
+      U = lw.M and V = lv.M are where Ow and Ov meet M, and the chord
+      takes O' = phi(w)U.phi(v)V and z = OO'.L.
+    - y to ybBkCb1 is one-to-one onto the lines through b1 (b is off L
+      and B), and l1 is not zero (a and a1 are off A), so T is one-to-one
+      except in two cases, where it has rank one.  (R1) L passes through
+      A.a1b1, so l1 is a1b1: the kernel is v and the image cb1.L.  (R2) c
+      is on l1, so l1 is a1c = cd and L passes through cd.A = d, a label,
+      so x = d: the kernel is w (m(w) = c) and the image cd.L = x.  Both
+      at once would need c on a1b1.  Outside these cases, cb1.L and cd.L
+      are phi(w) and phi(v).
+    - O on M: U = V = O, so O' is O or zero, and OO' is zero.  This
+      covers x = b, where U = V = b is on L and both lines of O' are L.
+      x = c makes M = xc zero.  Below, O is off M and x is not c.
+    - T one-to-one, with x, w, v distinct: phi(w) is not x (Tw is not
+      Tx), so the line phi(w)U is neither L nor M, and so for phi(v)V.
+      Then O' is off L (that would make phi(w) = phi(v)) and off M (U is
+      not V).  The map psi sending y to L.O'(Oy.M) is a projectivity of L
+      that agrees with phi at x, w and v, so psi = phi.  A fixed point y
+      of psi other than x has Oy.M on O'y, so O' is on Oy: z = OO'.L.
+      OO'.L is always a fixed point of psi; when it is x, any other fixed
+      point would make O' = O, so x is the only one, a double root of Q,
+      and z = x.  phi the identity (L on the cubic) gives O' = O, and OO'
+      is zero.
+    - Rank one, with x, w, v distinct.  (R1) x is not the kernel v, so x
+      is the image cb1.L = phi(w) and z = v: phi(w)U is M, so O' is V or
+      zero, and OO'.L = v.  (R2) x is not the kernel w, so z = w:
+      phi(v) = x, phi(v)V is M, phi(w) is not x (x = d would be on cb1
+      and cd, so c = x), O' = U and OO'.L = w.
+    - x = w: U = x.  If T is one-to-one or (R1), phi(w) = x and phi(w)U
+      is zero.  In (R2) the kernel w is x and so is the image: x is a
+      double root, phi(w)U is L, phi(v)V is M, O' = x = z.  x = v: V = x.
+      If T is one-to-one or (R2), phi(v) = x and phi(v)V is zero.  In
+      (R1) x is the kernel and z the image phi(w): phi(v)V is L unless
+      phi(v) = x (then zero), O' = phi(w) = z.
 
     So every step that is not zero gives the third point.  It is returned
     only if x is on the fit's cubic and the point is on L and on the
@@ -667,17 +700,13 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
                 return _keyed(Point, z)
             raise ConstructionError("label on the chord is off the fitted cubic")
 
-    step, c = _tuple_step, params.c.coords
-    l1 = step("l1=LAa1", _cross(_cross(L, params.A.coords), params.a1.coords))
-    # Ou is bX, and bX.B is X and Xk.C is X, so the chain ubBkCb1 is the
-    # line Xb1; u itself is never needed
-    M = step("M=xc", _cross(x, c))
-    U = step("U=Ou.M", _cross(fit.bX, M))
-    V = step("V=Op.M", _cross(fit.bp, M))
-    # phi(y) = ((ybBkCb1).l1)c.L at y = p and y = u
-    phi_p = step("phi(p)", _cross(_cross(step("pbBkCb1.l1", _cross(fit.pbBkCb1, l1)), c), L))
-    phi_u = step("phi(u)", _cross(_cross(step("ubBkCb1.l1", _cross(fit.Xb1, l1)), c), L))
-    O2 = step("O'=phi(u)U.phi(p)V", _cross(_cross(phi_u, U), _cross(phi_p, V)))
+    step = _tuple_step
+    M = step("M=xc", _cross(x, params.c.coords))
+    U = step("U=lw.M", _cross(fit.lw, M))
+    V = step("V=lv.M", _cross(fit.lv, M))
+    phi_w = step("phi(w)=cb1.L", _cross(fit.cb1, L))
+    phi_v = step("phi(v)=cd.L", _cross(fit.cd, L))
+    O2 = step("O'=phi(w)U.phi(v)V", _cross(_cross(phi_w, U), _cross(phi_v, V)))
     z = step("z=OO'.L", _cross(_cross(params.b.coords, O2), L))
     if _dot(L, z) == 0 and fit.on_curve(z):
         return _keyed(Point, z)
@@ -714,13 +743,13 @@ def third_point_general(known, p: Point, q: Point) -> Point:
 def _chord(pool, p: Point, q: Point) -> Point:
     """group_add's chord through distinct nonzero points p and q: the
     anchored chord on the cached fits at p with x = q, then at q with
-    x = p, except to their labels b..e (see _FITS_PER_ANCHOR); else the
+    x = p, except to their labels b and c (see _FITS_PER_ANCHOR); else the
     first fit at p that _anchor_fit admits and that serves it, which is
     cached; else, when the pool leaves no such fit, third_point_general."""
     p_key, q_key = _key(p), _key(q)
     for anchor, x, x_key in ((p_key, q, q_key), (q_key, p, p_key)):
         for fit in _cached_fits(pool, anchor):
-            if x_key not in fit.labels[1:5]:
+            if x_key not in fit.labels[1:3]:
                 try:
                     return _anchored_third(fit, x)
                 except ConstructionError:
@@ -1044,8 +1073,20 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     lines pass through p.  The points e, f and y are checked on the
     auxiliary cubic exactly.  `coincides_with` names the first of a, c,
     d, e, f that z coincides with, or is None.
+
+    When two of b, g, h, i also lie on the conic, it holds seven of the
+    cubic's nine points.  A conic through five points with no three
+    collinear is irreducible, and one that shares more than six points
+    with a cubic is a component of it (Bezout), so there is no sixth
+    point: HypothesisViolation is raised.
     """
     params = fit_nine_points(pts)
+    on_conic = [n for n in "bghi" if _sixth_conic_value(params, getattr(pts, n).coords) == 0]
+    if len(on_conic) >= 2:
+        raise HypothesisViolation(
+            "the conic through a, c, d, e, f is a component of the cubic: "
+            f"it also passes through {', '.join(on_conic)}"
+        )
     a, c, d, e, f = (pt.coords for pt in (pts.a, pts.c, pts.d, pts.e, pts.f))
     a1, b1, A = params.a1.coords, params.b1.coords, params.A.coords
     aux = replace(

@@ -107,24 +107,37 @@ def test_every_cached_fit_passes_through_its_labels(group_pool):
             points = [Point(*label) for label in labels]
             assert general_position_violation(points) is None
             assert all(evaluate_cubic(params, pt) == 0 for pt in points)
-            # the admission rule: the chain ybBkCb1 moves, and no fit-only
-            # line is zero
-            k, b1 = params.k.coords, params.b1.coords
-            B, C = params.B.coords, params.C.coords
-            assert _dot(k, B) != 0 and _dot(k, C) != 0 and _dot(b1, C) != 0
-            X = _cross(B, C)
-            assert all(any(line) for line in (X, fit.bX, fit.Xb1, fit.pbBkCb1))
+            # the admission rule (the chain ybBkCb1 moves, no fit-only line
+            # is zero, lw is not lv), and what every fit gives the anchored
+            # chord's proof: b off B, a and a1 off A
+            a, a1, b, b1, c, k = (
+                getattr(params, n).coords for n in ("a", "a1", "b", "b1", "c", "k")
+            )
+            A, B, C = params.A.coords, params.B.coords, params.C.coords
+            assert all(_dot(pt, B) != 0 for pt in (b, k))
+            assert _dot(k, C) != 0 and _dot(b1, C) != 0
+            assert _dot(a, A) != 0 and _dot(a1, A) != 0
+            assert all(any(line) for line in (fit.lw, fit.lv, fit.cb1, fit.cd))
+            assert any(_cross(fit.lw, fit.lv))
+            # cd is the line a1c, and on lw and lv the chain is cb1 and a1b1
+            assert fit.cd == _canonical(_cross(c, labels[3]))
+            assert not any(_cross(fit.cd, _cross(a1, c)))
+            for line, image in ((fit.lw, fit.cb1), (fit.lv, _cross(a1, b1))):
+                assert _dot(line, b) == 0
+                y = _cross(line, (1, 2, 5))
+                chain = cons._chain(y, b, B, k, C, b1)
+                assert any(chain) and not any(_cross(chain, image))
 
 
 def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
     """All 1560 ordered pairs (p, x): the anchored chord on one fit at p,
     made from the whole pool so that x can be any label, either refuses
-    with a typed error or gives the refit's point.  The 160 pairs with x in
-    slots b..e all refuse with a zero step, by structure (see
-    constructions._FITS_PER_ANCHOR): x = b puts O on L, x = c makes M = xc
-    zero, x = d makes phi the constant d, and x = e gives u = x.  Fewer
-    than 80 of the others refuse (fewer than 200 pairs in all).
-    group_add's chord path gives the refit's point on every pair."""
+    with a typed error or gives the refit's point.  The 80 pairs with x in
+    slots b and c all refuse with a zero step, by structure (see
+    constructions._FITS_PER_ANCHOR): x = b puts O on L, and x = c makes
+    M = xc zero.  Chords to d, where phi has rank one, are served.  Fewer
+    than 60 of the others refuse.  group_add's chord path gives the
+    refit's point on every pair."""
     f, pool = group_pool
     pairs = list(itertools.permutations(pool, 2))
     assert len(pairs) == 1560
@@ -136,12 +149,14 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
         labels = fits[p].labels
         x_key = _canonical(x.coords)
         L = cons._cross(labels[0], x_key)
-        if x_key in labels[1:5]:
+        if x_key in labels[1:3]:
             with pytest.raises(DegenerateIntermediateError):
                 cons._anchored_third(fits[p], x)
             continue
-        if x_key in labels[5:]:
-            case = "x among f..i"
+        if x_key == labels[3]:
+            case = "x = d"
+        elif x_key in labels[4:]:
+            case = "x among e..i"
         elif any(_dot(L, key) == 0 for key in labels[1:]):
             case = "label on L"
         else:
@@ -153,9 +168,9 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
             continue
         assert z == refit[p, x], (p, x, case)
         served[case] = served.get(case, 0) + 1
-    assert set(served) == {"x among f..i", "label on L", "fixed point"}
-    assert sum(served.values()) + refused == 1560 - 4 * len(pool)
-    assert refused < 80, served
+    assert set(served) == {"x = d", "x among e..i", "label on L", "fixed point"}
+    assert sum(served.values()) + refused == 1560 - 2 * len(pool)
+    assert refused < 60, served
     pool_dict = cons._known_pool(pool)
     for p, x in pairs:
         assert cons._chord(pool_dict, p, x) == refit[p, x]
@@ -214,35 +229,87 @@ def test_tangent_chords_are_answered_without_a_refit(group_pool):
 
 
 def test_refusals_at_the_O_prime_step_are_degenerate_choices(group_pool):
-    """The anchored chord's refusals at step O'=phi(u)U.phi(p)V, one pool
+    """The anchored chord's refusals at step O'=phi(w)U.phi(v)V, one pool
     pair per case of _anchored_third's list of degenerate choices seen on
-    the group-law workload: u = x (x on the fit's line bX), and phi of rank
-    one with image w = x (phi sends every point of L to x).  Each is a
-    typed refusal, and group_add's chord path still gives the oracle's
-    third point."""
+    the group-law workload: x on the fit's line lw (x = w), and x on its
+    line lv (x = v).  There U or V is x, and phi(w) or phi(v), as the chord
+    samples it and as the chain ybBkCb1 gives it, is x too, so a line of
+    O' is zero.  Each is a typed refusal, and group_add's chord path
+    still gives the oracle's third point."""
     f, pool = group_pool
 
     def phi(fit, L, y):
-        """phi(y) = (ybBkCb1.l1)c.L with l1 = (L.A)a1, as the chord builds it."""
+        """phi(y) = (ybBkCb1.l1)c.L with l1 = (L.A)a1, from the chain."""
         par = fit.params
         l1 = _cross(_cross(L, par.A.coords), par.a1.coords)
         chain = cons._chain(y, *(getattr(par, n).coords for n in ("b", "B", "k", "C", "b1")))
         return _cross(_cross(_cross(chain, l1), par.c.coords), L)
 
     pool_dict = cons._known_pool(pool)
-    for p, x, case in ((pool[0], pool[1], "u = x"), (pool[0], pool[3], "w = x")):
+    for p, x, case in ((pool[0], pool[19], "x = w"), (pool[2], pool[7], "x = v")):
         fit = first_anchor_fit(pool, p)
         x_key = _canonical(x.coords)
+        assert x_key not in fit.labels
         with pytest.raises(DegenerateIntermediateError) as refusal:
             cons._anchored_third(fit, x)
-        assert refusal.value.step == "O'=phi(u)U.phi(p)V", case
+        assert refusal.value.step == "O'=phi(w)U.phi(v)V", case
         L = _cross(fit.labels[0], x_key)
-        u = _cross(L, fit.bX)
-        assert (not any(_cross(u, x_key))) == (case == "u = x")
-        if case == "w = x":
-            images = [phi(fit, L, y) for y in (fit.labels[0], u, _cross(L, (1, 2, 5)))]
-            assert all(any(w) and not any(_cross(w, x_key)) for w in images)
+        line, sampled = (fit.lw, fit.cb1) if case == "x = w" else (fit.lv, fit.cd)
+        assert (_dot(fit.lw, x_key) == 0) == (case == "x = w")
+        assert (_dot(fit.lv, x_key) == 0) == (case == "x = v")
+        for image in (_cross(sampled, L), phi(fit, L, _cross(L, line))):
+            assert any(image) and not any(_cross(image, x_key))
         assert cons._chord(pool_dict, p, x) == chord_third(f, p, x)
+
+
+def anchored_chords_against_the_oracle(points):
+    """One fit per anchor (the first that _anchor_fit admits) and every
+    ordered pair (p, x) of `points`: each chord that the anchored chord
+    serves is oracle.third on the nullspace_fit cubic through the first
+    nine points, and each refusal is a ConstructionError.  Returns the
+    counts of served and refused chords."""
+    f = nullspace_fit(points[:9], 3)
+    served = refused = 0
+    for p in points:
+        fit = first_anchor_fit(points, p)
+        for x in points:
+            if x is p:
+                continue
+            try:
+                z = cons._anchored_third(fit, x)
+            except ConstructionError:
+                refused += 1
+                continue
+            assert core.projectively_equal(z, oracle.third(f, p, x)), (p, x)
+            served += 1
+    return served, refused
+
+
+def test_anchored_chords_on_random_scenes_match_the_oracle():
+    """The nine labels and eight chord points of 40 random grid scenes:
+    272 ordered pairs a scene.  Each of the 17 fits of a scene refuses its
+    labels b and c by structure, and fewer than 200 other chords refuse
+    in all."""
+    served = refused = 0
+    for seed in range(40):
+        points = list(random_scene(seed, 8).points.values())
+        assert len(points) == 17
+        s, r = anchored_chords_against_the_oracle(points)
+        served, refused = served + s, refused + r
+    assert served + refused == 40 * 17 * 16
+    assert 40 * 17 * 2 <= refused < 40 * 17 * 2 + 200
+
+
+def test_anchored_chords_on_a_tall_pool_match_the_oracle(group_pool):
+    """The multiples 12P..21P of two pool points (hundreds of bits): each
+    of the 20 fits refuses its labels b and c, and fewer than 30 other
+    chords refuse."""
+    f, pool = group_pool
+    tall = [pt for base in pool[:2] for pt in multiples(f, base, range(12, 22))]
+    assert max(abs(c).bit_length() for pt in tall for c in pt.coords) > 200
+    served, refused = anchored_chords_against_the_oracle(tall)
+    assert served + refused == 20 * 19
+    assert 20 * 2 <= refused < 20 * 2 + 30
 
 
 def test_cold_and_warm_cache_give_the_same_sums(group_pool):
@@ -543,23 +610,31 @@ def test_each_record_is_built_once(group_pool, monkeypatch):
         assert expanded == [] and cached == []
 
 
-def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
-    """Hand-made parameters with a and b both on B, so that the chain
-    pbBkCb1 of the anchor p = a is zero (pb is B), while k and b1 keep the
-    chain ybBkCb1 moving.  _anchor_fit refuses them with the step's name.
-    When the first selection of _chord's fill at p fits to them, _refit
-    moves on to the next selections, and the first of those whose fit
+@pytest.mark.parametrize("case", ["b_on_B", "c_on_a1b1"])
+def test_a_refused_fit_moves_the_fill_on(group_pool, monkeypatch, case):
+    """Hand-made parameters that _anchor_fit refuses at step lw.lv, as lw
+    and lv coincide: with b on B, both are B (no fit has b on B = ef),
+    and with c on a1b1, the chain's lines cb1 and a1b1 coincide.  When
+    the first selection of _chord's fill at p fits to them, _refit moves
+    on to the next selections, and the first of those whose fit
     _anchor_fit admits and serves the chord is cached: every fit is a
     fill selection, without x, so no fallback refit ran."""
     f, pool = group_pool
     p, b, x = pool[0], pool[1], pool[2]
-    B = join(p, b)
-    X = meet(B, Line(1, 0, 0))
+    a1 = Point(1, 2, 3)
+    if case == "b_on_B":
+        B = join(p, b)
+        X = meet(B, Line(1, 0, 0))
+        b1 = Point(1, 5, 2)
+    else:
+        X = Point(3, 1, 1)
+        B = join(X, Point(1, -1, 3))
+        b1 = meet(join(a1, x), Line(1, 1, 1))
     params = CubicParams(
         a=p,
-        a1=Point(1, 2, 3),
+        a1=a1,
         b=b,
-        b1=Point(1, 5, 2),
+        b1=b1,
         c=x,  # so x is on the cubic: the line xc vanishes
         k=Point(2, 1, 7),
         A=join(X, Point(1, 1, 1)),
@@ -571,7 +646,7 @@ def test_a_vanishing_pbBkCb1_refuses_at_chord_time(group_pool, monkeypatch):
     labels = (p, b, *[pt for pt in pool[3:] if _dot(L, pt.coords) != 0][:7])
     with pytest.raises(DegenerateIntermediateError) as refusal:
         cons._anchor_fit(NinePointLabels.from_points(labels), params)
-    assert refusal.value.step == "pbBkCb1"
+    assert refusal.value.step == "lw.lv"
 
     fitted, original = [], cons.fit_nine_points
 

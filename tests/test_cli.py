@@ -337,6 +337,23 @@ class TestCommands:
         assert code == 0
         assert "status: ok" in out
 
+    def test_conic_component_exits_2_and_names_the_cause(self, capsys):
+        """On the conic-plus-line scene, the conic through a, c, d, e, f
+        also passes through b and g, so it is a component of the cubic and
+        has no sixth point: conic_sixth refuses and says so.  The fit and
+        the chord through a and b still pass."""
+        scene = str(GOLDEN / "conic-line.scene")
+        code, out, err = run_cli(["conic_sixth", "--in", scene], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "degenerate: the conic through a, c, d, e, f is a component of the"
+            " cubic: it also passes through b, g\n"
+        )
+        for argv in (["fit9"], ["third_point"]):
+            code, out, _ = run_cli([*argv, "--in", scene], capsys)
+            assert code == 0
+            assert "status: ok" in out
+
     def test_tangent_third(self, scene_path, capsys):
         code, out, _ = run_cli(["tangent_third", "--in", scene_path], capsys)
         assert code == 0
