@@ -177,7 +177,7 @@ def cmd_third_point(scene: Scene, args, report: Report) -> int:
     chord = cons.join(p, q)
     report.add_check("on-chord", incidence(chord, y) == 0)
     report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, y))
-    report.add_check("deflation-oracle-root", projectively_equal(y, oracle.chord_third(f, p, q)))
+    report.add_check("deflation-oracle-root", projectively_equal(y, oracle.third(f, p, q)))
     return 0
 
 
@@ -261,6 +261,9 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
     params, f = _fitted(scene)
     known = _known_curve_points(scene, params)
     o, p, q = _points_on_curve(scene, args.points, known)
+    for name, pt in zip(args.points, (o, p, q)):
+        if oracle.gradient_tangent(f, pt).is_zero:
+            raise cons.HypothesisViolation(f"point {name} is a singular point of the cubic")
     total = cons.group_add(known, o, p, q, verify_flex=not args.no_verify_flex)
     if args.no_verify_flex:
         report.add_diagnostic("identity accepted unverified (--no-verify-flex)")

@@ -44,7 +44,6 @@ __all__ = [
     "pretty_print",
     "eval_numeric",
     "eval_symbolic",
-    "infer_kind",
 ]
 
 
@@ -303,28 +302,6 @@ _PRODUCT_KIND = {
     ("point", "scalar"): "point",
     ("line", "scalar"): "line",
 }
-
-
-def infer_kind(e: Expr) -> str:
-    """Static kind of an expression: 'point', 'line' or 'scalar'.
-
-    Kinds depend only on the case convention of the names involved, never
-    on bound values, so this is the runtime kind as well.
-    """
-    if isinstance(e, Name):
-        return _expected_kind(e.name)
-    if isinstance(e, Var):
-        return "point"
-    if isinstance(e, (Chain, Group)):
-        kind = infer_kind(e.parts[0])
-        for part in e.parts[1:]:
-            k2 = infer_kind(part)
-            try:
-                kind = _PRODUCT_KIND[(kind, k2)]
-            except KeyError:
-                raise KindError(f"{kind}*{k2} is not a valid product") from None
-        return kind
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _eval_sym(e: Expr, env: Environment) -> tuple:

@@ -7,7 +7,7 @@ routes is a genuine cross-check rather than a tautology.
 
 from __future__ import annotations
 
-from .core import Line, Point, canonicalize, meet, projectively_equal
+from .core import Line, Point, canonicalize, incidence, meet, projectively_equal
 from .poly import DegenerateLineError, HomPoly, evaluate, restrict_to_line
 
 __all__ = [
@@ -17,8 +17,6 @@ __all__ = [
     "cubic_membership",
     "gradient_tangent",
     "second_point",
-    "root_multiplicity",
-    "chord_third",
     "tangent_third",
     "third",
     "hessian_flex_oracle",
@@ -38,9 +36,11 @@ class SingularPointError(ValueError):
 
 
 def cubic_membership(f: HomPoly, p: Point) -> bool:
-    """Exact zero test of f at p."""
+    """Exact zero test of f at p; the zero triple is no point."""
     if f.is_zero:
         raise ZeroPolynomialError("membership in the zero polynomial is vacuous")
+    if p.is_zero:
+        raise ValueError("the zero triple is no point")
     return evaluate(f, p) == 0
 
 
@@ -50,8 +50,8 @@ def gradient_tangent(f: HomPoly, a: Point) -> Line:
     Requires f(a) = 0.  Returns the zero-line exactly when a is a singular
     point of the curve.
     """
-    if evaluate(f, a) != 0:
-        raise ValueError("a does not lie on the curve")
+    if not cubic_membership(f, a):
+        raise ValueError("the point does not lie on the curve")
     return Line(*(evaluate(f.partial(i), a) for i in range(3)))
 
 
@@ -68,46 +68,6 @@ def second_point(L: Line, avoid: Point) -> Point:
     raise DegenerateLineError("the zero triple is no line")
 
 
-def _contact_order(coeffs) -> int:
-    """Leading zero coefficients of a restricted form: the order of
-    vanishing at the endpoint whose power leads."""
-    for mult, c in enumerate(coeffs):
-        if c != 0:
-            return mult
-    raise LineContainedError("line pq lies on the curve")
-
-
-def root_multiplicity(f: HomPoly, p: Point, q: Point, at: Point) -> int:
-    """Order of vanishing of f along line pq at the endpoint `at` (p or q).
-
-    Counts the vanishing coefficients of the restricted binary form; raises
-    :class:`LineContainedError` when the restriction vanishes identically.
-    """
-    form = restrict_to_line(f, p, q)
-    if projectively_equal(at, q):
-        form = form[::-1]
-    elif not projectively_equal(at, p):
-        raise ValueError("`at` must be p or q")
-    return _contact_order(form)
-
-
-def chord_third(f: HomPoly, p: Point, q: Point) -> Point:
-    """Third intersection of the line pq with the cubic f = 0.
-
-    With p and q on the curve, f(s*p + t*q) = s*t*(c1*s + c2*t), whose
-    third root (s:t) = (-c2:c1) is read off in integers.  A chord tangent
-    at an endpoint returns that endpoint.  Raises
-    :class:`LineContainedError` when the line lies on the curve and
-    ValueError when an endpoint does not.
-    """
-    c0, c1, c2, c3 = restrict_to_line(f, p, q)
-    if c0 != 0 or c3 != 0:
-        raise ValueError("a chord endpoint does not lie on the curve")
-    if c1 == 0 and c2 == 0:
-        raise LineContainedError("line pq lies on the curve")
-    return canonicalize(Point(*(-c2 * pc + c1 * qc for pc, qc in zip(p.coords, q.coords))))
-
-
 def tangent_third(f: HomPoly, T: Line, a: Point) -> tuple[int, Point | None]:
     """Contact order m of the line T with the cubic f = 0 at its point a,
     and for m >= 2 the third intersection of T with the curve.
@@ -115,11 +75,16 @@ def tangent_third(f: HomPoly, T: Line, a: Point) -> tuple[int, Point | None]:
     f is restricted once, to T through a and ``second_point(T, a)``; with
     q that point, f(s*a + t*q) = t^m * (...), and for m >= 2 the third
     root (s:t) = (-c3:c2) gives -c3*a + c2*q, which is a itself when m = 3.
-    Raises :class:`LineContainedError` when T lies on the curve.
+    Raises ValueError when a is not on T and :class:`LineContainedError`
+    when T lies on the curve.
     """
+    if incidence(T, a) != 0:
+        raise ValueError("a does not lie on the line")
     q = second_point(T, a)
     form = restrict_to_line(f, a, q)
-    m = _contact_order(form)
+    m = next((k for k, c in enumerate(form) if c != 0), None)
+    if m is None:
+        raise LineContainedError("line pq lies on the curve")
     if m < 2:
         return m, None
     c2, c3 = form[2], form[3]
@@ -128,21 +93,29 @@ def tangent_third(f: HomPoly, T: Line, a: Point) -> tuple[int, Point | None]:
 
 def third(f: HomPoly, p: Point, q: Point) -> Point:
     """The third point of the cubic f = 0 on the line pq, p and q on the
-    curve: chord_third for p != q, and for p = q the third point of the
-    tangent at p, which is p itself at a flex.
+    curve; for p = q the line is the tangent at p, and a flex is its own
+    third point.
 
     This is the chord-and-tangent operation of the group law: with any
-    base point, p, q and third(f, p, q) sum to a constant.  Raises
+    base point, p, q and third(f, p, q) sum to a constant.  For p != q,
+    f(s*p + t*q) = s*t*(c1*s + c2*t), whose third root (s:t) = (-c2:c1)
+    is read off in integers; a chord tangent at an endpoint returns that
+    endpoint.  Raises ValueError when a chord endpoint is off the curve,
     :class:`SingularPointError` when p = q is a singular point, and
     :class:`LineContainedError` when the line lies on the curve.
     """
-    if not projectively_equal(p, q):
-        return chord_third(f, p, q)
-    tangent = gradient_tangent(f, p)
-    if tangent.is_zero:
-        raise SingularPointError("a singular point has no tangent")
-    # the gradient tangent meets the curve at p at least twice
-    return tangent_third(f, tangent, p)[1]
+    if projectively_equal(p, q):
+        tangent = gradient_tangent(f, p)
+        if tangent.is_zero:
+            raise SingularPointError("a singular point has no tangent")
+        # the gradient tangent meets the curve at p at least twice
+        return tangent_third(f, tangent, p)[1]
+    c0, c1, c2, c3 = restrict_to_line(f, p, q)
+    if c0 != 0 or c3 != 0:
+        raise ValueError("a chord endpoint does not lie on the curve")
+    if c1 == 0 and c2 == 0:
+        raise LineContainedError("line pq lies on the curve")
+    return canonicalize(Point(*(-c2 * pc + c1 * qc for pc, qc in zip(p.coords, q.coords))))
 
 
 def hessian_flex_oracle(f: HomPoly, p: Point) -> bool:
@@ -150,10 +123,7 @@ def hessian_flex_oracle(f: HomPoly, p: Point) -> bool:
 
     Evaluates the determinant of the matrix of second partials at p.
     """
-    if evaluate(f, p) != 0:
-        raise ValueError("p does not lie on the curve")
-    grad = [evaluate(f.partial(i), p) for i in range(3)]
-    if all(g == 0 for g in grad):
+    if gradient_tangent(f, p).is_zero:
         raise SingularPointError("p is a singular point")
     h = [[evaluate(f.partial(i).partial(j), p) for j in range(3)] for i in range(3)]
     det = (

@@ -208,9 +208,6 @@ class HomPoly:
             common = -common
         return HomPoly(self.degree, {m: v // common for m, v in zip(monomials(self.degree), vec)})
 
-    def __call__(self, p) -> Scalar:
-        return evaluate(self, p)
-
     def __repr__(self):
         if self.is_zero:
             return f"HomPoly(degree={self.degree}, 0)"

@@ -15,7 +15,6 @@ from fractions import Fraction
 from grassmann import oracle
 from grassmann.constructions import NinePointLabels
 from grassmann.core import Point, projectively_equal
-from grassmann.oracle import chord_third  # the fixtures' chord step
 from grassmann.poly import HomPoly, evaluate
 
 FLEX = Point(0, 0, 1)
@@ -91,7 +90,7 @@ def grow_pool(f: HomPoly, seeds, target: int, max_bits: int = 120) -> list[Point
                 if len(pool) >= target:
                     break
                 try:
-                    add(chord_third(f, snapshot[i], snapshot[j]))
+                    add(oracle.third(f, snapshot[i], snapshot[j]))
                 except (ValueError, AssertionError):
                     pass
         if len(pool) == before:

@@ -42,7 +42,7 @@ from grassmann.expr import eval_symbolic, parse
 from grassmann.generate import random_scene
 from grassmann.poly import evaluate, nullspace_fit
 
-from curves import CURVES, FLEX, chord_third, grow_pool, weierstrass
+from curves import CURVES, FLEX, grow_pool, weierstrass
 
 # fit_nine_points calls of criterion_09_sums(pool, 9009, 10) before the
 # anchor cache: one refit per chord, and another for each refused one
@@ -199,7 +199,7 @@ def test_anchored_chord_is_a_verified_point_or_a_typed_error(group_pool, data):
     except ConstructionError:
         return
     assert on_curve
-    assert z.coords == _canonical(chord_third(f, p, x).coords)
+    assert z.coords == _canonical(oracle.third(f, p, x).coords)
 
 
 def test_tangent_chords_are_answered_without_a_refit(group_pool):
@@ -259,7 +259,7 @@ def test_refusals_at_the_O_prime_step_are_degenerate_choices(group_pool):
         assert (_dot(fit.lv, x_key) == 0) == (case == "x = v")
         for image in (_cross(sampled, L), phi(fit, L, _cross(L, line))):
             assert any(image) and not any(_cross(image, x_key))
-        assert cons._chord(pool_dict, p, x) == chord_third(f, p, x)
+        assert cons._chord(pool_dict, p, x) == oracle.third(f, p, x)
 
 
 def anchored_chords_against_the_oracle(points):
@@ -485,8 +485,7 @@ def multiples(f, base, ns):
     chords through the flex."""
     out, nP = [], base
     for n in range(2, max(ns) + 1):
-        third = oracle.third(f, nP, base)  # the tangent at base for n = 2
-        nP = chord_third(f, FLEX, third)
+        nP = oracle.third(f, FLEX, oracle.third(f, nP, base))  # the tangent at base for n = 2
         if n in ns:
             out.append(nP)
     return out
@@ -655,7 +654,7 @@ def test_a_refused_fit_moves_the_fill_on(group_pool, monkeypatch, case):
         return params if len(fitted) == 1 else original(nine)
 
     monkeypatch.setattr(cons, "fit_nine_points", first_fit_degenerate)
-    assert cons._chord(cons._known_pool(pool), p, x) == chord_third(f, p, x)
+    assert cons._chord(cons._known_pool(pool), p, x) == oracle.third(f, p, x)
     keys = [tuple(_canonical(pt.coords) for pt in nine) for nine in fitted]
     assert len(keys) > 1 and all(_canonical(x.coords) not in nine for nine in keys)
     cached = cons._ANCHOR_CACHE[_canonical(p.coords)]

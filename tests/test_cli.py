@@ -324,7 +324,8 @@ class TestCommands:
 
     def test_singular_point_exits_2(self, capsys):
         """On the nodal scene (a is the node) the tangent, the tangent
-        third point and the flex test all refuse; the fit succeeds."""
+        third point, the flex test and a sum with a as identity or summand
+        all refuse; the fit succeeds."""
         nodal = str(GOLDEN / "nodal.scene")
         code, out, err = run_cli(["tangent", "--in", nodal], capsys)
         assert (code, out) == (2, "")
@@ -333,6 +334,13 @@ class TestCommands:
             code, out, err = run_cli([command, "--in", nodal], capsys)
             assert (code, out) == (2, "")
             assert err.startswith("degenerate: ")
+        for order in (["b", "a", "d"], ["a", "b", "d"]):
+            points = [arg for name in order for arg in ("--point", name)]
+            code, out, err = run_cli(
+                ["group_add", "--in", nodal, "--no-verify-flex", *points], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err == "degenerate: point a is a singular point of the cubic\n"
         code, out, _ = run_cli(["fit9", "--in", nodal], capsys)
         assert code == 0
         assert "status: ok" in out
@@ -681,7 +689,7 @@ def test_binary_root_is_exact_beyond_float_precision():
     from curves import weierstrass
 
     from grassmann.core import incidence, join, projectively_equal
-    from grassmann.oracle import chord_third, third
+    from grassmann.oracle import third
     from grassmann.poly import evaluate
 
     f = weierstrass(0, 17)
@@ -689,13 +697,13 @@ def test_binary_root_is_exact_beyond_float_precision():
     q = Point(1, -2, 3)
     for _ in range(4):
         q = third(f, q, q)
-    y = chord_third(f, p, q)
+    y = third(f, p, q)
     assert min(abs(c) for c in y.coords) > 2**53
     assert evaluate(f, y) == 0 and incidence(join(p, q), y) == 0
     assert not projectively_equal(y, p) and not projectively_equal(y, q)
     off_curve = Point(*(a + b for a, b in zip(p.coords, q.coords)))
     with pytest.raises(ValueError, match="chord endpoint does not lie on the curve"):
-        chord_third(f, p, off_curve)
+        third(f, p, off_curve)
 
 
 class TestParserReuse:

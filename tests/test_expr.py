@@ -26,7 +26,6 @@ from grassmann.expr import (
     Var,
     eval_numeric,
     eval_symbolic,
-    infer_kind,
     parse,
     parse_statement,
     pretty_print,
@@ -344,14 +343,6 @@ class TestSymbolicEvaluation:
         env = Environment({"a": Point(1, 0, 0)})
         vec = eval_symbolic(parse("xa"), env)
         assert isinstance(vec, PolyVector)
-
-    def test_infer_kind(self):
-        assert infer_kind(parse("pq.rs")) == "point"
-        assert infer_kind(parse("abAcBd")) == "line"
-        assert infer_kind(parse("(p.q.r)")) == "scalar"
-        assert infer_kind(parse("(xaAa_1.xbBkCb_1.xc)")) == "scalar"
-        with pytest.raises(KindError):
-            infer_kind(parse("(p.q.r)(a.b.c)"))
 
     def test_commutation_on_typed_fuzz(self):
         rng = random.Random(2024)

@@ -9,11 +9,9 @@ from grassmann.oracle import (
     LineContainedError,
     SingularPointError,
     ZeroPolynomialError,
-    chord_third,
     cubic_membership,
     gradient_tangent,
     hessian_flex_oracle,
-    root_multiplicity,
     second_point,
     tangent_third,
     third,
@@ -47,6 +45,11 @@ class TestMembership:
         with pytest.raises(ZeroPolynomialError):
             cubic_membership(HomPoly.zero(3), Point(1, 0, 0))
 
+    def test_zero_point_refused(self):
+        # every form vanishes at the zero triple, which is no point
+        with pytest.raises(ValueError, match="zero triple is no point"):
+            cubic_membership(weierstrass(0, 17), Point(0, 0, 0))
+
 
 class TestGradientTangent:
     def test_node_gives_zero_line(self):
@@ -76,11 +79,14 @@ class TestGradientTangent:
 
 
 class TestRootMultiplicity:
+    """The contact order of the line pq at a point of it, as
+    ``tangent_third(f, join(p, q), at)[0]``."""
+
     def test_chord_endpoint_at_least_one(self):
         f = weierstrass(0, 17)
         p, q = Point(1, -2, 3), Point(1, 2, 5)
-        assert root_multiplicity(f, p, q, p) >= 1
-        assert root_multiplicity(f, p, q, q) >= 1
+        assert tangent_third(f, join(p, q), p)[0] >= 1
+        assert tangent_third(f, join(p, q), q)[0] >= 1
 
     def test_tangent_double_contact(self):
         f = weierstrass(0, 17)
@@ -93,7 +99,7 @@ class TestRootMultiplicity:
             for pt in (meet(T, Line(1, 0, 0)), meet(T, Line(0, 1, 0)), meet(T, Line(0, 0, 1)))
             if not pt.is_zero and not projectively_equal(pt, p)
         )
-        assert root_multiplicity(f, p, q, p) == 2
+        assert tangent_third(f, join(p, q), p)[0] == 2
 
     def test_flex_triple_contact(self):
         # tangent at the Fermat flex (1, -1, 0) is x0 + x1 = 0
@@ -102,17 +108,22 @@ class TestRootMultiplicity:
         T = gradient_tangent(FERMAT, p)
         q = Point(0, 0, 1)
         assert sum(tc * qc for tc, qc in zip(T.coords, q.coords)) == 0
-        assert root_multiplicity(FERMAT, p, q, p) == 3
+        assert tangent_third(FERMAT, join(p, q), p)[0] == 3
 
     def test_line_contained_error(self):
         f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
         with pytest.raises(LineContainedError):
-            root_multiplicity(f, Point(1, 0, 0), Point(0, 1, 0), Point(1, 0, 0))
+            tangent_third(f, join(Point(1, 0, 0), Point(0, 1, 0)), Point(1, 0, 0))
 
     def test_at_must_be_endpoint(self):
+        """A point off the line is refused, not answered for another line."""
         f = weierstrass(0, 17)
-        with pytest.raises(ValueError):
-            root_multiplicity(f, Point(1, -2, 3), Point(1, 2, 5), Point(1, 4, 9))
+        with pytest.raises(ValueError, match="does not lie on the line"):
+            tangent_third(f, join(Point(1, -2, 3), Point(1, 2, 5)), Point(1, 4, 9))
+        # (1, 2, 5) is on the curve but not on the tangent at (1, -1, 4)
+        T = gradient_tangent(f, Point(1, -1, 4))
+        with pytest.raises(ValueError, match="does not lie on the line"):
+            tangent_third(f, T, Point(1, 2, 5))
 
 
 class TestSecondPoint:
@@ -130,27 +141,29 @@ class TestSecondPoint:
 
 
 class TestChordThird:
+    """The chord branch of ``third``: p and q distinct."""
+
     def test_known_third_point(self):
         # y = x/2 + 4 meets y^2 = x^3 + 17 at x = -2, 2 and 1/4
         f = weierstrass(0, 17)
-        assert projectively_equal(chord_third(f, Point(1, -2, 3), Point(1, 2, 5)), Point(8, 2, 33))
+        assert projectively_equal(third(f, Point(1, -2, 3), Point(1, 2, 5)), Point(8, 2, 33))
 
     def test_tangent_chord_gives_the_endpoint(self):
         f = weierstrass(0, 17)
         p = Point(1, -1, 4)
         _, t3 = tangent_third(f, gradient_tangent(f, p), p)
-        assert projectively_equal(chord_third(f, p, t3), p)
-        assert projectively_equal(chord_third(f, t3, p), p)
+        assert projectively_equal(third(f, p, t3), p)
+        assert projectively_equal(third(f, t3, p), p)
 
     def test_line_on_curve(self):
         f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
         with pytest.raises(LineContainedError):
-            chord_third(f, Point(1, 0, 0), Point(0, 1, 0))
+            third(f, Point(1, 0, 0), Point(0, 1, 0))
 
     def test_endpoint_off_curve(self):
         f = weierstrass(0, 17)
         with pytest.raises(ValueError, match="chord endpoint does not lie on the curve"):
-            chord_third(f, Point(1, -2, 3), Point(1, 2, 6))
+            third(f, Point(1, -2, 3), Point(1, 2, 6))
 
 
 class TestTangentThird:
@@ -191,8 +204,9 @@ class TestThird:
         for p in pool:
             for q in pool:
                 if p != q:
-                    assert third(f, p, q) == chord_third(f, p, q)
-        assert projectively_equal(third(f, Point(1, -2, 3), Point(1, 2, 5)), Point(8, 2, 33))
+                    r = third(f, p, q)
+                    assert evaluate(f, r) == 0 and incidence(join(p, q), r) == 0
+                    assert third(f, p, r) == q
 
     def test_equal_points_give_the_tangent_third_point(self):
         f = weierstrass(0, 17)
@@ -222,6 +236,9 @@ class TestThird:
         f = HomPoly(3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): 1})  # x2 * (...)
         with pytest.raises(LineContainedError):
             third(f, Point(1, 0, 0), Point(0, 1, 0))
+        # x2 = 0 is also the tangent at (1, 0, 0): the tangent branch
+        with pytest.raises(LineContainedError):
+            third(f, Point(1, 0, 0), Point(1, 0, 0))
 
 
 class TestHessianFlex:

@@ -21,7 +21,7 @@ from grassmann.poly import (
 
 from grassmann.oracle import third
 
-from curves import CURVES, chord_third, grow_pool, weierstrass
+from curves import CURVES, grow_pool, weierstrass
 
 X = PolyVector.variable()
 
@@ -235,7 +235,7 @@ class TestExactScalars:
         q = Point(1, -2, 3)
         for _ in range(4):
             q = third(cubic, q, q)
-        p = chord_third(cubic, Point(1, 2, 5), q)
+        p = third(cubic, Point(1, 2, 5), q)
         assert min(abs(c) for c in p.coords) > big
         assert evaluate(cubic, p) == 0
         assert evaluate(cubic, Point(p.x0, p.x1 + 1, p.x2)) != 0
