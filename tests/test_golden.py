@@ -1,10 +1,13 @@
-"""Byte-exact CLI reports on two fixed scenes.
+"""Byte-exact CLI reports on fixed scenes.
 
 ``golden/grid.scene`` is the output of ``grassmann random --seed 1
 --count 4`` plus an off-curve point ``j`` and two lines; ``golden/rational.scene``
 has non-integral rational points and lines; ``golden/flex.scene`` has nine
-points of y^2 = x^3 + 17 whose label ``a`` is a flex.  Each case runs one command in
-process and compares its stdout and exit code with ``golden/<case>.txt``.
+points of y^2 = x^3 + 17 whose label ``a`` is a flex; ``golden/tall.scene``
+has that flex as ``a`` and the multiples 10P..20P of P = [1:-2:3] (99 to 394
+bits), so ``group_add`` runs the anchored chord on tall coordinates.  Each
+case runs one command in process and compares its stdout and exit code with
+``golden/<case>.txt``.
 
 After an intended report change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -56,6 +59,13 @@ _FLEX = {
 }
 for _name, _argv in _FLEX.items():
     CASES[f"flex-{_name}"] = [*_argv, "--in", str(GOLDEN / "flex.scene")]
+# hundreds of bits: group_add fills the anchor cache at p_1 and at a
+_TALL = {
+    "group_add": ["group_add", "--point", "a", "--point", "p_1", "--point", "p_2"],
+    "third_point-two": ["third_point", "--point", "p_1", "--point", "p_2"],
+}
+for _name, _argv in _TALL.items():
+    CASES[f"tall-{_name}"] = [*_argv, "--in", str(GOLDEN / "tall.scene")]
 for _scene in ("grid", "rational"):
     for _name, _argv in _PER_SCENE.items():
         CASES[f"{_scene}-{_name}"] = [*_argv, "--in", str(GOLDEN / f"{_scene}.scene")]
