@@ -21,6 +21,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from math import gcd
 
 from .core import (
     KindError,
@@ -496,9 +497,9 @@ def _refit(anchors, candidates, construct):
 # group_add's chords fill and read it, and tangent_third_at reads it.
 # Bounds: fits kept per anchor, and anchors kept (the least recently used
 # goes first).  Two fits per anchor, because on its own fit the anchored
-# chord refuses x = b and x = c by structure: x = b puts O on L, and
-# x = c makes M = xc zero.  Such a chord fits again at the anchor without
-# that label, and keeping two fits lets both serve.
+# chord refuses x = b and x = c by structure: both make [c,b,x] zero.
+# Such a chord fits again at the anchor without that label, and keeping
+# two fits lets both serve.
 _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
@@ -513,11 +514,16 @@ class _AnchorFit:
     `labels` are the canonical keys of the nine labelled points a..i and
     `others` the set of b..i.  `terms` are the (i, j, k, c) of
     expand_cubic(params).primitive(), the cubic's form with coprime
-    integer coefficients.  The rest are the fit-only lines of
-    _anchored_third: lw = b(((cb1.C)k).B) and lv = b(((a1b1.C)k).B), the
-    lines through b on which the chain ybBkCb1 is the line cb1 and the
-    line a1b1, and the lines cb1 and cd (built as a1c, which is cd on a
-    fit, as a1 = af.cd).  None is zero, and lw and lv are distinct.
+    integer coefficients.  The rest are what _anchored_third's closed
+    form reads, with p, b and c the keys of the fit's points a, b and c:
+    the fit-only lines lw = b(((cb1.C)k).B) and lv = b(((a1b1.C)k).B),
+    the lines through b on which the chain ybBkCb1 is the line cb1 and
+    the line a1b1; the lines cb1 and cd (built as a1c, which is cd on a
+    fit, as a1 = af.cd); the integers beta and gamma, coprime, with
+    lw x lv = g*beta*b and cd x cb1 = g*gamma*c for one integer g; and
+    the lines bp = b x p, pc = p x c and cb = c x b, unreduced, so that
+    bp.x = [b,p,x] and pc.x = [p,c,x] at every x.  None of the lines is
+    zero, lw and lv are distinct, and beta and gamma are not zero.
     """
 
     labels: tuple
@@ -528,6 +534,11 @@ class _AnchorFit:
     lv: tuple
     cb1: tuple
     cd: tuple
+    beta: int
+    gamma: int
+    bp: tuple
+    pc: tuple
+    cb: tuple
 
     def on_curve(self, x: tuple) -> bool:
         """Whether the coordinate triple x is on the fit's cubic: the same
@@ -570,17 +581,30 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
     the lines through b1: lw and lv are the lines it sends to cb1 and
     a1b1, and they coincide exactly when c is on a1b1.  Besides that, a
     fit is refused when b1 is c or a1.
+
+    The weights: lw and lv are distinct lines through b, so lw x lv is a
+    nonzero multiple of b, and an integer one, as lw x lv is an integer
+    triple and b a primitive one; the exact quotient is found by `//` on
+    an entry where b is not zero.  cd and cb1 both pass through c, so
+    cd x cb1 is an integer multiple of c, and it is not zero: cd = cb1
+    would put c on a1b1, which the lw.lv step refuses.  beta and gamma
+    are the two quotients divided by their gcd.
     """
-    a1, b, b1, c = (getattr(params, n).coords for n in ("a1", "b", "b1", "c"))
+    a1, b1 = params.a1.coords, params.b1.coords
     k, B, C = params.k.coords, params.B.coords, params.C.coords
     if _dot(k, B) == 0 or _dot(k, C) == 0 or _dot(b1, C) == 0:
         raise DegenerateIntermediateError("ybBkCb1 is one line for every y")
+    p, b, c = (_key(getattr(params, n)) for n in "abc")
     step = _tuple_step
     cb1 = step("cb1", _cross(c, b1))
     cd = step("cd=a1c", _cross(a1, c))
     lw = step("lw=b((cb1.C)k.B)", _cross(b, _chain(cb1, C, k, B)))
     lv = step("lv=b((a1b1.C)k.B)", _cross(b, _chain(_cross(a1, b1), C, k, B)))
-    step("lw.lv", _cross(lw, lv))
+    lw_lv = _cross(lw, lv)
+    if not any(lw_lv):
+        raise DegenerateIntermediateError("lw.lv")
+    beta, gamma = _quotient(lw_lv, b), _quotient(_cross(cd, cb1), c)
+    common = gcd(beta, gamma)
     labels = tuple(_key(pt) for pt in pts.as_tuple())
     form = expand_cubic(params).primitive()
     return _AnchorFit(
@@ -592,7 +616,19 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
         lv=lv,
         cb1=cb1,
         cd=cd,
+        beta=beta // common,
+        gamma=gamma // common,
+        bp=_cross(b, p),
+        pc=_cross(p, c),
+        cb=_cross(c, b),
     )
+
+
+def _quotient(t: tuple, u: tuple) -> int:
+    """The integer s with t = s*u, for an integer triple t that is a
+    multiple of the primitive triple u."""
+    i = 0 if u[0] else 1 if u[1] else 2
+    return t[i] // u[i]
 
 
 def _clear_anchor_cache() -> None:
@@ -627,10 +663,21 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
 
     `fit` is the fit's record, admitted by _anchor_fit: its labels are the
     canonical keys of its nine labelled points a..i (a = p), its chain
-    ybBkCb1 moves, and lw, lv, cb1 and cd are lines, lw and lv distinct.  If a label other than x lies on L,
-    that label is the point: no three labels are collinear, so it is the
-    curve point of L besides p and x.  Otherwise one choice of O, M, w, v
-    builds it:
+    ybBkCb1 moves, lw, lv, cb1 and cd are lines, lw and lv distinct, and
+    lw x lv = g*beta*b and cd x cb1 = g*gamma*c with g, beta and gamma
+    not zero.  [u,v,y] is the determinant of three triples and u.y their
+    dot product.  If a label other than x lies on L, that label is the
+    point: no three labels are collinear, so it is the curve point of L
+    besides p and x.  Otherwise the chord refuses when [c,b,x] = 0, and
+    else the point is the closed form
+
+        z = beta(cb1.x)[b,p,x] (cd x L) - gamma[p,c,x](lw.x) (lv x L),
+
+    of degree 3 in x, with [b,p,x] = bp.x and [p,c,x] = pc.x read off the
+    record's lines.  Only L and z are reduced.  Why this is the point:
+
+    The construction.  One choice of O, M, w, v builds the point with
+    joins and meets:
 
     - On L the cubic is lambda(y)Q(y).  For y on L, ya is lambda(y)L with
       lambda linear and zero at p, so the chain yaAa1 is lambda(y)l1 with
@@ -643,13 +690,13 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
       z = p or z = x happens only when the chord is tangent there, and
       then that endpoint is the answer.
     - The chord samples T at w = L.lw and v = L.lv, distinct as lw and lv
-      are distinct lines through b, without building them.  O = b, off L
-      unless x = b, and c is off L unless x = c.  For y on lw, the chain
-      ybBkCb1 is the line cb1, so m(w) is on cb1, and phi(w) = cb1.L
-      unless m(w) = c.  For y on lv, it is a1b1, which meets l1 at a1
-      unless l1 is a1b1; so phi(v) = a1c.L = cd.L.  With M = xc,
-      U = lw.M and V = lv.M are where Ow and Ov meet M, and the chord
-      takes O' = phi(w)U.phi(v)V and z = OO'.L.
+      are distinct lines through b.  O = b, off L unless x = b, and c is
+      off L unless x = c.  For y on lw, the chain ybBkCb1 is the line cb1,
+      so m(w) is on cb1, and phi(w) = cb1.L unless m(w) = c.  For y on lv,
+      it is a1b1, which meets l1 at a1 unless l1 is a1b1; so
+      phi(v) = a1c.L = cd.L.  With M = xc, U = lw.M and V = lv.M are where
+      Ow and Ov meet M, and the chain is O' = phi(w)U.phi(v)V and
+      z = OO'.L.
     - y to ybBkCb1 is one-to-one onto the lines through b1 (b is off L
       and B), and l1 is not zero (a and a1 are off A), so T is one-to-one
       except in two cases, where it has rank one.  (R1) L passes through
@@ -658,9 +705,8 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
       so x = d: the kernel is w (m(w) = c) and the image cd.L = x.  Both
       at once would need c on a1b1.  Outside these cases, cb1.L and cd.L
       are phi(w) and phi(v).
-    - O on M: U = V = O, so O' is O or zero, and OO' is zero.  This
-      covers x = b, where U = V = b is on L and both lines of O' are L.
-      x = c makes M = xc zero.  Below, O is off M and x is not c.
+    - O on M, that is [c,b,x] = 0: U = V = O, so O' is O or zero, and OO'
+      is zero.  This covers x = b and x = c.  Below, O is off M.
     - T one-to-one, with x, w, v distinct: phi(w) is not x (Tw is not
       Tx), so the line phi(w)U is neither L nor M, and so for phi(v)V.
       Then O' is off L (that would make phi(w) = phi(v)) and off M (U is
@@ -683,13 +729,45 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
       (R1) x is the kernel and z the image phi(w): phi(v)V is L unless
       phi(v) = x (then zero), O' = phi(w) = z.
 
-    So every step that is not zero gives the third point.  It is returned
-    only if x is on the fit's cubic and the point is on L and on the
-    cubic, checked on the fit's primitive form (_AnchorFit.on_curve, the
-    same predicate as _cubic_value(params, .) == 0); otherwise
-    ConstructionError is raised and the caller tries the next fit.
+    So wherever the chain's z, as a product of cross products with no
+    reduction, is not zero, it is the third point.
+
+    The closed form.  Take the chain's steps unreduced, with L = p x x,
+    and expand each meet of joins by (a x b) x (c x d) = [a,b,d]c -
+    [a,b,c]d.  Note c.L = [p,x,c], x.L = 0 and L x M = [p,x,c]x.
+
+    - U x V = [lw,lv,M]M = g*beta[x,c,b]M, and
+      phi(v) x phi(w) = [cd,cb1,L]L = g*gamma[p,x,c]L.
+    - O' = [phi(w),U,V]phi(v) - [phi(w),U,phi(v)]V.  The first bracket is
+      g*beta[x,c,b](phi(w).M) with phi(w).M = cb1.(L x M) =
+      [p,x,c](cb1.x); the second is g*gamma[p,x,c](U.L) with
+      U = (lw.c)x - (lw.x)c, so U.L = -[p,x,c](lw.x).  So
+      O' = g[p,x,c](beta[x,c,b](cb1.x)phi(v) + gamma[p,x,c](lw.x)V).
+    - z = OO'.L = (b x O') x L = (b.L)O' - (O'.L)b.  phi(v) is on L and
+      V.L = -[p,x,c](lv.x), so z/(g[p,x,c]) is
+      beta[x,c,b](cb1.x)(b.L)phi(v) + gamma[p,x,c](lw.x)W with
+      W = (b.L)V + [p,x,c](lv.x)b.
+    - The four-term identity [x,c,b]p - [p,c,b]x + [p,x,b]c - [p,x,c]b = 0
+      gives [x,c,b](lv x L) = [x,c,b]((lv.x)p - (lv.p)x) as a sum over x,
+      c and b.  Its b and c terms are those of W (b.L = [p,x,b]), and its
+      x term is too: the identity dotted with lv, where lv.b = 0, gives
+      [p,x,b](lv.c) = [p,c,b](lv.x) - [x,c,b](lv.p).  So
+      W = [x,c,b](lv x L), and with [b,p,x] = b.L and [p,c,x] = -[p,x,c],
+      the chain's z is g[x,c,b][p,x,c] times the formula above.
+    - Reducing L scales both of the formula's terms alike, and so does
+      dividing beta and gamma by the same factor.
+
+    After the label test and the [c,b,x] test, c is a label other than x
+    and off L, so [p,x,c] is not zero, and g is not zero: the formula is
+    zero exactly where the chain is, and otherwise it is the chain's
+    point.  So it refuses exactly where the chain of joins and meets
+    refuses.  The point is returned only if x is on the fit's cubic and
+    the point is on L and on the cubic, checked on the fit's primitive
+    form (_AnchorFit.on_curve, the same predicate as
+    _cubic_value(params, .) == 0); otherwise ConstructionError is raised
+    and the caller tries the next fit.
     """
-    labels, params = fit.labels, fit.params
+    labels = fit.labels
     p, x = labels[0], _key(x)
     L = _tuple_step("L=px", _cross(p, x))
     if not fit.on_curve(x):
@@ -699,15 +777,13 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
             if fit.on_curve(z):
                 return _keyed(Point, z)
             raise ConstructionError("label on the chord is off the fitted cubic")
-
-    step = _tuple_step
-    M = step("M=xc", _cross(x, params.c.coords))
-    U = step("U=lw.M", _cross(fit.lw, M))
-    V = step("V=lv.M", _cross(fit.lv, M))
-    phi_w = step("phi(w)=cb1.L", _cross(fit.cb1, L))
-    phi_v = step("phi(v)=cd.L", _cross(fit.cd, L))
-    O2 = step("O'=phi(w)U.phi(v)V", _cross(_cross(phi_w, U), _cross(phi_v, V)))
-    z = step("z=OO'.L", _cross(_cross(params.b.coords, O2), L))
+    if _dot(fit.cb, x) == 0:
+        raise DegenerateIntermediateError("[c,b,x]")
+    s = fit.beta * _dot(fit.cb1, x) * _dot(fit.bp, x)
+    t = fit.gamma * _dot(fit.pc, x) * _dot(fit.lw, x)
+    u0, u1, u2 = _cross(fit.cd, L)
+    v0, v1, v2 = _cross(fit.lv, L)
+    z = _tuple_step("z", (s * u0 - t * v0, s * u1 - t * v1, s * u2 - t * v2))
     if _dot(L, z) == 0 and fit.on_curve(z):
         return _keyed(Point, z)
     raise ConstructionError("anchored chord point is off the fitted cubic")

@@ -15,6 +15,7 @@ conftest fixture empties the cache before every test.
 """
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -54,6 +55,16 @@ def group_pool():
     """The 40-point pool of the criterion-09 group-law test."""
     f = weierstrass(0, 17)
     return f, grow_pool(f, CURVES[0][2], 40)
+
+
+@pytest.fixture(scope="module")
+def tall_pool(group_pool):
+    """The multiples 12P..21P of the first two pool points (hundreds of
+    bits)."""
+    f, pool = group_pool
+    tall = [pt for base in pool[:2] for pt in multiples(f, base, range(12, 22))]
+    assert max(abs(c).bit_length() for pt in tall for c in pt.coords) > 200
+    return tall
 
 
 def criterion_09_sums(pool, seed, rounds, cold=False):
@@ -119,6 +130,18 @@ def test_every_cached_fit_passes_through_its_labels(group_pool):
             assert _dot(a, A) != 0 and _dot(a1, A) != 0
             assert all(any(line) for line in (fit.lw, fit.lv, fit.cb1, fit.cd))
             assert any(_cross(fit.lw, fit.lv))
+            # the closed form's weights: lw x lv and cd x cb1 are the
+            # integer multiples g*beta of b and g*gamma of c, one g for
+            # both, and beta and gamma are coprime
+            assert fit.beta != 0 and fit.gamma != 0
+            assert math.gcd(fit.beta, fit.gamma) == 1
+            lw_lv, cd_cb1 = _cross(fit.lw, fit.lv), _cross(fit.cd, fit.cb1)
+            g = next(t // u for t, u in zip(lw_lv, b) if u) // fit.beta
+            assert lw_lv == tuple(g * fit.beta * u for u in b)
+            assert cd_cb1 == tuple(g * fit.gamma * u for u in c)
+            # the bracket lines, unreduced
+            p = labels[0]
+            assert (fit.bp, fit.pc, fit.cb) == (_cross(b, p), _cross(p, c), _cross(c, b))
             # cd is the line a1c, and on lw and lv the chain is cb1 and a1b1
             assert fit.cd == _canonical(_cross(c, labels[3]))
             assert not any(_cross(fit.cd, _cross(a1, c)))
@@ -134,10 +157,10 @@ def test_anchored_chord_equals_the_refit_on_every_pool_pair(group_pool):
     made from the whole pool so that x can be any label, either refuses
     with a typed error or gives the refit's point.  The 80 pairs with x in
     slots b and c all refuse with a zero step, by structure (see
-    constructions._FITS_PER_ANCHOR): x = b puts O on L, and x = c makes
-    M = xc zero.  Chords to d, where phi has rank one, are served.  Fewer
-    than 60 of the others refuse.  group_add's chord path gives the
-    refit's point on every pair."""
+    constructions._FITS_PER_ANCHOR): both make [c,b,x] zero.  Chords to
+    d, where phi has rank one, are served.  Fewer than 60 of the others
+    refuse.  group_add's chord path gives the refit's point on every
+    pair."""
     f, pool = group_pool
     pairs = list(itertools.permutations(pool, 2))
     assert len(pairs) == 1560
@@ -229,13 +252,15 @@ def test_tangent_chords_are_answered_without_a_refit(group_pool):
 
 
 def test_refusals_at_the_O_prime_step_are_degenerate_choices(group_pool):
-    """The anchored chord's refusals at step O'=phi(w)U.phi(v)V, one pool
-    pair per case of _anchored_third's list of degenerate choices seen on
-    the group-law workload: x on the fit's line lw (x = w), and x on its
-    line lv (x = v).  There U or V is x, and phi(w) or phi(v), as the chord
-    samples it and as the chain ybBkCb1 gives it, is x too, so a line of
-    O' is zero.  Each is a typed refusal, and group_add's chord path
-    still gives the oracle's third point."""
+    """The anchored chord's refusals where the chain of joins and meets
+    that its closed form replaces is zero at step O'=phi(w)U.phi(v)V, one
+    pool pair per case of _anchored_third's list of degenerate choices
+    seen on the group-law workload: x on the fit's line lw (x = w), and x
+    on its line lv (x = v).  There U or V is x, and phi(w) or phi(v), as
+    the chain samples it and as the chain ybBkCb1 gives it, is x too, so
+    a line of O' is zero, and so is the closed form's z.  Each is a typed
+    refusal at step z, and group_add's chord path still gives the
+    oracle's third point."""
     f, pool = group_pool
 
     def phi(fit, L, y):
@@ -252,7 +277,7 @@ def test_refusals_at_the_O_prime_step_are_degenerate_choices(group_pool):
         assert x_key not in fit.labels
         with pytest.raises(DegenerateIntermediateError) as refusal:
             cons._anchored_third(fit, x)
-        assert refusal.value.step == "O'=phi(w)U.phi(v)V", case
+        assert refusal.value.step == "z", case
         L = _cross(fit.labels[0], x_key)
         line, sampled = (fit.lw, fit.cb1) if case == "x = w" else (fit.lv, fit.cd)
         assert (_dot(fit.lw, x_key) == 0) == (case == "x = w")
@@ -300,16 +325,88 @@ def test_anchored_chords_on_random_scenes_match_the_oracle():
     assert 40 * 17 * 2 <= refused < 40 * 17 * 2 + 200
 
 
-def test_anchored_chords_on_a_tall_pool_match_the_oracle(group_pool):
+def test_anchored_chords_on_a_tall_pool_match_the_oracle(tall_pool):
     """The multiples 12P..21P of two pool points (hundreds of bits): each
     of the 20 fits refuses its labels b and c, and fewer than 30 other
     chords refuse."""
-    f, pool = group_pool
-    tall = [pt for base in pool[:2] for pt in multiples(f, base, range(12, 22))]
-    assert max(abs(c).bit_length() for pt in tall for c in pt.coords) > 200
-    served, refused = anchored_chords_against_the_oracle(tall)
+    served, refused = anchored_chords_against_the_oracle(tall_pool)
     assert served + refused == 20 * 19
     assert 20 * 2 <= refused < 20 * 2 + 30
+
+
+def chain_third(fit, x):
+    """The anchored chord as the chain of joins and meets that
+    _anchored_third's closed form replaces: after the same endpoint and
+    label tests, with O = b, the steps L = px, M = xc, U = lw.M,
+    V = lv.M, phi(w) = cb1.L, phi(v) = cd.L, O' = phi(w)U.phi(v)V and
+    z = OO'.L, each reduced, and the same checks on z."""
+    labels = fit.labels
+    p, b, c = labels[:3]
+    x = _canonical(x.coords)
+    step = cons._tuple_step
+    L = step("L=px", _cross(p, x))
+    if not fit.on_curve(x):
+        raise ConstructionError("anchored chord endpoint is off the fitted cubic")
+    for z in labels[1:]:
+        if z != x and _dot(L, z) == 0:
+            if fit.on_curve(z):
+                return Point(*z)
+            raise ConstructionError("label on the chord is off the fitted cubic")
+    M = step("M=xc", _cross(x, c))
+    U = step("U=lw.M", _cross(fit.lw, M))
+    V = step("V=lv.M", _cross(fit.lv, M))
+    phi_w = step("phi(w)=cb1.L", _cross(fit.cb1, L))
+    phi_v = step("phi(v)=cd.L", _cross(fit.cd, L))
+    O2 = step("O'=phi(w)U.phi(v)V", _cross(_cross(phi_w, U), _cross(phi_v, V)))
+    z = step("z=OO'.L", _cross(_cross(b, O2), L))
+    if _dot(L, z) == 0 and fit.on_curve(z):
+        return Point(*z)
+    raise ConstructionError("anchored chord point is off the fitted cubic")
+
+
+def closed_form_against_the_chain(fits, points):
+    """_anchored_third and chain_third on every fit and every point x:
+    the same point, or refusals of the same type, where the closed form
+    refuses only at L=px, [c,b,x] and z.  Returns the counts of served
+    chords and of refusals by step."""
+    served, refused = 0, {}
+    for fit in fits:
+        for x in points:
+            try:
+                want = chain_third(fit, x).coords
+            except ConstructionError as exc:
+                want = type(exc)
+            try:
+                got = cons._anchored_third(fit, x).coords
+            except ConstructionError as exc:
+                assert type(exc) is want, (fit.labels[0], x)
+                step = getattr(exc, "step", "checks")
+                refused[step] = refused.get(step, 0) + 1
+                continue
+            assert got == want, (fit.labels[0], x)
+            served += 1
+    assert set(refused) <= {"L=px", "[c,b,x]", "z", "checks"}
+    return served, refused
+
+
+def test_the_closed_form_is_the_chain_of_joins_and_meets(group_pool, tall_pool):
+    """Every fit that seeded criterion-09 sums cache on the 40-point pool
+    with every pool point, and the first fit at each of the multiples
+    12P..21P with every multiple: the closed form gives the chain's point
+    or refuses where the chain does.  Each fit refuses x = p at L=px (a
+    sum appended to the pool can be an anchor) and its labels b and c at
+    [c,b,x]."""
+    f, pool = group_pool
+    criterion_09_sums(pool, 9009, 10)
+    fits = [fit for fits in cons._ANCHOR_CACHE.values() for fit in fits]
+    assert len(fits) > 20
+    tall_fits = [first_anchor_fit(tall_pool, p) for p in tall_pool]
+    for fits, points in ((fits, pool), (tall_fits, tall_pool)):
+        served, refused = closed_form_against_the_chain(fits, points)
+        assert served > len(fits) * (len(points) - 5), refused
+        keys = {_canonical(pt.coords) for pt in points}
+        assert refused["L=px"] == sum(fit.labels[0] in keys for fit in fits)
+        assert refused["[c,b,x]"] >= 2 * len(fits)
 
 
 def test_cold_and_warm_cache_give_the_same_sums(group_pool):
