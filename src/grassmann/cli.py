@@ -32,7 +32,6 @@ from .expr import (
 from .generate import random_scene
 from .poly import DegenerateLineError, HomPoly, RankDeficientError, evaluate, nullspace_fit
 from .scene import Report, Scene, SceneError, format_triple
-from .svgplot import render_svg
 
 _DEGENERATE_ERRORS = (
     cons.ConstructionError,
@@ -312,22 +311,11 @@ def cmd_random(args) -> str:
     return header + scene.serialize()
 
 
-def cmd_plot(scene: Scene) -> str:
-    cubic = None
-    try:
-        labels = _nine(scene)
-    except SceneError:
-        labels = None
-    if labels is not None:
-        cubic = cons.expand_cubic(cons.fit_nine_points(labels))
-    return render_svg(scene, cubic)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
 # each scene command with the numbers of --point arguments it reads;
-# random and plot read none
+# random reads none
 _SCENE_COMMANDS = {
     "fit9": (cmd_fit9, (0,)),
     "check10": (cmd_check10, (1,)),
@@ -347,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grassmann",
         description="Exact straightedge constructions on plane cubic curves.",
     )
-    parser.add_argument("command", choices=[*_SCENE_COMMANDS, "random", "plot"])
+    parser.add_argument("command", choices=[*_SCENE_COMMANDS, "random"])
     parser.add_argument("--in", dest="infile", help="scene file")
     parser.add_argument("--out", dest="outfile", help="write output here instead of stdout")
     parser.add_argument("--expr", help="expression string (eval)")
@@ -393,9 +381,6 @@ def main(argv=None) -> int:
             _write(cmd_random(args), args.outfile)
             return 0
         scene = _load_scene(args)
-        if args.command == "plot":
-            _write(cmd_plot(scene), args.outfile)
-            return 0
         report = Report(args.command, scene.digest())
         code = command(scene, args, report)
         _write(report.render(), args.outfile)

@@ -40,7 +40,6 @@ from .core import (
     meet,
     projectively_equal,
 )
-from .expr import Environment
 from .poly import HomPoly, monomials
 
 __all__ = [
@@ -158,21 +157,6 @@ class CubicParams:
                 raise HypothesisViolation(f"lines {m} and {n} coincide")
         if _dot(lines["A"], _cross(lines["B"], lines["C"])) != 0:
             raise HypothesisViolation("lines A, B, C are not concurrent")
-
-    def environment(self) -> Environment:
-        return Environment(
-            {
-                "a": self.a,
-                "a_1": self.a1,
-                "b": self.b,
-                "b_1": self.b1,
-                "c": self.c,
-                "k": self.k,
-                "A": self.A,
-                "B": self.B,
-                "C": self.C,
-            }
-        )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Scene files and verification reports.
 
 A scene is a plain-text description of named points and lines with exact
-rational coordinates, plus an optional plotting box.  The format is line
-oriented and versioned::
+rational coordinates, plus an optional viewport: an exact box with
+xmin < xmax and ymin < ymax, which ``tools/plot.py`` draws.  The format
+is line oriented and versioned::
 
     format: 1
     # comments and blank lines are ignored
@@ -20,7 +21,6 @@ scene has a stable digest and reports are byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,15 +134,9 @@ class Scene:
                 if len(parts) != 4:
                     raise SceneError(f"line {lineno}: viewport needs four rationals")
                 bounds = _parse_rationals(parts, lineno)
-                # the plot lays the box out in floats, which must hold it
-                try:
-                    xmin, xmax, ymin, ymax = (float(v) for v in bounds)
-                except OverflowError:
-                    raise SceneError(f"line {lineno}: viewport bounds must fit in a float") from None
+                xmin, xmax, ymin, ymax = bounds
                 if not (xmin < xmax and ymin < ymax):
                     raise SceneError(f"line {lineno}: viewport needs xmin < xmax and ymin < ymax")
-                if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
-                    raise SceneError(f"line {lineno}: viewport width and height must fit in a float")
                 scene.viewport = bounds
             else:
                 raise SceneError(f"line {lineno}: unknown entry {key!r}")

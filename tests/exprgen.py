@@ -1,4 +1,5 @@
-"""Random expression generators for parser and evaluator fuzzing."""
+"""Random expression generators for parser and evaluator fuzzing, and the
+environment that binds a fitted cubic's parameters."""
 
 from __future__ import annotations
 
@@ -84,3 +85,21 @@ def random_environment(rng: random.Random, bound: int = 20) -> Environment:
     for name in LINE_NAMES:
         bindings[name] = Line(*triple())
     return Environment(bindings, x=Point(*triple()))
+
+
+def params_environment(params) -> Environment:
+    """The nine parameters of a cubic bound to the names the cubic's
+    expression uses: a, a_1, b, b_1, c, k, A, B, C."""
+    return Environment(
+        {
+            "a": params.a,
+            "a_1": params.a1,
+            "b": params.b,
+            "b_1": params.b1,
+            "c": params.c,
+            "k": params.k,
+            "A": params.A,
+            "B": params.B,
+            "C": params.C,
+        }
+    )

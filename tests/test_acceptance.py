@@ -53,7 +53,7 @@ from grassmann.poly import (
 )
 
 from curves import CURVES, FLEX, grow_pool, weierstrass
-from exprgen import random_ast, random_environment, typed_random_expr
+from exprgen import params_environment, random_ast, random_environment, typed_random_expr
 
 
 def report(num, name, ok):
@@ -128,7 +128,7 @@ def test_criterion_03_fit_incidence_replay():
     ok = True
     for labels, trace in fit_instances():
         params = trace.params
-        env = params.environment()
+        env = params_environment(params)
         # when x = d the first chain collapses onto the line cd
         L = eval_numeric(chain_l, env.with_x(labels.d))
         da1 = join(labels.d, params.a1)
@@ -222,7 +222,7 @@ def test_criterion_06_tangent_third_and_flex():
         if not projectively_equal(result.w, expected):
             ok = False
             break
-        env = params.environment()
+        env = params_environment(params)
         aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
         conic = eval_symbolic(aux_conic_ast, aux_env)
         checkpoints = (params.a, params.b, params.c, result.y)

@@ -44,6 +44,7 @@ from grassmann.generate import random_scene
 from grassmann.poly import evaluate, nullspace_fit
 
 from curves import CURVES, FLEX, grow_pool, weierstrass
+from exprgen import params_environment
 
 # fit_nine_points calls of criterion_09_sums(pool, 9009, 10) before the
 # anchor cache: one refit per chord, and another for each refused one
@@ -642,7 +643,7 @@ def test_pool_fits_expand_to_the_symbolic_form(group_pool):
     fits += [first_anchor_fit(tall, p) for p in tall[:3]]
     cubic = parse(cons.CUBIC_EXPRESSION)
     for fit in fits:
-        assert cons.expand_cubic(fit.params) == eval_symbolic(cubic, fit.params.environment())
+        assert cons.expand_cubic(fit.params) == eval_symbolic(cubic, params_environment(fit.params))
 
 
 def test_each_record_is_built_once(group_pool, monkeypatch):

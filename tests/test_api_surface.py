@@ -46,11 +46,9 @@ def test_traced_constructions_resolve():
 # The oracle layer and what it stands on never import the construction
 # layer, so agreement between the two is meaningful.
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "grassmann"
 LOWER_LAYERS = [
-    *(
-        ROOT / "src" / "grassmann" / f"{name}.py"
-        for name in ("core", "poly", "oracle", "expr", "scene", "svgplot")
-    ),
+    *(PACKAGE / f"{name}.py" for name in ("core", "poly", "oracle", "expr", "scene")),
     ROOT / "perfbench" / "inputs.py",
 ]
 CONSTRUCTION_LAYER = ("grassmann.constructions", "grassmann.generate", "grassmann.cli")
@@ -82,14 +80,19 @@ def test_lower_layers_do_not_import_constructions(path):
 
 
 @pytest.mark.parametrize(
-    "module", ["cli.py", "expr.py", "oracle.py", "scene.py", "svgplot.py", "generate.py"]
+    "path",
+    [
+        *(PACKAGE / name for name in ("cli.py", "expr.py", "oracle.py", "scene.py", "generate.py")),
+        ROOT / "tools" / "plot.py",
+    ],
+    ids=lambda p: p.name,
 )
-def test_cli_uses_no_private_name_of_another_module(module):
+def test_cli_uses_no_private_name_of_another_module(path):
     """The CLI, the expression evaluator, the oracle, the scene format, the
-    plotter and the generator drive the package through public names
+    generator and the plot script drive the package through public names
     only: none imports an underscore-prefixed name or reads one off any
     name other than self or cls.  Dunders are not private."""
-    tree = ast.parse((ROOT / "src" / "grassmann" / module).read_text(encoding="utf-8"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imports, private = 0, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -118,7 +121,7 @@ ORACLE_TOOLS = {
 
 
 def test_constructions_import_no_polynomial_fit():
-    path = ROOT / "src" / "grassmann" / "constructions.py"
+    path = PACKAGE / "constructions.py"
     imported = _imported_modules(path, "grassmann")
     assert "grassmann.poly" in imported, "no poly import found; the walk is broken"
     assert sorted(imported & ORACLE_TOOLS) == []
@@ -137,24 +140,22 @@ def _calls(path, name):
 def test_only_the_oracle_reads_a_line_restriction():
     """A line's third point and contact order have one owner: `oracle`
     restricts a form to a line, and the CLI asks it for the verdicts."""
-    package = ROOT / "src" / "grassmann"
-    callers = [p.stem for p in sorted(package.glob("*.py")) if _calls(p, "restrict_to_line")]
+    callers = [p.stem for p in sorted(PACKAGE.glob("*.py")) if _calls(p, "restrict_to_line")]
     assert [c for c in callers if c != "poly"] == ["oracle"]
-    imported = _imported_modules(package / "cli.py", "grassmann")
+    imported = _imported_modules(PACKAGE / "cli.py", "grassmann")
     assert "grassmann.oracle" in imported, "no oracle import found; the walk is broken"
     assert sorted(m for m in imported if m.endswith(".restrict_to_line")) == []
 
 
 def test_constructions_expand_the_cubic_without_the_evaluator():
-    """expand_cubic is a closed form: the construction layer neither
-    imports nor calls the expression parser or the symbolic evaluator,
-    which stay the engine of the CLI's eval command and the tests'
-    reference for the form."""
-    path = ROOT / "src" / "grassmann" / "constructions.py"
+    """expand_cubic is a closed form: the construction layer imports
+    nothing from the expression layer and calls neither the parser nor
+    the symbolic evaluator, which stay the engine of the CLI's eval
+    command and the tests' reference for the form."""
+    path = PACKAGE / "constructions.py"
     imported = _imported_modules(path, "grassmann")
     assert "grassmann.core" in imported, "no core import found; the walk is broken"
-    evaluator = {f"grassmann.expr.{name}" for name in ("parse", "eval_symbolic")}
-    assert sorted(imported & evaluator) == []
+    assert sorted(m for m in imported if m == "grassmann.expr" or m.startswith("grassmann.expr.")) == []
     assert not _calls(path, "parse") and not _calls(path, "eval_symbolic")
 
 
@@ -163,7 +164,7 @@ def test_no_module_bypasses_a_constructor():
     module under src/grassmann allocates with object.__new__ or writes a
     frozen field with object.__setattr__."""
     bypasses = []
-    for path in sorted((ROOT / "src" / "grassmann").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (
                 isinstance(node, ast.Call)
@@ -174,3 +175,29 @@ def test_no_module_bypasses_a_constructor():
             ):
                 bypasses.append(f"{path.name}:{node.lineno}")
     assert bypasses == []
+
+
+# the functions of math that take and return integers only
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def test_the_package_holds_no_float():
+    """Every verdict is decided exactly: no module under src/grassmann
+    calls float, holds a float constant or imports math, beyond its
+    integer functions.  Drawing in floats is the business of
+    tools/plot.py."""
+    floats = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+                or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                or (isinstance(node, ast.Import) and any(a.name == "math" for a in node.names))
+                or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "math"
+                    and any(a.name not in INTEGER_MATH for a in node.names)
+                )
+            ):
+                floats.append(f"{path.name}:{node.lineno}")
+    assert floats == []

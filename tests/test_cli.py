@@ -18,13 +18,21 @@ from grassmann.core import Point, canonicalize
 from grassmann.generate import random_scene
 from grassmann.poly import HomPoly, RankDeficientError, _bareiss, monomials, nullspace_fit
 from grassmann.scene import Report, Scene, SceneError
-from grassmann.svgplot import _curve_segments, render_svg
+
+from plot_script import plot
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
     code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def run_plot(argv, capsys):
+    """tools/plot.py's main on argv: exit code, stdout and stderr."""
+    code = plot.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -305,7 +313,6 @@ class TestCommands:
             ("group_add", ["a", "b"], "3 --point arguments"),
             ("pascal", ["a", "b", "c"], "0 or 6 --point arguments"),
             ("random", ["a"], "0 --point arguments"),
-            ("plot", ["a"], "0 --point arguments"),
         ],
     )
     def test_a_point_count_the_command_does_not_read_exits_3(
@@ -544,7 +551,7 @@ class TestCommands:
 
     def test_plot(self, scene_path, tmp_path, capsys):
         out_path = tmp_path / "plot.svg"
-        code, _, _ = run_cli(["plot", "--in", scene_path, "--out", str(out_path)], capsys)
+        code, _, _ = run_plot(["--in", scene_path, "--out", str(out_path)], capsys)
         assert code == 0
         svg = out_path.read_text()
         assert svg.startswith("<svg")
@@ -553,32 +560,32 @@ class TestCommands:
         assert svg.count("<line") > 20
 
     def test_plot_deterministic(self, scene_path, capsys):
-        code1, out1, _ = run_cli(["plot", "--in", scene_path], capsys)
-        code2, out2, _ = run_cli(["plot", "--in", scene_path], capsys)
+        code1, out1, _ = run_plot(["--in", scene_path], capsys)
+        code2, out2, _ = run_plot(["--in", scene_path], capsys)
         assert out1 == out2
 
     def test_plot_ignores_term_order(self):
         scene = random_scene(7, count=1)
         cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
-        expected = render_svg(scene, cubic)
+        expected = plot.render_svg(scene, plot._DEFAULT_BOX, cubic)
         rng = random.Random(9)
         for _ in range(5):
             terms = list(cubic.coeffs.items())
             rng.shuffle(terms)
-            assert render_svg(scene, HomPoly(3, dict(terms))) == expected
+            assert plot.render_svg(scene, plot._DEFAULT_BOX, HomPoly(3, dict(terms))) == expected
 
     @pytest.mark.parametrize("box", ["0, 0, -5, 5", "5, -5, 0, 5", "-5, 5, 0, 0", "-5, 5, 5, -5"])
     def test_plot_empty_viewport_exits_3(self, tmp_path, capsys, box):
         path = tmp_path / "box.txt"
         path.write_text(random_scene(7, count=1).serialize() + f"viewport = {box}\n")
-        code, out, err = run_cli(["plot", "--in", str(path)], capsys)
+        code, out, err = run_plot(["--in", str(path)], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: line ") and "viewport" in err
 
     def test_plot_lays_points_out_in_the_scene_viewport(self, tmp_path, capsys):
         path = tmp_path / "box.txt"
         path.write_text("format: 1\nviewport = -4, 4, -2, 2\npoint p = 1, 1, 1\npoint q = 1, 0, 0\n")
-        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        code, out, _ = run_plot(["--in", str(path)], capsys)
         assert code == 0
         assert '<circle cx="400.00" cy="160.00"' in out
         assert '<circle cx="320.00" cy="320.00"' in out
@@ -587,7 +594,7 @@ class TestCommands:
         # the curve passes exactly through grid vertices of this scene
         scene = Scene.load(GOLDEN / "grid.scene")
         cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
-        segments = _curve_segments(cubic, (-12.0, 12.0, -12.0, 12.0))
+        segments = plot._curve_segments(cubic, plot._DEFAULT_BOX)
         assert len(segments) > 800
         ends = [frozenset(segment) for segment in segments]
         assert [e for e in ends if len(e) != 2] == []
@@ -597,7 +604,7 @@ class TestCommands:
         # some crossings of this scene fall within 0.005 px of a grid vertex
         scene = Scene.load(GOLDEN / "grid.scene")
         cubic = expand_cubic(fit_nine_points(NinePointLabels.from_points(scene.nine_points())))
-        svg = render_svg(scene, cubic)
+        svg = plot.render_svg(scene, plot._DEFAULT_BOX, cubic)
         curve = re.findall(
             r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)" stroke="#1f77b4"', svg
         )
@@ -616,14 +623,14 @@ class TestCommands:
         assert max(abs(c) for c in cubic.coeffs.values()) > 2**1024
         path = tmp_path / "tall.txt"
         path.write_text(scene.serialize())
-        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        code, out, _ = run_plot(["--in", str(path)], capsys)
         assert code == 0
         assert out.count('stroke="#1f77b4"') > 100
 
     def test_plot_without_the_nine_labels_draws_no_curve(self, tmp_path, capsys):
         path = tmp_path / "two.txt"
         path.write_text("format: 1\npoint p = 1, 2, 3\npoint q = 1, -1, 0\nline L = 1, 1, 1\n")
-        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        code, out, _ = run_plot(["--in", str(path)], capsys)
         assert code == 0
         assert out.count("<circle") == 2
         assert out.count('stroke="#444444"') == 1
@@ -637,7 +644,7 @@ class TestCommands:
     ):
         path = tmp_path / "far.txt"
         path.write_text(f"format: 1\npoint p = {coords}\npoint q = 1, 0, 0\n")
-        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        code, out, _ = run_plot(["--in", str(path)], capsys)
         assert code == 0
         assert out.count("<circle") == 1 and ">q</text>" in out
 
@@ -651,11 +658,61 @@ class TestCommands:
             f"format: 1\nline L = {tall}, 1, 1\nline M = {tall}, {tall}, 1\n"
             f"line N = {tiny}, -{tiny}, 0\n"
         )
-        code, out, _ = run_cli(["plot", "--in", str(path)], capsys)
+        code, out, _ = run_plot(["--in", str(path)], capsys)
         assert code == 0
         assert out.count("<line") == 2
         assert '<line x1="293.33" y1="640.00" x2="293.33" y2="0.00"' in out
         assert '<line x1="346.67" y1="640.00" x2="346.67" y2="0.00"' in out
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            pytest.param(
+                f"-1{'0' * 400}, 1{'0' * 400}, -1, 1",
+                "viewport bounds must fit in a float",
+                id="beyond-floats",
+            ),
+            pytest.param(
+                f"0, 1/1{'0' * 400}, -1, 1",
+                "viewport needs xmin < xmax and ymin < ymax in floats",
+                id="equal-as-floats",
+            ),
+            pytest.param(
+                "-1e308, 1e308, -1, 1",
+                "viewport width and height must fit in a float",
+                id="width-beyond-floats",
+            ),
+            pytest.param(
+                "-1e200, 1e200, -1e200, 1e200",
+                "viewport too large: floats cannot evaluate the curve on it",
+                id="curve-beyond-floats",
+            ),
+        ],
+    )
+    def test_plot_refuses_a_viewport_floats_cannot_draw(self, box, message, tmp_path, capsys):
+        # each box is exact and nonempty, so the scene format keeps it
+        text = (GOLDEN / "grid.scene").read_text(encoding="utf-8") + f"viewport = {box}\n"
+        assert Scene.parse(text).viewport is not None
+        path = tmp_path / "box.txt"
+        path.write_text(text)
+        code, out, err = run_plot(["--in", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
+    def test_plot_exits_2_on_nine_labels_that_fix_no_cubic(self, tmp_path, capsys):
+        scene = random_scene(7, count=0)
+        a, b = scene.points["a"], scene.points["b"]
+        scene.points["c"] = Point(*(u + v for u, v in zip(a.coords, b.coords)))
+        path = tmp_path / "collinear.txt"
+        path.write_text(scene.serialize())
+        code, out, err = run_plot(["--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("degenerate: ")
+
+    def test_plot_without_a_scene_exits_3(self, capsys):
+        assert run_plot([], capsys) == (3, "", "error: plot needs --in FILE\n")
+        code, out, _ = run_plot(["--in", "/nonexistent/scene.txt"], capsys)
+        assert (code, out) == (3, "")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["fit9", "--in", "/nonexistent/scene.txt"], capsys)
@@ -752,7 +809,6 @@ COMMANDS = [
     "group_add",
     "pascal",
     "random",
-    "plot",
 ]
 
 
@@ -793,7 +849,8 @@ class TestParser:
             "no_verify_flex": False,
         }
 
-    @pytest.mark.parametrize("argv", [["fit10"], ["Fit9"], [], ["fit9", "extra"]])
+    # plot is tools/plot.py, not a command
+    @pytest.mark.parametrize("argv", [["fit10"], ["Fit9"], [], ["fit9", "extra"], ["plot"]])
     def test_bad_command_line_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)

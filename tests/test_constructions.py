@@ -64,6 +64,7 @@ from curves import (
     nine_with_anchor,
     weierstrass,
 )
+from exprgen import params_environment
 
 
 def proportional(u, v):
@@ -101,7 +102,7 @@ class TestFitNinePoints:
         assert any(type(c) is Fraction for p in rational.nine_points() for c in p.coords)
         for scene in [*(random_scene(seed, 2) for seed in range(40)), rational]:
             params = fit_nine_points(NinePointLabels.from_points(scene.nine_points()))
-            expected = eval_symbolic(parse(cons.CUBIC_EXPRESSION), params.environment())
+            expected = eval_symbolic(parse(cons.CUBIC_EXPRESSION), params_environment(params))
             assert expand_cubic(params) == expected
 
     def test_collinear_points_rejected(self, labels9):
@@ -135,7 +136,7 @@ class TestFitNinePoints:
         params = trace.params
         d, c = labels9.d, labels9.c
         L = eval_numeric(
-            parse("xaAa_1"), params.environment().with_x(d)
+            parse("xaAa_1"), params_environment(params).with_x(d)
         )
         da1 = join(d, params.a1)
         cd = join(c, d)
@@ -384,7 +385,7 @@ class TestTangentThird:
         assert incidence(result.tangent, result.w) == 0
         assert evaluate_cubic(params, result.w) == 0
         # the auxiliary conic passes through all recorded points
-        env = params.environment()
+        env = params_environment(params)
         aux_env = Environment(
             {**{n: env.lookup(n) for n in env.names()}, "q": result.q}
         )
@@ -409,7 +410,7 @@ class TestTangentThird:
                 # separate, known gap of the fit; it builds no y to check
                 continue
             result = tangent_third_point(params)
-            env = params.environment()
+            env = params_environment(params)
             y, b = result.y, params.b
             lam = eval_numeric(lam_ast, env)
             assert eval_numeric(conic_ast, env.with_x(y)) == 0
@@ -441,7 +442,7 @@ class TestTangentThird:
             except DegenerateIntermediateError:
                 continue
             result = tangent_third_point(params)
-            env = params.environment()
+            env = params_environment(params)
             aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
             conic = eval_symbolic(conic_ast, aux_env)
             assert not conic.is_zero
@@ -461,7 +462,7 @@ class TestTangentThird:
         labels = nine_with_anchor(pool, anchor)
         params = fit_nine_points(labels)
         result = tangent_third_point(params)
-        env = params.environment()
+        env = params_environment(params)
         aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
         assert eval_numeric(parse("qc.qb_1CkBb"), aux_env).is_zero
         assert projectively_equal(result.w, oracle.third(f, anchor, anchor))
@@ -484,7 +485,7 @@ class TestTangentThird:
                     # the tangent formula's own degenerate step, or the fit's
                     assert "five points" not in str(exc)
                     continue
-                env = params.environment()
+                env = params_environment(params)
                 aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
                 x5s = [eval_numeric(parse(t), aux_env) for t in ("qc.qb_1CkBb", "a_1c.a_1b_1CkBb")]
                 abc = (params.a, params.b, params.c)
@@ -603,7 +604,7 @@ def deflation_y(labels, params):
     route: expand the cubic, restrict it to ef and deflate the known
     roots e and f."""
     e, f = labels.e, labels.f
-    form = restrict_to_line(eval_symbolic(AUX_CUBIC, params.environment()), e, f)
+    form = restrict_to_line(eval_symbolic(AUX_CUBIC, params_environment(params)), e, f)
     assert form[0] == 0 and form[3] == 0
     c1, c2 = form[1], form[2]
     return canonicalize(Point(*(-c2 * ec + c1 * fc for ec, fc in zip(e.coords, f.coords))))
@@ -613,7 +614,7 @@ class TestConicCubicSixth:
     def test_chord_pool_on_auxiliary_cubic(self):
         checked = 0
         for labels, params in fitted_sixth_cases():
-            env = params.environment()
+            env = params_environment(params)
             env = Environment({**{n: env.lookup(n) for n in env.names()}, **labels.labelled()})
             for ast in (*AUX_POOL, parse("e"), parse("f")):
                 x = eval_numeric(ast, env)
@@ -628,7 +629,7 @@ class TestConicCubicSixth:
             y = deflation_y(labels, params)
             assert result.y == y
             assert result.params == params
-            env = params.environment().with_x(y)
+            env = params_environment(params).with_x(y)
             assert result.z == canonicalize(eval_numeric(parse("xc.xa_1Aa"), env))
             checked += 1
         assert checked >= 390
@@ -1192,7 +1193,7 @@ class TestTupleKernels:
         )
         x = Point(*x)
         got = evaluate_cubic(cubic, x)
-        expected = eval_numeric(parse(cons.CUBIC_EXPRESSION), cubic.environment().with_x(x))
+        expected = eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(cubic).with_x(x))
         assert got == expected
         assert type(got) is type(expected)
         return got
@@ -1209,7 +1210,7 @@ class TestTupleKernels:
         cubic = cons.CubicParams(
             *(Point(*t) for t in params[:6]), *(Line(*t) for t in params[6:])
         )
-        expected = eval_symbolic(parse(cons.CUBIC_EXPRESSION), cubic.environment())
+        expected = eval_symbolic(parse(cons.CUBIC_EXPRESSION), params_environment(cubic))
         assert expand_cubic(cubic) == expected
 
     @given(
@@ -1231,7 +1232,7 @@ class TestTupleKernels:
             *(Point(*t) for t in params[:6]), *(Line(*t) for t in params[6:])
         )
         got = cons._sixth_conic_value(cubic, x)
-        expected = eval_numeric(parse("xaAa_1Bcx"), cubic.environment().with_x(Point(*x)))
+        expected = eval_numeric(parse("xaAa_1Bcx"), params_environment(cubic).with_x(Point(*x)))
         assert got == expected
         assert type(got) is type(expected)
 
@@ -1253,7 +1254,7 @@ class TestTupleKernels:
         for name, wrong in (("a1", Line(*params.a1.coords)), ("B", Point(*params.B.coords))):
             bad = dataclasses.replace(params, **{name: wrong})
             with pytest.raises(KindError):
-                eval_numeric(parse(cons.CUBIC_EXPRESSION), bad.environment().with_x(x))
+                eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(bad).with_x(x))
             with pytest.raises(KindError):
                 evaluate_cubic(bad, x)
 

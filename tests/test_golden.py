@@ -5,8 +5,10 @@
 has non-integral rational points and lines; ``golden/flex.scene`` has nine
 points of y^2 = x^3 + 17 whose label ``a`` is a flex; ``golden/tall.scene``
 has that flex as ``a`` and the multiples 10P..20P of P = [1:-2:3] (99 to 394
-bits), so ``group_add`` runs the anchored chord on tall coordinates.  Each
-case runs one command in process and compares its stdout and exit code with
+bits), so ``group_add`` runs the anchored chord on tall coordinates;
+``golden/conic-line.scene`` is a conic plus a line, a cubic with two
+components.  Each case runs one command in process, the ``grid-plot`` case
+through ``tools/plot.py``, and compares its stdout and exit code with
 ``golden/<case>.txt``.
 
 After an intended report change, regenerate the files with
@@ -20,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from grassmann.cli import main
+
+from plot_script import plot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,7 +48,6 @@ _PER_SCENE = {
 
 CASES = {
     "random-seed1-count4": ["random", "--seed", "1", "--count", "4"],
-    "grid-plot": ["plot", "--in", str(GOLDEN / "grid.scene")],
     # the fifth point repeats the first (b1 = a): the join a b1 is the zero
     # line, so m1 = (a b1).(a1 b) is the zero point
     "grid-pascal-zero-meet": [
@@ -66,22 +69,38 @@ _TALL = {
 }
 for _name, _argv in _TALL.items():
     CASES[f"tall-{_name}"] = [*_argv, "--in", str(GOLDEN / "tall.scene")]
+# a conic plus a line: every command but conic_sixth answers on it
+_CONIC_LINE = {
+    "fit9": ["fit9"],
+    "third_point": ["third_point"],
+    "third_point-two": ["third_point", "--point", "a", "--point", "b"],
+    "tangent": ["tangent"],
+    "tangent_third": ["tangent_third"],
+    "is_flex": ["is_flex"],
+}
+for _name, _argv in _CONIC_LINE.items():
+    CASES[f"conic-line-{_name}"] = [*_argv, "--in", str(GOLDEN / "conic-line.scene")]
 for _scene in ("grid", "rational"):
     for _name, _argv in _PER_SCENE.items():
         CASES[f"{_scene}-{_name}"] = [*_argv, "--in", str(GOLDEN / f"{_scene}.scene")]
 
 
-def _run(argv) -> str:
+# each case with the main that runs it
+RUNS = {name: (main, argv) for name, argv in CASES.items()}
+RUNS["grid-plot"] = (plot.main, ["--in", str(GOLDEN / "grid.scene")])
+
+
+def _run(entry, argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = entry(argv)
     return f"{out.getvalue()}exit: {code}\n"
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(RUNS))
 def test_report_is_byte_identical(case):
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
-    assert _run(CASES[case]) == expected
+    assert _run(*RUNS[case]) == expected
 
 
 def test_grid_scene_is_the_random_scene():
@@ -91,6 +110,6 @@ def test_grid_scene_is_the_random_scene():
 
 
 if __name__ == "__main__":
-    for name, argv in sorted(CASES.items()):
-        (GOLDEN / f"{name}.txt").write_text(_run(argv), encoding="utf-8")
-    print(f"wrote {len(CASES)} golden reports to {GOLDEN}")
+    for name, run in sorted(RUNS.items()):
+        (GOLDEN / f"{name}.txt").write_text(_run(*run), encoding="utf-8")
+    print(f"wrote {len(RUNS)} golden reports to {GOLDEN}")

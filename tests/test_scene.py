@@ -57,21 +57,6 @@ def test_a_malformed_triple_names_its_line(entry, message):
         ("viewport = 0, 1/0, -5, 5", "line 2: bad rational ' 1/0'"),
         ("viewport = 0, 1, -5", "line 2: viewport needs four rationals"),
         pytest.param(
-            f"viewport = -1{'0' * 400}, 1{'0' * 400}, -1, 1",
-            "line 2: viewport bounds must fit in a float",
-            id="beyond-floats",
-        ),
-        pytest.param(
-            f"viewport = 0, 1/1{'0' * 400}, -1, 1",
-            "line 2: viewport needs xmin < xmax and ymin < ymax",
-            id="equal-as-floats",
-        ),
-        pytest.param(
-            "viewport = -1e308, 1e308, -1, 1",
-            "line 2: viewport width and height must fit in a float",
-            id="width-beyond-floats",
-        ),
-        pytest.param(
             "viewport = -1, 1, -1, 1\nviewport = -2, 2, -2, 2",
             "line 3: duplicate viewport",
             id="duplicate",

@@ -1,21 +1,53 @@
-"""SVG rendering of scenes and curves.
+"""SVG drawing of a scene: its points, its lines and the cubic through a..i.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tools/plot.py --in FILE [--out FILE]
 
 Display only: coordinates are converted to floats for layout and the
 curve is traced by sign changes of the dehomogenized polynomial on a
-pixel grid.  No verdict anywhere in the package depends on these floats.
+pixel grid.  The package decides every verdict exactly and holds no
+float; this script is a client of its public names, and nothing it
+draws feeds back into a verdict.
+
+The box drawn is the scene's exact ``viewport``, or -12..12 on both axes
+without one.  Exit codes: 0 drawn, 2 the nine labels fix no cubic
+(degenerate fit), 3 a scene, I/O or viewport error: a viewport whose
+bounds, width or height no float holds, one that is empty in floats, or
+one on which floats cannot evaluate the curve.
 """
 
 from __future__ import annotations
 
+import argparse
+import math
+import sys
 from fractions import Fraction
 
-from .core import Line, Point
-from .poly import HomPoly, monomials
-
-__all__ = ["render_svg"]
+from grassmann.constructions import ConstructionError, NinePointLabels, expand_cubic, fit_nine_points
+from grassmann.core import Line, Point
+from grassmann.poly import HomPoly, monomials
+from grassmann.scene import Scene, SceneError
 
 _SIZE = 640
 _GRID = 240
+_DEFAULT_BOX = (-12.0, 12.0, -12.0, 12.0)
+
+
+def _box(scene: Scene):
+    """The scene's viewport in floats, refused unless floats hold its
+    bounds, width and height and keep it nonempty."""
+    if scene.viewport is None:
+        return _DEFAULT_BOX
+    try:
+        xmin, xmax, ymin, ymax = (float(v) for v in scene.viewport)
+    except OverflowError:
+        raise SceneError("viewport bounds must fit in a float") from None
+    if not (xmin < xmax and ymin < ymax):
+        raise SceneError("viewport needs xmin < xmax and ymin < ymax in floats")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise SceneError("viewport width and height must fit in a float")
+    return xmin, xmax, ymin, ymax
 
 
 def _affine(p: Point):
@@ -75,6 +107,7 @@ def _curve_segments(f: HomPoly, box):
 
     Terms are summed in :func:`monomials` order, so the floats (and the
     drawing) do not depend on the order in which f's terms were built.
+    A box on which some grid value overflows a float is refused.
     """
     terms = zip(monomials(f.degree), _floats(f.coefficient_vector()))
     coeffs = [(mono, c) for mono, c in terms if c]
@@ -88,7 +121,13 @@ def _curve_segments(f: HomPoly, box):
     xmin, xmax, ymin, ymax = box
     dx = (xmax - xmin) / _GRID
     dy = (ymax - ymin) / _GRID
-    grid = [[val(xmin + ix * dx, ymin + iy * dy) for iy in range(_GRID + 1)] for ix in range(_GRID + 1)]
+    try:
+        grid = [[val(xmin + ix * dx, ymin + iy * dy) for iy in range(_GRID + 1)] for ix in range(_GRID + 1)]
+        finite = all(math.isfinite(v) for column in grid for v in column)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SceneError("viewport too large: floats cannot evaluate the curve on it")
     segments = []
 
     def interp(x1, y1, v1, x2, y2, v2):
@@ -120,13 +159,9 @@ def _curve_segments(f: HomPoly, box):
     return segments
 
 
-def render_svg(scene, cubic: HomPoly | None = None) -> str:
-    """An SVG drawing of the scene's points and lines plus an optional curve."""
-    if scene.viewport is not None:
-        box = tuple(float(v) for v in scene.viewport)
-    else:
-        box = (-12.0, 12.0, -12.0, 12.0)
-
+def render_svg(scene: Scene, box, cubic: HomPoly | None = None) -> str:
+    """An SVG drawing of the scene's points and lines in the float box,
+    plus an optional curve."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -176,3 +211,43 @@ def render_svg(scene, cubic: HomPoly | None = None) -> str:
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def plot(scene: Scene) -> str:
+    """The drawing of the scene, with the cubic through its labels a..i
+    when it has all nine.  The box is checked before the fit."""
+    box = _box(scene)
+    try:
+        labels = NinePointLabels.from_points(scene.nine_points())
+    except SceneError:
+        return render_svg(scene, box)
+    return render_svg(scene, box, expand_cubic(fit_nine_points(labels)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="plot.py", description="Draw a grassmann scene and the cubic through a..i as SVG."
+    )
+    parser.add_argument("--in", dest="infile", help="scene file")
+    parser.add_argument("--out", dest="outfile", help="write the SVG here instead of stdout")
+    args = parser.parse_args(argv)
+    try:
+        if not args.infile:
+            raise SceneError("plot needs --in FILE")
+        svg = plot(Scene.load(args.infile))
+        if args.outfile:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        else:
+            sys.stdout.write(svg)
+    except (SceneError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ConstructionError as exc:
+        print(f"degenerate: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
