@@ -17,12 +17,10 @@ from . import constructions as cons
 from . import oracle
 from .core import KindError, Point, incidence, projectively_equal
 from .expr import (
-    Chain,
     Environment,
-    Group,
     ParseError,
     UnboundNameError,
-    Var,
+    contains_x,
     eval_numeric,
     eval_symbolic,
     parse,
@@ -135,7 +133,7 @@ def cmd_eval(scene: Scene, args, report: Report) -> int:
     report.add_check("pretty-print-roundtrip", parse(pretty_print(expr)) == expr)
     if is_equation:
         report.add_diagnostic("input carried '=0'; treated as a curve equation")
-    if _contains_var(expr) and x_binding is None:
+    if contains_x(expr) and x_binding is None:
         value = eval_symbolic(expr, env)
         if isinstance(value, HomPoly):
             report.add_output(f"form of degree {value.degree}", _poly_str(value))
@@ -153,14 +151,6 @@ def cmd_eval(scene: Scene, args, report: Report) -> int:
         else:
             report.add_output("scalar result", str(value))
     return 0
-
-
-def _contains_var(e) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Chain, Group)):
-        return any(_contains_var(p) for p in e.parts)
-    return False
 
 
 def cmd_third_point(scene: Scene, args, report: Report) -> int:

@@ -42,6 +42,7 @@ __all__ = [
     "parse",
     "parse_statement",
     "pretty_print",
+    "contains_x",
     "eval_numeric",
     "eval_symbolic",
 ]
@@ -236,17 +237,15 @@ def _expected_kind(name: str) -> str:
 class Environment:
     """Bindings for operand names; lowercase bind points, uppercase lines.
 
-    The variable x may also be bound (to a point) for numeric evaluation.
+    The variable x is bound (to a point) only through ``x=``, for numeric
+    evaluation.
     """
 
     def __init__(self, bindings: Mapping[str, GeomObject] | None = None, x: Point | None = None):
         self._bindings: dict[str, GeomObject] = {}
         for name, value in (bindings or {}).items():
             if name == "x":
-                if x is not None:
-                    raise ValueError("x bound twice")
-                x = value
-                continue
+                raise ValueError("x is the variable point: bind it with x=, not as a name")
             kind = _expected_kind(name)
             if core.kind_of(value) != kind:
                 raise KindError(f"{name!r} must be bound to a {kind}")
@@ -272,6 +271,15 @@ class Environment:
 # evaluation
 
 
+def contains_x(e: Expr) -> bool:
+    """Whether the variable point x occurs in the expression."""
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, (Chain, Group)):
+        return any(contains_x(p) for p in e.parts)
+    return False
+
+
 def eval_numeric(e: Expr, env: Environment) -> GeomObject:
     """Left-to-right fold through the typed product, with exact arithmetic.
 
@@ -292,16 +300,9 @@ def eval_numeric(e: Expr, env: Environment) -> GeomObject:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_PRODUCT_KIND = {
-    ("point", "point"): "line",
-    ("line", "line"): "point",
-    ("line", "point"): "scalar",
-    ("point", "line"): "scalar",
-    ("scalar", "point"): "point",
-    ("scalar", "line"): "line",
-    ("point", "scalar"): "point",
-    ("line", "scalar"): "line",
-}
+# a zero object of each kind, so that core.product decides the kind of
+# every symbolic product
+_ZERO_OF_KIND = {"point": core.ZERO_POINT, "line": core.ZERO_LINE, "scalar": 0}
 
 
 def _eval_sym(e: Expr, env: Environment) -> tuple:
@@ -315,10 +316,7 @@ def _eval_sym(e: Expr, env: Environment) -> tuple:
         kind, acc = _eval_sym(e.parts[0], env)
         for part in e.parts[1:]:
             kind2, value = _eval_sym(part, env)
-            try:
-                product = _PRODUCT_KIND[(kind, kind2)]
-            except KeyError:
-                raise KindError("scalar*scalar has no geometric meaning") from None
+            product = core.kind_of(core.product(_ZERO_OF_KIND[kind], _ZERO_OF_KIND[kind2]))
             if kind == "scalar":
                 acc = poly_scale(acc, value)
             elif kind2 == "scalar":

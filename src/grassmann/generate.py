@@ -24,21 +24,15 @@ __all__ = ["random_nine_points", "random_scene", "GRID_BOUND"]
 GRID_BOUND = 10
 
 
-def random_nine_points(rng: random.Random, bound: int = GRID_BOUND) -> NinePointLabels:
-    """Nine distinct general-position grid points, deterministic in rng state.
-
-    The grid has (2*bound + 1)^2 points; for bound < 2 it has no nine in
-    general position (a 3x3 grid always holds a collinear triple), so the
-    search could never end and a ValueError is raised instead.
-    """
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
+def random_nine_points(rng: random.Random) -> NinePointLabels:
+    """Nine distinct general-position points of the grid with coordinates
+    in [-GRID_BOUND, GRID_BOUND], deterministic in rng state."""
     while True:
         pts: list[Point] = []
         seen = set()
         while len(pts) < 9:
-            x = rng.randint(-bound, bound)
-            y = rng.randint(-bound, bound)
+            x = rng.randint(-GRID_BOUND, GRID_BOUND)
+            y = rng.randint(-GRID_BOUND, GRID_BOUND)
             if (x, y) in seen:
                 continue
             seen.add((x, y))

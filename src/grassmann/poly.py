@@ -13,7 +13,7 @@ Coefficients are kept exactly as given, like coordinates in
 :func:`evaluate`, :func:`restrict_to_line`, :func:`poly_cross` and
 :func:`poly_dot`.  ``nullspace_fit`` back-substitutes in integers, so a
 ``Fraction`` appears only where an input already holds one.  The public
-coefficient accessors (:attr:`HomPoly.coeffs`, :meth:`HomPoly.coefficient`,
+coefficient accessors (:attr:`HomPoly.coeffs`,
 :meth:`HomPoly.coefficient_vector`) return ``Fraction`` values, so ``/`` on
 them stays exact.
 """
@@ -95,10 +95,6 @@ class HomPoly:
         self._terms = terms
 
     @classmethod
-    def zero(cls, degree: int) -> "HomPoly":
-        return cls(degree)
-
-    @classmethod
     def constant(cls, value) -> "HomPoly":
         return cls(0, {(0, 0, 0): value})
 
@@ -116,9 +112,6 @@ class HomPoly:
         """The nonzero coefficients in :func:`monomials` order, as ``Fraction`` values."""
         terms = self._terms
         return {m: Fraction(terms[m]) for m in monomials(self.degree) if m in terms}
-
-    def coefficient(self, mono) -> Fraction:
-        return Fraction(self._terms.get(tuple(mono), 0))
 
     def coefficient_vector(self) -> list[Fraction]:
         return [Fraction(c) for c in self._vector()]
@@ -257,9 +250,6 @@ class PolyVector:
     @classmethod
     def variable(cls) -> "PolyVector":
         return cls(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
-
-    def substitute(self, p) -> tuple[Scalar, Scalar, Scalar]:
-        return tuple(evaluate(f, p) for f in self.entries)
 
 
 def poly_cross(u: PolyVector, v: PolyVector) -> PolyVector:

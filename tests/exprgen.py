@@ -5,22 +5,15 @@ from __future__ import annotations
 
 import random
 
-from grassmann.core import Line, Point
+from grassmann.core import ZERO_LINE, ZERO_POINT, KindError, Line, Point, kind_of, product
 from grassmann.expr import Chain, Environment, Group, Name, VAR, Expr
 
 POINT_NAMES = ["a", "b", "c", "k", "p", "q", "r", "s", "a_1", "b_1", "c_1", "g_2", "h_1"]
 LINE_NAMES = ["A", "B", "C", "D", "K", "L", "M"]
 
-_PRODUCT_KIND = {
-    ("point", "point"): "line",
-    ("line", "line"): "point",
-    ("line", "point"): "scalar",
-    ("point", "line"): "scalar",
-    ("scalar", "point"): "point",
-    ("scalar", "line"): "line",
-    ("point", "scalar"): "point",
-    ("line", "scalar"): "line",
-}
+# a zero object of each kind: core.product on two of them gives the kind
+# of their product, or a KindError for scalar*scalar
+_ZERO_OF_KIND = {"point": ZERO_POINT, "line": ZERO_LINE, "scalar": 0}
 
 
 def random_ast(rng: random.Random, depth: int = 0) -> Expr:
@@ -60,8 +53,9 @@ def typed_random_expr(rng: random.Random, depth: int = 0):
             parts.append(sub)
             kind = sub_kind
             continue
-        next_kind = _PRODUCT_KIND.get((kind, sub_kind))
-        if next_kind is None:
+        try:
+            next_kind = kind_of(product(_ZERO_OF_KIND[kind], _ZERO_OF_KIND[sub_kind]))
+        except KindError:
             continue
         parts.append(sub)
         kind = next_kind

@@ -7,7 +7,10 @@ supported Python, and not only in a benchmark run.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,44 @@ def test_lower_layers_do_not_import_constructions(path):
     assert imported, "no imports found; the walk is broken"
     bad = sorted(m for m in imported if m.startswith(CONSTRUCTION_LAYER))
     assert bad == []
+
+
+def test_lower_layers_load_without_constructions():
+    """Importing the lower layers runs the package's __init__ too, and it
+    must not pull the construction layer in behind them."""
+    code = (
+        "import sys\n"
+        "import grassmann.oracle, grassmann.core, grassmann.poly, grassmann.expr, grassmann.scene\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({CONSTRUCTION_LAYER!r})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
+def test_package_namespace_binds_only_the_version():
+    """Every name is imported from its module: the package's __init__
+    holds its docstring and __version__, and no re-export."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__version__"]:
+            bound.append("__version__")
+        else:
+            bound.append(f"{type(node).__name__} at line {node.lineno}")
+    assert bound == ["__version__"]
+
+
+def test_cli_leaves_the_expression_tree_to_expr():
+    """The CLI asks expr whether x is free; it imports no tree node class."""
+    imported = _imported_modules(PACKAGE / "cli.py", "grassmann")
+    assert "grassmann.expr.parse" in imported, "no expr import found; the walk is broken"
+    nodes = {f"grassmann.expr.{n}" for n in ("Name", "Var", "Chain", "Group", "Expr", "VAR")}
+    assert sorted(imported & nodes) == []
 
 
 @pytest.mark.parametrize(

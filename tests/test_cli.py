@@ -279,7 +279,7 @@ class TestCommands:
         from grassmann import cli
 
         fitted = cli._fitted
-        monkeypatch.setattr(cli, "_fitted", lambda scene: (fitted(scene)[0], HomPoly.zero(3)))
+        monkeypatch.setattr(cli, "_fitted", lambda scene: (fitted(scene)[0], HomPoly(3)))
         code, out, err = run_cli([*argv, "--in", str(GOLDEN / "grid.scene")], capsys)
         assert (code, out) == (2, "")
         assert err == "degenerate: membership in the zero polynomial is vacuous\n"

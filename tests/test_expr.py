@@ -24,6 +24,7 @@ from grassmann.expr import (
     UnboundNameError,
     VAR,
     Var,
+    contains_x,
     eval_numeric,
     eval_symbolic,
     parse,
@@ -215,6 +216,19 @@ class TestNumericEvaluation:
         with pytest.raises(KindError):
             Environment({}, x=Line(1, 0, 0))
 
+    def test_x_binds_only_through_the_keyword(self):
+        with pytest.raises(ValueError, match="x="):
+            Environment({"x": Point(1, 0, 0)})
+        with pytest.raises(ValueError, match="x="):
+            Environment({"a": Point(1, 0, 0), "x": Point(0, 1, 0)}, x=Point(0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "text, free",
+        [("ab.cd", False), ("x", True), ("xaAbBcx", True), ("ab(c.(d.x))", True), ("(A.B.C)p", False)],
+    )
+    def test_contains_x(self, text, free):
+        assert contains_x(parse(text)) is free
+
 
 def reference_symbolic(e, env):
     """(kind, value) by folding PolyVector operands through poly_cross,
@@ -309,7 +323,7 @@ class TestSymbolicEvaluation:
         assert_same_expansion(vec, reference_symbolic(ast, env)[1])
         x = Point(2, -1, 5)
         s = bracket(x, p, q)
-        assert vec.substitute(x) == tuple(s * c for c in x.coords)
+        assert tuple(evaluate(f, x) for f in vec.entries) == tuple(s * c for c in x.coords)
 
     def test_terms_in_monomial_order(self):
         env = Environment({"a": Point(1, 2, 3), "b": Point(2, -1, 1), "A": Line(1, 1, -2)})
@@ -328,7 +342,7 @@ class TestSymbolicEvaluation:
         f = eval_symbolic(parse("(x.p.q)"), Environment({"p": p, "q": q}))
         assert isinstance(f, HomPoly) and f.degree == 1
         expected = join(p, q)
-        coeffs = [f.coefficient((1, 0, 0)), f.coefficient((0, 1, 0)), f.coefficient((0, 0, 1))]
+        coeffs = [f.coeffs.get(m, 0) for m in monomials(1)]
         assert projectively_equal(Line(*coeffs), expected)
 
     def test_conic_expression_is_degree_two(self):
@@ -354,4 +368,4 @@ class TestSymbolicEvaluation:
             if kind == "scalar":
                 assert evaluate(symbolic, env.x) == numeric
             else:
-                assert symbolic.substitute(env.x) == numeric.coords
+                assert tuple(evaluate(f, env.x) for f in symbolic.entries) == numeric.coords

@@ -43,7 +43,7 @@ class TestMembership:
 
     def test_zero_polynomial_error(self):
         with pytest.raises(ZeroPolynomialError):
-            cubic_membership(HomPoly.zero(3), Point(1, 0, 0))
+            cubic_membership(HomPoly(3), Point(1, 0, 0))
 
     def test_zero_point_refused(self):
         # every form vanishes at the zero triple, which is no point
