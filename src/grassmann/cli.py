@@ -56,7 +56,7 @@ def _load_scene(args) -> Scene:
 
 
 def _poly_str(f: HomPoly) -> str:
-    return "[" + ":".join(str(c) for c in f.primitive().coefficient_vector()) + "]"
+    return "[" + ":".join(str(c) for c in f.coefficient_vector()) + "]"
 
 
 def _nine(scene: Scene) -> cons.NinePointLabels:
@@ -136,11 +136,11 @@ def cmd_eval(scene: Scene, args, report: Report) -> int:
     if contains_x(expr) and x_binding is None:
         value = eval_symbolic(expr, env)
         if isinstance(value, HomPoly):
-            report.add_output(f"form of degree {value.degree}", _poly_str(value))
+            report.add_output(f"form of degree {value.degree}", _poly_str(value.primitive()))
         else:
             report.add_output(
                 "symbolic triple",
-                "; ".join(_poly_str(entry) for entry in value.entries),
+                "; ".join(_poly_str(entry) for entry in value.primitive().entries),
             )
     else:
         value = eval_numeric(expr, env)
@@ -195,7 +195,7 @@ def cmd_tangent_third(scene: Scene, args, report: Report) -> int:
     report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, result.w))
     mult, w_oracle = oracle.tangent_third(f, result.tangent, params.a)
     report.add_check("contact-order-at-least-2", mult >= 2)
-    if result.is_flex_case:
+    if projectively_equal(result.w, params.a):
         report.add_diagnostic("a is a flex: the tangent third point coincides with a")
         report.add_check("flex-contact-order-3", mult == 3)
     else:
@@ -320,7 +320,14 @@ _SCENE_COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing keeps no state between calls: every call gets a fresh
+    namespace, and ``append`` copies the shared ``--point`` default before
+    adding to it.
+    """
     parser = argparse.ArgumentParser(
         prog="grassmann",
         description="Exact straightedge constructions on plane cubic curves.",
@@ -348,19 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process.
-
-    Parsing keeps no state between calls: every call gets a fresh
-    namespace, and ``append`` copies the shared ``--point`` default before
-    adding to it.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         command, counts = _SCENE_COMMANDS.get(args.command, (None, (0,)))
         if len(args.points) not in counts:

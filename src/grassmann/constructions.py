@@ -52,7 +52,6 @@ __all__ = [
     "CubicParams",
     "NinePointLabels",
     "NinePointFit",
-    "SecondIntersection",
     "TangentThirdResult",
     "SixthPointResult",
     "CUBIC_EXPRESSION",
@@ -251,6 +250,14 @@ def _fit(pts: NinePointLabels) -> tuple[CubicParams, tuple]:
     Recipe: A = de, B = ef, a1 = af.cd; for each of g, h, i the pair
     p1 = paAa1.pc and p2 = pbB; C = e i1; y = h1g1Cg2.fh1 and
     z = g1h1Ch2.fg1; K = yz; k = K.i1i2; b1 = kg2Cg1.kf.
+
+    Once g1 and h1 exist, [e,g1,h1] = 0 is refused by that name.  The
+    fit would refuse such input anyway, at y, z or K: g2 = gbB and
+    h2 = hbB lie on B = ef and are not e (no three labels are collinear),
+    and C = e i1 passes through e.  With e on g1h1, g1h1.C is e, or zero
+    when g1h1 is C or g1 = h1 (then y is zero).  If it is e, the chains
+    h1g1Cg2 and g1h1Ch2 are both the line B, so y = B.fh1 and z = B.fg1
+    are f or zero, and K = yz is zero.
     """
     pts.validate()
     a, b, c, d, e, f, g, h, i = (p.coords for p in pts.as_tuple())
@@ -271,6 +278,8 @@ def _fit(pts: NinePointLabels) -> tuple[CubicParams, tuple]:
 
     g1, g2 = derived_pair(g, "g")
     h1, h2 = derived_pair(h, "h")
+    if _dot(e, cross(g1, h1)) == 0:
+        raise DegenerateIntermediateError("[e,g1,h1]")
     i1, i2 = derived_pair(i, "i")
 
     C = step("C=ei1", cross(e, i1))
@@ -858,12 +867,6 @@ def _tangent_with_contact(params: CubicParams) -> tuple[tuple, tuple]:
 # conics
 
 
-@dataclass(frozen=True)
-class SecondIntersection:
-    point: Point
-    is_tangent: bool
-
-
 def _line_pair(five):
     """How the conic through five coordinate triples splits: None when no
     three of them are collinear (the conic is smooth), else the line pair
@@ -885,16 +888,16 @@ def _line_pair(five):
     return _cross(a, b), _cross(d, e)
 
 
-def _second_intersection(five, pair, L, known) -> tuple[tuple, bool]:
+def _second_intersection(five, pair, L, known) -> tuple:
     """Second intersection x of the line L with the conic through the five
-    coordinate triples, and whether L is tangent at `known`, on a conic
-    split as _line_pair(five) gives it.  `known` lies on L and on the conic;
-    it may or may not be one of the five.
+    coordinate triples, on a conic split as _line_pair(five) gives it.
+    `known` lies on L and on the conic; it may or may not be one of the
+    five.  x is `known` exactly when L is tangent to the conic there.
 
     Line pair l1 l2: x is L.l2 when `known` is on l1 only, L.l1 when it is
-    on l2 only, and `known` itself, flagged tangent, when it is the double
-    point.  A line L of the pair lies on the conic, which
-    DegenerateIntermediateError reports.
+    on l2 only, and `known` itself when it is the double point.  L.l2 and
+    L.l1 are never `known`, which is off the other line.  A line L of the
+    pair lies on the conic, which DegenerateIntermediateError reports.
 
     Smooth conic: pa, pb, pc, pd are the first four of the five other than
     `known`.  By Pascal's theorem the hexagon x pa pb pc pd known has its
@@ -918,18 +921,17 @@ def _second_intersection(five, pair, L, known) -> tuple[tuple, bool]:
             raise DegenerateIntermediateError("the line is a line of the conic's pair")
         off = [line for line in pair if _dot(line, known) != 0]
         if not off:
-            return _canonical(known), True
-        return step("x=L.l", _cross(L, off[0])), False
+            return _canonical(known)
+        return step("x=L.l", _cross(L, off[0]))
     pa, pb, pc, pd = [pt for pt in five if any(_cross(pt, known))][:4]
     m1 = step("m1=L.pbpc", _cross(L, _cross(pb, pc)))
     m3 = step("m3=papb.pdk", _cross(_cross(pa, pb), _cross(pd, known)))
     axis = step("axis=m1m3", _cross(m1, m3))
     m2 = step("m2=axis.pcpd", _cross(axis, _cross(pc, pd)))
-    x = step("x=pam2.L", _cross(_cross(pa, m2), L))
-    return x, not any(_cross(x, known))
+    return step("x=pam2.L", _cross(_cross(pa, m2), L))
 
 
-def conic_line_second_intersection(five, L: Line, known: Point) -> SecondIntersection:
+def conic_line_second_intersection(five, L: Line, known: Point) -> Point:
     """Second intersection of a line with the conic through five points.
 
     `known` must lie on both the line and the conic.  The point is built
@@ -937,7 +939,7 @@ def conic_line_second_intersection(five, L: Line, known: Point) -> SecondInterse
     _second_intersection); a conic that is a line pair has its own
     branch.  On a smooth conic, the membership of `known` is one Pascal
     bracket of the hexagon through it and the five.  When the line is
-    tangent at `known` the result is `known`, flagged.
+    tangent at `known` the result is `known`.
     """
     five = [pt.coords for pt in five]
     if len(five) != 5:
@@ -957,8 +959,7 @@ def conic_line_second_intersection(five, L: Line, known: Point) -> SecondInterse
         on_conic = any(_dot(line, known) == 0 for line in pair)
     if not on_conic:
         raise HypothesisViolation("known point is not on the conic")
-    x, is_tangent = _second_intersection(five, pair, L, known)
-    return SecondIntersection(Point(*x), is_tangent)
+    return Point(*_second_intersection(five, pair, L, known))
 
 
 def conic_five_points(a: Point, b: Point, c: Point, A: Line, B: Line) -> list[Point]:
@@ -1021,7 +1022,6 @@ class TangentThirdResult:
     q: Point
     y: Point
     conic_points: tuple[Point, ...]
-    is_flex_case: bool
 
 
 def tangent_third_point(params: CubicParams) -> TangentThirdResult:
@@ -1031,8 +1031,8 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
     (qa1.xc.xbBkCb1) = 0 at a and at the wanted point w, which lies on
     the cubic.  Five points of that conic are built by joins and meets,
     and the five-point second-intersection step along the tangent gives
-    w.  That step flags a tangent line only when the point it finds is
-    a, so is_flex_case holds exactly when w is a.
+    w.  w is a exactly when the tangent meets the cubic three times at a,
+    that is when a is a flex (see is_flex).
 
     The conic points besides a, b and c come from one lemma.  For a
     point m, let lambda = mb1CkBb, that is m2 b with m1 = mb1.C and
@@ -1076,7 +1076,7 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
             raise ConstructionError(f"auxiliary conic misses {name}")
 
     five = tuple(base.values())
-    w, is_flex_case = _second_intersection(five, _line_pair(five), tangent, a)
+    w = _second_intersection(five, _line_pair(five), tangent, a)
     if _cubic_value(params, w) != 0:
         raise ConstructionError("tangent third point failed the membership check")
     return TangentThirdResult(
@@ -1085,14 +1085,13 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
         q=Point(*q),
         y=Point(*y),
         conic_points=tuple(Point(*x) for x in five),
-        is_flex_case=is_flex_case,
     )
 
 
 def is_flex(params: CubicParams) -> bool:
     """Whether the parameter point a is a flex: the tangent's third
     intersection point falls back on a itself."""
-    return tangent_third_point(params).is_flex_case
+    return projectively_equal(tangent_third_point(params).w, params.a)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,7 +1102,6 @@ def is_flex(params: CubicParams) -> bool:
 class SixthPointResult:
     z: Point
     y: Point
-    params: CubicParams
     coincides_with: str | None
 
 
@@ -1171,7 +1169,7 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
         raise ConstructionError("sixth point failed the exact membership checks")
 
     coincides = next((name for name, x in defining if not any(_cross(z, x))), None)
-    return SixthPointResult(z=Point(*z), y=y, params=params, coincides_with=coincides)
+    return SixthPointResult(z=Point(*z), y=y, coincides_with=coincides)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "projectively_equal",
     "canonicalize",
     "kind_of",
-    "scalar_equiv",
 ]
 
 _SCALAR_TYPES = (int, Fraction)
@@ -225,21 +224,17 @@ def product(g: GeomObject, h: GeomObject) -> GeomObject:
     raise KindError(f"not a geometric object: {g!r}")
 
 
-def scalar_equiv(a: Scalar, b: Scalar) -> bool:
-    """Scalars are equivalent when both are zero or both are nonzero."""
-    return (a == 0) == (b == 0)
-
-
 def projectively_equal(g: GeomObject, h: GeomObject) -> bool:
     """Equality up to a nonzero scalar factor.
 
-    Zero objects are equivalent only to the zero object of the same kind.
+    Zero objects are equivalent only to the zero object of the same kind,
+    so two scalars are equivalent when both are zero or both are nonzero.
     """
     kg, kh = kind_of(g), kind_of(h)
     if kg != kh:
         raise KindError(f"cannot compare {kg} with {kh}")
     if kg == "scalar":
-        return scalar_equiv(g, h)
+        return (g == 0) == (h == 0)
     if g.is_zero or h.is_zero:
         return g.is_zero and h.is_zero
     return all(c == 0 for c in _cross(g.coords, h.coords))
@@ -265,11 +260,6 @@ def _canonical(coords):
     return (x0 // common, x1 // common, x2 // common)
 
 
-def _nonzero_canonical(coords: tuple) -> tuple:
-    """The canonical form of a nonzero triple; a zero triple as it is."""
-    return _canonical(coords) if any(coords) else coords
-
-
 def _key(g) -> tuple:
     """The canonical key of a point or line: :func:`_canonical` of its
     coordinates, or the zero triple itself for a zero object.  Computed on
@@ -278,7 +268,8 @@ def _key(g) -> tuple:
         return g._key
     except AttributeError:
         pass
-    key = _nonzero_canonical(g.coords)
+    coords = g.coords
+    key = _canonical(coords) if any(coords) else coords
     _set_key(g, key)
     return key
 

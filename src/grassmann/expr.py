@@ -260,12 +260,6 @@ class Environment:
         except KeyError:
             raise UnboundNameError(name) from None
 
-    def names(self):
-        return self._bindings.keys()
-
-    def with_x(self, x: Point) -> "Environment":
-        return Environment(self._bindings, x=x)
-
 
 # ---------------------------------------------------------------------------
 # evaluation

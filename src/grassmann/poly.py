@@ -192,14 +192,7 @@ class HomPoly:
         """
         if self.is_zero:
             return self
-        vec = self._vector()
-        if any(type(c) is not int for c in vec):
-            denom_lcm = lcm(*(c.denominator for c in vec))
-            vec = [int(c * denom_lcm) for c in vec]
-        common = gcd(*vec)
-        if next(v for v in vec if v) < 0:
-            common = -common
-        return HomPoly(self.degree, {m: v // common for m, v in zip(monomials(self.degree), vec)})
+        return HomPoly(self.degree, dict(zip(monomials(self.degree), _primitive(self._vector()))))
 
     def __repr__(self):
         if self.is_zero:
@@ -212,6 +205,18 @@ class HomPoly:
             vars_ = "*".join(f"x{i}^{e}" for i, e in enumerate(mono) if e)
             parts.append(f"{c}*{vars_}" if vars_ else str(c))
         return f"HomPoly({' + '.join(parts)})"
+
+
+def _primitive(vec: list) -> list[int]:
+    """A coefficient list that is not all zero, scaled to coprime integers
+    with its first nonzero entry positive."""
+    if any(type(c) is not int for c in vec):
+        denom_lcm = lcm(*(c.denominator for c in vec))
+        vec = [int(c * denom_lcm) for c in vec]
+    common = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        common = -common
+    return [v // common for v in vec]
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,18 @@ class PolyVector:
     @property
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.entries)
+
+    def primitive(self) -> "PolyVector":
+        """The triple divided by one common content, so that the ratio of
+        its entries is kept: integer coefficients with gcd 1 over all three
+        entries, the first nonzero one positive (e0, e1, e2 in turn, each
+        in :func:`monomials` order)."""
+        if self.is_zero:
+            return self
+        flat = iter(_primitive([c for p in self.entries for c in p._vector()]))
+        return PolyVector(
+            *(HomPoly(p.degree, {m: next(flat) for m in monomials(p.degree)}) for p in self.entries)
+        )
 
     @classmethod
     def constant(cls, triple) -> "PolyVector":

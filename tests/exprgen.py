@@ -81,9 +81,10 @@ def random_environment(rng: random.Random, bound: int = 20) -> Environment:
     return Environment(bindings, x=Point(*triple()))
 
 
-def params_environment(params) -> Environment:
+def params_environment(params, x=None, **extra) -> Environment:
     """The nine parameters of a cubic bound to the names the cubic's
-    expression uses: a, a_1, b, b_1, c, k, A, B, C."""
+    expression uses: a, a_1, b, b_1, c, k, A, B, C, with `extra` names
+    (such as q) bound besides them and x bound to `x`."""
     return Environment(
         {
             "a": params.a,
@@ -95,5 +96,7 @@ def params_environment(params) -> Environment:
             "A": params.A,
             "B": params.B,
             "C": params.C,
-        }
+            **extra,
+        },
+        x=x,
     )

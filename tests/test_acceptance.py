@@ -128,26 +128,23 @@ def test_criterion_03_fit_incidence_replay():
     ok = True
     for labels, trace in fit_instances():
         params = trace.params
-        env = params_environment(params)
         # when x = d the first chain collapses onto the line cd
-        L = eval_numeric(chain_l, env.with_x(labels.d))
+        L = eval_numeric(chain_l, params_environment(params, x=labels.d))
         da1 = join(labels.d, params.a1)
         cd = join(labels.c, labels.d)
         if not (projectively_equal(L, da1) and projectively_equal(da1, cd)):
             ok = False
             break
-        aux_env = Environment(
-            {
-                "f": labels.f,
-                "g_1": trace.g1,
-                "g_2": trace.g2,
-                "h_1": trace.h1,
-                "h_2": trace.h2,
-                "C": params.C,
-            }
-        )
+        aux_bindings = {
+            "f": labels.f,
+            "g_1": trace.g1,
+            "g_2": trace.g2,
+            "h_1": trace.h1,
+            "h_2": trace.h2,
+            "C": params.C,
+        }
         if any(
-            eval_numeric(aux, aux_env.with_x(pt)) != 0
+            eval_numeric(aux, Environment(aux_bindings, x=pt)) != 0
             for pt in (trace.y, trace.z, params.k)
         ):
             ok = False
@@ -214,17 +211,13 @@ def test_criterion_06_tangent_third_and_flex():
             ok = False
             break
         mult, expected = tangent_third(f, result.tangent, params.a)
-        if (mult == 3) != result.is_flex_case or (mult == 3) != projectively_equal(
-            result.w, params.a
-        ):
+        if (mult == 3) != projectively_equal(result.w, params.a):
             ok = False
             break
         if not projectively_equal(result.w, expected):
             ok = False
             break
-        env = params_environment(params)
-        aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
-        conic = eval_symbolic(aux_conic_ast, aux_env)
+        conic = eval_symbolic(aux_conic_ast, params_environment(params, q=result.q))
         checkpoints = (params.a, params.b, params.c, result.y)
         if any(evaluate(conic, pt) != 0 for pt in checkpoints):
             ok = False

@@ -39,9 +39,9 @@ from grassmann.constructions import (
     third_point_general,
 )
 from grassmann.core import Line, Point, _canonical, _cross, _dot, join, meet
-from grassmann.expr import eval_symbolic, parse
+from grassmann.expr import Environment, eval_symbolic, parse
 from grassmann.generate import random_scene
-from grassmann.poly import evaluate, nullspace_fit
+from grassmann.poly import PolyVector, evaluate, nullspace_fit, poly_cross, poly_dot
 
 from curves import CURVES, FLEX, grow_pool, weierstrass
 from exprgen import params_environment
@@ -408,6 +408,61 @@ def test_the_closed_form_is_the_chain_of_joins_and_meets(group_pool, tall_pool):
         keys = {_canonical(pt.coords) for pt in points}
         assert refused["L=px"] == sum(fit.labels[0] in keys for fit in fits)
         assert refused["[c,b,x]"] >= 2 * len(fits)
+
+
+# _anchored_third's chain of joins and meets with O = b, as one expression:
+# Q_1.px and Q_2.px are phi(w) and phi(v), P_1.xc and P_2.xc are U and V
+CHORD_CHAIN = parse("b((Q_1.px)(P_1.xc).(Q_2.px)(P_2.xc)).px")
+CHORD_LINES = (("Q_1", "cb1"), ("Q_2", "cd"), ("P_1", "lw"), ("P_2", "lv"))
+X = PolyVector.variable()
+
+
+def assert_closed_form_is_the_chain_in_x(fit):
+    """The chain CHORD_CHAIN with Q_1 = cb1, Q_2 = cd, P_1 = lw and P_2 = lv,
+    expanded in a free point x, is g[x,c,b][p,x,c] times the closed form
+    z(x) = beta(cb1.x)(bp.x)(cd x L) - gamma(pc.x)(lw.x)(lv x L), L = p x x,
+    built from the record's fields, for one rational g, computed here.
+    Returns g."""
+    p, b, c = (Point(*key) for key in fit.labels[:3])
+    env = Environment(
+        {"p": p, "b": b, "c": c, **{n: Line(*getattr(fit, f)) for n, f in CHORD_LINES}}
+    )
+    chain = eval_symbolic(CHORD_CHAIN, env)
+    assert chain.degree == 5
+
+    def dot(t):
+        return poly_dot(PolyVector.constant(t), X)
+
+    def cross_L(t):
+        return poly_cross(PolyVector.constant(t), poly_cross(PolyVector.constant(p), X))
+
+    s = dot(fit.cb1) * dot(fit.bp) * fit.beta
+    t = dot(fit.pc) * dot(fit.lw) * fit.gamma
+    z = [u * s - v * t for u, v in zip(cross_L(fit.cd).entries, cross_L(fit.lv).entries)]
+    # [x,c,b] = cb.x and [p,x,c] = -pc.x
+    want = [dot(fit.cb) * -dot(fit.pc) * entry for entry in z]
+    # g from one nonzero coefficient; every other coefficient must agree
+    i = next(i for i, entry in enumerate(want) if not entry.is_zero)
+    mono, w = next(iter(want[i].coeffs.items()))
+    g = chain.entries[i].coeffs.get(mono, 0) / w
+    assert g != 0
+    assert chain.entries == tuple(entry * g for entry in want)
+    return g
+
+
+def test_the_closed_form_is_the_chain_as_forms_in_x(group_pool, tall_pool):
+    """_anchored_third's closed form times [x,c,b][p,x,c] is the chain of
+    joins and meets up to one factor g per fit, as triples of quintic forms
+    in x, so the docstring's expansion holds at every x and not only at
+    curve points: on every fit that one round of seeded criterion-09 sums
+    caches on the 40-point pool, and on the first fit at a multiple 12P."""
+    f, pool = group_pool
+    criterion_09_sums(pool, 9009, 1)
+    fits = [fit for fits in cons._ANCHOR_CACHE.values() for fit in fits]
+    assert len(fits) >= 5
+    fits.append(first_anchor_fit(tall_pool, tall_pool[0]))
+    # g differs between fits, so it is computed, not assumed
+    assert len({assert_closed_form_is_the_chain_in_x(fit) for fit in fits}) > 1
 
 
 def test_cold_and_warm_cache_give_the_same_sums(group_pool):

@@ -195,6 +195,22 @@ class TestCommands:
         assert code == 0
         assert "form of degree 2" in out
 
+    def test_eval_symbolic_triple_keeps_the_ratio_of_its_entries(self, capsys):
+        # xab.cd is the scalar [x,a,b] times the line cd, and on grid.scene
+        # cd = c x d = (-55, 0, 11), so the printed entries are in ratio
+        # -5 : 0 : 1, divided by one content for all three
+        scene = str(GOLDEN / "grid.scene")
+        code, out, _ = run_cli(["eval", "--in", scene, "--expr", "xab.cd"], capsys)
+        assert code == 0
+        (line,) = [t for t in out.splitlines() if t.startswith("output symbolic triple = ")]
+        e0, e1, e2 = (
+            [int(c) for c in entry.strip("[] ").split(":")]
+            for entry in line.split(" = ")[1].split(";")
+        )
+        assert any(e2)
+        assert e0 == [-5 * c for c in e2]
+        assert e1 == [0] * len(e2)
+
     def test_eval_parse_error(self, scene_path, capsys):
         code, _, err = run_cli(["eval", "--in", scene_path, "--expr", "a$$"], capsys)
         assert code == 3
@@ -767,10 +783,8 @@ class TestParserReuse:
     """`main` builds its parser once; no call may leak into the next."""
 
     def test_no_option_carries_over(self, scene_path, capsys):
-        from grassmann import cli
-
         def point_defaults():
-            return [cli._parser().parse_args([name]).points for name in ("third_point", "fit9")]
+            return [build_parser().parse_args([name]).points for name in ("third_point", "fit9")]
 
         scene = ["--in", scene_path]
         _, plain_third, _ = run_cli(["third_point", *scene], capsys)

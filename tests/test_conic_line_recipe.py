@@ -5,7 +5,7 @@ joins and meets (constructions._second_intersection).  The reference below
 is the ordering search it replaced: up to 120 orderings of the
 degenerate-hexagon construction through the object API, each candidate
 checked against the conic fitted by elimination.  Both must give the same
-point, the same tangent flag and the same exception type.
+point and the same exception type.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from grassmann.constructions import (
     ConstructionError,
     DegenerateIntermediateError,
     HypothesisViolation,
-    SecondIntersection,
     conic_line_second_intersection,
     tangent_third_point,
 )
@@ -45,7 +44,7 @@ CIRCLE = test_constructions.TestConicLineSecondIntersection.CIRCLE
 def reference_second_intersection(five, L, known):
     """The ordering search: the first ordering of four helpers whose
     degenerate-hexagon construction gives a conic point other than
-    `known`, else `known` flagged tangent if some ordering reached it."""
+    `known`, else `known` if some ordering reached it."""
     five = list(five)
     if len(five) != 5:
         raise ValueError("exactly five conic points required")
@@ -86,9 +85,9 @@ def reference_second_intersection(five, L, known):
             if projectively_equal(x, known):
                 tangent_hit = x
                 continue
-            return SecondIntersection(canonicalize(x), False)
+            return canonicalize(x)
     if tangent_hit is not None:
-        return SecondIntersection(canonicalize(tangent_hit), True)
+        return canonicalize(tangent_hit)
     raise DegenerateIntermediateError("conic-line second intersection")
 
 
@@ -97,7 +96,7 @@ def outcome(fn, *args):
         result = fn(*args)
     except (ConstructionError, ValueError) as exc:
         return type(exc)
-    return result.point.coords, result.is_tangent
+    return result.coords
 
 
 def assert_agrees(five, L, known):
@@ -120,9 +119,9 @@ def test_circle_matches_the_search():
     results = set()
     for known in CIRCLE:
         for L in lines_through(known, SMALL_PROBES):
-            results.add(assert_agrees(CIRCLE, L, known)[1:])
-    # secants and tangents both occur
-    assert {(False,), (True,)} <= results
+            results.add(assert_agrees(CIRCLE, L, known) == canonicalize(known).coords)
+    # secants and tangents (the known point again) both occur
+    assert results == {False, True}
     # a sixth point of the circle, not among the five, as the known point
     known = Point(5, 4, 3)
     for L in lines_through(known, SMALL_PROBES[:20]):
@@ -144,14 +143,14 @@ def test_pencil_conics_match_the_search():
 def test_line_pair_from_the_group_pool():
     five = [Point(1, -2, 3), Point(1, -2, -3), Point(1, -1, 4), Point(729, -1854, 541), Point(0, 0, 1)]
     L, known = Line(7, 2, -1), Point(1, -2, 3)
-    assert assert_agrees(five, L, known) == ((1, 8, 23), False)
+    assert assert_agrees(five, L, known) == (1, 8, 23)
 
 
 def test_line_pair_through_its_double_point():
     # x1 = 0 holds the first three, x2 = 0 the first and the last two
     five = [Point(1, 0, 0), Point(1, 0, 1), Point(1, 0, 2), Point(1, 1, 0), Point(1, 2, 0)]
     double = five[0]
-    assert assert_agrees(five, Line(0, 1, -1), double) == ((1, 0, 0), True)
+    assert assert_agrees(five, Line(0, 1, -1), double) == (1, 0, 0)
     assert assert_agrees(five, Line(0, 1, 0), double) is DegenerateIntermediateError
     for known in five:
         for L in lines_through(known, SMALL_PROBES):
@@ -254,5 +253,5 @@ def test_recipe_steps_never_vanish_on_a_smooth_conic(matrix, params, probe, know
         return
     result = conic_line_second_intersection(five, L, known)
     conic = nullspace_fit(five, 2)
-    assert incidence(L, result.point) == 0
-    assert evaluate(conic, result.point) == 0
+    assert incidence(L, result) == 0
+    assert evaluate(conic, result) == 0

@@ -47,7 +47,7 @@ from grassmann.core import (
     scale,
 )
 from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse
-from grassmann.generate import random_scene
+from grassmann.generate import random_nine_points, random_scene
 from grassmann.scene import Scene
 from grassmann.oracle import (
     gradient_tangent,
@@ -114,19 +114,17 @@ class TestFitNinePoints:
 
     def test_fit_certificate_k_on_auxiliary_cubic(self, labels9):
         trace = fit_nine_points_trace(labels9)
-        env = Environment(
-            {
-                "f": labels9.f,
-                "g_1": trace.g1,
-                "g_2": trace.g2,
-                "h_1": trace.h1,
-                "h_2": trace.h2,
-                "C": trace.params.C,
-            }
-        )
+        bindings = {
+            "f": labels9.f,
+            "g_1": trace.g1,
+            "g_2": trace.g2,
+            "h_1": trace.h1,
+            "h_2": trace.h2,
+            "C": trace.params.C,
+        }
         aux = parse("(xf.xg_2Cg_1.xh_2Ch_1)")
         for pt in (trace.params.k, trace.y, trace.z):
-            assert eval_numeric(aux, env.with_x(pt)) == 0
+            assert eval_numeric(aux, Environment(bindings, x=pt)) == 0
         for pt in (trace.y, trace.z):
             assert incidence(trace.params.B, pt) != 0
             assert incidence(trace.params.C, pt) != 0
@@ -135,9 +133,7 @@ class TestFitNinePoints:
         trace = fit_nine_points_trace(labels9)
         params = trace.params
         d, c = labels9.d, labels9.c
-        L = eval_numeric(
-            parse("xaAa_1"), params_environment(params).with_x(d)
-        )
+        L = eval_numeric(parse("xaAa_1"), params_environment(params, x=d))
         da1 = join(d, params.a1)
         cd = join(c, d)
         assert projectively_equal(L, da1)
@@ -316,8 +312,7 @@ class TestConicLineSecondIntersection:
         known = self.CIRCLE[0]
         L = join(known, self.CIRCLE[4])
         res = conic_line_second_intersection(self.CIRCLE, L, known)
-        assert not res.is_tangent
-        assert projectively_equal(res.point, self.CIRCLE[4])
+        assert projectively_equal(res, self.CIRCLE[4])
 
     def test_matches_deflation_oracle(self):
         rng = random.Random(4)
@@ -344,8 +339,8 @@ class TestConicLineSecondIntersection:
                 res = conic_line_second_intersection(five, L, known)
             except DegenerateIntermediateError:
                 continue
-            assert incidence(L, res.point) == 0
-            assert evaluate(conic, res.point) == 0
+            assert incidence(L, res) == 0
+            assert evaluate(conic, res) == 0
             form = restrict_to_line(conic, known, probe)
             assert form[0] == 0
             if form[1] != 0:
@@ -355,18 +350,17 @@ class TestConicLineSecondIntersection:
                         for kc, pc in zip(known.coords, probe.coords)
                     )
                 )
-                assert projectively_equal(res.point, expected)
+                assert projectively_equal(res, expected)
             else:
-                assert res.is_tangent and projectively_equal(res.point, known)
+                assert projectively_equal(res, known)
             checked += 1
 
-    def test_tangent_line_flagged(self):
+    def test_tangent_line_gives_the_known_point(self):
         # tangent to x1^2 + x2^2 = x0^2 at (1, 1, 0) is x0 - x1 = 0
         known = Point(1, 1, 0)
         T = Line(1, -1, 0)
         res = conic_line_second_intersection(self.CIRCLE, T, known)
-        assert res.is_tangent
-        assert projectively_equal(res.point, known)
+        assert projectively_equal(res, known)
 
     def test_known_must_be_on_line(self):
         with pytest.raises(HypothesisViolation):
@@ -385,11 +379,7 @@ class TestTangentThird:
         assert incidence(result.tangent, result.w) == 0
         assert evaluate_cubic(params, result.w) == 0
         # the auxiliary conic passes through all recorded points
-        env = params_environment(params)
-        aux_env = Environment(
-            {**{n: env.lookup(n) for n in env.names()}, "q": result.q}
-        )
-        conic = eval_symbolic(parse("(qa_1.xc.xbBkCb_1)"), aux_env)
+        conic = eval_symbolic(parse("(qa_1.xc.xbBkCb_1)"), params_environment(params, q=result.q))
         for pt in result.conic_points:
             assert evaluate(conic, pt) == 0
 
@@ -413,7 +403,7 @@ class TestTangentThird:
             env = params_environment(params)
             y, b = result.y, params.b
             lam = eval_numeric(lam_ast, env)
-            assert eval_numeric(conic_ast, env.with_x(y)) == 0
+            assert eval_numeric(conic_ast, params_environment(params, x=y)) == 0
             assert incidence(lam, y) == 0
             conic = nullspace_fit([eval_numeric(t, env) for t in five_asts], 2)
             u = second_point(lam, b)
@@ -442,9 +432,7 @@ class TestTangentThird:
             except DegenerateIntermediateError:
                 continue
             result = tangent_third_point(params)
-            env = params_environment(params)
-            aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
-            conic = eval_symbolic(conic_ast, aux_env)
+            conic = eval_symbolic(conic_ast, params_environment(params, q=result.q))
             assert not conic.is_zero
             assert len(result.conic_points) == 5
             for pt in result.conic_points:
@@ -462,11 +450,10 @@ class TestTangentThird:
         labels = nine_with_anchor(pool, anchor)
         params = fit_nine_points(labels)
         result = tangent_third_point(params)
-        env = params_environment(params)
-        aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
+        aux_env = params_environment(params, q=result.q)
         assert eval_numeric(parse("qc.qb_1CkBb"), aux_env).is_zero
         assert projectively_equal(result.w, oracle.third(f, anchor, anchor))
-        assert not result.is_flex_case
+        assert not projectively_equal(result.w, params.a)
 
     def test_collapsed_y_is_replaced_by_a_lemma_point(self):
         # on 8 of the first three anchored selections at each point of this
@@ -485,8 +472,7 @@ class TestTangentThird:
                     # the tangent formula's own degenerate step, or the fit's
                     assert "five points" not in str(exc)
                     continue
-                env = params_environment(params)
-                aux_env = Environment({**{n: env.lookup(n) for n in env.names()}, "q": result.q})
+                aux_env = params_environment(params, q=result.q)
                 x5s = [eval_numeric(parse(t), aux_env) for t in ("qc.qb_1CkBb", "a_1c.a_1b_1CkBb")]
                 abc = (params.a, params.b, params.c)
                 if any(projectively_equal(result.y, u) for u in abc):
@@ -520,7 +506,6 @@ class TestTangentThird:
         labels = nine_with_anchor(pool, FLEX)
         params = fit_nine_points(labels)
         result = tangent_third_point(params)
-        assert result.is_flex_case
         assert projectively_equal(result.w, FLEX)
         assert is_flex(params)
         assert hessian_flex_oracle(expand_cubic(params), FLEX)
@@ -614,11 +599,11 @@ class TestConicCubicSixth:
     def test_chord_pool_on_auxiliary_cubic(self):
         checked = 0
         for labels, params in fitted_sixth_cases():
-            env = params_environment(params)
-            env = Environment({**{n: env.lookup(n) for n in env.names()}, **labels.labelled()})
+            named = labels.labelled()
+            env = params_environment(params, **named)
             for ast in (*AUX_POOL, parse("e"), parse("f")):
                 x = eval_numeric(ast, env)
-                assert eval_numeric(AUX_CUBIC, env.with_x(x)) == 0
+                assert eval_numeric(AUX_CUBIC, params_environment(params, x=x, **named)) == 0
             checked += 1
         assert checked >= 390
 
@@ -628,8 +613,7 @@ class TestConicCubicSixth:
             result = conic_cubic_sixth(labels)
             y = deflation_y(labels, params)
             assert result.y == y
-            assert result.params == params
-            env = params_environment(params).with_x(y)
+            env = params_environment(params, x=y)
             assert result.z == canonicalize(eval_numeric(parse("xc.xa_1Aa"), env))
             checked += 1
         assert checked >= 390
@@ -1133,9 +1117,11 @@ K_VANISHES = [
 ]
 
 
-def reference_fit(labels):
+def reference_fit(labels, name_collinear_e_g1_h1=True):
     """The documented nine-point recipe on public join/meet/canonicalize,
-    as a dict of every NinePointFit field; a zero step raises with its name."""
+    as a dict of every NinePointFit field; a zero step raises with its name.
+    Without `name_collinear_e_g1_h1`, [e,g1,h1] = 0 is not tested, and the
+    recipe refuses such input at a later step."""
 
     def step(name, value):
         if value.is_zero:
@@ -1153,6 +1139,8 @@ def reference_fit(labels):
 
     g1, g2 = pair(g, "g")
     h1, h2 = pair(h, "h")
+    if name_collinear_e_g1_h1 and bracket(e, g1, h1) == 0:
+        raise DegenerateIntermediateError("[e,g1,h1]")
     i1, i2 = pair(i, "i")
     C = step("C=ei1", join(e, i1))
     y = step("y=h1g1Cg2.fh1", meet(join(meet(join(h1, g1), C), g2), join(f, h1)))
@@ -1193,7 +1181,7 @@ class TestTupleKernels:
         )
         x = Point(*x)
         got = evaluate_cubic(cubic, x)
-        expected = eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(cubic).with_x(x))
+        expected = eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(cubic, x=x))
         assert got == expected
         assert type(got) is type(expected)
         return got
@@ -1232,7 +1220,7 @@ class TestTupleKernels:
             *(Point(*t) for t in params[:6]), *(Line(*t) for t in params[6:])
         )
         got = cons._sixth_conic_value(cubic, x)
-        expected = eval_numeric(parse("xaAa_1Bcx"), params_environment(cubic).with_x(Point(*x)))
+        expected = eval_numeric(parse("xaAa_1Bcx"), params_environment(cubic, x=Point(*x)))
         assert got == expected
         assert type(got) is type(expected)
 
@@ -1254,7 +1242,7 @@ class TestTupleKernels:
         for name, wrong in (("a1", Line(*params.a1.coords)), ("B", Point(*params.B.coords))):
             bad = dataclasses.replace(params, **{name: wrong})
             with pytest.raises(KindError):
-                eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(bad).with_x(x))
+                eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(bad, x=x))
             with pytest.raises(KindError):
                 evaluate_cubic(bad, x)
 
@@ -1281,14 +1269,38 @@ class TestTupleKernels:
                     assert all(type(c) is int for c in value.coords)
 
     def test_k_vanishes_names_its_step(self):
+        # [e,g1,h1] = 0 on these nine, so the fit refuses by that name
+        # before K = yz vanishes
         labels = NinePointLabels.from_points(Point(*t) for t in K_VANISHES)
         assert cons.general_position_violation(labels.as_tuple()) is None
         with pytest.raises(DegenerateIntermediateError) as exc:
             fit_nine_points(labels)
-        assert exc.value.step == "K=yz"
+        assert exc.value.step == "[e,g1,h1]"
         with pytest.raises(DegenerateIntermediateError) as ref:
             reference_fit(labels)
-        assert ref.value.step == "K=yz"
+        assert ref.value.step == "[e,g1,h1]"
+        with pytest.raises(DegenerateIntermediateError) as unnamed:
+            reference_fit(labels, name_collinear_e_g1_h1=False)
+        assert unnamed.value.step == "K=yz"
+
+    def test_collinear_e_g1_h1_on_grid_draws(self):
+        """Draws 1260 and 3838 of random_nine_points(Random(12345)) are in
+        general position with e on the line g1h1.  The fit refuses both by
+        that name; without that test the recipe refuses later, at K = yz,
+        as it did before the test was added."""
+        rng = random.Random(12345)
+        draws = [random_nine_points(rng) for _ in range(3838)]
+        for labels in (draws[1259], draws[3837]):
+            assert cons.general_position_violation(labels.as_tuple()) is None
+            with pytest.raises(DegenerateIntermediateError) as exc:
+                fit_nine_points(labels)
+            assert exc.value.step == "[e,g1,h1]"
+            with pytest.raises(DegenerateIntermediateError) as ref:
+                reference_fit(labels)
+            assert ref.value.step == "[e,g1,h1]"
+            with pytest.raises(DegenerateIntermediateError) as unnamed:
+                reference_fit(labels, name_collinear_e_g1_h1=False)
+            assert unnamed.value.step == "K=yz"
 
     def test_chord_with_coincident_ends_names_ab(self, labels9):
         params = fit_nine_points(labels9)

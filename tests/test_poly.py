@@ -84,6 +84,19 @@ class TestVectorOps:
             s = poly_dot(u, v)
             assert poly_scale(s, v).entries == tuple(s * e for e in v.entries)
 
+    def test_primitive_divides_the_triple_by_one_content(self):
+        # times 3/2 the triple is coprime and integral; its first nonzero
+        # coefficient, in e0, is then made positive.  Each entry made
+        # primitive on its own would lose the ratio 9 : 0 : -2 of the x0 terms
+        x0, x1 = HomPoly.variable(0), HomPoly.variable(1)
+        v = PolyVector(x0 * -6, HomPoly(1), x0 * Fraction(4, 3) + x1 * 2)
+        p = v.primitive()
+        assert p.entries == (x0 * 9, HomPoly(1), x0 * -2 + x1 * -3)
+        assert all(type(c) is int for e in p.entries for c in e._terms.values())
+        assert poly_scale(HomPoly.constant(Fraction(-5, 7)), v).primitive() == p
+        zero = PolyVector.constant(Point(0, 0, 0))
+        assert zero.primitive() == zero
+
 
 class TestEvaluate:
     def test_monomial_vanishing(self):
