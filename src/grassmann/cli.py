@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import constructions as cons
 from . import oracle
-from .core import KindError, Point, incidence, projectively_equal
+from .core import KindError, Point, bracket, incidence, join, kind_of, projectively_equal
 from .expr import (
     Environment,
     ParseError,
@@ -92,14 +92,11 @@ def cmd_fit9(scene: Scene, args, report: Report) -> int:
     labels = _nine(scene)
     trace = cons.fit_nine_points_trace(labels)
     params = trace.params
-    for name in ("a1", "b1", "k"):
-        report.add_triple("point", name, getattr(params, name))
-    for name in ("A", "B", "C"):
-        report.add_triple("line", name, getattr(params, name))
+    for name in ("a1", "b1", "k", "A", "B", "C"):
+        report.add_triple(name, getattr(params, name))
     if args.verbose:
-        for name in ("g1", "g2", "h1", "h2", "i1", "i2", "y", "z"):
-            report.add_triple("point", name, getattr(trace, name))
-        report.add_triple("line", "K", trace.K)
+        for name in ("g1", "g2", "h1", "h2", "i1", "i2", "y", "z", "K"):
+            report.add_triple(name, getattr(trace, name))
     expanded = cons.expand_cubic(params).primitive()
     report.add_output("cubic coefficients", _poly_str(expanded))
     report.add_check(
@@ -109,7 +106,7 @@ def cmd_fit9(scene: Scene, args, report: Report) -> int:
     # both forms are primitive, so they are proportional exactly when equal
     fitted = nullspace_fit(labels.as_tuple(), 3)
     report.add_check("matches-nullspace-oracle", not expanded.is_zero and expanded == fitted)
-    report.add_check("lines-concurrent", cons.bracket(params.A, params.B, params.C) == 0)
+    report.add_check("lines-concurrent", bracket(params.A, params.B, params.C) == 0)
     return 0
 
 
@@ -144,12 +141,10 @@ def cmd_eval(scene: Scene, args, report: Report) -> int:
             )
     else:
         value = eval_numeric(expr, env)
-        if isinstance(value, Point):
-            report.add_triple("point", "result", value)
-        elif hasattr(value, "coords"):
-            report.add_triple("line", "result", value)
-        else:
+        if kind_of(value) == "scalar":
             report.add_output("scalar result", str(value))
+        else:
+            report.add_triple("result", value)
     return 0
 
 
@@ -162,8 +157,8 @@ def cmd_third_point(scene: Scene, args, report: Report) -> int:
     else:
         p, q = params.a, params.b
         y = cons.third_point_on_chord_ab(params)
-    report.add_triple("point", "third", y)
-    chord = cons.join(p, q)
+    report.add_triple("third", y)
+    chord = join(p, q)
     report.add_check("on-chord", incidence(chord, y) == 0)
     report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, y))
     report.add_check("deflation-oracle-root", projectively_equal(y, oracle.third(f, p, q)))
@@ -178,7 +173,7 @@ def cmd_tangent(scene: Scene, args, report: Report) -> int:
             f"a = {format_triple(params.a)} is a singular point of the cubic"
         )
     tangent = cons.tangent_at_a(params)
-    report.add_triple("line", "tangent", tangent)
+    report.add_triple("tangent", tangent)
     report.add_check("through-a", incidence(tangent, params.a) == 0)
     report.add_check("matches-gradient-oracle", projectively_equal(tangent, grad))
     mult, _ = oracle.tangent_third(f, tangent, params.a)
@@ -189,8 +184,8 @@ def cmd_tangent(scene: Scene, args, report: Report) -> int:
 def cmd_tangent_third(scene: Scene, args, report: Report) -> int:
     params, f = _fitted(scene)
     result = cons.tangent_third_point(params)
-    report.add_triple("point", "w", result.w)
-    report.add_triple("line", "tangent", result.tangent)
+    report.add_triple("w", result.w)
+    report.add_triple("tangent", result.tangent)
     report.add_check("on-tangent", incidence(result.tangent, result.w) == 0)
     report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, result.w))
     mult, w_oracle = oracle.tangent_third(f, result.tangent, params.a)
@@ -229,8 +224,8 @@ def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
     """
     labels = _nine(scene)
     result = cons.conic_cubic_sixth(labels)
-    report.add_triple("point", "z", result.z)
-    report.add_triple("point", "y", result.y)
+    report.add_triple("z", result.z)
+    report.add_triple("y", result.y)
     conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)
     report.add_check("on-conic-nullspace-oracle", evaluate(conic, result.z) == 0)
     cubic = nullspace_fit(labels.as_tuple(), 3)
@@ -241,8 +236,10 @@ def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
 
     chain = third(labels.a, third(third(labels.c, labels.d), third(labels.e, labels.f)))
     report.add_check("chord-chain-agreement", projectively_equal(result.z, chain))
-    if result.coincides_with:
-        report.add_diagnostic(f"z coincides with defining point {result.coincides_with}")
+    for name in "acdef":
+        if projectively_equal(result.z, getattr(labels, name)):
+            report.add_diagnostic(f"z coincides with defining point {name}")
+            break
     return 0
 
 
@@ -256,7 +253,7 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
     total = cons.group_add(known, o, p, q, verify_flex=not args.no_verify_flex)
     if args.no_verify_flex:
         report.add_diagnostic("identity accepted unverified (--no-verify-flex)")
-    report.add_triple("point", "sum", total)
+    report.add_triple("sum", total)
     report.add_check("sum-on-cubic-oracle", oracle.cubic_membership(f, total))
     other = cons.group_add(known, o, q, p, verify_flex=False)
     report.add_check("commutes", projectively_equal(total, other))
@@ -271,12 +268,10 @@ def cmd_pascal(scene: Scene, args, report: Report) -> int:
     pts = [scene.point(n) for n in names]
     m1, m2, m3 = cons.pascal_points(*pts)
     for label, pt in (("m1", m1), ("m2", m2), ("m3", m3)):
+        report.add_triple(label, pt)
         if pt.is_zero:
-            report.add_output(f"point {label}", "[0:0:0]")
             report.add_diagnostic(f"{label} degenerated to the zero point")
-        else:
-            report.add_triple("point", label, pt)
-    collinear = cons.bracket(m1, m2, m3) == 0
+    collinear = bracket(m1, m2, m3) == 0
     report.add_output("collinear", "true" if collinear else "false")
     on_conic = _six_on_conic(pts)
     report.add_output("six points on a conic", "true" if on_conic else "false")

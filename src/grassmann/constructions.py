@@ -199,14 +199,11 @@ def general_position_violation(points, names=None):
     Triples are visited in combinations order.  The bracket [p, q, r] is
     the incidence of the line pq with r, so each pair line is built once
     and serves every later third point, with the cross and dot products
-    written out on the coordinates.  Three lines are checked for
-    concurrency the same way.
+    written out on the coordinates.  Every entry must be a point.
     """
     pts = list(points)
-    if not (
-        all(isinstance(p, Point) for p in pts) or all(isinstance(p, Line) for p in pts)
-    ):
-        raise KindError("bracket needs three points or three lines")
+    if not all(type(p) is Point for p in pts):
+        raise KindError("general position is a property of points")
     coords = [p.coords for p in pts]
     n = len(pts)
     for i, (u0, u1, u2) in enumerate(coords):
@@ -1102,7 +1099,6 @@ def is_flex(params: CubicParams) -> bool:
 class SixthPointResult:
     z: Point
     y: Point
-    coincides_with: str | None
 
 
 def _sixth_conic_value(params: CubicParams, x: tuple) -> Scalar:
@@ -1129,8 +1125,7 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
     lines paAa1, pbBkCb1 and pc meet at x, so xb1 is the line pbBkCb1,
     and xb1CkBb undoes that chain step by step back to pb.  So all three
     lines pass through p.  The points e, f and y are checked on the
-    auxiliary cubic exactly.  `coincides_with` names the first of a, c,
-    d, e, f that z coincides with, or is None.
+    auxiliary cubic exactly.
 
     When two of b, g, h, i also lie on the conic, it holds seven of the
     cubic's nine points.  A conic through five points with no three
@@ -1167,9 +1162,7 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
             raise ConstructionError(f"conic misses {name}")
     if _sixth_conic_value(params, z) != 0 or _cubic_value(params, z) != 0:
         raise ConstructionError("sixth point failed the exact membership checks")
-
-    coincides = next((name for name, x in defining if not any(_cross(z, x))), None)
-    return SixthPointResult(z=Point(*z), y=y, coincides_with=coincides)
+    return SixthPointResult(z=Point(*z), y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,9 @@ def join(p: Point, q: Point) -> Line:
 
 def incidence(g, h) -> Scalar:
     """Dot product of a line with a point; zero exactly when incident."""
-    if isinstance(g, Line) and isinstance(h, Point):
-        return _dot(g.coords, h.coords)
-    if isinstance(g, Point) and isinstance(h, Line):
-        return _dot(g.coords, h.coords)
-    raise KindError(f"incidence needs a line and a point, got {kind_of(g)}/{kind_of(h)}")
+    if (type(g), type(h)) not in ((Line, Point), (Point, Line)):
+        raise KindError(f"incidence needs a line and a point, got {kind_of(g)}/{kind_of(h)}")
+    return _dot(g.coords, h.coords)
 
 
 def bracket(a: GeomObject, b: GeomObject, c: GeomObject) -> Scalar:
@@ -179,11 +177,7 @@ def bracket(a: GeomObject, b: GeomObject, c: GeomObject) -> Scalar:
     Vanishes when operands repeat, three points are collinear, or three
     lines are concurrent.
     """
-    if isinstance(a, Point) and isinstance(b, Point) and isinstance(c, Point):
-        pass
-    elif isinstance(a, Line) and isinstance(b, Line) and isinstance(c, Line):
-        pass
-    else:
+    if not (type(a) is type(b) is type(c) in (Point, Line)):
         raise KindError("bracket needs three points or three lines")
     return _dot(a.coords, _cross(b.coords, c.coords))
 

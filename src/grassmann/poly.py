@@ -94,15 +94,6 @@ class HomPoly:
         self.degree = degree
         self._terms = terms
 
-    @classmethod
-    def constant(cls, value) -> "HomPoly":
-        return cls(0, {(0, 0, 0): value})
-
-    @classmethod
-    def variable(cls, i: int) -> "HomPoly":
-        mono = tuple(1 if j == i else 0 for j in range(3))
-        return cls(1, {mono: 1})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -262,11 +253,11 @@ class PolyVector:
     @classmethod
     def constant(cls, triple) -> "PolyVector":
         coords = triple.coords if isinstance(triple, (Point, Line)) else tuple(triple)
-        return cls(*(HomPoly.constant(c) for c in coords))
+        return cls(*(HomPoly(0, {(0, 0, 0): c}) for c in coords))
 
     @classmethod
     def variable(cls) -> "PolyVector":
-        return cls(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
+        return cls(*(HomPoly(1, {m: 1}) for m in monomials(1)))
 
 
 def poly_cross(u: PolyVector, v: PolyVector) -> PolyVector:

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Line, Point, Scalar, canonicalize
+from .core import Line, Point, Scalar, canonicalize, kind_of
 
 __all__ = [
     "SceneError",
@@ -35,8 +35,12 @@ __all__ = [
     "format_triple",
 ]
 
-_POINT_NAME = re.compile(r"^[a-wyz](_\d+)?$")
-_LINE_NAME = re.compile(r"^[A-Z](_\d+)?$")
+# each entry keyword with its name pattern, its class and the Scene
+# dictionary that holds its entries
+_ENTRIES = {
+    "point": (re.compile(r"^[a-wyz](_\d+)?$"), Point, "points"),
+    "line": (re.compile(r"^[A-Z](_\d+)?$"), Line, "lines"),
+}
 
 
 class SceneError(ValueError):
@@ -113,20 +117,16 @@ class Scene:
             rest = rest.strip()
             if not rest:
                 raise SceneError(f"line {lineno}: expected 'key = value'")
-            if key.startswith("point "):
-                name = key[6:].strip()
-                if not _POINT_NAME.match(name):
-                    raise SceneError(f"line {lineno}: bad point name {name!r}")
-                if name in scene.points:
-                    raise SceneError(f"line {lineno}: duplicate point {name!r}")
-                scene.points[name] = Point(*_parse_triple(rest, lineno))
-            elif key.startswith("line "):
-                name = key[5:].strip()
-                if not _LINE_NAME.match(name):
-                    raise SceneError(f"line {lineno}: bad line name {name!r}")
-                if name in scene.lines:
-                    raise SceneError(f"line {lineno}: duplicate line {name!r}")
-                scene.lines[name] = Line(*_parse_triple(rest, lineno))
+            kind, space, name = key.partition(" ")
+            if space and kind in _ENTRIES:
+                pattern, cls, attr = _ENTRIES[kind]
+                name = name.strip()
+                if not pattern.match(name):
+                    raise SceneError(f"line {lineno}: bad {kind} name {name!r}")
+                entries = getattr(scene, attr)
+                if name in entries:
+                    raise SceneError(f"line {lineno}: duplicate {kind} {name!r}")
+                entries[name] = cls(*_parse_triple(rest, lineno))
             elif key == "viewport":
                 if scene.viewport is not None:
                     raise SceneError(f"line {lineno}: duplicate viewport")
@@ -151,12 +151,11 @@ class Scene:
 
     def serialize(self) -> str:
         out = ["format: 1"]
-        for name in sorted(self.points):
-            coords = ", ".join(str(c) for c in self.points[name].coords)
-            out.append(f"point {name} = {coords}")
-        for name in sorted(self.lines):
-            coords = ", ".join(str(c) for c in self.lines[name].coords)
-            out.append(f"line {name} = {coords}")
+        for kind, (_, _, attr) in _ENTRIES.items():
+            entries = getattr(self, attr)
+            for name in sorted(entries):
+                coords = ", ".join(str(c) for c in entries[name].coords)
+                out.append(f"{kind} {name} = {coords}")
         if self.viewport is not None:
             out.append("viewport = " + ", ".join(str(c) for c in self.viewport))
         return "\n".join(out) + "\n"
@@ -192,8 +191,9 @@ class Report:
     def add_output(self, name: str, value: str) -> None:
         self.outputs.append((name, value))
 
-    def add_triple(self, kind: str, name: str, obj) -> None:
-        self.outputs.append((f"{kind} {name}", format_triple(obj)))
+    def add_triple(self, name: str, obj) -> None:
+        """An output named by the object's kind, 'point' or 'line', and `name`."""
+        self.outputs.append((f"{kind_of(obj)} {name}", format_triple(obj)))
 
     def add_check(self, name: str, ok: bool) -> None:
         self.checks.append((name, bool(ok)))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import grassmann
-from grassmann import constructions
+from grassmann import constructions, core
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = [
@@ -118,6 +118,19 @@ def test_cli_leaves_the_expression_tree_to_expr():
     assert "grassmann.expr.parse" in imported, "no expr import found; the walk is broken"
     nodes = {f"grassmann.expr.{n}" for n in ("Name", "Var", "Chain", "Group", "Expr", "VAR")}
     assert sorted(imported & nodes) == []
+
+
+def test_cli_reads_core_names_from_core():
+    """A name of core has one path into the CLI: its import from core, and
+    not an attribute of the construction module, which imports it too."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    read = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cons"
+    ]
+    assert read, "no cons. attribute found; the walk is broken"
+    assert sorted(set(read) & set(core.__all__)) == []
 
 
 @pytest.mark.parametrize(

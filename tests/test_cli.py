@@ -462,7 +462,7 @@ class TestCommands:
         }
         labels = NinePointLabels.from_points(Point(*coords[name]) for name in "abcdefghi")
         result = conic_cubic_sixth(labels)
-        assert result.z == labels.a and result.coincides_with == "a"
+        assert result.z == labels.a
         path = tmp_path / "tangent.scene"
         path.write_text(
             "format: 1\n"
@@ -753,6 +753,41 @@ class TestCommands:
         code, out, _ = run_cli(["eval", "--in", str(path), "--expr", "pq"], capsys)
         assert code == 0
         assert "output line result" in out
+
+
+GRID = (GOLDEN / "grid.scene").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "scene, argv, code, message",
+    [
+        # a report goes to --out byte for byte as it would go to stdout
+        (GRID, ["fit9"], 0, None),
+        (None, ["fit9"], 3, "this command needs --in FILE"),
+        (GRID, ["eval"], 3, "eval needs --expr STRING"),
+        ("format: 1\npoint a\n", ["fit9"], 3, "line 2: expected 'key = value'"),
+        (GRID + "line A = 1, 2, 3\n", ["fit9"], 3, "line 19: duplicate line 'A'"),
+        ("point a = 1, 2, 3\n", ["fit9"], 3, "line 1: scene must start with 'format: 1'"),
+        ("# no entries\n", ["fit9"], 3, "empty scene: missing 'format: 1' header"),
+        (GRID, ["check10", "--point", "q"], 3, "scene has no point named 'q'"),
+    ],
+    ids=["out", "no-in", "no-expr", "no-value", "duplicate-line", "no-header", "empty", "absent-point"],
+)
+def test_refusals_and_out(scene, argv, code, message, tmp_path, capsys):
+    """Each refusal exits with its code and one message and writes no
+    output, to stdout or to --out; a report goes to --out as it would go
+    to stdout."""
+    if scene is not None:
+        path = tmp_path / "scene.txt"
+        path.write_text(scene, encoding="utf-8")
+        argv = [*argv, "--in", str(path)]
+    expected_err = "" if message is None else f"error: {message}\n"
+    got, out, err = run_cli(argv, capsys)
+    assert (got, err) == (code, expected_err)
+    assert (out == "") == (message is not None)
+    report = tmp_path / "report.txt"
+    assert run_cli([*argv, "--out", str(report)], capsys) == (code, "", expected_err)
+    assert (report.read_text(encoding="utf-8") if report.exists() else "") == out
 
 
 def test_binary_root_is_exact_beyond_float_precision():

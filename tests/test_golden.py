@@ -7,8 +7,10 @@ points of y^2 = x^3 + 17 whose label ``a`` is a flex; ``golden/tall.scene``
 has that flex as ``a`` and the multiples 10P..20P of P = [1:-2:3] (99 to 394
 bits), so ``group_add`` runs the anchored chord on tall coordinates;
 ``golden/conic-line.scene`` is a conic plus a line, a cubic with two
-components.  Each case runs one command in process, the ``grid-plot`` case
-through ``tools/plot.py``, and compares its stdout and exit code with
+components; ``golden/cusp.scene`` has nine points (t^2, t^3, 1) of the
+cuspidal cubic x1^2 x2 = x0^3, a tenth at t = 10 and an off-curve ``j``.
+Each case runs one command in process, the ``grid-plot`` case through
+``tools/plot.py``, and compares its stdout and exit code with
 ``golden/<case>.txt``.
 
 After an intended report change, regenerate the files with
@@ -80,6 +82,24 @@ _CONIC_LINE = {
 }
 for _name, _argv in _CONIC_LINE.items():
     CASES[f"conic-line-{_name}"] = [*_argv, "--in", str(GOLDEN / "conic-line.scene")]
+# the cuspidal cubic: every command but group_add, on smooth labels
+_CUSP = {
+    name: _PER_SCENE[name]
+    for name in (
+        "fit9",
+        "fit9-verbose",
+        "check10-on",
+        "check10-off",
+        "third_point",
+        "tangent",
+        "tangent_third",
+        "is_flex",
+        "conic_sixth",
+    )
+}
+_CUSP["third_point-two"] = ["third_point", "--point", "p_1", "--point", "b"]
+for _name, _argv in _CUSP.items():
+    CASES[f"cusp-{_name}"] = [*_argv, "--in", str(GOLDEN / "cusp.scene")]
 for _scene in ("grid", "rational"):
     for _name, _argv in _PER_SCENE.items():
         CASES[f"{_scene}-{_name}"] = [*_argv, "--in", str(GOLDEN / f"{_scene}.scene")]

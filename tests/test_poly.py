@@ -50,14 +50,13 @@ class TestVectorOps:
         assert tuple(evaluate(f, Point(1, 1, 1)) for f in sym.entries) == meet(L, M).coords
 
     def test_cross_with_itself_is_zero(self):
-        u = PolyVector(HomPoly.variable(0), HomPoly.variable(1), HomPoly.variable(2))
-        assert poly_cross(u, u).is_zero
+        assert poly_cross(X, X).is_zero
 
     def test_cross_variable_with_e0(self):
         # x cross (1,0,0) = (0, x2, -x1)
         res = poly_cross(X, PolyVector.constant(Point(1, 0, 0)))
         assert res.e0.is_zero
-        assert res.e1 == HomPoly.variable(2)
+        assert res.e1 == HomPoly(1, {(0, 0, 1): 1})
         assert res.e2 == HomPoly(1, {(0, 1, 0): -1})
 
     def test_dot_with_ones(self):
@@ -75,7 +74,7 @@ class TestVectorOps:
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PolyVector(HomPoly.variable(0), HomPoly.constant(1), HomPoly.variable(2))
+            PolyVector(X.e0, HomPoly(0, {(0, 0, 0): 1}), X.e2)
 
     def test_cross_degree_and_scale_entries(self):
         u = PolyVector.constant(Line(1, -2, 3))
@@ -88,12 +87,12 @@ class TestVectorOps:
         # times 3/2 the triple is coprime and integral; its first nonzero
         # coefficient, in e0, is then made positive.  Each entry made
         # primitive on its own would lose the ratio 9 : 0 : -2 of the x0 terms
-        x0, x1 = HomPoly.variable(0), HomPoly.variable(1)
+        x0, x1, _ = X.entries
         v = PolyVector(x0 * -6, HomPoly(1), x0 * Fraction(4, 3) + x1 * 2)
         p = v.primitive()
         assert p.entries == (x0 * 9, HomPoly(1), x0 * -2 + x1 * -3)
         assert all(type(c) is int for e in p.entries for c in e._terms.values())
-        assert poly_scale(HomPoly.constant(Fraction(-5, 7)), v).primitive() == p
+        assert poly_scale(HomPoly(0, {(0, 0, 0): Fraction(-5, 7)}), v).primitive() == p
         zero = PolyVector.constant(Point(0, 0, 0))
         assert zero.primitive() == zero
 
@@ -183,7 +182,7 @@ class TestExactScalars:
     """Coefficients stay as given; the accessors still return Fractions."""
 
     def test_accessors_return_fractions(self):
-        f = HomPoly(2, {(2, 0, 0): 3, (1, 1, 0): Fraction(-1, 2)}) * HomPoly.constant(2)
+        f = HomPoly(2, {(2, 0, 0): 3, (1, 1, 0): Fraction(-1, 2)}) * HomPoly(0, {(0, 0, 0): 2})
         assert all(type(c) is Fraction for c in f.coeffs.values())
         assert all(type(c) is Fraction for c in f.coefficient_vector())
         assert f.coeffs[(2, 0, 0)] / 4 == Fraction(3, 2)
