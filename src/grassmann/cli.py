@@ -183,20 +183,21 @@ def cmd_tangent(scene: Scene, args, report: Report) -> int:
 
 def cmd_tangent_third(scene: Scene, args, report: Report) -> int:
     params, f = _fitted(scene)
-    result = cons.tangent_third_point(params)
-    report.add_triple("w", result.w)
-    report.add_triple("tangent", result.tangent)
-    report.add_check("on-tangent", incidence(result.tangent, result.w) == 0)
-    report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, result.w))
-    mult, w_oracle = oracle.tangent_third(f, result.tangent, params.a)
+    w = cons.tangent_third_point(params)
+    tangent = cons.tangent_at_a(params)
+    report.add_triple("w", w)
+    report.add_triple("tangent", tangent)
+    report.add_check("on-tangent", incidence(tangent, w) == 0)
+    report.add_check("on-cubic-polynomial-oracle", oracle.cubic_membership(f, w))
+    mult, w_oracle = oracle.tangent_third(f, tangent, params.a)
     report.add_check("contact-order-at-least-2", mult >= 2)
-    if projectively_equal(result.w, params.a):
+    if projectively_equal(w, params.a):
         report.add_diagnostic("a is a flex: the tangent third point coincides with a")
         report.add_check("flex-contact-order-3", mult == 3)
     else:
         report.add_check(
             "matches-deflation-oracle",
-            w_oracle is not None and projectively_equal(result.w, w_oracle),
+            w_oracle is not None and projectively_equal(w, w_oracle),
         )
     return 0
 

@@ -52,7 +52,6 @@ __all__ = [
     "CubicParams",
     "NinePointLabels",
     "NinePointFit",
-    "TangentThirdResult",
     "SixthPointResult",
     "CUBIC_EXPRESSION",
     "fit_nine_points",
@@ -1012,16 +1011,7 @@ def pascal_points(a, b, c, a1, b1, c1) -> tuple[Point, Point, Point]:
 # tangent third point (and flexes)
 
 
-@dataclass(frozen=True)
-class TangentThirdResult:
-    w: Point
-    tangent: Line
-    q: Point
-    y: Point
-    conic_points: tuple[Point, ...]
-
-
-def tangent_third_point(params: CubicParams) -> TangentThirdResult:
+def tangent_third_point(params: CubicParams) -> Point:
     """Third intersection of the tangent at a with the cubic.
 
     The tangent aq (with q = (abBkCb1.ac)a1A) meets the auxiliary conic
@@ -1049,19 +1039,19 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
     b1, a1 = params.b1.coords, params.a1.coords
     C, k, B = params.C.coords, params.k.coords, params.B.coords
     tangent, q = _tangent_with_contact(params)
-    y = _cross(_chain(b1, c, C, k, B, b), _cross(b1, c))
-    if any(y):
-        y = _canonical(y)
 
     def lemma_points():
-        yield "y=b1cCkBb.b1c", y
+        yield "y=b1cCkBb.b1c", _cross(_chain(b1, c, C, k, B, b), _cross(b1, c))
         for name, m in (("x5=qc.qb1CkBb", q), ("x5=a1c.a1b1CkBb", a1)):
             yield name, _cross(_cross(m, c), _chain(m, b1, C, k, B, b))
 
     base = {"a": a, "b": b, "c": c}
     for name, x in lemma_points():
-        if any(x) and all(any(_cross(x, pt)) for pt in base.values()):
-            base[name] = _canonical(x)
+        if not any(x):
+            continue
+        x = _canonical(x)
+        if all(any(_cross(x, pt)) for pt in base.values()):
+            base[name] = x
             if len(base) == 5:
                 break
     else:
@@ -1076,19 +1066,13 @@ def tangent_third_point(params: CubicParams) -> TangentThirdResult:
     w = _second_intersection(five, _line_pair(five), tangent, a)
     if _cubic_value(params, w) != 0:
         raise ConstructionError("tangent third point failed the membership check")
-    return TangentThirdResult(
-        w=_keyed(Point, w),
-        tangent=Line(*tangent),
-        q=Point(*q),
-        y=Point(*y),
-        conic_points=tuple(Point(*x) for x in five),
-    )
+    return _keyed(Point, w)
 
 
 def is_flex(params: CubicParams) -> bool:
     """Whether the parameter point a is a flex: the tangent's third
     intersection point falls back on a itself."""
-    return projectively_equal(tangent_third_point(params).w, params.a)
+    return projectively_equal(tangent_third_point(params), params.a)
 
 
 # ---------------------------------------------------------------------------
@@ -1222,8 +1206,8 @@ def tangent_third_at(known, p: Point) -> Point:
     pool = _known_pool(known)
     for fit in _cached_fits(pool, p_key):
         try:
-            return tangent_third_point(fit.params).w
+            return tangent_third_point(fit.params)
         except ConstructionError:
             continue
     candidates = [pt for key, pt in pool.items() if key != p_key]
-    return _refit((p,), candidates, lambda _, params: tangent_third_point(params).w)
+    return _refit((p,), candidates, lambda _, params: tangent_third_point(params))

@@ -84,18 +84,6 @@ class _Triple:
         return hash(self.coords)
 
     @property
-    def x0(self) -> Scalar:
-        return self.coords[0]
-
-    @property
-    def x1(self) -> Scalar:
-        return self.coords[1]
-
-    @property
-    def x2(self) -> Scalar:
-        return self.coords[2]
-
-    @property
     def is_zero(self) -> bool:
         return not any(self.coords)
 

@@ -5,14 +5,16 @@ Grammar (whitespace is ignored everywhere)::
     statement := group [ "=" "0" ]
     group     := chain { "." chain }
     chain     := atom { atom }
-    atom      := NAME | "x" | "(" group ")"
+    atom      := NAME | "(" group ")"
 
 A NAME is one letter with an optional ``_<digits>`` subscript.  Lowercase
 names denote points, uppercase names denote lines, and bare ``x`` is the
-reserved variable point.  A chain folds its atoms left to right through
-the typed product (join, meet, incidence scalar, scaling); a period starts
-a new item, so ``pq.rs`` is the meet of the joins pq and rs while ``pqrs``
-would scale s by the bracket (p.q.r).
+reserved name of the point under test.  A chain folds its items left to
+right through the typed product (join, meet, incidence scalar, scaling).
+A period only groups: it closes the chain before it as one item, so
+``pq.rs`` is ``(pq)(rs)``, the meet of the joins pq and rs, while
+``pqrs`` would scale s by the bracket (p.q.r).  Both parse to the same
+tree, whose nodes are a :class:`Name` or a :class:`Chain`.
 
 Evaluation comes in two flavours: :func:`eval_numeric` with every name
 bound to a concrete point or line, and :func:`eval_symbolic` with ``x``
@@ -32,9 +34,7 @@ from .poly import PolyVector, poly_cross, poly_dot, poly_scale
 
 __all__ = [
     "Name",
-    "Var",
     "Chain",
-    "Group",
     "Expr",
     "ParseError",
     "UnboundNameError",
@@ -64,23 +64,13 @@ class Name:
 
 
 @dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
 class Chain:
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Group:
-    parts: tuple
+Expr = Union[Name, Chain]
 
-
-Expr = Union[Name, Var, Chain, Group]
-
-VAR = Var()
+_X = Name("x")
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +105,7 @@ def _tokenize(text: str):
                     raise ParseError("subscript needs digits", i)
                 while i < n and text[i].isdigit():
                     i += 1
-            name = text[start:i]
-            if name == "x":
-                tokens.append(("var", name, start))
-            else:
-                tokens.append(("name", name, start))
+            tokens.append(("name", text[start:i], start))
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
@@ -148,11 +134,11 @@ class _Parser:
             parts.append(self.parse_chain())
         if len(parts) == 1:
             return parts[0]
-        return Group(tuple(parts))
+        return Chain(tuple(parts))
 
     def parse_chain(self) -> Expr:
         atoms = []
-        while (tok := self.peek()) is not None and tok[0] in ("name", "var", "("):
+        while (tok := self.peek()) is not None and tok[0] in ("name", "("):
             atoms.append(self.parse_atom())
         if not atoms:
             tok = self.peek()
@@ -166,8 +152,6 @@ class _Parser:
         kind, text, pos = self.next()
         if kind == "name":
             return Name(text)
-        if kind == "var":
-            return VAR
         if kind == "(":
             inner = self.parse_group()
             tok = self.next()
@@ -205,24 +189,11 @@ def pretty_print(e: Expr) -> str:
     """Render an AST back to source text; parses back to an identical tree."""
     if isinstance(e, Name):
         return e.name
-    if isinstance(e, Var):
-        return "x"
     if isinstance(e, Chain):
-        out = []
-        for part in e.parts:
-            text = pretty_print(part)
-            if isinstance(part, (Chain, Group)):
-                text = f"({text})"
-            out.append(text)
-        return "".join(out)
-    if isinstance(e, Group):
-        out = []
-        for part in e.parts:
-            text = pretty_print(part)
-            if isinstance(part, Group):
-                text = f"({text})"
-            out.append(text)
-        return ".".join(out)
+        texts = [pretty_print(part) for part in e.parts]
+        if not any(isinstance(part, Chain) for part in e.parts):
+            return "".join(texts)
+        return ".".join(f"({text})" if "." in text else text for text in texts)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -237,8 +208,8 @@ def _expected_kind(name: str) -> str:
 class Environment:
     """Bindings for operand names; lowercase bind points, uppercase lines.
 
-    The variable x is bound (to a point) only through ``x=``, for numeric
-    evaluation.
+    x, the point under test, is bound only through ``x=``, for numeric
+    evaluation; ``lookup("x")`` returns that binding.
     """
 
     def __init__(self, bindings: Mapping[str, GeomObject] | None = None, x: Point | None = None):
@@ -255,10 +226,10 @@ class Environment:
         self.x = x
 
     def lookup(self, name: str) -> GeomObject:
-        try:
-            return self._bindings[name]
-        except KeyError:
-            raise UnboundNameError(name) from None
+        value = self.x if name == "x" else self._bindings.get(name)
+        if value is None:
+            raise UnboundNameError(name)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +237,10 @@ class Environment:
 
 
 def contains_x(e: Expr) -> bool:
-    """Whether the variable point x occurs in the expression."""
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Chain, Group)):
+    """Whether the point x occurs in the expression."""
+    if isinstance(e, Chain):
         return any(contains_x(p) for p in e.parts)
-    return False
+    return e == _X
 
 
 def eval_numeric(e: Expr, env: Environment) -> GeomObject:
@@ -282,11 +251,7 @@ def eval_numeric(e: Expr, env: Environment) -> GeomObject:
     """
     if isinstance(e, Name):
         return env.lookup(e.name)
-    if isinstance(e, Var):
-        if env.x is None:
-            raise UnboundNameError("x")
-        return env.x
-    if isinstance(e, (Chain, Group)):
+    if isinstance(e, Chain):
         value = eval_numeric(e.parts[0], env)
         for part in e.parts[1:]:
             value = core.product(value, eval_numeric(part, env))
@@ -301,12 +266,12 @@ _ZERO_OF_KIND = {"point": core.ZERO_POINT, "line": core.ZERO_LINE, "scalar": 0}
 
 def _eval_sym(e: Expr, env: Environment) -> tuple:
     """(kind, value): a left fold through poly_cross, poly_dot and poly_scale."""
+    if e == _X:
+        return "point", PolyVector.variable()
     if isinstance(e, Name):
         value = env.lookup(e.name)
         return core.kind_of(value), PolyVector.constant(value)
-    if isinstance(e, Var):
-        return "point", PolyVector.variable()
-    if isinstance(e, (Chain, Group)):
+    if isinstance(e, Chain):
         kind, acc = _eval_sym(e.parts[0], env)
         for part in e.parts[1:]:
             kind2, value = _eval_sym(part, env)

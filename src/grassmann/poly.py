@@ -251,9 +251,8 @@ class PolyVector:
         )
 
     @classmethod
-    def constant(cls, triple) -> "PolyVector":
-        coords = triple.coords if isinstance(triple, (Point, Line)) else tuple(triple)
-        return cls(*(HomPoly(0, {(0, 0, 0): c}) for c in coords))
+    def constant(cls, obj: Point | Line) -> "PolyVector":
+        return cls(*(HomPoly(0, {(0, 0, 0): c}) for c in obj.coords))
 
     @classmethod
     def variable(cls) -> "PolyVector":
@@ -286,10 +285,9 @@ def _powers(x, degree: int) -> list:
     return out
 
 
-def evaluate(f: HomPoly, p) -> Scalar:
-    """Exact value of f at a point (or raw coordinate triple)."""
-    coords = p.coords if isinstance(p, (Point, Line)) else tuple(p)
-    p0, p1, p2 = (_powers(x, f.degree) for x in coords)
+def evaluate(f: HomPoly, p: Point | Line) -> Scalar:
+    """Exact value of f at a point or line."""
+    p0, p1, p2 = (_powers(x, f.degree) for x in p.coords)
     total = 0
     for (i, j, k), c in f._terms.items():
         total += c * p0[i] * p1[j] * p2[k]
@@ -339,8 +337,7 @@ def nullspace_fit(points, degree: int) -> HomPoly:
     monos = monomials(degree)
     rows = []
     for p in points:
-        cp = canonicalize(p if isinstance(p, Point) else Point(*p))
-        coords = cp.coords
+        coords = canonicalize(p).coords
         rows.append(
             [int(coords[0] ** i * coords[1] ** j * coords[2] ** k) for (i, j, k) in monos]
         )

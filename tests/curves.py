@@ -62,7 +62,7 @@ def grow_pool(f: HomPoly, seeds, target: int, max_bits: int = 120) -> list[Point
         )
 
     def add(pt: Point) -> None:
-        if pt.x0 == 0:
+        if pt.coords[0] == 0:
             return  # keep the pool affine; the flex is handled separately
         if not smallish(pt):
             return

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from grassmann.core import ZERO_LINE, ZERO_POINT, KindError, Line, Point, kind_of, product
-from grassmann.expr import Chain, Environment, Group, Name, VAR, Expr
+from grassmann.expr import Chain, Environment, Expr, Name
 
 POINT_NAMES = ["a", "b", "c", "k", "p", "q", "r", "s", "a_1", "b_1", "c_1", "g_2", "h_1"]
 LINE_NAMES = ["A", "B", "C", "D", "K", "L", "M"]
@@ -17,20 +17,16 @@ _ZERO_OF_KIND = {"point": ZERO_POINT, "line": ZERO_LINE, "scalar": 0}
 
 
 def random_ast(rng: random.Random, depth: int = 0) -> Expr:
-    """A parser-normalized AST: every Chain and Group has at least two parts."""
-    roll = rng.random()
-    if depth >= 3 or roll < 0.45:
-        pool = POINT_NAMES + LINE_NAMES + ["x"]
-        name = rng.choice(pool)
-        return VAR if name == "x" else Name(name)
-    maker = Chain if roll < 0.75 else Group
+    """A parser-normalized AST: every Chain has at least two parts, and x
+    is the name Name("x")."""
+    if depth >= 3 or rng.random() < 0.45:
+        return Name(rng.choice(POINT_NAMES + LINE_NAMES + ["x"]))
     n = rng.randint(2, 4)
-    return maker(tuple(random_ast(rng, depth + 1) for _ in range(n)))
+    return Chain(tuple(random_ast(rng, depth + 1) for _ in range(n)))
 
 
 def typed_random_expr(rng: random.Random, depth: int = 0):
     """A well-typed AST and its kind; never folds scalar with scalar."""
-    maker = Chain if rng.random() < 0.7 else Group
     n = rng.randint(2, 4)
     parts = []
     kind = None
@@ -42,13 +38,9 @@ def typed_random_expr(rng: random.Random, depth: int = 0):
         if depth < 2 and rng.random() < 0.25:
             sub, sub_kind = typed_random_expr(rng, depth + 1)
         else:
-            pool = POINT_NAMES + LINE_NAMES + ["x", "x", "x"]
-            name = rng.choice(pool)
-            if name == "x":
-                sub, sub_kind = VAR, "point"
-            else:
-                sub = Name(name)
-                sub_kind = "point" if name[0].islower() else "line"
+            name = rng.choice(POINT_NAMES + LINE_NAMES + ["x", "x", "x"])
+            sub = Name(name)
+            sub_kind = "point" if name[0].islower() else "line"
         if kind is None:
             parts.append(sub)
             kind = sub_kind
@@ -61,7 +53,7 @@ def typed_random_expr(rng: random.Random, depth: int = 0):
         kind = next_kind
     if len(parts) < 2:
         return typed_random_expr(rng, depth)
-    return maker(tuple(parts)), kind
+    return Chain(tuple(parts)), kind
 
 
 def random_environment(rng: random.Random, bound: int = 20) -> Environment:

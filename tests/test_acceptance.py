@@ -112,7 +112,7 @@ def test_criterion_02_ten_point_test():
         f = nullspace_fit(nine, 3)
         bump = 1
         while True:
-            off = Point(p10.x0, p10.x1, p10.x2 + bump)
+            off = Point(p10.coords[0], p10.coords[1], p10.coords[2] + bump)
             if evaluate(f, off) != 0:
                 break
             bump += 1
@@ -202,23 +202,26 @@ def test_criterion_05_tangent():
 def test_criterion_06_tangent_third_and_flex():
     ok = True
     aux_conic_ast = parse("(qa_1.xc.xbBkCb_1)")
+    lemma_y_ast = parse("b_1cCkBb.b_1c")
     for i in range(100):
         labels = random_nine_points(random.Random(6000 + i))
         params = fit_nine_points_trace(labels).params
-        result = tangent_third_point(params)
+        w = tangent_third_point(params)
+        tangent = tangent_at_a(params)
         f = expand_cubic(params)
-        if incidence(result.tangent, result.w) != 0 or evaluate(f, result.w) != 0:
+        if incidence(tangent, w) != 0 or evaluate(f, w) != 0:
             ok = False
             break
-        mult, expected = tangent_third(f, result.tangent, params.a)
-        if (mult == 3) != projectively_equal(result.w, params.a):
+        mult, expected = tangent_third(f, tangent, params.a)
+        if (mult == 3) != projectively_equal(w, params.a):
             ok = False
             break
-        if not projectively_equal(result.w, expected):
+        if not projectively_equal(w, expected):
             ok = False
             break
-        conic = eval_symbolic(aux_conic_ast, params_environment(params, q=result.q))
-        checkpoints = (params.a, params.b, params.c, result.y)
+        env = params_environment(params, q=meet(tangent, params.A))
+        conic = eval_symbolic(aux_conic_ast, env)
+        checkpoints = (params.a, params.b, params.c, eval_numeric(lemma_y_ast, env))
         if any(evaluate(conic, pt) != 0 for pt in checkpoints):
             ok = False
             break
@@ -228,15 +231,15 @@ def test_criterion_06_tangent_third_and_flex():
         pool = grow_pool(f, seeds, 22, max_bits=520)
         for rotation in (0, 3):
             rotated = pool[rotation:] + pool[:rotation]
-            result = params = None
+            w = params = None
             for aux in cons._general_position_selections([FLEX], rotated, 8):
                 try:
                     params = cons.fit_nine_points(NinePointLabels.from_points((FLEX, *aux)))
-                    result = tangent_third_point(params)
+                    w = tangent_third_point(params)
                     break
                 except cons.ConstructionError:
                     continue
-            if result is None or not projectively_equal(result.w, FLEX):
+            if w is None or not projectively_equal(w, FLEX):
                 ok = False
                 break
             flex = is_flex(params)

@@ -431,10 +431,10 @@ def assert_closed_form_is_the_chain_in_x(fit):
     assert chain.degree == 5
 
     def dot(t):
-        return poly_dot(PolyVector.constant(t), X)
+        return poly_dot(PolyVector.constant(Line(*t)), X)
 
     def cross_L(t):
-        return poly_cross(PolyVector.constant(t), poly_cross(PolyVector.constant(p), X))
+        return poly_cross(PolyVector.constant(Line(*t)), poly_cross(PolyVector.constant(p), X))
 
     s = dot(fit.cb1) * dot(fit.bp) * fit.beta
     t = dot(fit.pc) * dot(fit.lw) * fit.gamma

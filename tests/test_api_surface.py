@@ -116,7 +116,7 @@ def test_cli_leaves_the_expression_tree_to_expr():
     """The CLI asks expr whether x is free; it imports no tree node class."""
     imported = _imported_modules(PACKAGE / "cli.py", "grassmann")
     assert "grassmann.expr.parse" in imported, "no expr import found; the walk is broken"
-    nodes = {f"grassmann.expr.{n}" for n in ("Name", "Var", "Chain", "Group", "Expr", "VAR")}
+    nodes = {f"grassmann.expr.{n}" for n in ("Name", "Chain", "Expr")}
     assert sorted(imported & nodes) == []
 
 

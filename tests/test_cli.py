@@ -56,7 +56,7 @@ class TestSceneFormat:
     def test_rationals_round_trip(self):
         text = "format: 1\npoint a = 1, -7/2, 0\nline A = 2/3, 0, -1\n"
         scene = Scene.parse(text)
-        assert str(scene.points["a"].x1) == "-7/2"
+        assert str(scene.points["a"].coords[1]) == "-7/2"
         assert Scene.parse(scene.serialize()).serialize() == scene.serialize()
 
     @given(
@@ -146,7 +146,7 @@ class TestCommands:
         p = scene.points["a"]
         bump = 1
         while True:
-            cand = Point(p.x0, p.x1, p.x2 + bump)
+            cand = Point(p.coords[0], p.coords[1], p.coords[2] + bump)
             if evaluate_cubic(params, cand) != 0:
                 break
             bump += 1
@@ -788,6 +788,51 @@ def test_refusals_and_out(scene, argv, code, message, tmp_path, capsys):
     report = tmp_path / "report.txt"
     assert run_cli([*argv, "--out", str(report)], capsys) == (code, "", expected_err)
     assert (report.read_text(encoding="utf-8") if report.exists() else "") == out
+
+
+# draw 1260 of random_nine_points(Random(12345)): general position, but e is
+# on the line g1h1, so the fit refuses by the name [e,g1,h1]
+DRAW_1260 = "format: 1\n" + "".join(
+    f"point {name} = 1, {u}, {v}\n"
+    for name, u, v in (
+        ("a", 6, -10), ("b", 1, 1), ("c", -2, -5), ("d", 5, 5), ("e", 6, 3),
+        ("f", -5, 5), ("g", 7, -5), ("h", 7, -2), ("i", -7, 8),
+    )
+)
+SUM_AB = ["group_add", "--no-verify-flex", "--point", "a", "--point", "b"]
+
+
+@pytest.mark.parametrize(
+    "scene, argv, code, message",
+    [
+        # a is not a flex of the seed-7 cubic
+        (
+            random_scene(7, count=1).serialize(),
+            ["group_add", "--point", "a", "--point", "b", "--point", "c"],
+            2,
+            "degenerate: identity point is not a flex",
+        ),
+        # b_2 is twice b: summands given as two representatives of one point
+        (GRID + "point b_2 = 2, -16, -4\n", [*SUM_AB, "--point", "b_2"], 0, None),
+        (DRAW_1260, ["fit9"], 2, "degenerate: degenerate intermediate at step '[e,g1,h1]'"),
+    ],
+    ids=["not-a-flex", "scaled-summand", "e-on-g1h1"],
+)
+def test_module_entry_point_cases(scene, argv, code, message, tmp_path, capsys):
+    """The answers the module entry point's exit-code run checks, in
+    process: two refusals with their one message, and a sum whose summands
+    are two representatives of one point, equal to the doubling."""
+    path = tmp_path / "scene.txt"
+    path.write_text(scene, encoding="utf-8")
+    argv = [*argv, "--in", str(path)]
+    got, out, err = run_cli(argv, capsys)
+    if message is not None:
+        assert (got, out, err) == (code, "", f"{message}\n")
+        return
+    assert (got, err) == (code, "")
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks and all(line.endswith(": pass") for line in checks)
+    assert run_cli([*SUM_AB, "--point", "b", "--in", str(path)], capsys) == (0, out, "")
 
 
 def test_binary_root_is_exact_beyond_float_precision():

@@ -192,7 +192,7 @@ class TestCheckTenPoints:
         f = expand_cubic(params)
         p = labels9.a
         for bump in itertools.count(1):
-            candidate = Point(p.x0, p.x1, p.x2 + bump)
+            candidate = Point(p.coords[0], p.coords[1], p.coords[2] + bump)
             if evaluate(f, candidate) != 0:
                 break
         assert not check_ten_points(labels9, candidate)
@@ -372,15 +372,42 @@ class TestConicLineSecondIntersection:
             conic_line_second_intersection(self.CIRCLE, L, Point(1, 5, 5))
 
 
+# the auxiliary conic of tangent_third_point, with q the tangent's contact
+# with A, and the lemma point y it takes as its fourth conic point
+AUX_CONIC = parse("(qa_1.xc.xbBkCb_1)")
+LEMMA_Y = parse("b_1cCkBb.b_1c")
+
+
+def tangent_contact(params):
+    """q, where the tangent at a crosses the line A."""
+    return meet(tangent_at_a(params), params.A)
+
+
+def tangent_third_record(params):
+    """tangent_third_point's w, and the five auxiliary-conic points it hands
+    to the second-intersection step, recorded from that call."""
+    calls = []
+    kernel = cons._second_intersection
+
+    def recorded(five, pair, L, known):
+        calls.append(five)
+        return kernel(five, pair, L, known)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cons, "_second_intersection", recorded)
+        w = tangent_third_point(params)
+    return w, tuple(Point(*t) for t in calls[0])
+
+
 class TestTangentThird:
     def test_result_checks(self, labels9):
         params = fit_nine_points(labels9)
-        result = tangent_third_point(params)
-        assert incidence(result.tangent, result.w) == 0
-        assert evaluate_cubic(params, result.w) == 0
+        w, five = tangent_third_record(params)
+        assert incidence(tangent_at_a(params), w) == 0
+        assert evaluate_cubic(params, w) == 0
         # the auxiliary conic passes through all recorded points
-        conic = eval_symbolic(parse("(qa_1.xc.xbBkCb_1)"), params_environment(params, q=result.q))
-        for pt in result.conic_points:
+        conic = eval_symbolic(AUX_CONIC, params_environment(params, q=tangent_contact(params)))
+        for pt in five:
             assert evaluate(conic, pt) == 0
 
     def test_y_is_second_point_of_lambda_on_conic(self):
@@ -399,9 +426,8 @@ class TestTangentThird:
                 # a labelled fit that refuses general-position input is a
                 # separate, known gap of the fit; it builds no y to check
                 continue
-            result = tangent_third_point(params)
             env = params_environment(params)
-            y, b = result.y, params.b
+            y, b = eval_numeric(LEMMA_Y, env), params.b
             lam = eval_numeric(lam_ast, env)
             assert eval_numeric(conic_ast, params_environment(params, x=y)) == 0
             assert incidence(lam, y) == 0
@@ -417,13 +443,11 @@ class TestTangentThird:
                     *(-form[2] * bc + form[1] * uc for bc, uc in zip(b.coords, u.coords))
                 )
                 assert projectively_equal(y, second)
-            assert tangent_at_a(params) == result.tangent
             checked += 1
 
     def test_conic_points_on_auxiliary_conic_many(self):
         # the five conic points are built by joins and meets only; an
         # independent symbolic expansion of the auxiliary conic checks them
-        conic_ast = parse("(qa_1.xc.xbBkCb_1)")
         checked, seed = 0, 15000
         while checked < 200:
             seed += 1
@@ -431,13 +455,13 @@ class TestTangentThird:
                 params = fit_nine_points(seeded_labels(seed))
             except DegenerateIntermediateError:
                 continue
-            result = tangent_third_point(params)
-            conic = eval_symbolic(conic_ast, params_environment(params, q=result.q))
+            _, five = tangent_third_record(params)
+            conic = eval_symbolic(AUX_CONIC, params_environment(params, q=tangent_contact(params)))
             assert not conic.is_zero
-            assert len(result.conic_points) == 5
-            for pt in result.conic_points:
+            assert len(five) == 5
+            for pt in five:
                 assert evaluate(conic, pt) == 0
-            for u, v in itertools.combinations(result.conic_points, 2):
+            for u, v in itertools.combinations(five, 2):
                 assert not projectively_equal(u, v)
             checked += 1
 
@@ -449,11 +473,11 @@ class TestTangentThird:
         anchor = Point(1, -2, 3)
         labels = nine_with_anchor(pool, anchor)
         params = fit_nine_points(labels)
-        result = tangent_third_point(params)
-        aux_env = params_environment(params, q=result.q)
+        w = tangent_third_point(params)
+        aux_env = params_environment(params, q=tangent_contact(params))
         assert eval_numeric(parse("qc.qb_1CkBb"), aux_env).is_zero
-        assert projectively_equal(result.w, oracle.third(f, anchor, anchor))
-        assert not projectively_equal(result.w, params.a)
+        assert projectively_equal(w, oracle.third(f, anchor, anchor))
+        assert not projectively_equal(w, params.a)
 
     def test_collapsed_y_is_replaced_by_a_lemma_point(self):
         # on 8 of the first three anchored selections at each point of this
@@ -467,46 +491,46 @@ class TestTangentThird:
             for aux in itertools.islice(cons._general_position_selections([p], others, 8), 3):
                 try:
                     params = fit_nine_points(NinePointLabels.from_points((p, *aux)))
-                    result = tangent_third_point(params)
+                    w, five = tangent_third_record(params)
                 except DegenerateIntermediateError as exc:
                     # the tangent formula's own degenerate step, or the fit's
                     assert "five points" not in str(exc)
                     continue
-                aux_env = params_environment(params, q=result.q)
+                aux_env = params_environment(params, q=tangent_contact(params))
+                y = eval_numeric(LEMMA_Y, aux_env)
                 x5s = [eval_numeric(parse(t), aux_env) for t in ("qc.qb_1CkBb", "a_1c.a_1b_1CkBb")]
                 abc = (params.a, params.b, params.c)
-                if any(projectively_equal(result.y, u) for u in abc):
+                if any(projectively_equal(y, u) for u in abc):
                     collapsed += 1
-                    assert result.conic_points[:3] == abc
-                    assert result.conic_points[3:] == tuple(canonicalize(x) for x in x5s)
-                    assert evaluate_cubic(params, result.w) == 0
-                    assert projectively_equal(result.w, oracle.third(f, p, p))
-                    assert projectively_equal(result.w, tangent_third_at(pool, p))
+                    assert five[:3] == abc
+                    assert five[3:] == tuple(canonicalize(x) for x in x5s)
+                    assert evaluate_cubic(params, w) == 0
+                    assert projectively_equal(w, oracle.third(f, p, p))
+                    assert projectively_equal(w, tangent_third_at(pool, p))
                 else:
-                    assert result.conic_points[:4] == (*abc, result.y)
+                    assert five[:4] == (*abc, canonicalize(y))
                     first = x5s[0]
                     usable = not first.is_zero and not any(
-                        projectively_equal(first, u) for u in result.conic_points[:4]
+                        projectively_equal(first, u) for u in five[:4]
                     )
                     expected = first if usable else x5s[1]
-                    assert result.conic_points[4] == canonicalize(expected)
+                    assert five[4] == canonicalize(expected)
         assert collapsed == 8
 
     def test_matches_cubic_deflation_oracle(self, labels9):
         params = fit_nine_points(labels9)
-        result = tangent_third_point(params)
+        w = tangent_third_point(params)
         f = expand_cubic(params)
-        mult, expected = oracle.tangent_third(f, result.tangent, params.a)
+        mult, expected = oracle.tangent_third(f, tangent_at_a(params), params.a)
         assert mult >= 2
-        assert projectively_equal(result.w, expected)
+        assert projectively_equal(w, expected)
 
     def test_flex_fixture(self):
         f = weierstrass(0, 17)
         pool = grow_pool(f, CURVES[0][2], 14)
         labels = nine_with_anchor(pool, FLEX)
         params = fit_nine_points(labels)
-        result = tangent_third_point(params)
-        assert projectively_equal(result.w, FLEX)
+        assert projectively_equal(tangent_third_point(params), FLEX)
         assert is_flex(params)
         assert hessian_flex_oracle(expand_cubic(params), FLEX)
 
@@ -522,7 +546,7 @@ class TestTangentThird:
         nine = labels9.as_tuple()
         a = labels9.a
         params = fit_nine_points(labels9)
-        w = tangent_third_point(params).w
+        w = tangent_third_point(params)
         assert projectively_equal(w, oracle.third(nullspace_fit(nine, 3), a, a))
         assert evaluate_cubic(params, w) == 0
 
@@ -530,14 +554,14 @@ class TestTangentThird:
         for i in range(100):
             labels = seeded_labels(12000 + i)
             a = labels.a
-            w = tangent_third_point(fit_nine_points(labels)).w
+            w = tangent_third_point(fit_nine_points(labels))
             assert projectively_equal(w, oracle.third(nullspace_fit(labels.as_tuple(), 3), a, a))
 
     def test_via_89_flex_case(self):
         f = weierstrass(0, 17)
         pool = grow_pool(f, CURVES[0][2], 16)
         labels = nine_with_anchor(pool, FLEX)
-        w = tangent_third_point(fit_nine_points(labels)).w
+        w = tangent_third_point(fit_nine_points(labels))
         assert projectively_equal(w, oracle.third(nullspace_fit(labels.as_tuple(), 3), FLEX, FLEX))
         assert projectively_equal(w, FLEX)
 
@@ -791,7 +815,7 @@ class TestGroupLaw:
     def test_inverse_pair_sums_to_identity(self, curve_pool):
         f, pool = curve_pool
         p = pool[0]
-        minus_p = Point(p.x0, p.x1, -p.x2)
+        minus_p = Point(p.coords[0], p.coords[1], -p.coords[2])
         assert evaluate(f, minus_p) == 0
         total = group_add(pool, FLEX, p, minus_p, verify_flex=False)
         assert projectively_equal(total, FLEX)

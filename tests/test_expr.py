@@ -18,12 +18,9 @@ from grassmann.core import (
 from grassmann.expr import (
     Chain,
     Environment,
-    Group,
     Name,
     ParseError,
     UnboundNameError,
-    VAR,
-    Var,
     contains_x,
     eval_numeric,
     eval_symbolic,
@@ -46,12 +43,17 @@ from exprgen import random_ast, random_environment, typed_random_expr
 
 class TestParse:
     def test_period_groups(self):
-        assert parse("pq.rs") == Group((Chain((Name("p"), Name("q"))), Chain((Name("r"), Name("s")))))
+        assert parse("pq.rs") == Chain((Chain((Name("p"), Name("q"))), Chain((Name("r"), Name("s")))))
+
+    def test_a_period_only_groups(self):
+        assert parse("pq.rs") == parse("(pq)(rs)")
+        assert parse("a.bc.d") == parse("a(bc)d")
+        assert parse("x") == Name("x")
 
     def test_cubic_expression_shape(self):
         ast = parse("(xaAa_1.xbBkCb_1.xc)")
-        assert isinstance(ast, Group) and len(ast.parts) == 3
-        assert ast.parts[0] == Chain((VAR, Name("a"), Name("A"), Name("a_1")))
+        assert isinstance(ast, Chain) and len(ast.parts) == 3
+        assert ast.parts[0] == Chain((Name("x"), Name("a"), Name("A"), Name("a_1")))
 
     def test_plain_chain(self):
         assert parse("abAcBd") == Chain(tuple(Name(n) for n in ["a", "b", "A", "c", "B", "d"]))
@@ -61,7 +63,7 @@ class TestParse:
 
     def test_equation_flag(self):
         ast, eq = parse_statement("(xaAa_1.xbBkCb_1.xc)=0")
-        assert eq and isinstance(ast, Group)
+        assert eq and isinstance(ast, Chain)
         ast2, eq2 = parse_statement("pq.rs")
         assert not eq2
 
@@ -108,7 +110,9 @@ class TestPrettyPrint:
         assert parse(pretty_print(ast)) == ast
 
     def test_explicit_parens_preserved(self):
-        assert pretty_print(parse("((pq)r)s")) == "((pq)r)s"
+        ast = parse("((pq)r)s")
+        assert pretty_print(ast) == "(pq.r).s"
+        assert parse("(pq.r).s") == ast
 
     def test_fuzzed_round_trips(self):
         rng = random.Random(7)
@@ -233,11 +237,11 @@ class TestNumericEvaluation:
 def reference_symbolic(e, env):
     """(kind, value) by folding PolyVector operands through poly_cross,
     poly_dot and poly_scale."""
+    if e == Name("x"):
+        return "point", PolyVector.variable()
     if isinstance(e, Name):
         value = env.lookup(e.name)
         return kind_of(value), PolyVector.constant(value)
-    if isinstance(e, Var):
-        return "point", PolyVector.variable()
     kind, acc = reference_symbolic(e.parts[0], env)
     for part in e.parts[1:]:
         kind2, value = reference_symbolic(part, env)

@@ -10,7 +10,7 @@ def test_smallest_accepted_grid_gives_general_position():
     labels = random_nine_points(random.Random(0))
     pts = labels.as_tuple()
     assert general_position_violation(pts) is None
-    assert all(p.x0 == 1 and abs(p.x1) <= GRID_BOUND and abs(p.x2) <= GRID_BOUND for p in pts)
+    assert all(p.coords[0] == 1 and max(map(abs, p.coords[1:])) <= GRID_BOUND for p in pts)
 
 
 def test_negative_count_is_rejected():

@@ -198,7 +198,7 @@ class TestExactScalars:
         f = HomPoly(2, {(2, 0, 0): 3, (0, 1, 1): -2})
         doubled = HomPoly(2, {(2, 0, 0): 6, (0, 1, 1): -4})
         assert f * 2 == doubled and 2 * f == doubled
-        assert type(evaluate(2 * f, (1, 1, 1))) is int
+        assert type(evaluate(2 * f, Point(1, 1, 1))) is int
         zero = f * 0
         assert zero.is_zero and zero.degree == 2
         half = f * Fraction(1, 2)
@@ -239,7 +239,7 @@ class TestExactScalars:
         big = 2**53
         f = HomPoly(1, {(1, 0, 0): 1, (0, 1, 0): -1})
         assert float(big + 1) - float(big) == 0
-        assert evaluate(f, (big + 1, big, 7)) == 1
+        assert evaluate(f, Point(big + 1, big, 7)) == 1
         # a chord point of y^2 = x^3 + 17 with every coordinate above 2^53
         cubic = weierstrass(0, 17)
         q = Point(1, -2, 3)
@@ -248,7 +248,7 @@ class TestExactScalars:
         p = third(cubic, Point(1, 2, 5), q)
         assert min(abs(c) for c in p.coords) > big
         assert evaluate(cubic, p) == 0
-        assert evaluate(cubic, Point(p.x0, p.x1 + 1, p.x2)) != 0
+        assert evaluate(cubic, Point(p.coords[0], p.coords[1] + 1, p.coords[2])) != 0
 
     def test_nullspace_fit_is_primitive_and_integral(self):
         pts = [Point(1, 0, 0), Point(0, 1, 0), Point(0, 0, 1), Point(1, 1, 1), Point(3, -2, 5)]

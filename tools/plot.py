@@ -53,10 +53,11 @@ def _box(scene: Scene):
 def _affine(p: Point):
     """Chart coordinates of [x0:x1:x2] as floats, or None at infinity and
     where a float cannot hold them (outside any float viewport)."""
-    if p.x0 == 0:
+    x0, x1, x2 = p.coords
+    if x0 == 0:
         return None
     try:
-        return (float(p.x1 / p.x0), float(p.x2 / p.x0))
+        return (float(x1 / x0), float(x2 / x0))
     except OverflowError:
         return None
 
