@@ -90,21 +90,20 @@ def _points_on_curve(scene: Scene, names, known) -> list[Point]:
 
 def cmd_fit9(scene: Scene, args, report: Report) -> int:
     labels = _nine(scene)
-    trace = cons.fit_nine_points_trace(labels)
-    params = trace.params
+    params, steps = cons.fit_nine_points_trace(labels)
     for name in ("a1", "b1", "k", "A", "B", "C"):
         report.add_triple(name, getattr(params, name))
     if args.verbose:
-        for name in ("g1", "g2", "h1", "h2", "i1", "i2", "y", "z", "K"):
-            report.add_triple(name, getattr(trace, name))
+        for name, obj in steps.items():
+            report.add_triple(name, obj)
     expanded = cons.expand_cubic(params).primitive()
     report.add_output("cubic coefficients", _poly_str(expanded))
     report.add_check(
         "cubic-through-nine",
-        all(cons.evaluate_cubic(params, p) == 0 for p in labels.as_tuple()),
+        all(cons.evaluate_cubic(params, p) == 0 for p in labels),
     )
     # both forms are primitive, so they are proportional exactly when equal
-    fitted = nullspace_fit(labels.as_tuple(), 3)
+    fitted = nullspace_fit(labels, 3)
     report.add_check("matches-nullspace-oracle", not expanded.is_zero and expanded == fitted)
     report.add_check("lines-concurrent", bracket(params.A, params.B, params.C) == 0)
     return 0
@@ -224,21 +223,21 @@ def cmd_conic_sixth(scene: Scene, args, report: Report) -> int:
     lines, to 2 kappa: z = a.t.
     """
     labels = _nine(scene)
-    result = cons.conic_cubic_sixth(labels)
-    report.add_triple("z", result.z)
-    report.add_triple("y", result.y)
+    z, y = cons.conic_cubic_sixth(labels)
+    report.add_triple("z", z)
+    report.add_triple("y", y)
     conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)
-    report.add_check("on-conic-nullspace-oracle", evaluate(conic, result.z) == 0)
-    cubic = nullspace_fit(labels.as_tuple(), 3)
-    report.add_check("on-cubic-nullspace-oracle", evaluate(cubic, result.z) == 0)
+    report.add_check("on-conic-nullspace-oracle", evaluate(conic, z) == 0)
+    cubic = nullspace_fit(labels, 3)
+    report.add_check("on-cubic-nullspace-oracle", evaluate(cubic, z) == 0)
 
     def third(u, v):
         return oracle.third(cubic, u, v)
 
     chain = third(labels.a, third(third(labels.c, labels.d), third(labels.e, labels.f)))
-    report.add_check("chord-chain-agreement", projectively_equal(result.z, chain))
+    report.add_check("chord-chain-agreement", projectively_equal(z, chain))
     for name in "acdef":
-        if projectively_equal(result.z, getattr(labels, name)):
+        if projectively_equal(z, getattr(labels, name)):
             report.add_diagnostic(f"z coincides with defining point {name}")
             break
     return 0

@@ -22,6 +22,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from math import gcd
+from typing import NamedTuple
 
 from .core import (
     KindError,
@@ -51,8 +52,6 @@ __all__ = [
     "FlexVerificationError",
     "CubicParams",
     "NinePointLabels",
-    "NinePointFit",
-    "SixthPointResult",
     "CUBIC_EXPRESSION",
     "fit_nine_points",
     "fit_nine_points_trace",
@@ -80,9 +79,8 @@ class ConstructionError(Exception):
 class GeneralPositionViolation(ConstructionError):
     """Three of the given points are collinear (or coincide)."""
 
-    def __init__(self, names, points):
+    def __init__(self, names):
         self.names = tuple(names)
-        self.points = tuple(points)
         super().__init__(f"points {', '.join(self.names)} are collinear")
 
 
@@ -144,6 +142,12 @@ class CubicParams:
     B: Line
     C: Line
 
+    def __post_init__(self):
+        for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
+            kind = Point if name.islower() else Line
+            if not isinstance(getattr(self, name), kind):
+                raise KindError(f"parameter {name} must be a {kind.__name__.lower()}")
+
     def validate(self) -> None:
         for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
             if getattr(self, name).is_zero:
@@ -157,8 +161,7 @@ class CubicParams:
             raise HypothesisViolation("lines A, B, C are not concurrent")
 
 
-@dataclass(frozen=True)
-class NinePointLabels:
+class NinePointLabels(NamedTuple):
     """Nine labelled points in general position (no three collinear)."""
 
     a: Point
@@ -171,8 +174,6 @@ class NinePointLabels:
     h: Point
     i: Point
 
-    _NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
-
     @classmethod
     def from_points(cls, points) -> "NinePointLabels":
         pts = list(points)
@@ -180,20 +181,13 @@ class NinePointLabels:
             raise ValueError("exactly nine points required")
         return cls(*pts)
 
-    def as_tuple(self) -> tuple[Point, ...]:
-        return tuple(getattr(self, n) for n in self._NAMES)
-
     def labelled(self) -> dict[str, Point]:
-        return {n: getattr(self, n) for n in self._NAMES}
-
-    def validate(self) -> None:
-        viol = general_position_violation(self.as_tuple(), self._NAMES)
-        if viol is not None:
-            raise GeneralPositionViolation(*viol)
+        return dict(zip(self._fields, self))
 
 
-def general_position_violation(points, names=None):
-    """First collinear (or coincident) triple, as (names, points), else None.
+def general_position_violation(points):
+    """Indices (i, j, k) of the first collinear (or coincident) triple,
+    else None.
 
     Triples are visited in combinations order.  The bracket [p, q, r] is
     the incidence of the line pq with r, so each pair line is built once
@@ -212,27 +206,8 @@ def general_position_violation(points, names=None):
             for k in range(j + 1, n):
                 x0, x1, x2 = coords[k]
                 if l0 * x0 + l1 * x1 + l2 * x2 == 0:
-                    if names is None:
-                        names = [str(t) for t in range(n)]
-                    return ((names[i], names[j], names[k]), (pts[i], pts[j], pts[k]))
+                    return i, j, k
     return None
-
-
-@dataclass(frozen=True)
-class NinePointFit:
-    """Cubic parameters through nine points, with the construction's
-    intermediate objects kept for verification."""
-
-    params: CubicParams
-    g1: Point
-    g2: Point
-    h1: Point
-    h2: Point
-    i1: Point
-    i2: Point
-    y: Point
-    z: Point
-    K: Line
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +217,7 @@ class NinePointFit:
 def _fit(pts: NinePointLabels) -> tuple[CubicParams, tuple]:
     """The nine-point fit on coordinate triples: the checked parameters
     and the intermediate triples (g1, g2, h1, h2, i1, i2, y, z, K).
+    Three collinear labels raise GeneralPositionViolation with their names.
 
     Recipe: A = de, B = ef, a1 = af.cd; for each of g, h, i the pair
     p1 = paAa1.pc and p2 = pbB; C = e i1; y = h1g1Cg2.fh1 and
@@ -255,8 +231,10 @@ def _fit(pts: NinePointLabels) -> tuple[CubicParams, tuple]:
     h1g1Cg2 and g1h1Ch2 are both the line B, so y = B.fh1 and z = B.fg1
     are f or zero, and K = yz is zero.
     """
-    pts.validate()
-    a, b, c, d, e, f, g, h, i = (p.coords for p in pts.as_tuple())
+    viol = general_position_violation(pts)
+    if viol is not None:
+        raise GeneralPositionViolation(pts._fields[t] for t in viol)
+    a, b, c, d, e, f, g, h, i = (p.coords for p in pts)
     # on coordinate triples, every join and meet is one cross product
     cross, step = _cross, _tuple_step
 
@@ -300,11 +278,14 @@ def _fit(pts: NinePointLabels) -> tuple[CubicParams, tuple]:
     return params, (g1, g2, h1, h2, i1, i2, y, z, K)
 
 
-def fit_nine_points_trace(pts: NinePointLabels) -> NinePointFit:
+def fit_nine_points_trace(pts: NinePointLabels) -> tuple[CubicParams, dict]:
     """Parameter construction through nine general-position points, with
-    the intermediate objects kept for verification (recipe: see _fit)."""
+    its named steps: the parameters and a dict from the step names g1, g2,
+    h1, h2, i1, i2, y, z to points and K to a line (recipe: see _fit)."""
     params, (*points, K) = _fit(pts)
-    return NinePointFit(params, *(Point(*t) for t in points), Line(*K))
+    steps = {n: Point(*t) for n, t in zip(("g1", "g2", "h1", "h2", "i1", "i2", "y", "z"), points)}
+    steps["K"] = Line(*K)
+    return params, steps
 
 
 def fit_nine_points(pts: NinePointLabels) -> CubicParams:
@@ -316,10 +297,6 @@ def evaluate_cubic(params: CubicParams, x: Point) -> Scalar:
     """Exact value of the defining bracket at x; zero means x is on the curve."""
     if not isinstance(x, Point):
         raise KindError("x must be bound to a point")
-    for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
-        kind = Point if name.islower() else Line
-        if not isinstance(getattr(params, name), kind):
-            raise KindError(f"parameter {name} must be a {kind.__name__.lower()}")
     return _cubic_value(params, x.coords)
 
 
@@ -594,7 +571,7 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
         raise DegenerateIntermediateError("lw.lv")
     beta, gamma = _quotient(lw_lv, b), _quotient(_cross(cd, cb1), c)
     common = gcd(beta, gamma)
-    labels = tuple(_key(pt) for pt in pts.as_tuple())
+    labels = tuple(_key(pt) for pt in pts)
     form = expand_cubic(params).primitive()
     return _AnchorFit(
         labels=labels,
@@ -1079,12 +1056,6 @@ def is_flex(params: CubicParams) -> bool:
 # conic meets cubic
 
 
-@dataclass(frozen=True)
-class SixthPointResult:
-    z: Point
-    y: Point
-
-
 def _sixth_conic_value(params: CubicParams, x: tuple) -> Scalar:
     """The conic xaAa1Bcx at the coordinate triple x, folded left to right
     as eval_numeric folds it."""
@@ -1092,14 +1063,14 @@ def _sixth_conic_value(params: CubicParams, x: tuple) -> Scalar:
     return _dot(_chain(x, a, A, a1, B, c), x)
 
 
-def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
+def conic_cubic_sixth(pts: NinePointLabels) -> tuple[Point, Point]:
     """Sixth intersection of the cubic with the conic through a, c, d, e, f.
 
     The conic is xaAa1Bcx = 0 with the fitted parameters (A = de, B = ef,
     a1 = af.cd).  Both e and f lie on the auxiliary cubic
     (xa1Aa.xb1CkBb.xc) = 0, this module's cubic with a and a1, b and b1,
     B and C swapped; y is its third point on the line ef, found by
-    third_point_general, and z = yc.ya1Aa.
+    third_point_general, and z = yc.ya1Aa.  Returns the pair (z, y).
 
     The chord uses eight more points of the auxiliary cubic, built by
     joins and meets; at each, the three bracket lines are concurrent.
@@ -1146,7 +1117,7 @@ def conic_cubic_sixth(pts: NinePointLabels) -> SixthPointResult:
             raise ConstructionError(f"conic misses {name}")
     if _sixth_conic_value(params, z) != 0 or _cubic_value(params, z) != 0:
         raise ConstructionError("sixth point failed the exact membership checks")
-    return SixthPointResult(z=Point(*z), y=y)
+    return Point(*z), y
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,7 @@ def random_scene(seed: int, count: int = 0) -> Scene:
     scene.points.update(labels.labelled())
 
     if count:
-        nine = list(labels.as_tuple())
-        known = list(nine)
+        known = list(labels)
         extras: list[Point] = []
         attempts = 0
         while len(extras) < count:

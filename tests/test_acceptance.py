@@ -76,21 +76,19 @@ def fit_instances():
     if not _FIT_CACHE:
         for i in range(200):
             labels = random_nine_points(random.Random(1000 + i))
-            trace = fit_nine_points_trace(labels)
-            _FIT_CACHE.append((labels, trace))
+            _FIT_CACHE.append((labels, *fit_nine_points_trace(labels)))
     return _FIT_CACHE
 
 
 def test_criterion_01_nine_point_fit():
     start = time.perf_counter()
     ok = True
-    for labels, trace in fit_instances():
-        params = trace.params
-        if not all(evaluate_cubic(params, p) == 0 for p in labels.as_tuple()):
+    for labels, params, _ in fit_instances():
+        if not all(evaluate_cubic(params, p) == 0 for p in labels):
             ok = False
             break
         expanded = expand_cubic(params)
-        fitted = nullspace_fit(labels.as_tuple(), 3)
+        fitted = nullspace_fit(labels, 3)
         if not proportional(expanded.coefficient_vector(), fitted.coefficient_vector()):
             ok = False
             break
@@ -104,7 +102,7 @@ def test_criterion_02_ten_point_test():
     ok = True
     for i in range(100):
         labels = random_nine_points(random.Random(2000 + i))
-        nine = list(labels.as_tuple())
+        nine = list(labels)
         p10 = third_point_general(nine, labels.a, labels.b)
         if not check_ten_points(labels, p10):
             ok = False
@@ -126,8 +124,7 @@ def test_criterion_03_fit_incidence_replay():
     aux = parse("(xf.xg_2Cg_1.xh_2Ch_1)")
     chain_l = parse("xaAa_1")
     ok = True
-    for labels, trace in fit_instances():
-        params = trace.params
+    for labels, params, steps in fit_instances():
         # when x = d the first chain collapses onto the line cd
         L = eval_numeric(chain_l, params_environment(params, x=labels.d))
         da1 = join(labels.d, params.a1)
@@ -137,21 +134,21 @@ def test_criterion_03_fit_incidence_replay():
             break
         aux_bindings = {
             "f": labels.f,
-            "g_1": trace.g1,
-            "g_2": trace.g2,
-            "h_1": trace.h1,
-            "h_2": trace.h2,
+            "g_1": steps["g1"],
+            "g_2": steps["g2"],
+            "h_1": steps["h1"],
+            "h_2": steps["h2"],
             "C": params.C,
         }
         if any(
             eval_numeric(aux, Environment(aux_bindings, x=pt)) != 0
-            for pt in (trace.y, trace.z, params.k)
+            for pt in (steps["y"], steps["z"], params.k)
         ):
             ok = False
             break
         if any(
             incidence(line, pt) == 0
-            for pt in (trace.y, trace.z)
+            for pt in (steps["y"], steps["z"])
             for line in (params.B, params.C)
         ):
             ok = False
@@ -163,8 +160,7 @@ def test_criterion_04_chord_third_point():
     ok = True
     for i in range(200):
         labels = random_nine_points(random.Random(4000 + i))
-        trace = fit_nine_points_trace(labels)
-        params = trace.params
+        params, _ = fit_nine_points_trace(labels)
         y = third_point_on_chord_ab(params)
         if incidence(join(params.a, params.b), y) != 0:
             ok = False
@@ -183,7 +179,7 @@ def test_criterion_05_tangent():
     ok = True
     for i in range(200):
         labels = random_nine_points(random.Random(5000 + i))
-        params = fit_nine_points_trace(labels).params
+        params, _ = fit_nine_points_trace(labels)
         T = tangent_at_a(params)
         f = expand_cubic(params)
         grad = gradient_tangent(f, params.a)
@@ -205,7 +201,7 @@ def test_criterion_06_tangent_third_and_flex():
     lemma_y_ast = parse("b_1cCkBb.b_1c")
     for i in range(100):
         labels = random_nine_points(random.Random(6000 + i))
-        params = fit_nine_points_trace(labels).params
+        params, _ = fit_nine_points_trace(labels)
         w = tangent_third_point(params)
         tangent = tangent_at_a(params)
         f = expand_cubic(params)
@@ -258,10 +254,9 @@ def test_criterion_07_conic_cubic_sixth():
     ok = True
     for i in range(100):
         labels = random_nine_points(random.Random(7000 + i))
-        result = conic_cubic_sixth(labels)
-        z = result.z
+        z, _ = conic_cubic_sixth(labels)
         conic = nullspace_fit([labels.a, labels.c, labels.d, labels.e, labels.f], 2)
-        cubic = nullspace_fit(labels.as_tuple(), 3)
+        cubic = nullspace_fit(labels, 3)
         if evaluate(conic, z) != 0 or evaluate(cubic, z) != 0:
             ok = False
             break

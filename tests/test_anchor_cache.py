@@ -803,7 +803,7 @@ def test_a_refused_fit_moves_the_fill_on(group_pool, monkeypatch, case):
     fitted, original = [], cons.fit_nine_points
 
     def first_fit_degenerate(nine):
-        fitted.append(nine.as_tuple())
+        fitted.append(nine)
         return params if len(fitted) == 1 else original(nine)
 
     monkeypatch.setattr(cons, "fit_nine_points", first_fit_degenerate)

@@ -78,13 +78,13 @@ def proportional(u, v):
 class TestFitNinePoints:
     def test_all_nine_on_cubic(self, labels9):
         params = fit_nine_points(labels9)
-        assert all(evaluate_cubic(params, p) == 0 for p in labels9.as_tuple())
+        assert all(evaluate_cubic(params, p) == 0 for p in labels9)
 
     def test_matches_nullspace_oracle(self, labels9):
         params = fit_nine_points(labels9)
         expanded = expand_cubic(params)
         assert expanded.degree == 3 and not expanded.is_zero
-        fitted = nullspace_fit(labels9.as_tuple(), 3)
+        fitted = nullspace_fit(labels9, 3)
         assert proportional(expanded.coefficient_vector(), fitted.coefficient_vector())
 
     def test_primitive_expansion_is_nullspace_fit_on_random_scenes(self):
@@ -106,32 +106,34 @@ class TestFitNinePoints:
             assert expand_cubic(params) == expected
 
     def test_collinear_points_rejected(self, labels9):
-        pts = list(labels9.as_tuple())
+        # the labels are the nine points in order, named a..i
+        assert tuple(labels9) == tuple(getattr(labels9, n) for n in "abcdefghi")
+        assert labels9.labelled() == dict(zip("abcdefghi", labels9))
+        pts = list(labels9)
         pts[2] = Point(*(a + b for a, b in zip(pts[0].coords, pts[1].coords)))
         with pytest.raises(GeneralPositionViolation) as exc:
             fit_nine_points(NinePointLabels.from_points(pts))
         assert set(exc.value.names) == {"a", "b", "c"}
 
     def test_fit_certificate_k_on_auxiliary_cubic(self, labels9):
-        trace = fit_nine_points_trace(labels9)
+        params, steps = fit_nine_points_trace(labels9)
         bindings = {
             "f": labels9.f,
-            "g_1": trace.g1,
-            "g_2": trace.g2,
-            "h_1": trace.h1,
-            "h_2": trace.h2,
-            "C": trace.params.C,
+            "g_1": steps["g1"],
+            "g_2": steps["g2"],
+            "h_1": steps["h1"],
+            "h_2": steps["h2"],
+            "C": params.C,
         }
         aux = parse("(xf.xg_2Cg_1.xh_2Ch_1)")
-        for pt in (trace.params.k, trace.y, trace.z):
+        for pt in (params.k, steps["y"], steps["z"]):
             assert eval_numeric(aux, Environment(bindings, x=pt)) == 0
-        for pt in (trace.y, trace.z):
-            assert incidence(trace.params.B, pt) != 0
-            assert incidence(trace.params.C, pt) != 0
+        for pt in (steps["y"], steps["z"]):
+            assert incidence(params.B, pt) != 0
+            assert incidence(params.C, pt) != 0
 
     def test_fit_chain_collapse_at_d(self, labels9):
-        trace = fit_nine_points_trace(labels9)
-        params = trace.params
+        params, _ = fit_nine_points_trace(labels9)
         d, c = labels9.d, labels9.c
         L = eval_numeric(parse("xaAa_1"), params_environment(params, x=d))
         da1 = join(d, params.a1)
@@ -183,7 +185,7 @@ class TestCubicParamsValidate:
 
 class TestCheckTenPoints:
     def test_chord_point_is_on_cubic(self, labels9):
-        nine = list(labels9.as_tuple())
+        nine = list(labels9)
         p10 = third_point_general(nine, labels9.a, labels9.b)
         assert check_ten_points(labels9, p10)
 
@@ -238,20 +240,20 @@ class TestThirdPoint:
         assert oracle.tangent_third(expand_cubic(params), join(p, t3), p)[0] == 2
 
     def test_general_equals_oracle(self, labels9):
-        nine = list(labels9.as_tuple())
+        nine = list(labels9)
         p, q = labels9.c, labels9.g
         y = third_point_general(nine, p, q)
         assert projectively_equal(y, oracle.third(nullspace_fit(nine, 3), p, q))
 
     def test_chord_involution(self, labels9):
-        nine = list(labels9.as_tuple())
+        nine = list(labels9)
         p, q = labels9.a, labels9.d
         m = third_point_general(nine, p, q)
         back = third_point_general(nine + [m], p, m)
         assert projectively_equal(back, q)
 
     def test_independent_of_auxiliary_choice(self, labels9):
-        nine = list(labels9.as_tuple())
+        nine = list(labels9)
         p, q = labels9.a, labels9.b
         first = third_point_general(nine, p, q)
         second = third_point_general(nine[::-1], p, q)
@@ -259,7 +261,7 @@ class TestThirdPoint:
 
     def test_distinct_endpoints_required(self, labels9):
         with pytest.raises(HypothesisViolation, match="chord endpoints coincide"):
-            third_point_general(list(labels9.as_tuple()), labels9.a, labels9.a)
+            third_point_general(list(labels9), labels9.a, labels9.a)
 
 
 class TestTangent:
@@ -543,11 +545,10 @@ class TestTangentThird:
     # by nullspace_fit through the nine labelled points
 
     def test_via_89_agreement(self, labels9):
-        nine = labels9.as_tuple()
         a = labels9.a
         params = fit_nine_points(labels9)
         w = tangent_third_point(params)
-        assert projectively_equal(w, oracle.third(nullspace_fit(nine, 3), a, a))
+        assert projectively_equal(w, oracle.third(nullspace_fit(labels9, 3), a, a))
         assert evaluate_cubic(params, w) == 0
 
     def test_via_89_agreement_many(self):
@@ -555,14 +556,14 @@ class TestTangentThird:
             labels = seeded_labels(12000 + i)
             a = labels.a
             w = tangent_third_point(fit_nine_points(labels))
-            assert projectively_equal(w, oracle.third(nullspace_fit(labels.as_tuple(), 3), a, a))
+            assert projectively_equal(w, oracle.third(nullspace_fit(labels, 3), a, a))
 
     def test_via_89_flex_case(self):
         f = weierstrass(0, 17)
         pool = grow_pool(f, CURVES[0][2], 16)
         labels = nine_with_anchor(pool, FLEX)
         w = tangent_third_point(fit_nine_points(labels))
-        assert projectively_equal(w, oracle.third(nullspace_fit(labels.as_tuple(), 3), FLEX, FLEX))
+        assert projectively_equal(w, oracle.third(nullspace_fit(labels, 3), FLEX, FLEX))
         assert projectively_equal(w, FLEX)
 
 
@@ -581,7 +582,7 @@ def sixth_cases():
     for seed in range(17001, 17201):
         labels = seeded_labels(seed)
         scaled = NinePointLabels.from_points(
-            scale(Fraction(2 * n + 1, n + 3), p) for n, p in enumerate(labels.as_tuple())
+            scale(Fraction(2 * n + 1, n + 3), p) for n, p in enumerate(labels)
         )
         cases += [labels, scaled]
     return cases
@@ -600,7 +601,7 @@ def oracle_sixth(labels):
     """The sixth conic point by the oracle chord chain a.((cd).(ef)) on the
     nullspace cubic through the nine, as the CLI's conic_sixth check
     builds it."""
-    cubic = nullspace_fit(labels.as_tuple(), 3)
+    cubic = nullspace_fit(labels, 3)
 
     def third(u, v):
         return oracle.third(cubic, u, v)
@@ -634,11 +635,10 @@ class TestConicCubicSixth:
     def test_y_matches_deflation_of_auxiliary_cubic(self):
         checked = 0
         for labels, params in fitted_sixth_cases():
-            result = conic_cubic_sixth(labels)
-            y = deflation_y(labels, params)
-            assert result.y == y
+            z, y = conic_cubic_sixth(labels)
+            assert y == deflation_y(labels, params)
             env = params_environment(params, x=y)
-            assert result.z == canonicalize(eval_numeric(parse("xc.xa_1Aa"), env))
+            assert z == canonicalize(eval_numeric(parse("xc.xa_1Aa"), env))
             checked += 1
         assert checked >= 390
 
@@ -655,23 +655,23 @@ class TestConicCubicSixth:
         assert 1 <= refused < 10
 
     def test_on_both_curves(self, labels9):
-        z = conic_cubic_sixth(labels9).z
+        z, _ = conic_cubic_sixth(labels9)
         conic = nullspace_fit(
             [labels9.a, labels9.c, labels9.d, labels9.e, labels9.f], 2
         )
-        cubic = nullspace_fit(labels9.as_tuple(), 3)
+        cubic = nullspace_fit(labels9, 3)
         assert evaluate(conic, z) == 0
         assert evaluate(cubic, z) == 0
 
     def test_chord_chain_agreement(self, labels9):
-        result = conic_cubic_sixth(labels9)
-        assert projectively_equal(result.z, oracle_sixth(labels9))
+        z, _ = conic_cubic_sixth(labels9)
+        assert projectively_equal(z, oracle_sixth(labels9))
 
     def test_more_instances(self):
         for seed in (201, 202, 203):
             labels = seeded_labels(seed)
-            result = conic_cubic_sixth(labels)
-            assert projectively_equal(result.z, oracle_sixth(labels))
+            z, _ = conic_cubic_sixth(labels)
+            assert projectively_equal(z, oracle_sixth(labels))
 
     @staticmethod
     def _sixth_by_parameterization(labels):
@@ -688,7 +688,7 @@ class TestConicCubicSixth:
         a = labels.a
         shared = [labels.c, labels.d, labels.e, labels.f]
         conic = nullspace_fit([a, *shared], 2)
-        cubic = nullspace_fit(labels.as_tuple(), 3)
+        cubic = nullspace_fit(labels, 3)
 
         m = [[Fraction(0)] * 3 for _ in range(3)]
         for (i, j, k), coeff in conic.coeffs.items():
@@ -760,7 +760,7 @@ class TestConicCubicSixth:
     def test_matches_parameterization_oracle(self):
         for seed in (211, 212, 213, 214, 215, 216, 217, 218, 219, 220):
             labels = seeded_labels(seed)
-            z = conic_cubic_sixth(labels).z
+            z, _ = conic_cubic_sixth(labels)
             z_enum = self._sixth_by_parameterization(labels)
             assert not z_enum.is_zero
             assert projectively_equal(z, z_enum)
@@ -946,13 +946,13 @@ class TestKnownPool:
         fitted, original = [], cons.fit_nine_points
 
         def counted(labels):
-            fitted.append(labels.as_tuple())
+            fitted.append(labels)
             return original(labels)
 
         monkeypatch.setattr(cons, "fit_nine_points", counted)
 
         def refuse_twice(labels, params):
-            assert labels.as_tuple() == fitted[-1]
+            assert labels == fitted[-1]
             if len(fitted) < 3:
                 raise DegenerateIntermediateError("probe")
             return params.a
@@ -1143,7 +1143,8 @@ K_VANISHES = [
 
 def reference_fit(labels, name_collinear_e_g1_h1=True):
     """The documented nine-point recipe on public join/meet/canonicalize,
-    as a dict of every NinePointFit field; a zero step raises with its name.
+    as a dict of every parameter and named step; a zero step raises with
+    its name.
     Without `name_collinear_e_g1_h1`, [e,g1,h1] = 0 is not tested, and the
     recipe refuses such input at a later step."""
 
@@ -1152,7 +1153,7 @@ def reference_fit(labels, name_collinear_e_g1_h1=True):
             raise DegenerateIntermediateError(name)
         return canonicalize(value)
 
-    a, b, c, d, e, f, g, h, i = labels.as_tuple()
+    a, b, c, d, e, f, g, h, i = labels
     A = step("A=de", join(d, e))
     B = step("B=ef", join(e, f))
     a1 = step("a1=af.cd", meet(join(a, f), join(c, d)))
@@ -1178,19 +1179,16 @@ def reference_fit(labels, name_collinear_e_g1_h1=True):
     )
 
 
-def fit_fields(fit):
-    fields = {n: getattr(fit.params, n) for n in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C")}
-    fields.update({n: getattr(fit, n) for n in ("g1", "g2", "h1", "h2", "i1", "i2", "y", "z", "K")})
-    return fields
+def fit_fields(params, steps):
+    fields = {n: getattr(params, n) for n in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C")}
+    return {**fields, **steps}
 
 
-def bracket_violation(points, names=None):
-    """The first collinear triple by one bracket per triple."""
-    pts = list(points)
-    names = names or [str(i) for i in range(len(pts))]
-    for (i, p), (j, q), (k, r) in itertools.combinations(enumerate(pts), 3):
+def bracket_violation(points):
+    """The indices of the first collinear triple, by one bracket per triple."""
+    for (i, p), (j, q), (k, r) in itertools.combinations(enumerate(points), 3):
         if bracket(p, q, r) == 0:
-            return ((names[i], names[j], names[k]), (p, q, r))
+            return i, j, k
     return None
 
 
@@ -1263,19 +1261,26 @@ class TestTupleKernels:
     def test_evaluate_cubic_needs_points_and_lines(self, labels9):
         params = fit_nine_points(labels9)
         x = Point(1, 2, 3)
-        for name, wrong in (("a1", Line(*params.a1.coords)), ("B", Point(*params.B.coords))):
-            bad = dataclasses.replace(params, **{name: wrong})
+        wrong_kinds = (
+            ("a1", "a_1", Line(*params.a1.coords), "point"),
+            ("B", "B", Point(*params.B.coords), "line"),
+        )
+        for name, bound, wrong, kind in wrong_kinds:
+            with pytest.raises(KindError, match=f"parameter {name} must be a {kind}"):
+                dataclasses.replace(params, **{name: wrong})
             with pytest.raises(KindError):
-                eval_numeric(parse(cons.CUBIC_EXPRESSION), params_environment(bad, x=x))
-            with pytest.raises(KindError):
-                evaluate_cubic(bad, x)
+                env = params_environment(params, x=x, **{bound: wrong})
+                eval_numeric(parse(cons.CUBIC_EXPRESSION), env)
+        # the kinds are checked once, where the parameters are built, so no
+        # construction on them meets a wrong kind
+        with pytest.raises(KindError, match="parameter a1 must be a point"):
+            expand_cubic(dataclasses.replace(params, a1=Line(*params.a1.coords)))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fit_fields_match_reference_recipe(self, seed):
         labels = seeded_labels(seed)
-        pts = labels.as_tuple()
         scaled = NinePointLabels.from_points(
-            scale(Fraction(2 * n + 1, n + 3), p) for n, p in enumerate(pts)
+            scale(Fraction(2 * n + 1, n + 3), p) for n, p in enumerate(labels)
         )
         for case in (labels, scaled):
             try:
@@ -1285,7 +1290,9 @@ class TestTupleKernels:
                     fit_nine_points_trace(case)
                 assert got.value.step == exc.step
                 continue
-            got = fit_fields(fit_nine_points_trace(case))
+            params, steps = fit_nine_points_trace(case)
+            assert list(steps) == ["g1", "g2", "h1", "h2", "i1", "i2", "y", "z", "K"]
+            got = fit_fields(params, steps)
             assert got == expected
             for name, value in got.items():
                 assert type(value) is type(expected[name])
@@ -1296,7 +1303,7 @@ class TestTupleKernels:
         # [e,g1,h1] = 0 on these nine, so the fit refuses by that name
         # before K = yz vanishes
         labels = NinePointLabels.from_points(Point(*t) for t in K_VANISHES)
-        assert cons.general_position_violation(labels.as_tuple()) is None
+        assert cons.general_position_violation(labels) is None
         with pytest.raises(DegenerateIntermediateError) as exc:
             fit_nine_points(labels)
         assert exc.value.step == "[e,g1,h1]"
@@ -1315,7 +1322,7 @@ class TestTupleKernels:
         rng = random.Random(12345)
         draws = [random_nine_points(rng) for _ in range(3838)]
         for labels in (draws[1259], draws[3837]):
-            assert cons.general_position_violation(labels.as_tuple()) is None
+            assert cons.general_position_violation(labels) is None
             with pytest.raises(DegenerateIntermediateError) as exc:
                 fit_nine_points(labels)
             assert exc.value.step == "[e,g1,h1]"
@@ -1344,7 +1351,6 @@ class TestTupleKernels:
 
     def test_general_position_violation_matches_brackets(self):
         rng = random.Random(404)
-        names = NinePointLabels._NAMES
         found = 0
         for n in range(300):
             # small grids make collinear triples common, larger ones rare
@@ -1353,9 +1359,8 @@ class TestTupleKernels:
                 Point(rng.choice([1, Fraction(1, 2), 2]), rng.randint(-r, r), rng.randint(-r, r))
                 for _ in range(9)
             ]
-            expected = bracket_violation(pts, names)
-            assert cons.general_position_violation(pts, names) == expected
-            assert cons.general_position_violation(pts) == bracket_violation(pts)
+            expected = bracket_violation(pts)
+            assert cons.general_position_violation(pts) == expected
             found += expected is not None
         assert 0 < found < 300
         # general position is asked of points only: lines, or a mix, are refused
