@@ -1,20 +1,23 @@
 """Parser and evaluators for incidence-chain notation.
 
-Grammar (whitespace is ignored everywhere)::
+Grammar, in ASCII (whitespace is ignored between tokens)::
 
-    statement := group [ "=" "0" ]
+    statement := group [ "=0" ]
     group     := chain { "." chain }
-    chain     := atom { atom }
-    atom      := NAME | "(" group ")"
+    chain     := item { item }
+    item      := NAME | "(" group ")"
+    NAME      := letter [ "_" digit { digit } ]
 
-A NAME is one letter with an optional ``_<digits>`` subscript.  Lowercase
-names denote points, uppercase names denote lines, and bare ``x`` is the
-reserved name of the point under test.  A chain folds its items left to
-right through the typed product (join, meet, incidence scalar, scaling).
-A period only groups: it closes the chain before it as one item, so
-``pq.rs`` is ``(pq)(rs)``, the meet of the joins pq and rs, while
-``pqrs`` would scale s by the bracket (p.q.r).  Both parse to the same
-tree, whose nodes are a :class:`Name` or a :class:`Chain`.
+where a letter is one of A-Z and a-z and a digit one of 0-9; any other
+character is refused where it stands.  :func:`name_kind` owns the names:
+lowercase names denote points, uppercase names denote lines, and bare
+``x`` is the reserved name of the point under test.  Scene files bind
+exactly the names that :func:`name_kind` gives a kind.  A chain folds its
+items left to right through the typed product (join, meet, incidence
+scalar, scaling).  A period only groups: it closes the chain before it as
+one item, so ``pq.rs`` is ``(pq)(rs)``, the meet of the joins pq and rs,
+while ``pqrs`` would scale s by the bracket (p.q.r).  Both parse to the
+same tree, whose nodes are a :class:`Name` or a :class:`Chain`.
 
 Evaluation comes in two flavours: :func:`eval_numeric` with every name
 bound to a concrete point or line, and :func:`eval_symbolic` with ``x``
@@ -25,7 +28,9 @@ a triple of them) in the coordinates of x by the same fold through
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Union
 
 from . import core
@@ -39,6 +44,7 @@ __all__ = [
     "ParseError",
     "UnboundNameError",
     "Environment",
+    "name_kind",
     "parse",
     "parse_statement",
     "pretty_print",
@@ -70,95 +76,24 @@ class Chain:
 
 Expr = Union[Name, Chain]
 
-_X = Name("x")
-
 
 # ---------------------------------------------------------------------------
-# lexing / parsing
+# names and parsing
+
+# one letter with an optional subscript of ASCII digits
+_NAME = r"[A-Za-z](?:_[0-9]+)?"
+_NAME_RE = re.compile(_NAME)
+# after optional whitespace: a name, an operator, or any other character,
+# which is refused
+_TOKEN = re.compile(rf"\s*(?:(?P<name>{_NAME})|(?P<op>[.()]|=0)|(?P<bad>\S))")
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in ".()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "=":
-            if text[i + 1 : i + 2] != "0":
-                raise ParseError("expected '=0'", i)
-            tokens.append(("eq0", "=0", i))
-            i += 2
-            continue
-        if ch.isalpha():
-            start = i
-            i += 1
-            if i < n and text[i] == "_":
-                i += 1
-                if i >= n or not text[i].isdigit():
-                    raise ParseError("subscript needs digits", i)
-                while i < n and text[i].isdigit():
-                    i += 1
-            tokens.append(("name", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, text_len: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.text_len = text_len
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        self.pos += 1
-        return tok
-
-    def parse_group(self) -> Expr:
-        parts = [self.parse_chain()]
-        while (tok := self.peek()) is not None and tok[0] == ".":
-            self.next()
-            parts.append(self.parse_chain())
-        if len(parts) == 1:
-            return parts[0]
-        return Chain(tuple(parts))
-
-    def parse_chain(self) -> Expr:
-        atoms = []
-        while (tok := self.peek()) is not None and tok[0] in ("name", "("):
-            atoms.append(self.parse_atom())
-        if not atoms:
-            tok = self.peek()
-            pos = tok[2] if tok else self.text_len
-            raise ParseError("expected an operand", pos)
-        if len(atoms) == 1:
-            return atoms[0]
-        return Chain(tuple(atoms))
-
-    def parse_atom(self) -> Expr:
-        kind, text, pos = self.next()
-        if kind == "name":
-            return Name(text)
-        if kind == "(":
-            inner = self.parse_group()
-            tok = self.next()
-            if tok[0] != ")":
-                raise ParseError("expected ')'", tok[2])
-            return inner
-        raise ParseError(f"unexpected token {text!r}", pos)
+def name_kind(name: str) -> str | None:
+    """'point' for a lowercase name other than x, 'line' for an uppercase
+    name, and None for x or for text that is no name."""
+    if name == "x" or not _NAME_RE.fullmatch(name):
+        return None
+    return "point" if name[0].islower() else "line"
 
 
 def parse_statement(text: str) -> tuple[Expr, bool]:
@@ -167,17 +102,51 @@ def parse_statement(text: str) -> tuple[Expr, bool]:
     Returns the AST and a flag telling whether the input was written as an
     equation.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, len(text))
-    expr = parser.parse_group()
-    is_equation = False
-    tok = parser.peek()
-    if tok is not None and tok[0] == "eq0":
-        parser.next()
-        is_equation = True
-        tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m['bad']!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    i = 0
+
+    def group() -> Expr:
+        nonlocal i
+        parts = [chain()]
+        while tokens[i][1] == ".":
+            i += 1
+            parts.append(chain())
+        return parts[0] if len(parts) == 1 else Chain(tuple(parts))
+
+    def chain() -> Expr:
+        nonlocal i
+        atoms = []
+        while True:
+            kind, tok, pos = tokens[i]
+            if kind == "name":
+                i += 1
+                atoms.append(Name(tok))
+            elif tok == "(":
+                i += 1
+                atoms.append(group())
+                kind, tok, pos = tokens[i]
+                if kind == "end":
+                    raise ParseError("unexpected end of input", pos)
+                if tok != ")":
+                    raise ParseError("expected ')'", pos)
+                i += 1
+            elif not atoms:
+                raise ParseError("expected an operand", pos)
+            else:
+                return atoms[0] if len(atoms) == 1 else Chain(tuple(atoms))
+
+    expr = group()
+    is_equation = tokens[i][1] == "=0"
+    i += is_equation
+    kind, tok, pos = tokens[i]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {tok!r}", pos)
     return expr, is_equation
 
 
@@ -201,10 +170,6 @@ def pretty_print(e: Expr) -> str:
 # environments
 
 
-def _expected_kind(name: str) -> str:
-    return "point" if name[0].islower() else "line"
-
-
 class Environment:
     """Bindings for operand names; lowercase bind points, uppercase lines.
 
@@ -217,7 +182,9 @@ class Environment:
         for name, value in (bindings or {}).items():
             if name == "x":
                 raise ValueError("x is the variable point: bind it with x=, not as a name")
-            kind = _expected_kind(name)
+            kind = name_kind(name)
+            if kind is None:
+                raise KindError(f"{name!r} is not a name")
             if core.kind_of(value) != kind:
                 raise KindError(f"{name!r} must be bound to a {kind}")
             self._bindings[name] = value
@@ -236,11 +203,19 @@ class Environment:
 # evaluation
 
 
+def _fold(e: Expr, leaf, product):
+    """The one walk of the tree: each name through ``leaf``, and each chain
+    as a left fold of its items' values through ``product``."""
+    if isinstance(e, Name):
+        return leaf(e.name)
+    if isinstance(e, Chain):
+        return reduce(product, (_fold(part, leaf, product) for part in e.parts))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def contains_x(e: Expr) -> bool:
     """Whether the point x occurs in the expression."""
-    if isinstance(e, Chain):
-        return any(contains_x(p) for p in e.parts)
-    return e == _X
+    return _fold(e, lambda name: name == "x", lambda u, v: u or v)
 
 
 def eval_numeric(e: Expr, env: Environment) -> GeomObject:
@@ -249,14 +224,7 @@ def eval_numeric(e: Expr, env: Environment) -> GeomObject:
     Zero objects propagate, so a degenerate intermediate construction turns
     the whole expression into the appropriate zero object or zero scalar.
     """
-    if isinstance(e, Name):
-        return env.lookup(e.name)
-    if isinstance(e, Chain):
-        value = eval_numeric(e.parts[0], env)
-        for part in e.parts[1:]:
-            value = core.product(value, eval_numeric(part, env))
-        return value
-    raise TypeError(f"not an expression node: {e!r}")
+    return _fold(e, env.lookup, core.product)
 
 
 # a zero object of each kind, so that core.product decides the kind of
@@ -264,29 +232,18 @@ def eval_numeric(e: Expr, env: Environment) -> GeomObject:
 _ZERO_OF_KIND = {"point": core.ZERO_POINT, "line": core.ZERO_LINE, "scalar": 0}
 
 
-def _eval_sym(e: Expr, env: Environment) -> tuple:
-    """(kind, value): a left fold through poly_cross, poly_dot and poly_scale."""
-    if e == _X:
-        return "point", PolyVector.variable()
-    if isinstance(e, Name):
-        value = env.lookup(e.name)
-        return core.kind_of(value), PolyVector.constant(value)
-    if isinstance(e, Chain):
-        kind, acc = _eval_sym(e.parts[0], env)
-        for part in e.parts[1:]:
-            kind2, value = _eval_sym(part, env)
-            product = core.kind_of(core.product(_ZERO_OF_KIND[kind], _ZERO_OF_KIND[kind2]))
-            if kind == "scalar":
-                acc = poly_scale(acc, value)
-            elif kind2 == "scalar":
-                acc = poly_scale(value, acc)
-            elif product == "scalar":
-                acc = poly_dot(acc, value)
-            else:
-                acc = poly_cross(acc, value)
-            kind = product
-        return kind, acc
-    raise TypeError(f"not an expression node: {e!r}")
+def _symbolic_product(u: tuple, v: tuple) -> tuple:
+    """The typed product of two (kind, value) pairs through poly_cross,
+    poly_dot and poly_scale."""
+    (kind, acc), (kind2, value) = u, v
+    product = core.kind_of(core.product(_ZERO_OF_KIND[kind], _ZERO_OF_KIND[kind2]))
+    if kind == "scalar":
+        return product, poly_scale(acc, value)
+    if kind2 == "scalar":
+        return product, poly_scale(value, acc)
+    if product == "scalar":
+        return product, poly_dot(acc, value)
+    return product, poly_cross(acc, value)
 
 
 def eval_symbolic(e: Expr, env: Environment):
@@ -298,4 +255,11 @@ def eval_symbolic(e: Expr, env: Environment):
     also when the result is zero; ``coeffs`` lists the terms in
     :func:`~grassmann.poly.monomials` order.
     """
-    return _eval_sym(e, env)[1]
+
+    def leaf(name: str) -> tuple:
+        if name == "x":
+            return "point", PolyVector.variable()
+        value = env.lookup(name)
+        return core.kind_of(value), PolyVector.constant(value)
+
+    return _fold(e, leaf, _symbolic_product)[1]

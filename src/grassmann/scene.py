@@ -11,11 +11,13 @@ is line oriented and versioned::
     line A = 0, 1, -2
     viewport = -12, 12, -12, 12
 
-Point names are lowercase letters with an optional _<digits> subscript
-('x' is reserved for the variable); line names are uppercase.  A zero
-triple is refused, as it is no projective point or line.  All
-serialization is canonical (sorted names, reduced fractions) so that a
-scene has a stable digest and reports are byte-reproducible.
+Entry names are the names of :mod:`grassmann.expr`: one ASCII letter
+with an optional _<digits> subscript of ASCII digits.  Point names are
+lowercase ('x' is reserved for the variable) and line names uppercase,
+as :func:`grassmann.expr.name_kind` says, so an expression can refer to
+every entry.  A zero triple is refused, as it is no projective point or
+line.  All serialization is canonical (sorted names, reduced fractions)
+so that a scene has a stable digest and reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Line, Point, Scalar, canonicalize, kind_of
+from .expr import name_kind
 
 __all__ = [
     "SceneError",
@@ -35,12 +38,9 @@ __all__ = [
     "format_triple",
 ]
 
-# each entry keyword with its name pattern, its class and the Scene
-# dictionary that holds its entries
-_ENTRIES = {
-    "point": (re.compile(r"^[a-wyz](_\d+)?$"), Point, "points"),
-    "line": (re.compile(r"^[A-Z](_\d+)?$"), Line, "lines"),
-}
+# each entry keyword with its class and the Scene dictionary that holds
+# its entries; the keyword is the name_kind of the entry's name
+_ENTRIES = {"point": (Point, "points"), "line": (Line, "lines")}
 
 
 class SceneError(ValueError):
@@ -119,9 +119,9 @@ class Scene:
                 raise SceneError(f"line {lineno}: expected 'key = value'")
             kind, space, name = key.partition(" ")
             if space and kind in _ENTRIES:
-                pattern, cls, attr = _ENTRIES[kind]
+                cls, attr = _ENTRIES[kind]
                 name = name.strip()
-                if not pattern.match(name):
+                if name_kind(name) != kind:
                     raise SceneError(f"line {lineno}: bad {kind} name {name!r}")
                 entries = getattr(scene, attr)
                 if name in entries:
@@ -151,7 +151,7 @@ class Scene:
 
     def serialize(self) -> str:
         out = ["format: 1"]
-        for kind, (_, _, attr) in _ENTRIES.items():
+        for kind, (_, attr) in _ENTRIES.items():
             entries = getattr(self, attr)
             for name in sorted(entries):
                 coords = ", ".join(str(c) for c in entries[name].coords)

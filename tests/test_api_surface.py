@@ -120,6 +120,26 @@ def test_cli_leaves_the_expression_tree_to_expr():
     assert sorted(imported & nodes) == []
 
 
+def test_scene_reads_names_through_expr():
+    """What a name is has one owner: scene asks expr's name_kind, and its
+    only compiled pattern is the one for integers."""
+    path = PACKAGE / "scene.py"
+    assert "grassmann.expr.name_kind" in _imported_modules(path, "grassmann")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    compiles = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "compile"
+    ]
+    bound = [
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and node.value in compiles
+        for target in node.targets
+    ]
+    assert len(compiles) == 1 and bound == ["_INTEGER"]
+
+
 def test_cli_reads_core_names_from_core():
     """A name of core has one path into the CLI: its import from core, and
     not an attribute of the construction module, which imports it too."""

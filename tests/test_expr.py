@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from grassmann.expr import (
     contains_x,
     eval_numeric,
     eval_symbolic,
+    name_kind,
     parse,
     parse_statement,
     pretty_print,
@@ -37,6 +39,7 @@ from grassmann.poly import (
     poly_dot,
     poly_scale,
 )
+from grassmann.scene import Scene, SceneError
 
 from exprgen import random_ast, random_environment, typed_random_expr
 
@@ -90,6 +93,71 @@ class TestParse:
     def test_determinism(self):
         text = "(xaAa_1.xbBkCb_1.xc)"
         assert parse(text) == parse(text)
+
+
+# each text with its name_kind: ASCII letters and digits only, so a
+# Unicode letter, a titlecase letter, a superscript digit or an
+# Arabic-Indic digit is no name
+NAME_KINDS = {
+    "a": "point",
+    "a_12": "point",
+    "B_3": "line",
+    "X": "line",
+    "x": None,
+    "é": None,
+    "ǅ": None,
+    "a_²": None,
+    "a_٣": None,
+    "a_": None,
+    "ab": None,
+}
+
+
+def _parses_to_name(text):
+    try:
+        return parse(text) == Name(text)
+    except ParseError:
+        return False
+
+
+def _scene_accepts(entry):
+    try:
+        Scene.parse(f"format: 1\n{entry}\n")
+    except SceneError:
+        return False
+    return True
+
+
+class TestOneGrammar:
+    """expr owns what a name is: the parser, the scene format and the
+    environment all agree with name_kind."""
+
+    @pytest.mark.parametrize("text, kind", NAME_KINDS.items())
+    def test_name_kind(self, text, kind):
+        assert name_kind(text) == kind
+
+    @pytest.mark.parametrize("text", NAME_KINDS)
+    def test_parse_reads_exactly_the_names(self, text):
+        assert _parses_to_name(text) == (text == "x" or name_kind(text) is not None)
+
+    @pytest.mark.parametrize("text", NAME_KINDS)
+    def test_scene_binds_exactly_the_names(self, text):
+        assert _scene_accepts(f"point {text} = 1, 2, 3") == (name_kind(text) == "point")
+        assert _scene_accepts(f"line {text} = 0, 1, -2") == (name_kind(text) == "line")
+
+    @pytest.mark.parametrize("text", [t for t in NAME_KINDS if t != "x"])
+    def test_environment_binds_exactly_the_names(self, text):
+        if name_kind(text) == "point":
+            assert Environment({text: Point(1, 2, 3)}).lookup(text) == Point(1, 2, 3)
+        else:
+            with pytest.raises(KindError, match=re.escape(repr(text))):
+                Environment({text: Point(1, 2, 3)})
+
+    @pytest.mark.parametrize("text, pos", [("a_", 1), ("ab=1", 2), ("a é", 2)])
+    def test_a_character_outside_the_grammar_is_refused_where_it_stands(self, text, pos):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.pos == pos
 
 
 class TestPrettyPrint:

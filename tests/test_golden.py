@@ -8,7 +8,9 @@ has that flex as ``a`` and the multiples 10P..20P of P = [1:-2:3] (99 to 394
 bits), so ``group_add`` runs the anchored chord on tall coordinates;
 ``golden/conic-line.scene`` is a conic plus a line, a cubic with two
 components; ``golden/cusp.scene`` has nine points (t^2, t^3, 1) of the
-cuspidal cubic x1^2 x2 = x0^3, a tenth at t = 10 and an off-curve ``j``.
+cuspidal cubic x1^2 x2 = x0^3, a tenth at t = 10 and an off-curve ``j``;
+every command runs on it, and its ``group_add`` sum is also checked in
+the cusp's additive parameter u = x0/x1.
 Each case runs one command in process, the ``grid-plot`` case through
 ``tools/plot.py``, and compares its stdout and exit code with
 ``golden/<case>.txt``.
@@ -19,11 +21,13 @@ After an intended report change, regenerate the files with
 
 import contextlib
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from grassmann.cli import main
+from grassmann.scene import Scene
 
 from plot_script import plot
 
@@ -82,7 +86,7 @@ _CONIC_LINE = {
 }
 for _name, _argv in _CONIC_LINE.items():
     CASES[f"conic-line-{_name}"] = [*_argv, "--in", str(GOLDEN / "conic-line.scene")]
-# the cuspidal cubic: every command but group_add, on smooth labels
+# the cuspidal cubic: every command, on smooth labels
 _CUSP = {
     name: _PER_SCENE[name]
     for name in (
@@ -98,6 +102,8 @@ _CUSP = {
     )
 }
 _CUSP["third_point-two"] = ["third_point", "--point", "p_1", "--point", "b"]
+# identity a: the sum of p_1 and b, which the cusp's parameter checks
+_CUSP["group_add"] = ["group_add", "--no-verify-flex", "--point", "a", "--point", "p_1", "--point", "b"]
 for _name, _argv in _CUSP.items():
     CASES[f"cusp-{_name}"] = [*_argv, "--in", str(GOLDEN / "cusp.scene")]
 for _scene in ("grid", "rational"):
@@ -121,6 +127,17 @@ def _run(entry, argv) -> str:
 def test_report_is_byte_identical(case):
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert _run(*RUNS[case]) == expected
+
+
+def test_cusp_group_add_adds_the_parameter():
+    """On the cusp x1^2 x2 = x0^3 the smooth points form the additive
+    group in u = x0/x1, so the sum of p_1 and b with identity a has
+    u = u(p_1) + u(b) - u(a) = 1/10 + 1/2 - 1 = -2/5."""
+    u = {name: Fraction(p.coords[0], p.coords[1]) for name, p in Scene.load(GOLDEN / "cusp.scene").points.items()}
+    report = (GOLDEN / "cusp-group_add.txt").read_text(encoding="utf-8")
+    (line,) = (row for row in report.splitlines() if row.startswith("output point sum = "))
+    x0, x1, _ = (int(c) for c in line.removeprefix("output point sum = [").removesuffix("]").split(":"))
+    assert Fraction(x0, x1) == u["p_1"] + u["b"] - u["a"] == Fraction(-2, 5)
 
 
 def test_grid_scene_is_the_random_scene():
