@@ -263,31 +263,6 @@ def cmd_group_add(scene: Scene, args, report: Report) -> int:
     return 0
 
 
-def cmd_pascal(scene: Scene, args, report: Report) -> int:
-    names = args.points or ["a", "b", "c", "a_1", "b_1", "c_1"]
-    pts = [scene.point(n) for n in names]
-    m1, m2, m3 = cons.pascal_points(*pts)
-    for label, pt in (("m1", m1), ("m2", m2), ("m3", m3)):
-        report.add_triple(label, pt)
-        if pt.is_zero:
-            report.add_diagnostic(f"{label} degenerated to the zero point")
-    collinear = bracket(m1, m2, m3) == 0
-    report.add_output("collinear", "true" if collinear else "false")
-    on_conic = _six_on_conic(pts)
-    report.add_output("six points on a conic", "true" if on_conic else "false")
-    report.add_check("hexagon-collinearity-consistent", (not on_conic) or collinear)
-    return 0 if collinear else 1
-
-
-def _six_on_conic(pts) -> bool:
-    # five points that fix no unique conic leave the six of rank <= 5
-    try:
-        conic = nullspace_fit(pts[:5], 2)
-    except RankDeficientError:
-        return True
-    return evaluate(conic, pts[5]) == 0
-
-
 def cmd_random(args) -> str:
     if args.count < 0:
         raise SceneError(f"random takes a count of at least 0, not {args.count}")
@@ -311,7 +286,6 @@ _SCENE_COMMANDS = {
     "is_flex": (cmd_is_flex, (0,)),
     "conic_sixth": (cmd_conic_sixth, (0,)),
     "group_add": (cmd_group_add, (3,)),
-    "pascal": (cmd_pascal, (0, 6)),
 }
 
 

@@ -34,11 +34,7 @@ from .core import (
     _dot,
     _key,
     _keyed,
-    bracket,
     canonicalize,
-    incidence,
-    join,
-    meet,
     projectively_equal,
 )
 from .poly import HomPoly, monomials
@@ -66,8 +62,6 @@ __all__ = [
     "conic_cubic_sixth",
     "group_add",
     "tangent_third_at",
-    "conic_five_points",
-    "pascal_points",
     "conic_line_second_intersection",
 ]
 
@@ -180,9 +174,6 @@ class NinePointLabels(NamedTuple):
         if len(pts) != 9:
             raise ValueError("exactly nine points required")
         return cls(*pts)
-
-    def labelled(self) -> dict[str, Point]:
-        return dict(zip(self._fields, self))
 
 
 def general_position_violation(points):
@@ -935,53 +926,16 @@ def conic_line_second_intersection(five, L: Line, known: Point) -> Point:
     return Point(*_second_intersection(five, pair, L, known))
 
 
-def conic_five_points(a: Point, b: Point, c: Point, A: Line, B: Line) -> list[Point]:
-    """Five points on the conic xaAbBcx = 0.
-
-    Hypotheses: a, b, c not collinear, none of them on A or B, and A, B
-    distinct.  The conic then passes through a, c, the meet AB, the point
-    abB (chord ab crossed with B) and the point bcA (chord bc crossed
-    with A); all five memberships are exact.
-    """
-    if bracket(a, b, c) == 0:
-        raise HypothesisViolation("a, b, c are collinear")
-    for name, pt in (("a", a), ("b", b), ("c", c)):
-        if incidence(A, pt) == 0:
-            raise HypothesisViolation(f"{name} lies on A")
-        if incidence(B, pt) == 0:
-            raise HypothesisViolation(f"{name} lies on B")
-    if projectively_equal(A, B):
-        raise HypothesisViolation("A and B coincide")
-    points = [
-        a,
-        c,
-        meet(A, B),
-        meet(join(a, b), B),
-        meet(join(b, c), A),
-    ]
-    for pt in points:
-        if pt.is_zero:
-            raise DegenerateIntermediateError("conic point construction")
-    return [canonicalize(pt) for pt in points]
-
-
 def _pascal(a, b, c, a1, b1, c1) -> tuple[tuple, tuple, tuple]:
-    """pascal_points on coordinate triples."""
+    """The three cross-meets ab1.a1b, ac1.a1c and bc1.b1c of the hexagon
+    a b1 c a1 b c1, on coordinate triples.  By Pascal's theorem they are
+    collinear when the six lie on a conic; their bracket is the on-conic
+    test of conic_line_second_intersection."""
     return (
         _cross(_cross(a, b1), _cross(a1, b)),
         _cross(_cross(a, c1), _cross(a1, c)),
         _cross(_cross(b, c1), _cross(b1, c)),
     )
-
-
-def pascal_points(a, b, c, a1, b1, c1) -> tuple[Point, Point, Point]:
-    """The three cross-joint meets of the hexagon a b1 c a1 b c1.
-
-    When the six points lie on a common conic the three meets are
-    collinear.  Degenerate hexagons propagate zero objects instead of
-    raising.
-    """
-    return tuple(Point(*m) for m in _pascal(*(pt.coords for pt in (a, b, c, a1, b1, c1))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Grammar, in ASCII (whitespace is ignored between tokens)::
     statement := group [ "=0" ]
     group     := chain { "." chain }
     chain     := item { item }
-    item      := NAME | "(" group ")"
+    item      := NAME | "(" group ")"     (nested at most 100 deep)
     NAME      := letter [ "_" digit { digit } ]
 
 where a letter is one of A-Z and a-z and a digit one of 0-9; any other
@@ -86,6 +86,8 @@ _NAME_RE = re.compile(_NAME)
 # after optional whitespace: a name, an operator, or any other character,
 # which is refused
 _TOKEN = re.compile(rf"\s*(?:(?P<name>{_NAME})|(?P<op>[.()]|=0)|(?P<bad>\S))")
+# the deepest parenthesis nesting; the parser, folds and printer recurse per level
+_MAX_DEPTH = 100
 
 
 def name_kind(name: str) -> str | None:
@@ -111,15 +113,15 @@ def parse_statement(text: str) -> tuple[Expr, bool]:
     tokens.append(("end", "", len(text)))
     i = 0
 
-    def group() -> Expr:
+    def group(depth: int) -> Expr:
         nonlocal i
-        parts = [chain()]
+        parts = [chain(depth)]
         while tokens[i][1] == ".":
             i += 1
-            parts.append(chain())
+            parts.append(chain(depth))
         return parts[0] if len(parts) == 1 else Chain(tuple(parts))
 
-    def chain() -> Expr:
+    def chain(depth: int) -> Expr:
         nonlocal i
         atoms = []
         while True:
@@ -128,8 +130,10 @@ def parse_statement(text: str) -> tuple[Expr, bool]:
                 i += 1
                 atoms.append(Name(tok))
             elif tok == "(":
+                if depth == _MAX_DEPTH:
+                    raise ParseError(f"more than {_MAX_DEPTH} nested parentheses", pos)
                 i += 1
-                atoms.append(group())
+                atoms.append(group(depth + 1))
                 kind, tok, pos = tokens[i]
                 if kind == "end":
                     raise ParseError("unexpected end of input", pos)
@@ -141,7 +145,7 @@ def parse_statement(text: str) -> tuple[Expr, bool]:
             else:
                 return atoms[0] if len(atoms) == 1 else Chain(tuple(atoms))
 
-    expr = group()
+    expr = group(0)
     is_equation = tokens[i][1] == "=0"
     i += is_equation
     kind, tok, pos = tokens[i]
@@ -155,15 +159,23 @@ def parse(text: str) -> Expr:
 
 
 def pretty_print(e: Expr) -> str:
-    """Render an AST back to source text; parses back to an identical tree."""
+    """Render an AST back to source text that parses back to an identical
+    tree, and nests no deeper than any other text of that tree."""
+    return _pretty(e)[0][0]
+
+
+def _pretty(e: Expr) -> tuple:
+    """(text, parenthesis depth) of e as a group, as one item of a group and
+    as one item of a chain.  A chain of chains joins its parts' items with
+    periods; as an item of a group it goes in parentheses, unless its parts
+    side by side nest less."""
     if isinstance(e, Name):
-        return e.name
-    if isinstance(e, Chain):
-        texts = [pretty_print(part) for part in e.parts]
-        if not any(isinstance(part, Chain) for part in e.parts):
-            return "".join(texts)
-        return ".".join(f"({text})" if "." in text else text for text in texts)
-    raise TypeError(f"not an expression node: {e!r}")
+        return ((e.name, 0),) * 3
+    _, items, atoms = zip(*map(_pretty, e.parts))
+    side = "".join(t for t, _ in atoms), max(d for _, d in atoms)
+    group = side if side[1] == 0 else (".".join(t for t, _ in items), max(d for _, d in items))
+    wrapped = f"({group[0]})", group[1] + 1
+    return group, min(wrapped, side, key=lambda form: form[1]), wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def random_scene(seed: int, count: int = 0) -> Scene:
     rng = random.Random(seed)
     labels = random_nine_points(rng)
     scene = Scene()
-    scene.points.update(labels.labelled())
+    scene.points.update(zip("abcdefghi", labels))
 
     if count:
         known = list(labels)

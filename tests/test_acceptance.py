@@ -13,13 +13,11 @@ from grassmann.constructions import (
     NinePointLabels,
     check_ten_points,
     conic_cubic_sixth,
-    conic_five_points,
     evaluate_cubic,
     expand_cubic,
     fit_nine_points_trace,
     group_add,
     is_flex,
-    pascal_points,
     tangent_at_a,
     tangent_third_point,
     third_point_general,
@@ -331,24 +329,24 @@ def test_criterion_08_conic_constructions():
     ok = True
     rng = random.Random(8001)
     cubic_conic_ast = parse("xaAbBcx")
+    # a, c, AB, abB and bcA: five points of the conic, by joins and meets
+    five_asts = [parse(text) for text in ("a", "c", "AB", "ab.B", "bc.A")]
     for _ in range(100):
         a, b, c, A, B = _random_conic_instance(rng)
-        try:
-            five = conic_five_points(a, b, c, A, B)
-        except cons.ConstructionError:
-            continue
-        conic = eval_symbolic(cubic_conic_ast, Environment({"a": a, "b": b, "c": c, "A": A, "B": B}))
+        env = Environment({"a": a, "b": b, "c": c, "A": A, "B": B})
+        five = [eval_numeric(ast, env) for ast in five_asts]
+        conic = eval_symbolic(cubic_conic_ast, env)
         if conic.is_zero or conic.degree != 2:
             ok = False
             break
-        if any(evaluate(conic, pt) != 0 for pt in five):
+        if any(pt.is_zero or evaluate(conic, pt) != 0 for pt in five):
             ok = False
             break
     # hexagon meets collinear exactly for conic hexagons
     rng2 = random.Random(8002)
     for _ in range(100):
         six, conic = _conic_pencil_points(rng2, 6)
-        m1, m2, m3 = pascal_points(*six)
+        m1, m2, m3 = (Point(*m) for m in cons._pascal(*(p.coords for p in six)))
         if bracket(m1, m2, m3) != 0:
             ok = False
             break
@@ -368,7 +366,7 @@ def test_criterion_08_conic_constructions():
         rank, _, _ = _bareiss(rows)
         if rank <= 5:
             continue
-        m1, m2, m3 = pascal_points(*six)
+        m1, m2, m3 = (Point(*m) for m in cons._pascal(*(p.coords for p in six)))
         if m1.is_zero or m2.is_zero or m3.is_zero:
             continue
         if bracket(m1, m2, m3) == 0:

@@ -7,21 +7,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grassmann.cli import _six_on_conic, build_parser, main
+from grassmann.cli import build_parser, main
 from grassmann.constructions import (
     NinePointLabels,
     conic_cubic_sixth,
     expand_cubic,
     fit_nine_points,
 )
-from grassmann.core import Point, canonicalize
+from grassmann.core import Point
 from grassmann.generate import random_scene
-from grassmann.poly import HomPoly, RankDeficientError, _bareiss, monomials, nullspace_fit
+from grassmann.poly import HomPoly
 from grassmann.scene import Report, Scene, SceneError
 
 from plot_script import plot
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+# the bracket of the three cross-meets of the hexagon a b_1 c a_1 b c_1,
+# which vanishes when the six lie on a conic (Pascal's theorem)
+PASCAL_BRACKET = "(ab_1.a_1b)(ac_1.a_1c).(bc_1.b_1c)"
 
 
 def run_cli(argv, capsys):
@@ -326,7 +331,7 @@ class TestCommands:
             ("third_point", ["a"], "0 or 2 --point arguments"),
             ("third_point", ["a", "b", "c"], "0 or 2 --point arguments"),
             ("group_add", ["a", "b"], "3 --point arguments"),
-            ("pascal", ["a", "b", "c"], "0 or 6 --point arguments"),
+            ("group_add", ["a", "b", "c", "d"], "3 --point arguments"),
             ("random", ["a"], "0 --point arguments"),
         ],
     )
@@ -494,6 +499,8 @@ class TestCommands:
         assert sum(pts == nine for pts in labelled) == 1
 
     def test_pascal_on_conic(self, tmp_path, capsys):
+        """Pascal's theorem through eval: on six points of a conic, the
+        cross-meets of the hexagon a b_1 c a_1 b c_1 are collinear."""
         from test_constructions import TestPascal
 
         six = TestPascal.conic_points(6, seed=9)
@@ -502,10 +509,9 @@ class TestCommands:
             lines.append(f"point {name} = " + ", ".join(str(c) for c in pt.coords))
         path = tmp_path / "pascal.txt"
         path.write_text("\n".join(lines) + "\n")
-        code, out, _ = run_cli(["pascal", "--in", str(path)], capsys)
+        code, out, _ = run_cli(["eval", "--in", str(path), "--expr", PASCAL_BRACKET], capsys)
         assert code == 0
-        assert "collinear = true" in out
-        assert "six points on a conic = true" in out
+        assert "output scalar result = 0\n" in out
 
     def test_pascal_generic(self, tmp_path, capsys):
         text = (
@@ -515,9 +521,51 @@ class TestCommands:
         )
         path = tmp_path / "pascal2.txt"
         path.write_text(text)
-        code, out, _ = run_cli(["pascal", "--in", str(path)], capsys)
-        assert code == 1
-        assert "collinear = false" in out
+        code, out, _ = run_cli(["eval", "--in", str(path), "--expr", PASCAL_BRACKET], capsys)
+        assert code == 0
+        (line,) = [t for t in out.splitlines() if t.startswith("output scalar result = ")]
+        assert line != "output scalar result = 0"
+
+    # the hexagon a, b, c, d, e, f read as a, b, c, a_1, b_1, c_1: its
+    # cross-meets ae.db, af.dc and bf.ec, and the bracket of the three;
+    # with b_1 = a, the first meet is the zero point
+    @pytest.mark.parametrize(
+        "scene, exprs, values",
+        [
+            (
+                "grid",
+                ("ae.db", "af.dc", "bf.ec", "(ae.db)(af.dc).(bf.ec)"),
+                ("[46:148:209]", "[5:-28:25]", "[73:-1072:464]", "17309952"),
+            ),
+            (
+                "rational",
+                ("ae.db", "af.dc", "bf.ec", "(ae.db)(af.dc).(bf.ec)"),
+                ("[465:-1075:622]", "[90:-375:-448]", "[255:-695:-1086]", "147376/81"),
+            ),
+            (
+                "grid",
+                ("aa.db", "af.dc", "bf.ac", "(aa.db)(af.dc).(bf.ac)"),
+                ("[0:0:0]", "[5:-28:25]", "[17:-152:-14]", "0"),
+            ),
+        ],
+        ids=["grid", "rational", "grid-zero-meet"],
+    )
+    def test_eval_prints_the_pascal_meets(self, scene, exprs, values, capsys):
+        path = str(GOLDEN / f"{scene}.scene")
+        for text, value in zip(exprs, values):
+            code, out, _ = run_cli(["eval", "--in", path, "--expr", text], capsys)
+            kind = "scalar" if value[0] != "[" else "point"
+            assert (code, out.splitlines()[2]) == (0, f"output {kind} result = {value}")
+
+    def test_eval_refuses_parentheses_nested_past_the_bound(self, capsys):
+        """Past 100 levels a parse error (exit 3), not a RecursionError;
+        100 levels evaluate."""
+        grid = str(GOLDEN / "grid.scene")
+        for depth, want in ((100, 0), (600, 3)):
+            text = "(" * depth + "ab" + ")" * depth
+            code, _, err = run_cli(["eval", "--in", grid, "--expr", text], capsys)
+            assert code == want
+        assert err == "error: more than 100 nested parentheses (at position 100)\n"
 
     def test_group_add(self, tmp_path, capsys):
         import sys as _sys
@@ -900,7 +948,6 @@ COMMANDS = [
     "is_flex",
     "conic_sixth",
     "group_add",
-    "pascal",
     "random",
 ]
 
@@ -942,85 +989,12 @@ class TestParser:
             "no_verify_flex": False,
         }
 
-    # plot is tools/plot.py, not a command
-    @pytest.mark.parametrize("argv", [["fit10"], ["Fit9"], [], ["fit9", "extra"], ["plot"]])
+    # plot is tools/plot.py, not a command; eval prints what pascal printed
+    @pytest.mark.parametrize(
+        "argv", [["fit10"], ["Fit9"], [], ["fit9", "extra"], ["plot"], ["pascal"]]
+    )
     def test_bad_command_line_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: grassmann")
-
-
-def _six_on_conic_by_rank(pts) -> bool:
-    """The rank test the CLI used before: six points lie on a conic exactly
-    when their 6x6 monomial matrix has rank at most 5."""
-    rows = [
-        [int(cp.coords[0] ** i * cp.coords[1] ** j * cp.coords[2] ** k) for (i, j, k) in monomials(2)]
-        for cp in (canonicalize(p) for p in pts)
-    ]
-    rank, _, _ = _bareiss(rows)
-    return rank <= 5
-
-
-def _sextuples():
-    rng = random.Random(1006)
-
-    def rand_point(r=4):
-        return Point(*(rng.randint(-r, r) for _ in range(3)))
-
-    def on_conic():
-        # the image of (s^2 : st : t^2) under an integer 3x3 matrix
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        s, t = rng.randint(-4, 4), rng.randint(-4, 4)
-        v = (s * s, s * t, t * t)
-        return Point(*(sum(a * b for a, b in zip(row, v)) for row in m))
-
-    def conic_six():
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        pts = []
-        for _ in range(6):
-            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
-            v = (s * s, s * t, t * t)
-            pts.append(Point(*(sum(a * b for a, b in zip(row, v)) for row in m)))
-        return pts
-
-    def four_collinear():
-        p, q = rand_point(), rand_point()
-        line = [Point(*(a + k * b for a, b in zip(p.coords, q.coords))) for k in range(-1, 3)]
-        rng.shuffle(line)
-        five = line + [rand_point()]
-        rng.shuffle(five)
-        return five + [rand_point()]
-
-    def with_fractions(pts):
-        return [
-            Point(*(Fraction(c, rng.randint(1, 7)) for c in pt.coords)) if rng.random() < 0.5 else pt
-            for pt in pts
-        ]
-
-    def with_zero(pts):
-        pts = list(pts)
-        pts[rng.randrange(6)] = Point(0, 0, 0)
-        return pts
-
-    for _ in range(60):
-        yield [rand_point() for _ in range(6)]
-        yield conic_six()
-        yield four_collinear()
-        yield with_fractions(rng.choice([conic_six, four_collinear])())
-        yield with_zero(rng.choice([conic_six, lambda: [on_conic() for _ in range(6)]])())
-
-
-def test_six_on_conic_matches_the_rank_test():
-    verdicts, deficient = [], 0
-    for six in _sextuples():
-        verdicts.append(_six_on_conic(six))
-        assert verdicts[-1] == _six_on_conic_by_rank(six), six
-        try:
-            nullspace_fit(six[:5], 2)
-        except RankDeficientError:
-            deficient += 1
-    assert len(verdicts) == 300
-    # both verdicts, and both branches of the five-point fit, are exercised
-    assert 50 < sum(verdicts) < 250
-    assert 50 < deficient < 250

@@ -189,6 +189,71 @@ class TestPrettyPrint:
             assert parse(pretty_print(ast)) == ast
 
 
+def _depth(text: str) -> int:
+    """How deep the parentheses of text nest."""
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _some_text(e, rng, item=False) -> str:
+    """One of the texts that parse to e, drawn at random: e as a group, or
+    as one item of a group when item is set."""
+    if isinstance(e, Name):
+        return e.name
+    side = "".join(p.name if isinstance(p, Name) else f"({_some_text(p, rng)})" for p in e.parts)
+    if item:
+        return rng.choice([side, f"({_some_text(e, rng)})"])
+    return rng.choice([side, ".".join(_some_text(p, rng, item=True) for p in e.parts)])
+
+
+class TestNestingDepth:
+    """Parentheses nest at most 100 deep, so the parser, the folds and the
+    printer recurse a bounded number of times."""
+
+    def test_the_bound_parses_and_evaluates(self):
+        assert parse("(" * 100 + "ab" + ")" * 100) == parse("ab")
+        # ((ab)A)c..., a tree of 101 chains
+        text = "ab"
+        for k in range(100):
+            text = f"({text}){'AcBk'[k % 4]}"
+        ast = parse(text)
+        assert _depth(text) == 100 and parse(pretty_print(ast)) == ast
+        assert not contains_x(ast)
+        assert kind_of(eval_numeric(ast, random_environment(random.Random(3)))) == "line"
+        # (ab.c)d nested 100 deep, which a printer that parenthesizes every
+        # chain of chains writes 199 deep
+        text = "ab"
+        for _ in range(100):
+            text = f"({text}.c)d"
+        ast = parse(text)
+        assert _depth(pretty_print(ast)) == 100 and parse(pretty_print(ast)) == ast
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [("(" * 101 + "ab" + ")" * 101, 100), ("a" + "(b" * 101 + ")" * 101, 201)],
+    )
+    def test_one_level_more_is_refused_at_its_parenthesis(self, text, pos):
+        with pytest.raises(ParseError, match="more than 100 nested parentheses") as err:
+            parse(text)
+        assert err.value.pos == pos
+
+    def test_the_printer_nests_no_deeper_than_any_text_of_the_tree(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            ast = random_ast(rng)
+            for _ in range(rng.randrange(8)):
+                parts = [random_ast(rng, 2) for _ in range(rng.randint(1, 3))]
+                parts.insert(rng.randrange(len(parts) + 1), ast)
+                ast = Chain(tuple(parts))
+            text = _some_text(ast, rng)
+            printed = pretty_print(ast)
+            assert parse(text) == parse(printed) == ast
+            assert _depth(printed) <= _depth(text)
+
+
 def _walkthrough_env(rng):
     while True:
         a = Point(*(rng.randint(-9, 9) for _ in range(3)))

@@ -45,21 +45,13 @@ _PER_SCENE = {
     "is_flex": ["is_flex"],
     "conic_sixth": ["conic_sixth"],
     "group_add": ["group_add", "--no-verify-flex", "--point", "a", "--point", "p_1", "--point", "p_2"],
-    "pascal": ["pascal", *(a for n in "abcdef" for a in ("--point", n))],
     "eval-symbolic": ["eval", "--expr", "xaAbBcx"],
     "eval-symbolic-triple": ["eval", "--expr", "xab.cd"],
     "eval-numeric": ["eval", "--expr", "ab.cd"],
     "eval-numeric-x": ["eval", "--point", "j", "--expr", "xaAbBcx"],
 }
 
-CASES = {
-    "random-seed1-count4": ["random", "--seed", "1", "--count", "4"],
-    # the fifth point repeats the first (b1 = a): the join a b1 is the zero
-    # line, so m1 = (a b1).(a1 b) is the zero point
-    "grid-pascal-zero-meet": [
-        "pascal", *(a for n in "abcdaf" for a in ("--point", n)), "--in", str(GOLDEN / "grid.scene")
-    ],
-}
+CASES = {"random-seed1-count4": ["random", "--seed", "1", "--count", "4"]}
 # a is a flex of the cubic through the nine points: the flex branches run and pass
 _FLEX = {
     "tangent_third": ["tangent_third"],
