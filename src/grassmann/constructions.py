@@ -461,6 +461,11 @@ _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
 _ANCHOR_LOCK = threading.Lock()
+# The membership tests that _AnchorFit.on_curve admitted, as the keys
+# (terms, x); the least recently used goes first beyond the bound.  The
+# same lock guards it.
+_ON_CURVE_LIMIT = 128
+_ON_CURVE: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -469,24 +474,26 @@ class _AnchorFit:
     once by _anchor_fit, which admits the fit to the cache.
 
     `labels` are the canonical keys of the nine labelled points a..i and
-    `others` the set of b..i.  `terms` are the (i, j, k, c) of
-    expand_cubic(params).primitive(), the cubic's form with coprime
-    integer coefficients.  The rest are what _anchored_third's closed
-    form reads, with p, b and c the keys of the fit's points a, b and c:
-    the fit-only lines lw = b(((cb1.C)k).B) and lv = b(((a1b1.C)k).B),
-    the lines through b on which the chain ybBkCb1 is the line cb1 and
-    the line a1b1; the lines cb1 and cd (built as a1c, which is cd on a
-    fit, as a1 = af.cd); the integers beta and gamma, coprime, with
-    lw x lv = g*beta*b and cd x cb1 = g*gamma*c for one integer g; and
-    the lines bp = b x p, pc = p x c and cb = c x b, unreduced, so that
-    bp.x = [b,p,x] and pc.x = [p,c,x] at every x.  None of the lines is
-    zero, lw and lv are distinct, and beta and gamma are not zero.
+    `others` the set of b..i.  `terms` is the frozenset of the
+    (i, j, k, c) of expand_cubic(params).primitive(), the cubic's form
+    with coprime integer coefficients; a frozenset keeps its hash once
+    computed, so on_curve's table key is cheap to hash.  The rest are
+    what _anchored_third's closed form reads, with p, b and c the keys of
+    the fit's points a, b and c: the fit-only lines lw = b(((cb1.C)k).B)
+    and lv = b(((a1b1.C)k).B), the lines through b on which the chain
+    ybBkCb1 is the line cb1 and the line a1b1; the lines cb1 and cd (built
+    as a1c, which is cd on a fit, as a1 = af.cd); the integers beta and
+    gamma, coprime, with lw x lv = g*beta*b and cd x cb1 = g*gamma*c for
+    one integer g; and the lines bp = b x p, pc = p x c and cb = c x b,
+    unreduced, so that bp.x = [b,p,x] and pc.x = [p,c,x] at every x.
+    None of the lines is zero, lw and lv are distinct, and beta and gamma
+    are not zero.
     """
 
     labels: tuple
     others: frozenset
     params: CubicParams
-    terms: tuple
+    terms: frozenset
     lw: tuple
     lv: tuple
     cb1: tuple
@@ -511,14 +518,34 @@ class _AnchorFit:
         zero form (a polynomial over the rationals that vanishes
         everywhere is zero): `terms` is empty and this test holds at every
         x, as the bracket does.
+
+        The test reads only `terms` and x, so a test that held is kept in
+        one table shared by every fit, under the key (terms, x), and read
+        back for that key.  Sharing is exact: equal terms are one form, so
+        one key has one answer.  The fits of one cubic have equal terms
+        (primitive() fixes the scale and the sign), so every fit on a pool
+        reads the tests of the others; a fit of another cubic has other
+        terms and tests afresh.  Only tests that held are kept, at most
+        _ON_CURVE_LIMIT = 128 keys, the least recently used going first.
         """
+        memo = (self.terms, x)
+        with _ANCHOR_LOCK:
+            if memo in _ON_CURVE:
+                _ON_CURVE.move_to_end(memo)
+                return True
         x0, x1, x2 = x
         s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
         p0, p1, p2 = (1, x0, s0, s0 * x0), (1, x1, s1, s1 * x1), (1, x2, s2, s2 * x2)
         total = 0
         for i, j, k, c in self.terms:
             total += c * p0[i] * p1[j] * p2[k]
-        return total == 0
+        if total:
+            return False
+        with _ANCHOR_LOCK:
+            _ON_CURVE[memo] = True
+            if len(_ON_CURVE) > _ON_CURVE_LIMIT:
+                _ON_CURVE.popitem(last=False)
+        return True
 
 
 def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
@@ -568,7 +595,7 @@ def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
         labels=labels,
         others=frozenset(labels[1:]),
         params=params,
-        terms=tuple((*mono, int(coeff)) for mono, coeff in form.coeffs.items()),
+        terms=frozenset((*mono, int(coeff)) for mono, coeff in form.coeffs.items()),
         lw=lw,
         lv=lv,
         cb1=cb1,
@@ -591,6 +618,7 @@ def _quotient(t: tuple, u: tuple) -> int:
 def _clear_anchor_cache() -> None:
     with _ANCHOR_LOCK:
         _ANCHOR_CACHE.clear()
+        _ON_CURVE.clear()
 
 
 def _cached_fits(pool, p_key) -> list:
@@ -712,7 +740,11 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
       W = [x,c,b](lv x L), and with [b,p,x] = b.L and [p,c,x] = -[p,x,c],
       the chain's z is g[x,c,b][p,x,c] times the formula above.
     - Reducing L scales both of the formula's terms alike, and so does
-      dividing beta and gamma by the same factor.
+      dividing beta and gamma by the same factor.  So does dividing the
+      two weights s = beta(cb1.x)[b,p,x] and t = gamma[p,c,x](lw.x) by
+      gcd(s, t), which is not zero unless s = t = 0.  Then the formula is
+      the zero triple, as the chain is, and the chord refuses at step z,
+      with the weights left as they are.
 
     After the label test and the [c,b,x] test, c is a label other than x
     and off L, so [p,x,c] is not zero, and g is not zero: the formula is
@@ -738,6 +770,8 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
         raise DegenerateIntermediateError("[c,b,x]")
     s = fit.beta * _dot(fit.cb1, x) * _dot(fit.bp, x)
     t = fit.gamma * _dot(fit.pc, x) * _dot(fit.lw, x)
+    common = gcd(s, t) or 1
+    s, t = s // common, t // common
     u0, u1, u2 = _cross(fit.cd, L)
     v0, v1, v2 = _cross(fit.lv, L)
     z = _tuple_step("z", (s * u0 - t * v0, s * u1 - t * v1, s * u2 - t * v2))

@@ -47,20 +47,77 @@ class SceneError(ValueError):
     pass
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# CPython converts an int to or from decimal text only up to a digit limit
+# (sys.get_int_max_str_digits(): 4300 by default, never below 640 unless
+# 0, no limit), and raises ValueError past it.  Numbers of at most _DIGITS
+# digits convert directly; longer ones are split in two at a power of 10,
+# exactly, until the parts are that short, so any coordinate converts
+# whatever the limit is set to.
+_DIGITS = 600
+_SHORT_BITS = 1993  # 2**1993 < 10**600: an int this short has at most _DIGITS digits
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of the integer n, as str(n) but of any length."""
+    if n.bit_length() <= _SHORT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    # n has at least (bit_length - 1) * log10(2) digits, so the quotient is
+    # not zero, and the remainder is written with its leading zeros
+    low = (n.bit_length() * 30103 // 100000) // 2
+    high, rest = divmod(n, 10**low)
+    return _decimal(high) + _decimal(rest).zfill(low)
+
+
+def _integer(text: str) -> int:
+    """The int of ASCII decimal digits after an optional sign, as int()
+    but of any length."""
+    if len(text) <= _DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_integer(text[1:])
+    low = len(text) // 2
+    return _integer(text[:-low]) * 10**low + _integer(text[-low:])
+
+
+def _text(value: Scalar) -> str:
+    """The decimal text of an int or a Fraction, as str() writes it."""
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _join(values, sep: str) -> str:
+    """The decimal texts of ints and Fractions joined by sep, as str()
+    writes them but of any length: str() itself, unless a number is past
+    the interpreter's digit limit."""
+    try:
+        return sep.join(map(str, values))
+    except ValueError:
+        return sep.join(map(_text, values))
 
 
 def parse_rational(text: str) -> Scalar:
     """An exact rational: an int when the value is integral, else a Fraction.
 
-    A plain decimal integer is read by ``int``; everything else goes
-    through ``Fraction``, which accepts the same integers.
+    An integer or a ratio of two integers in ASCII decimal digits is read
+    at any length; everything else (decimals, exponents, underscores,
+    spaces around the slash) goes through ``Fraction``, which accepts the
+    same integers and ratios.
     """
     stripped = text.strip()
+    match = _RATIONAL.fullmatch(stripped)
     try:
-        if _INTEGER.fullmatch(stripped):
-            return int(stripped)
-        value = Fraction(stripped)
+        if match is None:
+            value = Fraction(stripped)
+        else:
+            numerator, denominator = match.groups()
+            if denominator is None:
+                # short text, the common case, converts at int()'s cost
+                return int(stripped) if len(stripped) <= _DIGITS else _integer(stripped)
+            value = Fraction(_integer(numerator), _integer(denominator))
     except (ValueError, ZeroDivisionError) as exc:
         raise SceneError(f"bad rational {text!r}: {exc}") from None
     return value.numerator if value.denominator == 1 else value
@@ -90,7 +147,7 @@ def _parse_triple(text: str, lineno: int):
 def format_triple(obj) -> str:
     """Canonical bracketed form of a point or line, primitive and sign-fixed."""
     cobj = canonicalize(obj)
-    return "[" + ":".join(str(c) for c in cobj.coords) + "]"
+    return "[" + _join(cobj.coords, ":") + "]"
 
 
 @dataclass
@@ -154,10 +211,9 @@ class Scene:
         for kind, (_, attr) in _ENTRIES.items():
             entries = getattr(self, attr)
             for name in sorted(entries):
-                coords = ", ".join(str(c) for c in entries[name].coords)
-                out.append(f"{kind} {name} = {coords}")
+                out.append(f"{kind} {name} = {_join(entries[name].coords, ', ')}")
         if self.viewport is not None:
-            out.append("viewport = " + ", ".join(str(c) for c in self.viewport))
+            out.append("viewport = " + _join(self.viewport, ", "))
         return "\n".join(out) + "\n"
 
     def digest(self) -> str:

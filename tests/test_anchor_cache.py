@@ -11,7 +11,10 @@ on third_point_general, the plain refit.  group_add dedupes its known
 points once into a dict from canonical key to point
 (constructions._known_pool), which its chords (constructions._chord) read;
 the public functions take the known points as a plain iterable.  The
-conftest fixture empties the cache before every test.
+anchored chord's membership tests that held are kept in one bounded
+table keyed by the fit's primitive form and the point
+(constructions._ON_CURVE).  The conftest fixture empties the cache and
+the table before every test.
 """
 
 import itertools
@@ -288,6 +291,32 @@ def test_refusals_at_the_O_prime_step_are_degenerate_choices(group_pool):
         assert cons._chord(pool_dict, p, x) == oracle.third(f, p, x)
 
 
+@pytest.mark.parametrize("p, x, zero", [(0, 19, "s and t"), (0, 8, "s")])
+def test_chords_with_a_zero_weight(group_pool, p, x, zero):
+    """The weights s = beta(cb1.x)[b,p,x] and t = gamma[p,c,x](lw.x) of
+    the closed form, which _anchored_third divides by gcd(s, t): with
+    cb1.x = lw.x = 0 both are zero, gcd(s, t) is zero, and the chord still
+    refuses at step z; with cb1.x = 0 alone s is zero, and the chord is
+    served, at the plain refit's point.  (On the pool, lw.x = 0 comes
+    only with cb1.x = 0 or a label on L.)"""
+    f, pool = group_pool
+    p, x = pool[p], pool[x]
+    fit = first_anchor_fit(pool, p)
+    x_key = _canonical(x.coords)
+    assert x_key not in fit.labels
+    L = _cross(fit.labels[0], x_key)
+    assert all(_dot(L, key) != 0 for key in fit.labels[1:])
+    s_zero, t_zero = _dot(fit.cb1, x_key) == 0, _dot(fit.lw, x_key) == 0
+    assert (s_zero, t_zero) == ("s" in zero, "t" in zero)
+    if zero == "s and t":
+        with pytest.raises(DegenerateIntermediateError) as refusal:
+            cons._anchored_third(fit, x)
+        assert refusal.value.step == "z"
+    else:
+        z = cons._anchored_third(fit, x)
+        assert z == third_point_general(pool, p, x) == oracle.third(f, p, x)
+
+
 def anchored_chords_against_the_oracle(points):
     """One fit per anchor (the first that _anchor_fit admits) and every
     ordered pair (p, x) of `points`: each chord that the anchored chord
@@ -474,22 +503,58 @@ def test_cold_and_warm_cache_give_the_same_sums(group_pool):
 
 
 def test_cache_stays_within_its_bounds(group_pool, monkeypatch):
+    """The anchors, the fits per anchor and the admitted membership tests
+    stay within their bounds, also when the bounds are 3, with the same
+    sums; _clear_anchor_cache empties both tables."""
     f, pool = group_pool
     expected = criterion_09_sums(pool, 9011, 10)
     assert len(cons._ANCHOR_CACHE) <= cons._ANCHOR_LIMIT
     assert max(len(fits) for fits in cons._ANCHOR_CACHE.values()) <= cons._FITS_PER_ANCHOR
+    assert 0 < len(cons._ON_CURVE) <= cons._ON_CURVE_LIMIT
     cons._clear_anchor_cache()
+    assert not cons._ANCHOR_CACHE and not cons._ON_CURVE
     monkeypatch.setattr(cons, "_ANCHOR_LIMIT", 3)
-    seen = []
-    original = cons._cache_fit
+    monkeypatch.setattr(cons, "_ON_CURVE_LIMIT", 3)
+    seen, tested = [], []
+    original, on_curve = cons._cache_fit, cons._AnchorFit.on_curve
 
     def watched(p_key, fit):
         original(p_key, fit)
         seen.append(len(cons._ANCHOR_CACHE))
 
+    def watched_on_curve(fit, x):
+        verdict = on_curve(fit, x)
+        tested.append(len(cons._ON_CURVE))
+        return verdict
+
     monkeypatch.setattr(cons, "_cache_fit", watched)
+    monkeypatch.setattr(cons._AnchorFit, "on_curve", watched_on_curve)
     assert criterion_09_sums(pool, 9011, 10) == expected
     assert seen and max(seen) == 3
+    assert tested and max(tested) == 3
+
+
+def test_the_membership_memo_keeps_exact_verdicts(group_pool):
+    """The membership table holds only tests that held, each under the
+    terms of the form it was made on: every key in it is a zero of its
+    form, and a point admitted on the pool's cubic is tested afresh on a
+    fit of another cubic, where it reads False, and is not admitted."""
+    f, pool = group_pool
+    criterion_09_sums(pool, 9009, 2)
+    assert cons._ON_CURVE
+    for terms, x in cons._ON_CURVE:
+        assert sum(c * x[0] ** i * x[1] ** j * x[2] ** k for i, j, k, c in terms) == 0
+    g = weierstrass(0, 8)
+    other_pool = grow_pool(g, CURVES[5][2], 20)
+    other = first_anchor_fit(other_pool, other_pool[0])
+    fit = next(fit for fits in cons._ANCHOR_CACHE.values() for fit in fits)
+    assert other.terms != fit.terms
+    for pt in pool[:10]:
+        x = _canonical(pt.coords)
+        assert fit.on_curve(x) and (fit.terms, x) in cons._ON_CURVE
+        assert evaluate(g, pt) != 0
+        assert not other.on_curve(x)
+        assert (other.terms, x) not in cons._ON_CURVE
 
 
 def test_fit_budget_of_the_criterion_09_mix(group_pool, monkeypatch):
@@ -604,12 +669,14 @@ def test_tangent_third_at_skips_a_cached_fit_that_refuses(group_pool, monkeypatc
 
 
 def test_threads_share_the_cache(group_pool, monkeypatch):
-    """Four threads adding on one pool, with a cache bound small enough to
-    evict all the time, get the sums of a single thread."""
+    """Four threads adding on one pool, with cache and membership-table
+    bounds small enough to evict all the time, get the sums of a single
+    thread."""
     f, pool = group_pool
     expected = criterion_09_sums(pool, 9012, 2)
     cons._clear_anchor_cache()
     monkeypatch.setattr(cons, "_ANCHOR_LIMIT", 2)
+    monkeypatch.setattr(cons, "_ON_CURVE_LIMIT", 2)
     results, errors = {}, []
 
     def work(n):

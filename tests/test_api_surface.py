@@ -122,7 +122,7 @@ def test_cli_leaves_the_expression_tree_to_expr():
 
 def test_scene_reads_names_through_expr():
     """What a name is has one owner: scene asks expr's name_kind, and its
-    only compiled pattern is the one for integers."""
+    only compiled pattern is the one for integers and their ratios."""
     path = PACKAGE / "scene.py"
     assert "grassmann.expr.name_kind" in _imported_modules(path, "grassmann")
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -137,7 +137,7 @@ def test_scene_reads_names_through_expr():
         if isinstance(node, ast.Assign) and node.value in compiles
         for target in node.targets
     ]
-    assert len(compiles) == 1 and bound == ["_INTEGER"]
+    assert len(compiles) == 1 and bound == ["_RATIONAL"]
 
 
 def test_cli_reads_core_names_from_core():

@@ -6,6 +6,10 @@ has non-integral rational points and lines; ``golden/flex.scene`` has nine
 points of y^2 = x^3 + 17 whose label ``a`` is a flex; ``golden/tall.scene``
 has that flex as ``a`` and the multiples 10P..20P of P = [1:-2:3] (99 to 394
 bits), so ``group_add`` runs the anchored chord on tall coordinates;
+``golden/tall-output.scene`` has the flex ``a``, the multiples 2P..9P of
+P = [1:-2:3] as ``b``..``i`` and 110P and 115P as ``p_1`` and ``p_2``
+(about 3600 and 3900 digits), so the sum 225P that ``group_add`` prints
+has about 15000 digits, past CPython's 4300-digit limit for ``str``;
 ``golden/conic-line.scene`` is a conic plus a line, a cubic with two
 components; ``golden/cusp.scene`` has nine points (t^2, t^3, 1) of the
 cuspidal cubic x1^2 x2 = x0^3, a tenth at t = 10 and an off-curve ``j``;
@@ -27,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from grassmann.cli import main
-from grassmann.scene import Scene
+from grassmann.core import Point, projectively_equal
+from grassmann.scene import Scene, format_triple, parse_rational
 
 from plot_script import plot
 
@@ -67,6 +72,8 @@ _TALL = {
 }
 for _name, _argv in _TALL.items():
     CASES[f"tall-{_name}"] = [*_argv, "--in", str(GOLDEN / "tall.scene")]
+# an answer of thousands of digits: the report writes it at any length
+CASES["tall-output-group_add"] = [*_TALL["group_add"], "--in", str(GOLDEN / "tall-output.scene")]
 # a conic plus a line: every command but conic_sixth answers on it
 _CONIC_LINE = {
     "fit9": ["fit9"],
@@ -130,6 +137,45 @@ def test_cusp_group_add_adds_the_parameter():
     (line,) = (row for row in report.splitlines() if row.startswith("output point sum = "))
     x0, x1, _ = (int(c) for c in line.removeprefix("output point sum = [").removesuffix("]").split(":"))
     assert Fraction(x0, x1) == u["p_1"] + u["b"] - u["a"] == Fraction(-2, 5)
+
+
+def multiple(n: int) -> Point:
+    """nP for P = (-2, 3) on y^2 = x^3 + 17, as the point [1:x:y], by
+    doubling and adding in affine coordinates with exact fractions."""
+
+    def add(u, v):
+        (x1, y1), (x2, y2) = u, v
+        slope = 3 * x1 * x1 / (2 * y1) if u == v else (y2 - y1) / (x2 - x1)
+        x3 = slope * slope - x1 - x2
+        return x3, slope * (x1 - x3) - y1
+
+    total, power = None, (Fraction(-2), Fraction(3))
+    while True:
+        if n & 1:
+            total = power if total is None else add(total, power)
+        n >>= 1
+        if not n:
+            return Point(1, *total)
+        power = add(power, power)
+
+
+def test_tall_output_scene_and_sum_are_multiples_of_P():
+    """The tall-output scene holds 2P..9P, 110P and 115P, and the sum its
+    report prints is 225P, with more digits than CPython converts with
+    int() or str(); it writes and reads back through a scene
+    unchanged."""
+    points = Scene.load(GOLDEN / "tall-output.scene").points
+    for name, n in (*zip("bcdefghi", range(2, 10)), ("p_1", 110), ("p_2", 115)):
+        assert projectively_equal(points[name], multiple(n)), name
+    report = (GOLDEN / "tall-output-group_add.txt").read_text(encoding="utf-8")
+    (line,) = (row for row in report.splitlines() if row.startswith("output point sum = "))
+    digits = line.removeprefix("output point sum = [").removesuffix("]").split(":")
+    assert min(len(d.lstrip("-")) for d in digits) > 4300
+    x0, x1, x2 = (parse_rational(d) for d in digits)
+    assert projectively_equal(Point(x0, x1, x2), multiple(225))
+    scene = Scene(points={"s": Point(x0, x1, x2)})
+    assert Scene.parse(scene.serialize()).points["s"].coords == (x0, x1, x2)
+    assert format_triple(scene.points["s"]) == "[" + ":".join(digits) + "]"
 
 
 def test_grid_scene_is_the_random_scene():

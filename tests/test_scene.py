@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from grassmann.cli import main
-from grassmann.scene import Scene, SceneError, parse_rational
+from grassmann.core import Point
+from grassmann.scene import Scene, SceneError, format_triple, parse_rational
 
 GRID = Path(__file__).parent / "golden" / "grid.scene"
 
-TEXTS = ["+3", "-0", "007", " 4 ", "6/3", "1.5", "1e3", "3_0", "x", "1/0"]
+TEXTS = ["+3", "-0", "007", " 4 ", "6/3", "-6/4", "+0/5", "3 / 4", "1.5", "1e3", "3_0", "x", "1/0"]
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -77,3 +79,30 @@ def test_an_unknown_entry_names_its_line(entry, key):
     with pytest.raises(SceneError) as err:
         Scene.parse(f"format: 1\n{entry}\n")
     assert str(err.value) == f"line 2: unknown entry {key!r}"
+
+
+def horner(digits: str) -> int:
+    """The int of a string of decimal digits, one digit at a time."""
+    n = 0
+    for d in digits:
+        n = 10 * n + "0123456789".index(d)
+    return n
+
+
+@pytest.mark.parametrize("length", [1, 600, 601, 4300, 4301, 12345])
+def test_integers_of_any_length_convert_both_ways(length):
+    """Decimal text of any length, also past CPython's 4300-digit limit
+    for int() and str(), reads and writes exactly: parse_rational reads
+    an integer (with leading zeros or a sign) and a ratio, and
+    format_triple and a scene write them back."""
+    rng = random.Random(length)
+    digits = rng.choice("123456789") + "".join(rng.choice("0123456789") for _ in range(length - 1))
+    n = horner(digits)
+    assert parse_rational(digits) == n and parse_rational(f" -{digits} ") == -n
+    assert parse_rational("0" * 5000 + digits) == n
+    assert parse_rational(f"{digits}/{digits}1") == Fraction(n, 10 * n + 1)
+    assert format_triple(Point(1, n, -n)) == f"[1:{digits}:-{digits}]"
+    scene = Scene(points={"p": Point(n, -1, Fraction(n, 10 * n + 1))})
+    text = scene.serialize()
+    assert text.startswith(f"format: 1\npoint p = {digits}, -1, {digits}/{digits}1\n")
+    assert Scene.parse(text).points["p"].coords == (n, -1, Fraction(n, 10 * n + 1))
