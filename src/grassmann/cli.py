@@ -28,8 +28,15 @@ from .expr import (
     pretty_print,
 )
 from .generate import random_scene
-from .poly import DegenerateLineError, HomPoly, RankDeficientError, evaluate, nullspace_fit
-from .scene import Report, Scene, SceneError, format_triple
+from .poly import (
+    DegenerateLineError,
+    HomPoly,
+    RankDeficientError,
+    evaluate,
+    nullspace_fit,
+    primitive_triple,
+)
+from .scene import Report, Scene, SceneError, format_numbers, format_triple
 
 _DEGENERATE_ERRORS = (
     cons.ConstructionError,
@@ -56,7 +63,7 @@ def _load_scene(args) -> Scene:
 
 
 def _poly_str(f: HomPoly) -> str:
-    return "[" + ":".join(str(c) for c in f.coefficient_vector()) + "]"
+    return "[" + format_numbers(f.coefficient_vector(), ":") + "]"
 
 
 def _nine(scene: Scene) -> cons.NinePointLabels:
@@ -134,14 +141,11 @@ def cmd_eval(scene: Scene, args, report: Report) -> int:
         if isinstance(value, HomPoly):
             report.add_output(f"form of degree {value.degree}", _poly_str(value.primitive()))
         else:
-            report.add_output(
-                "symbolic triple",
-                "; ".join(_poly_str(entry) for entry in value.primitive().entries),
-            )
+            report.add_output("symbolic triple", "; ".join(map(_poly_str, primitive_triple(value))))
     else:
         value = eval_numeric(expr, env)
         if kind_of(value) == "scalar":
-            report.add_output("scalar result", str(value))
+            report.add_output("scalar result", format_numbers((value,), ""))
         else:
             report.add_triple("result", value)
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import gcd
 from typing import NamedTuple
 
@@ -137,13 +137,13 @@ class CubicParams:
     C: Line
 
     def __post_init__(self):
-        for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
+        for name in _PARAM_NAMES:
             kind = Point if name.islower() else Line
             if not isinstance(getattr(self, name), kind):
                 raise KindError(f"parameter {name} must be a {kind.__name__.lower()}")
 
     def validate(self) -> None:
-        for name in ("a", "a1", "b", "b1", "c", "k", "A", "B", "C"):
+        for name in _PARAM_NAMES:
             if getattr(self, name).is_zero:
                 raise HypothesisViolation(f"parameter {name} is a zero object")
         lines = {"A": self.A.coords, "B": self.B.coords, "C": self.C.coords}
@@ -153,6 +153,10 @@ class CubicParams:
                 raise HypothesisViolation(f"lines {m} and {n} coincide")
         if _dot(lines["A"], _cross(lines["B"], lines["C"])) != 0:
             raise HypothesisViolation("lines A, B, C are not concurrent")
+
+
+# the nine field names, points lowercase and lines uppercase
+_PARAM_NAMES = tuple(f.name for f in fields(CubicParams))
 
 
 class NinePointLabels(NamedTuple):

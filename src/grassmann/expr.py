@@ -22,8 +22,9 @@ same tree, whose nodes are a :class:`Name` or a :class:`Chain`.
 Evaluation comes in two flavours: :func:`eval_numeric` with every name
 bound to a concrete point or line, and :func:`eval_symbolic` with ``x``
 left free, which expands the expression into a homogeneous polynomial (or
-a triple of them) in the coordinates of x by the same fold through
-:mod:`grassmann.poly`'s ``poly_cross``, ``poly_dot`` and ``poly_scale``.
+a tuple of three of them) in the coordinates of x by the same fold, with
+:mod:`grassmann.poly`'s ``poly_cross`` and ``poly_dot`` (core's cross and
+dot formulas on forms) and entrywise products for scaling.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Mapping, Union
 
 from . import core
 from .core import GeomObject, KindError, Point
-from .poly import PolyVector, poly_cross, poly_dot, poly_scale
+from .poly import HomPoly, monomials, poly_cross, poly_dot
 
 __all__ = [
     "Name",
@@ -245,14 +246,14 @@ _ZERO_OF_KIND = {"point": core.ZERO_POINT, "line": core.ZERO_LINE, "scalar": 0}
 
 
 def _symbolic_product(u: tuple, v: tuple) -> tuple:
-    """The typed product of two (kind, value) pairs through poly_cross,
-    poly_dot and poly_scale."""
+    """The typed product of two (kind, value) pairs: poly_cross, poly_dot,
+    or a form times each entry of a triple."""
     (kind, acc), (kind2, value) = u, v
     product = core.kind_of(core.product(_ZERO_OF_KIND[kind], _ZERO_OF_KIND[kind2]))
     if kind == "scalar":
-        return product, poly_scale(acc, value)
+        return product, tuple(acc * e for e in value)
     if kind2 == "scalar":
-        return product, poly_scale(value, acc)
+        return product, tuple(value * e for e in acc)
     if product == "scalar":
         return product, poly_dot(acc, value)
     return product, poly_cross(acc, value)
@@ -262,16 +263,18 @@ def eval_symbolic(e: Expr, env: Environment):
     """Expand with x left free.
 
     Returns a :class:`~grassmann.poly.HomPoly` when the expression is
-    scalar-valued (the usual case for curve equations) and a
-    :class:`PolyVector` otherwise.  The degree is the number of x factors,
-    also when the result is zero; ``coeffs`` lists the terms in
+    scalar-valued (the usual case for curve equations) and otherwise a
+    tuple of three, the entries of a point or line.  x is the three forms
+    x0, x1, x2 of degree 1 and a bound name its coordinates as forms of
+    degree 0, so every form's degree is the number of x factors, also when
+    it is zero; ``coeffs`` lists the terms in
     :func:`~grassmann.poly.monomials` order.
     """
 
     def leaf(name: str) -> tuple:
         if name == "x":
-            return "point", PolyVector.variable()
+            return "point", tuple(HomPoly(1, {m: 1}) for m in monomials(1))
         value = env.lookup(name)
-        return core.kind_of(value), PolyVector.constant(value)
+        return core.kind_of(value), tuple(HomPoly(0, {(0, 0, 0): c}) for c in value.coords)
 
     return _fold(e, leaf, _symbolic_product)[1]

@@ -1,41 +1,41 @@
 """Homogeneous polynomials in x0, x1, x2 over exact rationals.
 
-Provides the symbolic counterparts of the cross/dot arithmetic in
-:mod:`grassmann.core` (so incidence expressions containing the variable
-point x can be expanded to curve equations), plus the exact linear algebra
-used as an independent oracle: fitting a conic or cubic through points by
-computing the nullspace of the monomial-evaluation matrix, and restricting
-a form to a line to expose its roots there.
+A symbolic point or line is a plain tuple of three forms of one degree,
+and :func:`poly_cross` and :func:`poly_dot` are :mod:`grassmann.core`'s
+cross and dot formulas run on such triples, so incidence expressions
+containing the variable point x expand to curve equations.  The module
+also holds the exact linear algebra used as an independent oracle:
+fitting a conic or cubic through points by computing the nullspace of
+the monomial-evaluation matrix, and restricting a form to a line to
+expose its roots there.
 
 Coefficients are kept exactly as given, like coordinates in
 :mod:`grassmann.core`: integral inputs stay plain ``int`` through
 ``+``, ``-``, ``*``, :meth:`HomPoly.partial`, :meth:`HomPoly.primitive`,
-:func:`evaluate`, :func:`restrict_to_line`, :func:`poly_cross` and
-:func:`poly_dot`.  ``nullspace_fit`` back-substitutes in integers, so a
-``Fraction`` appears only where an input already holds one.  The public
-coefficient accessors (:attr:`HomPoly.coeffs`,
-:meth:`HomPoly.coefficient_vector`) return ``Fraction`` values, so ``/`` on
-them stays exact.
+:func:`primitive_triple`, :func:`evaluate`, :func:`restrict_to_line`,
+:func:`poly_cross` and :func:`poly_dot`.  ``nullspace_fit``
+back-substitutes in integers, so a ``Fraction`` appears only where an
+input already holds one.  The public coefficient accessors
+(:attr:`HomPoly.coeffs`, :meth:`HomPoly.coefficient_vector`) return
+``Fraction`` values, so ``/`` on them stays exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .core import _SCALAR_TYPES, KindError, Line, Point, Scalar, _cross, canonicalize
+from .core import _SCALAR_TYPES, KindError, Line, Point, Scalar, _cross, _dot, canonicalize
 
 __all__ = [
     "HomPoly",
-    "PolyVector",
     "RankDeficientError",
     "DegenerateLineError",
     "monomials",
     "poly_cross",
     "poly_dot",
-    "poly_scale",
+    "primitive_triple",
     "evaluate",
     "nullspace_fit",
     "restrict_to_line",
@@ -123,27 +123,20 @@ class HomPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
+        # a zero summand returns the other one, so a zero sum keeps a degree
         if other.is_zero:
             return self
         if self.is_zero:
             return other
-        return self._combine(other, False)
-
-    def __sub__(self, other: "HomPoly") -> "HomPoly":
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return -other
-        return self._combine(other, True)
-
-    def _combine(self, other: "HomPoly", subtract: bool) -> "HomPoly":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            s = out.get(mono, 0)
-            out[mono] = s - c if subtract else s + c
+            out[mono] = out.get(mono, 0) + c
         return HomPoly(self.degree, out)
+
+    def __sub__(self, other: "HomPoly") -> "HomPoly":
+        return self + -other
 
     def __neg__(self) -> "HomPoly":
         return HomPoly(self.degree, {m: -c for m, c in self._terms.items()})
@@ -210,71 +203,21 @@ def _primitive(vec: list) -> list[int]:
     return [v // common for v in vec]
 
 
-@dataclass(frozen=True)
-class PolyVector:
-    """A symbolic point or line: a triple of equal-degree homogeneous forms."""
-
-    e0: HomPoly
-    e1: HomPoly
-    e2: HomPoly
-
-    def __post_init__(self):
-        degs = {p.degree for p in self.entries if not p.is_zero}
-        if len(degs) > 1:
-            raise ValueError("entries must share one degree")
-
-    @property
-    def entries(self) -> tuple[HomPoly, HomPoly, HomPoly]:
-        return (self.e0, self.e1, self.e2)
-
-    @property
-    def degree(self) -> int:
-        for p in self.entries:
-            if not p.is_zero:
-                return p.degree
-        return self.e0.degree
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.entries)
-
-    def primitive(self) -> "PolyVector":
-        """The triple divided by one common content, so that the ratio of
-        its entries is kept: integer coefficients with gcd 1 over all three
-        entries, the first nonzero one positive (e0, e1, e2 in turn, each
-        in :func:`monomials` order)."""
-        if self.is_zero:
-            return self
-        flat = iter(_primitive([c for p in self.entries for c in p._vector()]))
-        return PolyVector(
-            *(HomPoly(p.degree, {m: next(flat) for m in monomials(p.degree)}) for p in self.entries)
-        )
-
-    @classmethod
-    def constant(cls, obj: Point | Line) -> "PolyVector":
-        return cls(*(HomPoly(0, {(0, 0, 0): c}) for c in obj.coords))
-
-    @classmethod
-    def variable(cls) -> "PolyVector":
-        return cls(*(HomPoly(1, {m: 1}) for m in monomials(1)))
+def primitive_triple(v: tuple[HomPoly, HomPoly, HomPoly]) -> tuple[HomPoly, HomPoly, HomPoly]:
+    """A symbolic point or line divided by one common content, so that the
+    ratio of its entries is kept: integer coefficients with gcd 1 over all
+    three forms, the first nonzero one positive (the forms in turn, each in
+    :func:`monomials` order).  The zero triple is returned as it is."""
+    flat = [c for p in v for c in p._vector()]
+    if not any(flat):
+        return v
+    scaled = iter(_primitive(flat))
+    return tuple(HomPoly(p.degree, {m: next(scaled) for m in monomials(p.degree)}) for p in v)
 
 
-def poly_cross(u: PolyVector, v: PolyVector) -> PolyVector:
-    """Entrywise cross-product formula; degree adds."""
-    a, b, c = u.entries
-    d, e, f = v.entries
-    return PolyVector(b * f - c * e, c * d - a * f, a * e - b * d)
-
-
-def poly_dot(u: PolyVector, v: PolyVector) -> HomPoly:
-    """Sum of entrywise products; degree adds."""
-    a, b, c = u.entries
-    d, e, f = v.entries
-    return a * d + b * e + c * f
-
-
-def poly_scale(s: HomPoly, v: PolyVector) -> PolyVector:
-    return PolyVector(s * v.e0, s * v.e1, s * v.e2)
+# core's cross and dot formulas, run on triples of forms: the degrees add
+poly_cross = _cross
+poly_dot = _dot
 
 
 def _powers(x, degree: int) -> list:

@@ -35,6 +35,7 @@ __all__ = [
     "Scene",
     "Report",
     "parse_rational",
+    "format_numbers",
     "format_triple",
 ]
 
@@ -89,10 +90,10 @@ def _text(value: Scalar) -> str:
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
-def _join(values, sep: str) -> str:
-    """The decimal texts of ints and Fractions joined by sep, as str()
-    writes them but of any length: str() itself, unless a number is past
-    the interpreter's digit limit."""
+def format_numbers(values, sep: str) -> str:
+    """The decimal texts of a sequence of ints and Fractions joined by sep,
+    as str() writes them but of any length: str() itself, unless a number
+    is past the interpreter's digit limit."""
     try:
         return sep.join(map(str, values))
     except ValueError:
@@ -147,7 +148,7 @@ def _parse_triple(text: str, lineno: int):
 def format_triple(obj) -> str:
     """Canonical bracketed form of a point or line, primitive and sign-fixed."""
     cobj = canonicalize(obj)
-    return "[" + _join(cobj.coords, ":") + "]"
+    return "[" + format_numbers(cobj.coords, ":") + "]"
 
 
 @dataclass
@@ -211,9 +212,9 @@ class Scene:
         for kind, (_, attr) in _ENTRIES.items():
             entries = getattr(self, attr)
             for name in sorted(entries):
-                out.append(f"{kind} {name} = {_join(entries[name].coords, ', ')}")
+                out.append(f"{kind} {name} = {format_numbers(entries[name].coords, ', ')}")
         if self.viewport is not None:
-            out.append("viewport = " + _join(self.viewport, ", "))
+            out.append("viewport = " + format_numbers(self.viewport, ", "))
         return "\n".join(out) + "\n"
 
     def digest(self) -> str:

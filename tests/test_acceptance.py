@@ -517,7 +517,7 @@ def test_criterion_11_symbolic_numeric_commutation():
                 ok = False
                 break
         else:
-            if tuple(evaluate(f, env.x) for f in symbolic.entries) != numeric.coords:
+            if tuple(evaluate(f, env.x) for f in symbolic) != numeric.coords:
                 ok = False
                 break
     report(11, "symbolic-then-substitute equals numeric, 1000 triples", ok)

@@ -44,7 +44,7 @@ from grassmann.constructions import (
 from grassmann.core import Line, Point, _canonical, _cross, _dot, join, meet
 from grassmann.expr import Environment, eval_symbolic, parse
 from grassmann.generate import random_scene
-from grassmann.poly import PolyVector, evaluate, nullspace_fit, poly_cross, poly_dot
+from grassmann.poly import HomPoly, evaluate, monomials, nullspace_fit, poly_cross, poly_dot
 
 from curves import CURVES, FLEX, grow_pool, weierstrass
 from exprgen import params_environment
@@ -443,7 +443,12 @@ def test_the_closed_form_is_the_chain_of_joins_and_meets(group_pool, tall_pool):
 # Q_1.px and Q_2.px are phi(w) and phi(v), P_1.xc and P_2.xc are U and V
 CHORD_CHAIN = parse("b((Q_1.px)(P_1.xc).(Q_2.px)(P_2.xc)).px")
 CHORD_LINES = (("Q_1", "cb1"), ("Q_2", "cd"), ("P_1", "lw"), ("P_2", "lv"))
-X = PolyVector.variable()
+X = tuple(HomPoly(1, {m: 1}) for m in monomials(1))
+
+
+def constant(obj):
+    """A point or line as a triple of forms of degree 0."""
+    return tuple(HomPoly(0, {(0, 0, 0): c}) for c in obj.coords)
 
 
 def assert_closed_form_is_the_chain_in_x(fit):
@@ -457,25 +462,25 @@ def assert_closed_form_is_the_chain_in_x(fit):
         {"p": p, "b": b, "c": c, **{n: Line(*getattr(fit, f)) for n, f in CHORD_LINES}}
     )
     chain = eval_symbolic(CHORD_CHAIN, env)
-    assert chain.degree == 5
+    assert [entry.degree for entry in chain] == [5, 5, 5]
 
     def dot(t):
-        return poly_dot(PolyVector.constant(Line(*t)), X)
+        return poly_dot(constant(Line(*t)), X)
 
     def cross_L(t):
-        return poly_cross(PolyVector.constant(Line(*t)), poly_cross(PolyVector.constant(p), X))
+        return poly_cross(constant(Line(*t)), poly_cross(constant(p), X))
 
     s = dot(fit.cb1) * dot(fit.bp) * fit.beta
     t = dot(fit.pc) * dot(fit.lw) * fit.gamma
-    z = [u * s - v * t for u, v in zip(cross_L(fit.cd).entries, cross_L(fit.lv).entries)]
+    z = [u * s - v * t for u, v in zip(cross_L(fit.cd), cross_L(fit.lv))]
     # [x,c,b] = cb.x and [p,x,c] = -pc.x
     want = [dot(fit.cb) * -dot(fit.pc) * entry for entry in z]
     # g from one nonzero coefficient; every other coefficient must agree
     i = next(i for i, entry in enumerate(want) if not entry.is_zero)
     mono, w = next(iter(want[i].coeffs.items()))
-    g = chain.entries[i].coeffs.get(mono, 0) / w
+    g = chain[i].coeffs.get(mono, 0) / w
     assert g != 0
-    assert chain.entries == tuple(entry * g for entry in want)
+    assert chain == tuple(entry * g for entry in want)
     return g
 
 

@@ -16,8 +16,9 @@ from grassmann.constructions import (
 )
 from grassmann.core import Point
 from grassmann.generate import random_scene
-from grassmann.poly import HomPoly
-from grassmann.scene import Report, Scene, SceneError
+from grassmann.expr import Environment, eval_numeric, eval_symbolic, parse
+from grassmann.poly import HomPoly, primitive_triple
+from grassmann.scene import Report, Scene, SceneError, parse_rational
 
 from plot_script import plot
 
@@ -566,6 +567,29 @@ class TestCommands:
             code, _, err = run_cli(["eval", "--in", grid, "--expr", text], capsys)
             assert code == want
         assert err == "error: more than 100 nested parentheses (at position 100)\n"
+
+    @pytest.mark.parametrize("text", ["p_1p_2c", "xp_1p_2", "xp_1.p_2c"])
+    def test_eval_writes_numbers_past_the_digit_limit(self, text, capsys):
+        """On tall-output.scene a scalar, a form and a triple of forms with
+        numbers longer than str() writes under its default limit of 4300
+        digits: each printed number reads back as the evaluators' value."""
+        path = GOLDEN / "tall-output.scene"
+        code, out, _ = run_cli(["eval", "--in", str(path), "--expr", text], capsys)
+        assert code == 0
+        name, printed = out.splitlines()[2].split(" = ")
+        assert max(map(len, re.findall(r"[0-9]+", printed))) > 4300
+        scene = Scene.load(path)
+        ast, env = parse(text), Environment({**scene.points, **scene.lines})
+        if name == "output scalar result":
+            assert parse_rational(printed) == eval_numeric(ast, env)
+            return
+        value = eval_symbolic(ast, env)
+        want = [value.primitive()] if isinstance(value, HomPoly) else primitive_triple(value)
+        got = [
+            [parse_rational(c) for c in entry.strip("[] ").split(":")]
+            for entry in printed.split(";")
+        ]
+        assert got == [f.coefficient_vector() for f in want]
 
     def test_group_add(self, tmp_path, capsys):
         import sys as _sys

@@ -8,14 +8,13 @@ from grassmann.core import KindError, Line, Point, _cross, incidence
 from grassmann.poly import (
     DegenerateLineError,
     HomPoly,
-    PolyVector,
     RankDeficientError,
     evaluate,
     monomials,
     nullspace_fit,
     poly_cross,
     poly_dot,
-    poly_scale,
+    primitive_triple,
     restrict_to_line,
 )
 
@@ -23,7 +22,12 @@ from grassmann.oracle import third
 
 from curves import CURVES, grow_pool, weierstrass
 
-X = PolyVector.variable()
+X = tuple(HomPoly(1, {m: 1}) for m in monomials(1))
+
+
+def constant(obj):
+    """A point or line as a triple of forms of degree 0."""
+    return tuple(HomPoly(0, {(0, 0, 0): c}) for c in obj.coords)
 
 
 def test_monomial_order_degree_three():
@@ -46,55 +50,63 @@ class TestVectorOps:
         from grassmann.core import meet
 
         L, M = Line(1, 1, 1), Line(1, 2, 3)
-        sym = poly_cross(PolyVector.constant(L), PolyVector.constant(M))
-        assert tuple(evaluate(f, Point(1, 1, 1)) for f in sym.entries) == meet(L, M).coords
+        sym = poly_cross(constant(L), constant(M))
+        assert tuple(evaluate(f, Point(1, 1, 1)) for f in sym) == meet(L, M).coords
 
     def test_cross_with_itself_is_zero(self):
-        assert poly_cross(X, X).is_zero
+        assert all(e.is_zero for e in poly_cross(X, X))
 
     def test_cross_variable_with_e0(self):
         # x cross (1,0,0) = (0, x2, -x1)
-        res = poly_cross(X, PolyVector.constant(Point(1, 0, 0)))
-        assert res.e0.is_zero
-        assert res.e1 == HomPoly(1, {(0, 0, 1): 1})
-        assert res.e2 == HomPoly(1, {(0, 1, 0): -1})
+        res = poly_cross(X, constant(Point(1, 0, 0)))
+        assert res[0].is_zero
+        assert res[1] == HomPoly(1, {(0, 0, 1): 1})
+        assert res[2] == HomPoly(1, {(0, 1, 0): -1})
 
     def test_dot_with_ones(self):
-        f = poly_dot(X, PolyVector.constant(Point(1, 1, 1)))
+        f = poly_dot(X, constant(Point(1, 1, 1)))
         assert f == HomPoly(1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
 
     def test_triple_product_with_repeated_factor_vanishes(self):
-        v = PolyVector.constant(Point(2, -1, 3))
+        v = constant(Point(2, -1, 3))
         assert poly_dot(X, poly_cross(X, v)).is_zero
 
     def test_constant_dot_matches_incidence(self):
         L, p = Line(1, 2, 3), Point(0, 1, 1)
-        f = poly_dot(PolyVector.constant(L), PolyVector.constant(p))
+        f = poly_dot(constant(L), constant(p))
         assert f.coeffs[(0, 0, 0)] == incidence(L, p)
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PolyVector(X.e0, HomPoly(0, {(0, 0, 0): 1}), X.e2)
+        one = HomPoly(0, {(0, 0, 0): 1})
+        for f, g in ((X[0], one), (one, X[0])):
+            with pytest.raises(ValueError):
+                f + g
+            with pytest.raises(ValueError):
+                f - g
+        # a zero summand is no mismatch: the sum is the other form
+        assert X[0] + HomPoly(0) == X[0] and HomPoly(0) - X[0] == -X[0]
 
     def test_cross_degree_and_scale_entries(self):
-        u = PolyVector.constant(Line(1, -2, 3))
-        for v in (X, poly_cross(X, u), PolyVector.constant(Point(0, 0, 0))):
-            assert poly_cross(u, v).degree == v.degree
+        u = constant(Line(1, -2, 3))
+        for v in (X, poly_cross(X, u), constant(Point(0, 0, 0))):
+            assert [e.degree for e in poly_cross(u, v)] == [e.degree for e in v]
             s = poly_dot(u, v)
-            assert poly_scale(s, v).entries == tuple(s * e for e in v.entries)
+            assert [(s * e).degree for e in v] == [s.degree + e.degree for e in v]
 
     def test_primitive_divides_the_triple_by_one_content(self):
         # times 3/2 the triple is coprime and integral; its first nonzero
-        # coefficient, in e0, is then made positive.  Each entry made
-        # primitive on its own would lose the ratio 9 : 0 : -2 of the x0 terms
-        x0, x1, _ = X.entries
-        v = PolyVector(x0 * -6, HomPoly(1), x0 * Fraction(4, 3) + x1 * 2)
-        p = v.primitive()
-        assert p.entries == (x0 * 9, HomPoly(1), x0 * -2 + x1 * -3)
-        assert all(type(c) is int for e in p.entries for c in e._terms.values())
-        assert poly_scale(HomPoly(0, {(0, 0, 0): Fraction(-5, 7)}), v).primitive() == p
-        zero = PolyVector.constant(Point(0, 0, 0))
-        assert zero.primitive() == zero
+        # coefficient, in the first entry, is then made positive.  Each entry
+        # made primitive on its own would lose the ratio 9 : 0 : -2 of the x0
+        # terms
+        x0, x1, _ = X
+        v = (x0 * -6, HomPoly(1), x0 * Fraction(4, 3) + x1 * 2)
+        p = primitive_triple(v)
+        assert p == (x0 * 9, HomPoly(1), x0 * -2 + x1 * -3)
+        assert all(type(c) is int for e in p for c in e._terms.values())
+        s = HomPoly(0, {(0, 0, 0): Fraction(-5, 7)})
+        assert primitive_triple(tuple(s * e for e in v)) == p
+        zero = constant(Point(0, 0, 0))
+        assert primitive_triple(zero) == zero
 
 
 class TestEvaluate:
@@ -227,7 +239,7 @@ class TestExactScalars:
         assert hash(f) == hash(g)
 
     def test_integer_inputs_stay_integers(self):
-        f = poly_dot(X, poly_cross(PolyVector.constant(Point(2, -1, 3)), X)) + HomPoly(
+        f = poly_dot(X, poly_cross(constant(Point(2, -1, 3)), X)) + HomPoly(
             2, {(2, 0, 0): 5}
         )
         p = Point(3, 1, -4)
