@@ -17,6 +17,7 @@ verifies its own output against exact incidence checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from collections import OrderedDict
@@ -100,6 +101,12 @@ class FlexVerificationError(ConstructionError):
 
 # canonical expression text (accepted verbatim by the parser and the CLI)
 CUBIC_EXPRESSION = "(xaAa_1.xbBkCb_1.xc)"
+
+
+def _require(objs, kind, message: str) -> None:
+    """Raise KindError(message) unless every object in objs is a kind."""
+    if not all(isinstance(g, kind) for g in objs):
+        raise KindError(message)
 
 
 def _chain(start, *objs):
@@ -190,8 +197,7 @@ def general_position_violation(points):
     written out on the coordinates.  Every entry must be a point.
     """
     pts = list(points)
-    if not all(type(p) is Point for p in pts):
-        raise KindError("general position is a property of points")
+    _require(pts, Point, "general position is a property of points")
     coords = [p.coords for p in pts]
     n = len(pts)
     for i, (u0, u1, u2) in enumerate(coords):
@@ -290,8 +296,7 @@ def fit_nine_points(pts: NinePointLabels) -> CubicParams:
 
 def evaluate_cubic(params: CubicParams, x: Point) -> Scalar:
     """Exact value of the defining bracket at x; zero means x is on the curve."""
-    if not isinstance(x, Point):
-        raise KindError("x must be bound to a point")
+    _require((x,), Point, "x must be bound to a point")
     return _cubic_value(params, x.coords)
 
 
@@ -465,11 +470,6 @@ _FITS_PER_ANCHOR = 2
 _ANCHOR_LIMIT = 64
 _ANCHOR_CACHE: OrderedDict = OrderedDict()
 _ANCHOR_LOCK = threading.Lock()
-# The membership tests that _AnchorFit.on_curve admitted, as the keys
-# (terms, x); the least recently used goes first beyond the bound.  The
-# same lock guards it.
-_ON_CURVE_LIMIT = 128
-_ON_CURVE: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -480,18 +480,18 @@ class _AnchorFit:
     `labels` are the canonical keys of the nine labelled points a..i and
     `others` the set of b..i.  `terms` is the frozenset of the
     (i, j, k, c) of expand_cubic(params).primitive(), the cubic's form
-    with coprime integer coefficients; a frozenset keeps its hash once
-    computed, so on_curve's table key is cheap to hash.  The rest are
-    what _anchored_third's closed form reads, with p, b and c the keys of
-    the fit's points a, b and c: the fit-only lines lw = b(((cb1.C)k).B)
-    and lv = b(((a1b1.C)k).B), the lines through b on which the chain
-    ybBkCb1 is the line cb1 and the line a1b1; the lines cb1 and cd (built
-    as a1c, which is cd on a fit, as a1 = af.cd); the integers beta and
-    gamma, coprime, with lw x lv = g*beta*b and cd x cb1 = g*gamma*c for
-    one integer g; and the lines bp = b x p, pc = p x c and cb = c x b,
-    unreduced, so that bp.x = [b,p,x] and pc.x = [p,c,x] at every x.
-    None of the lines is zero, lw and lv are distinct, and beta and gamma
-    are not zero.
+    with coprime integer coefficients, on which _on_cubic tests points; a
+    frozenset keeps its hash once computed, so the memo's key (terms, x)
+    is cheap to hash.  The rest are what _anchored_third's closed form
+    reads, with p, b and c the keys of the fit's points a, b and c: the
+    fit-only lines lw = b(((cb1.C)k).B) and lv = b(((a1b1.C)k).B), the
+    lines through b on which the chain ybBkCb1 is the line cb1 and the
+    line a1b1; the lines cb1 and cd (built as a1c, which is cd on a fit,
+    as a1 = af.cd); the integers beta and gamma, coprime, with
+    lw x lv = g*beta*b and cd x cb1 = g*gamma*c for one integer g; and
+    the lines bp = b x p, pc = p x c and cb = c x b, unreduced, so that
+    bp.x = [b,p,x] and pc.x = [p,c,x] at every x.  None of the lines is
+    zero, lw and lv are distinct, and beta and gamma are not zero.
     """
 
     labels: tuple
@@ -508,48 +508,38 @@ class _AnchorFit:
     pc: tuple
     cb: tuple
 
-    def on_curve(self, x: tuple) -> bool:
-        """Whether the coordinate triple x is on the fit's cubic: the same
-        predicate as _cubic_value(params, x) == 0, on coefficients of a few
-        bits instead of the fit's parameters.
 
-        Proof: expand_cubic(params) is the form F with
-        F(x) = _cubic_value(params, x) for every triple x, as its
-        docstring shows: the bracket that _cubic_value folds is linear in
-        each of its three chains, and each chain is linear in x.
-        primitive() divides F by a nonzero rational, so it vanishes
-        exactly where F does.  If the bracket is zero at every x, F is the
-        zero form (a polynomial over the rationals that vanishes
-        everywhere is zero): `terms` is empty and this test holds at every
-        x, as the bracket does.
+@functools.lru_cache(maxsize=128)
+def _on_cubic(terms: frozenset, x: tuple) -> bool:
+    """Whether the coordinate triple x is on the cubic of an _AnchorFit
+    with these `terms`: the same predicate as _cubic_value(params, x) == 0,
+    on coefficients of a few bits instead of the fit's parameters.
 
-        The test reads only `terms` and x, so a test that held is kept in
-        one table shared by every fit, under the key (terms, x), and read
-        back for that key.  Sharing is exact: equal terms are one form, so
-        one key has one answer.  The fits of one cubic have equal terms
-        (primitive() fixes the scale and the sign), so every fit on a pool
-        reads the tests of the others; a fit of another cubic has other
-        terms and tests afresh.  Only tests that held are kept, at most
-        _ON_CURVE_LIMIT = 128 keys, the least recently used going first.
-        """
-        memo = (self.terms, x)
-        with _ANCHOR_LOCK:
-            if memo in _ON_CURVE:
-                _ON_CURVE.move_to_end(memo)
-                return True
-        x0, x1, x2 = x
-        s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
-        p0, p1, p2 = (1, x0, s0, s0 * x0), (1, x1, s1, s1 * x1), (1, x2, s2, s2 * x2)
-        total = 0
-        for i, j, k, c in self.terms:
-            total += c * p0[i] * p1[j] * p2[k]
-        if total:
-            return False
-        with _ANCHOR_LOCK:
-            _ON_CURVE[memo] = True
-            if len(_ON_CURVE) > _ON_CURVE_LIMIT:
-                _ON_CURVE.popitem(last=False)
-        return True
+    Proof: expand_cubic(params) is the form F with
+    F(x) = _cubic_value(params, x) for every triple x, as its docstring
+    shows: the bracket that _cubic_value folds is linear in each of its
+    three chains, and each chain is linear in x.  primitive() divides F by
+    a nonzero rational, so it vanishes exactly where F does.  If the
+    bracket is zero at every x, F is the zero form (a polynomial over the
+    rationals that vanishes everywhere is zero): `terms` is empty and this
+    test holds at every x, as the bracket does.
+
+    The answer reads only `terms` and x, so the memo keeps it, refusals as
+    well as admissions, under the key (terms, x), shared by every fit.
+    Sharing is exact: equal terms are one form, so one key has one answer.
+    The fits of one cubic have equal terms (primitive() fixes the scale and
+    the sign), so every fit on a pool reads the tests of the others; a fit
+    of another cubic has other terms and tests afresh.  At most 128 keys
+    are kept, the least recently used going first; cache_info() reads the
+    memo's traffic.
+    """
+    x0, x1, x2 = x
+    s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
+    p0, p1, p2 = (1, x0, s0, s0 * x0), (1, x1, s1, s1 * x1), (1, x2, s2, s2 * x2)
+    total = 0
+    for i, j, k, c in terms:
+        total += c * p0[i] * p1[j] * p2[k]
+    return total == 0
 
 
 def _anchor_fit(pts: NinePointLabels, params: CubicParams) -> _AnchorFit:
@@ -622,7 +612,7 @@ def _quotient(t: tuple, u: tuple) -> int:
 def _clear_anchor_cache() -> None:
     with _ANCHOR_LOCK:
         _ANCHOR_CACHE.clear()
-        _ON_CURVE.clear()
+    _on_cubic.cache_clear()
 
 
 def _cached_fits(pool, p_key) -> list:
@@ -755,19 +745,18 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     zero exactly where the chain is, and otherwise it is the chain's
     point.  So it refuses exactly where the chain of joins and meets
     refuses.  The point is returned only if x is on the fit's cubic and
-    the point is on L and on the cubic, checked on the fit's primitive
-    form (_AnchorFit.on_curve, the same predicate as
-    _cubic_value(params, .) == 0); otherwise ConstructionError is raised
-    and the caller tries the next fit.
+    the point is on L and on the cubic, checked by _on_cubic on the fit's
+    primitive form; otherwise ConstructionError is raised and the caller
+    tries the next fit.
     """
     labels = fit.labels
     p, x = labels[0], _key(x)
     L = _tuple_step("L=px", _cross(p, x))
-    if not fit.on_curve(x):
+    if not _on_cubic(fit.terms, x):
         raise ConstructionError("anchored chord endpoint is off the fitted cubic")
     for z in labels[1:]:
         if z != x and _dot(L, z) == 0:
-            if fit.on_curve(z):
+            if _on_cubic(fit.terms, z):
                 return _keyed(Point, z)
             raise ConstructionError("label on the chord is off the fitted cubic")
     if _dot(fit.cb, x) == 0:
@@ -779,7 +768,7 @@ def _anchored_third(fit: _AnchorFit, x: Point) -> Point:
     u0, u1, u2 = _cross(fit.cd, L)
     v0, v1, v2 = _cross(fit.lv, L)
     z = _tuple_step("z", (s * u0 - t * v0, s * u1 - t * v1, s * u2 - t * v2))
-    if _dot(L, z) == 0 and fit.on_curve(z):
+    if _dot(L, z) == 0 and _on_cubic(fit.terms, z):
         return _keyed(Point, z)
     raise ConstructionError("anchored chord point is off the fitted cubic")
 
@@ -798,9 +787,11 @@ def third_point_general(known, p: Point, q: Point) -> Point:
     Hypothesis: p and q lie on the cubic through the known points.  It is
     not checked: with an endpoint off that cubic, the refit is another
     cubic through that endpoint, and the returned point is in general off
-    the cubic through the known points.  A zero endpoint, or p and q
-    projectively equal, raises HypothesisViolation.
+    the cubic through the known points.  A non-Point endpoint raises
+    KindError (the elements of `known` are not kind-checked up front),
+    and a zero endpoint, or p and q projectively equal, HypothesisViolation.
     """
+    _require((p, q), Point, "the chord endpoints must be points")
     if p.is_zero or q.is_zero:
         raise HypothesisViolation("a chord endpoint is the zero point")
     pq = _cross(p.coords, q.coords)
@@ -941,11 +932,15 @@ def conic_line_second_intersection(five, L: Line, known: Point) -> Point:
     _second_intersection); a conic that is a line pair has its own
     branch.  On a smooth conic, the membership of `known` is one Pascal
     bracket of the hexagon through it and the five.  When the line is
-    tangent at `known` the result is `known`.
+    tangent at `known` the result is `known`.  A non-Point among the five
+    or `known`, or a non-Line L, raises KindError.
     """
-    five = [pt.coords for pt in five]
+    five = list(five)
     if len(five) != 5:
         raise ValueError("exactly five conic points required")
+    _require((*five, known), Point, "the conic points and the known point must be points")
+    _require((L,), Line, "the line L must be a line")
+    five = [pt.coords for pt in five]
     if L.is_zero or known.is_zero:
         raise HypothesisViolation("the line or the known point is a zero object")
     pair = _line_pair(five)
@@ -1130,13 +1125,15 @@ def group_add(known, o: Point, p: Point, q: Point, verify_flex: bool = True) -> 
     fall back on the tangent construction.  With `verify_flex` the
     identity is first checked to be a flex (a tangent-third construction
     on a cached fit or a refit); pass False to skip when the caller has
-    already verified it.  A zero point among o, p and q raises
-    HypothesisViolation.
+    already verified it.  A non-Point among o, p and q raises KindError
+    before any cache read, and a zero point HypothesisViolation; the
+    elements of `known` are not kind-checked up front (a test per point).
 
     Hypothesis: o, p and q lie on the cubic through the known points.  It
     is not checked: with a point off that cubic, the sum is in general off
     it too.
     """
+    _require((o, p, q), Point, "the identity and the summands must be points")
     if o.is_zero or p.is_zero or q.is_zero:
         raise HypothesisViolation("a summand or the identity is the zero point")
     pool = _known_pool(known)
@@ -1161,8 +1158,10 @@ def tangent_third_at(known, p: Point) -> Point:
     `known` is an iterable of points; points that are projectively equal
     count once, by canonical key.  Hypothesis: p lies on the cubic through
     the known points.  It is not checked: with p off that cubic, the
-    returned point is in general off it too.
+    returned point is in general off it too.  A non-Point p raises
+    KindError before any cache read; `known` is not kind-checked up front.
     """
+    _require((p,), Point, "the tangent point must be a point")
     if p.is_zero:
         raise HypothesisViolation("the tangent point is the zero point")
     p_key = _key(p)

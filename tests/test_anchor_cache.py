@@ -11,12 +11,13 @@ on third_point_general, the plain refit.  group_add dedupes its known
 points once into a dict from canonical key to point
 (constructions._known_pool), which its chords (constructions._chord) read;
 the public functions take the known points as a plain iterable.  The
-anchored chord's membership tests that held are kept in one bounded
-table keyed by the fit's primitive form and the point
-(constructions._ON_CURVE).  The conftest fixture empties the cache and
-the table before every test.
+anchored chord's membership tests, admissions and refusals, are kept in
+one bounded least-recently-used memo keyed by the fit's primitive form
+and the point (constructions._on_cubic, a functools.lru_cache).  The
+conftest fixture empties the cache and the memo before every test.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -34,6 +35,7 @@ from grassmann.constructions import (
     CubicParams,
     DegenerateIntermediateError,
     NinePointLabels,
+    _on_cubic,
     evaluate_cubic,
     expand_cubic,
     general_position_violation,
@@ -375,11 +377,11 @@ def chain_third(fit, x):
     x = _canonical(x.coords)
     step = cons._tuple_step
     L = step("L=px", _cross(p, x))
-    if not fit.on_curve(x):
+    if not _on_cubic(fit.terms, x):
         raise ConstructionError("anchored chord endpoint is off the fitted cubic")
     for z in labels[1:]:
         if z != x and _dot(L, z) == 0:
-            if fit.on_curve(z):
+            if _on_cubic(fit.terms, z):
                 return Point(*z)
             raise ConstructionError("label on the chord is off the fitted cubic")
     M = step("M=xc", _cross(x, c))
@@ -389,7 +391,7 @@ def chain_third(fit, x):
     phi_v = step("phi(v)=cd.L", _cross(fit.cd, L))
     O2 = step("O'=phi(w)U.phi(v)V", _cross(_cross(phi_w, U), _cross(phi_v, V)))
     z = step("z=OO'.L", _cross(_cross(b, O2), L))
-    if _dot(L, z) == 0 and fit.on_curve(z):
+    if _dot(L, z) == 0 and _on_cubic(fit.terms, z):
         return Point(*z)
     raise ConstructionError("anchored chord point is off the fitted cubic")
 
@@ -508,47 +510,42 @@ def test_cold_and_warm_cache_give_the_same_sums(group_pool):
 
 
 def test_cache_stays_within_its_bounds(group_pool, monkeypatch):
-    """The anchors, the fits per anchor and the admitted membership tests
-    stay within their bounds, also when the bounds are 3, with the same
-    sums; _clear_anchor_cache empties both tables."""
+    """The anchors, the fits per anchor and the membership memo stay
+    within their bounds, also when the bounds are 3, with the same sums;
+    _clear_anchor_cache empties the cache and the memo."""
     f, pool = group_pool
     expected = criterion_09_sums(pool, 9011, 10)
     assert len(cons._ANCHOR_CACHE) <= cons._ANCHOR_LIMIT
     assert max(len(fits) for fits in cons._ANCHOR_CACHE.values()) <= cons._FITS_PER_ANCHOR
-    assert 0 < len(cons._ON_CURVE) <= cons._ON_CURVE_LIMIT
+    info = _on_cubic.cache_info()
+    assert 0 < info.currsize <= info.maxsize == 128
     cons._clear_anchor_cache()
-    assert not cons._ANCHOR_CACHE and not cons._ON_CURVE
+    assert not cons._ANCHOR_CACHE and _on_cubic.cache_info().currsize == 0
     monkeypatch.setattr(cons, "_ANCHOR_LIMIT", 3)
-    monkeypatch.setattr(cons, "_ON_CURVE_LIMIT", 3)
-    seen, tested = [], []
-    original, on_curve = cons._cache_fit, cons._AnchorFit.on_curve
+    bounded = functools.lru_cache(maxsize=3)(_on_cubic.__wrapped__)
+    monkeypatch.setattr(cons, "_on_cubic", bounded)
+    seen, original = [], cons._cache_fit
 
     def watched(p_key, fit):
         original(p_key, fit)
         seen.append(len(cons._ANCHOR_CACHE))
 
-    def watched_on_curve(fit, x):
-        verdict = on_curve(fit, x)
-        tested.append(len(cons._ON_CURVE))
-        return verdict
-
     monkeypatch.setattr(cons, "_cache_fit", watched)
-    monkeypatch.setattr(cons._AnchorFit, "on_curve", watched_on_curve)
     assert criterion_09_sums(pool, 9011, 10) == expected
     assert seen and max(seen) == 3
-    assert tested and max(tested) == 3
+    # more misses than keys kept: the memo evicted, and stayed full
+    info = bounded.cache_info()
+    assert info.currsize == 3 and info.misses > 3
 
 
 def test_the_membership_memo_keeps_exact_verdicts(group_pool):
-    """The membership table holds only tests that held, each under the
-    terms of the form it was made on: every key in it is a zero of its
-    form, and a point admitted on the pool's cubic is tested afresh on a
-    fit of another cubic, where it reads False, and is not admitted."""
+    """The memo keeps each verdict under the terms of the form it was
+    made on: on the pool's cubic and on a fit of another cubic, a
+    repeated test is a hit and equals the expanded cubic's verdict, so a
+    point admitted on one cubic reads False on the other."""
     f, pool = group_pool
     criterion_09_sums(pool, 9009, 2)
-    assert cons._ON_CURVE
-    for terms, x in cons._ON_CURVE:
-        assert sum(c * x[0] ** i * x[1] ** j * x[2] ** k for i, j, k, c in terms) == 0
+    assert _on_cubic.cache_info().hits > 0
     g = weierstrass(0, 8)
     other_pool = grow_pool(g, CURVES[5][2], 20)
     other = first_anchor_fit(other_pool, other_pool[0])
@@ -556,10 +553,14 @@ def test_the_membership_memo_keeps_exact_verdicts(group_pool):
     assert other.terms != fit.terms
     for pt in pool[:10]:
         x = _canonical(pt.coords)
-        assert fit.on_curve(x) and (fit.terms, x) in cons._ON_CURVE
         assert evaluate(g, pt) != 0
-        assert not other.on_curve(x)
-        assert (other.terms, x) not in cons._ON_CURVE
+        for record in (fit, other):
+            verdict = _on_cubic(record.terms, x)
+            hits = _on_cubic.cache_info().hits
+            assert _on_cubic(record.terms, x) == verdict
+            assert _on_cubic.cache_info().hits == hits + 1
+            assert verdict == (evaluate(expand_cubic(record.params), Point(*x)) == 0)
+        assert _on_cubic(fit.terms, x) and not _on_cubic(other.terms, x)
 
 
 def test_fit_budget_of_the_criterion_09_mix(group_pool, monkeypatch):
@@ -674,14 +675,14 @@ def test_tangent_third_at_skips_a_cached_fit_that_refuses(group_pool, monkeypatc
 
 
 def test_threads_share_the_cache(group_pool, monkeypatch):
-    """Four threads adding on one pool, with cache and membership-table
+    """Four threads adding on one pool, with cache and membership-memo
     bounds small enough to evict all the time, get the sums of a single
     thread."""
     f, pool = group_pool
     expected = criterion_09_sums(pool, 9012, 2)
     cons._clear_anchor_cache()
     monkeypatch.setattr(cons, "_ANCHOR_LIMIT", 2)
-    monkeypatch.setattr(cons, "_ON_CURVE_LIMIT", 2)
+    monkeypatch.setattr(cons, "_on_cubic", functools.lru_cache(maxsize=2)(_on_cubic.__wrapped__))
     results, errors = {}, []
 
     def work(n):
@@ -731,7 +732,7 @@ def assert_record_check_is_the_bracket(fit, points):
     for pt in points:
         x = _canonical(pt.coords)
         on = cons._cubic_value(params, x) == 0
-        assert fit.on_curve(x) == on, (fit.labels[0], x)
+        assert _on_cubic(fit.terms, x) == on, (fit.labels[0], x)
         verdicts.add(on)
     assert verdicts == {True, False}
     assert all(type(c) is int for *_, c in fit.terms)

@@ -370,6 +370,21 @@ class TestConicLineSecondIntersection:
         with pytest.raises(HypothesisViolation):
             conic_line_second_intersection(self.CIRCLE, L, Point(1, 5, 5))
 
+    def test_kinds_are_checked(self):
+        """Lines among the five, a point as L or a line as `known` are
+        refused by kind, even where the coordinates would serve."""
+        known = self.CIRCLE[0]
+        L = join(known, self.CIRCLE[4])
+        one_line = [*self.CIRCLE[:4], Line(*self.CIRCLE[4].coords)]
+        for five, line, pt in (
+            ([Line(*pt.coords) for pt in self.CIRCLE], L, known),
+            (one_line, L, known),
+            (self.CIRCLE, Point(*L.coords), known),
+            (self.CIRCLE, L, Line(*known.coords)),
+        ):
+            with pytest.raises(KindError):
+                conic_line_second_intersection(five, line, pt)
+
 
 # the auxiliary conic of tangent_third_point, with q the tangent's contact
 # with A, and the lemma point y it takes as its fourth conic point
@@ -867,6 +882,30 @@ class TestKnownPool:
     def test_zero_inputs_refused_up_front(self, group_pool, call):
         with pytest.raises(HypothesisViolation):
             call(group_pool[1])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_line_in_a_point_slot_is_refused(self, group_pool, warm):
+        """A line as the identity, a summand, a chord endpoint or the
+        tangent point raises KindError, also when group_add has cached
+        fits at points with the line's coordinates, and a zero line too."""
+        f, pool = group_pool
+        p, q = pool[3], pool[7]
+        if warm:
+            group_add(pool, FLEX, p, q, verify_flex=False)
+            group_add(pool, FLEX, p, p, verify_flex=False)
+            assert cons._ANCHOR_CACHE
+        calls = [
+            lambda line: group_add(pool, line(FLEX), p, q, verify_flex=False),
+            lambda line: group_add(pool, FLEX, line(p), q, verify_flex=False),
+            lambda line: group_add(pool, FLEX, p, line(q), verify_flex=False),
+            lambda line: third_point_general(pool, line(p), q),
+            lambda line: third_point_general(pool, p, line(q)),
+            lambda line: tangent_third_at(pool, line(p)),
+        ]
+        for call in calls:
+            for line in (lambda pt: Line(*pt.coords), lambda pt: Line(0, 0, 0)):
+                with pytest.raises(KindError):
+                    call(line)
 
     def test_duplicates_do_not_change_results(self, group_pool, monkeypatch):
         f, pool = group_pool

@@ -157,6 +157,12 @@ class TestOneGrammar:
             parse(text)
         assert err.value.pos == pos
 
+    @pytest.mark.parametrize("text, pos", [("(ab=0)", 3), ("(ab.cd=0)=0", 6)])
+    def test_an_equation_inside_parentheses_is_refused_at_its_sign(self, text, pos):
+        with pytest.raises(ParseError, match=re.escape("expected ')'")) as err:
+            parse_statement(text)
+        assert err.value.pos == pos
+
 
 class TestPrettyPrint:
     @pytest.mark.parametrize(

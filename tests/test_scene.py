@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,14 +90,19 @@ def horner(digits: str) -> int:
     return n
 
 
+def random_digits(length: int) -> str:
+    """`length` decimal digits, the first not zero, seeded by the length."""
+    rng = random.Random(length)
+    return rng.choice("123456789") + "".join(rng.choice("0123456789") for _ in range(length - 1))
+
+
 @pytest.mark.parametrize("length", [1, 600, 601, 4300, 4301, 12345])
 def test_integers_of_any_length_convert_both_ways(length):
     """Decimal text of any length, also past CPython's 4300-digit limit
     for int() and str(), reads and writes exactly: parse_rational reads
     an integer (with leading zeros or a sign) and a ratio, and
     format_triple and a scene write them back."""
-    rng = random.Random(length)
-    digits = rng.choice("123456789") + "".join(rng.choice("0123456789") for _ in range(length - 1))
+    digits = random_digits(length)
     n = horner(digits)
     assert parse_rational(digits) == n and parse_rational(f" -{digits} ") == -n
     assert parse_rational("0" * 5000 + digits) == n
@@ -106,3 +112,23 @@ def test_integers_of_any_length_convert_both_ways(length):
     text = scene.serialize()
     assert text.startswith(f"format: 1\npoint p = {digits}, -1, {digits}/{digits}1\n")
     assert Scene.parse(text).points["p"].coords == (n, -1, Fraction(n, 10 * n + 1))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit for int and str"
+)
+@pytest.mark.parametrize("length", [600, 640, 641, 4301])
+def test_integers_convert_at_the_lowest_digit_limit(length):
+    """Under the lowest digit limit the interpreter accepts, 640,
+    parse_rational and format_triple still read and write numbers up to
+    and past it exactly."""
+    digits = random_digits(length)
+    n = horner(digits)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_rational(digits) == n and parse_rational(f" -{digits} ") == -n
+        assert parse_rational(f"{digits}/{digits}1") == Fraction(n, 10 * n + 1)
+        assert format_triple(Point(1, n, -n)) == f"[1:{digits}:-{digits}]"
+    finally:
+        sys.set_int_max_str_digits(limit)
