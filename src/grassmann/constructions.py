@@ -397,55 +397,54 @@ def _known_pool(points) -> dict:
 def _general_position_selections(fixed, candidates, count):
     """Deterministic general-position completions of `fixed` from `candidates`.
 
-    Greedy first-fit in input order; further selections come from rotating
-    the starting offset (and scanning in reverse), so callers can retry
-    after a degenerate fit.  No three points of `fixed` plus a yielded
-    selection are collinear: a candidate is taken only when it lies on no
-    line joining two points already taken, and the incidence of the line
-    uv with x is exactly the bracket [u, v, x].  The search runs on
-    coordinate triples and yields the candidate points themselves.
+    A candidate is usable when it is projectively equal to no fixed point
+    (so it is not the zero triple) and lies on no line through two fixed
+    points; fewer than `count` usable ones raise InsufficientPointsError.
+    One greedy first-fit scan runs per rotation of the usable list, so
+    callers can retry after a degenerate fit.  A scan takes a candidate
+    only when it lies on no line joining two points already taken (the
+    incidence of the line uv with x is the bracket [u, v, x]), so no three
+    points of `fixed` plus a selection are collinear.  Each scan takes its
+    first candidate, which is on no fixed line, so distinct candidates
+    never yield one selection twice.  The search runs on coordinate
+    triples and yields the candidate points themselves.
     """
     fixed_coords = [u.coords for u in fixed]
     fixed_lines = [_cross(u, v) for u, v in itertools.combinations(fixed_coords, 2)]
-    seen = set()
-    orders = [list(candidates), list(reversed(candidates))]
-    for order in orders:
-        n = len(order)
-        order_coords = [pt.coords for pt in order]
-        for start in range(n):
-            chosen: list[Point] = []
-            taken = list(fixed_coords)
-            lines = list(fixed_lines)
-            for idx in range(n):
-                j = (start + idx) % n
-                cand = order_coords[j]
-                x0, x1, x2 = cand
-                for l0, l1, l2 in lines:
-                    if l0 * x0 + l1 * x1 + l2 * x2 == 0:
-                        break
-                else:
-                    lines += [_cross(u, cand) for u in taken]
-                    taken.append(cand)
-                    chosen.append(order[j])
-                    if len(chosen) == count:
-                        break
-            if len(chosen) == count:
-                key = tuple(id(pt) for pt in chosen)
-                if key not in seen:
-                    seen.add(key)
+    usable = [
+        pt
+        for pt in candidates
+        if all(any(_cross(u, pt.coords)) for u in fixed_coords)
+        and all(_dot(line, pt.coords) for line in fixed_lines)
+    ]
+    if len(usable) < count:
+        raise InsufficientPointsError(f"fewer than {count} usable auxiliary points")
+    for start in range(len(usable)):
+        chosen: list[Point] = []
+        taken = list(fixed_coords)
+        lines = list(fixed_lines)
+        for pt in usable[start:] + usable[:start]:
+            x0, x1, x2 = cand = pt.coords
+            for l0, l1, l2 in lines:
+                if l0 * x0 + l1 * x1 + l2 * x2 == 0:
+                    break
+            else:
+                lines += [_cross(u, cand) for u in taken]
+                taken.append(cand)
+                chosen.append(pt)
+                if len(chosen) == count:
                     yield chosen
+                    break
 
 
 def _refit(anchors, candidates, construct):
     """construct(labels, params) on the first general-position completion
     of `anchors` from `candidates` whose nine-point fit and construction
     do not raise ConstructionError.  Selections come in search order (see
-    _general_position_selections), with the anchors in the first label
-    slots; a refused one moves the loop on to the next."""
-    count = 9 - len(anchors)
-    if len(candidates) < count:
-        raise InsufficientPointsError(f"fewer than {count} usable auxiliary points")
-    for aux in _general_position_selections(anchors, candidates, count):
+    _general_position_selections, which alone decides which candidates
+    are usable), with the anchors in the first label slots; a refused one
+    moves the loop on to the next."""
+    for aux in _general_position_selections(anchors, candidates, 9 - len(anchors)):
         labels = NinePointLabels.from_points((*anchors, *aux))
         try:
             return construct(labels, fit_nine_points(labels))
@@ -797,9 +796,9 @@ def third_point_general(known, p: Point, q: Point) -> Point:
     pq = _cross(p.coords, q.coords)
     if not any(pq):
         raise HypothesisViolation("chord endpoints coincide")
-    # points on pq, p and q among them, never complete a general-position set
-    candidates = [pt for pt in _known_pool(known).values() if _dot(pq, pt.coords) != 0]
-    return _refit((p, q), candidates, lambda _, params: third_point_on_chord_ab(params))
+    return _refit(
+        (p, q), _known_pool(known).values(), lambda _, params: third_point_on_chord_ab(params)
+    )
 
 
 def _chord(pool, p: Point, q: Point) -> Point:
@@ -821,7 +820,8 @@ def _chord(pool, p: Point, q: Point) -> Point:
         fit = _anchor_fit(labels, params)
         return fit, _anchored_third(fit, q)
 
-    candidates = [pt for key, pt in pool.items() if key != p_key and key != q_key]
+    # a fill rule: the fit cached at p never labels q
+    candidates = [pt for key, pt in pool.items() if key != q_key]
     try:
         fit, z = _refit((p,), candidates, serving)
     except InsufficientPointsError:
@@ -1171,5 +1171,4 @@ def tangent_third_at(known, p: Point) -> Point:
             return tangent_third_point(fit.params)
         except ConstructionError:
             continue
-    candidates = [pt for key, pt in pool.items() if key != p_key]
-    return _refit((p,), candidates, lambda _, params: tangent_third_point(params))
+    return _refit((p,), pool.values(), lambda _, params: tangent_third_point(params))

@@ -62,7 +62,11 @@ class ParseError(ValueError):
 
 
 class UnboundNameError(KeyError):
-    pass
+    """A name the environment does not bind.  It names the name: str of a
+    KeyError is only the repr of its key."""
+
+    def __str__(self) -> str:
+        return f"unbound name {self.args[0]!r}"
 
 
 @dataclass(frozen=True)

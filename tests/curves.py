@@ -102,7 +102,6 @@ def nine_with_anchor(pool, anchor: Point) -> NinePointLabels:
     """First general-position nine-set with the anchor in the first slot."""
     from grassmann.constructions import _general_position_selections
 
-    candidates = [p for p in pool if not projectively_equal(p, anchor)]
-    for aux in _general_position_selections([anchor], candidates, 8):
+    for aux in _general_position_selections([anchor], pool, 8):
         return NinePointLabels.from_points((anchor, *aux))
     raise RuntimeError("no general-position selection available")

@@ -6,7 +6,9 @@ supported Python, and not only in a benchmark run.
 """
 
 import ast
+import contextlib
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -44,6 +46,86 @@ def test_traced_constructions_resolve():
     names = _tracer_constant("NAMED_CONSTRUCTIONS")
     assert names
     assert [n for n in names if not callable(getattr(constructions, n, None))] == []
+
+
+def _benchmark_reads(path):
+    """What a benchmark file reads of the package, from its source: every
+    name it imports from grassmann, every attribute chain it reads off such
+    a name, and every keyword it passes to such a callable.  Returns the
+    sets of dotted reads and of unresolved ones.  Bindings are file-wide:
+    the benchmark shadows no imported name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, reads, missing = {}, set(), set()
+
+    def where(node):
+        return f"{path.name}:{node.lineno}"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "grassmann":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                # a submodule is an attribute of its package once imported
+                with contextlib.suppress(ImportError):
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                if hasattr(module, alias.name):
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+                else:
+                    missing.add(f"{where(node)} {node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "grassmann":
+                    bound[alias.asname or "grassmann"] = importlib.import_module("grassmann")
+
+    def resolve(expr):
+        """(dotted name, object) of a name or attribute chain rooted at a
+        bound name; (None, None) for any other expression."""
+        if isinstance(expr, ast.Name):
+            return (expr.id, bound[expr.id]) if expr.id in bound else (None, None)
+        if isinstance(expr, ast.Attribute):
+            dotted, owner = resolve(expr.value)
+            if dotted is not None:
+                dotted = f"{dotted}.{expr.attr}"
+                reads.add(dotted)
+                if not hasattr(owner, expr.attr):
+                    missing.add(f"{where(expr)} {dotted}")
+                    return None, None
+                return dotted, getattr(owner, expr.attr)
+        return None, None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+        elif isinstance(node, ast.Call) and any(k.arg for k in node.keywords):
+            dotted, fn = resolve(node.func)
+            if fn is None:
+                continue
+            params = inspect.signature(fn).parameters
+            takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+            for k in node.keywords:
+                if k.arg:
+                    reads.add(f"{dotted}({k.arg}=)")
+                    if not takes_any and k.arg not in params:
+                        missing.add(f"{where(node)} {dotted}({k.arg}=)")
+    return reads, missing
+
+
+def test_the_benchmark_surface_resolves():
+    """The benchmark's files stay as they are while the package changes,
+    so every name, attribute and keyword they use of it must still
+    resolve: a rename fails here, and not only in a benchmark run."""
+    reads, missing = set(), set()
+    for path in sorted(TRACER.parent.rglob("*.py")):
+        file_reads, file_missing = _benchmark_reads(path)
+        reads |= file_reads
+        missing |= file_missing
+    expected = {
+        "NinePointLabels.from_points",
+        "constructions.group_add",
+        "constructions.group_add(verify_flex=)",
+        "cli.main",
+    }
+    assert expected <= reads, "the walk is broken"
+    assert sorted(missing) == []
 
 
 # The oracle layer and what it stands on never import the construction

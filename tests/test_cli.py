@@ -222,6 +222,13 @@ class TestCommands:
         assert code == 3
         assert "error" in err
 
+    def test_eval_unbound_name_names_it(self, capsys):
+        """An unbound name exits 3 with a message that names it, not the
+        bare repr that str gives a KeyError."""
+        grid = str(GOLDEN / "grid.scene")
+        code, out, err = run_cli(["eval", "--in", grid, "--expr", "aD"], capsys)
+        assert (code, out, err) == (3, "", "error: unbound name 'D'\n")
+
     def test_third_point(self, scene_path, capsys):
         code, out, _ = run_cli(["third_point", "--in", scene_path], capsys)
         assert code == 0

@@ -948,8 +948,8 @@ class TestKnownPool:
             third_point_general(noisy, p, scale(5, p))
 
     def test_selections_are_in_general_position(self, group_pool):
-        """The chord fit skips its own general-position check because every
-        selection the search yields is already in general position."""
+        """Every selection the search yields is in general position with
+        its anchors, also on a chord whose third point is in the pool."""
         f, pool = group_pool
         rng = random.Random(3303)
         pairs = [tuple(rng.sample(pool, 2)) for _ in range(49)]
@@ -1007,6 +1007,33 @@ class TestKnownPool:
             cons._refit((p,), candidates[:7], refuse)
         with pytest.raises(cons.InsufficientPointsError, match="fewer than 7"):
             cons._refit((p, pool[1]), candidates[1:7], refuse)
+
+    @pytest.mark.parametrize("anchors", [1, 2])
+    def test_the_search_alone_refuses_unusable_candidates(self, group_pool, anchors):
+        """The search drops every candidate that cannot complete a
+        general-position set: the zero triple, a copy of an anchor and a
+        point on the line through two anchors.  It counts only the usable
+        candidates, the extras change no selection, and no selection is
+        yielded twice."""
+        f, pool = group_pool
+        fixed, count = pool[:anchors], 9 - anchors
+        candidates = pool[anchors:18]
+        extras = [Point(0, 0, 0), scale(2, fixed[0]), scale(-3, fixed[-1])]
+        if anchors == 2:
+            p, q = fixed
+            extras.append(Point(*(u + v for u, v in zip(p.coords, q.coords))))
+        mixed = [extras[0], *candidates[:3], extras[1], *candidates[3:9], *extras[2:], *candidates[9:]]
+        expected = list(cons._general_position_selections(fixed, candidates, count))
+        assert expected
+        assert list(cons._general_position_selections(fixed, mixed, count)) == expected
+        keys = {tuple(pt.coords for pt in aux) for aux in expected}
+        assert len(keys) == len(expected)
+
+        def refuse(labels, params):
+            raise DegenerateIntermediateError("probe")
+
+        with pytest.raises(cons.InsufficientPointsError, match=f"fewer than {count} usable"):
+            cons._refit(fixed, [*extras, *candidates[: count - 1]], refuse)
 
 
 # five points of the conic xaAbBcx = 0, built by joins and meets: a, c,
